@@ -35,7 +35,6 @@ __all__ = [
     "mc_log_magnitude",
     "EntropyChainReport",
     "entropy_chain_report",
-    "report_to_dict",
 ]
 
 LOG_FLOOR = -700.0
@@ -63,7 +62,6 @@ def mc_logdet(
     pilots: PilotAssignment,
     samples: int,
     seed: int,
-    floor: float = LOG_FLOOR,
 ) -> LogDetEstimate:
     """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x).
 
@@ -94,8 +92,8 @@ def mc_logdet(
                 val = -math.inf
             else:
                 val = 2.0 * float(np.sum(np.log(svals)))
-            if val < floor:
-                val = floor
+            if val < LOG_FLOOR:
+                val = LOG_FLOOR
                 clipped += 1
             values[pos] = val
             pos += 1
@@ -154,11 +152,3 @@ def entropy_chain_report(dims: Dims) -> EntropyChainReport:
         solution_entropy_bits=R * N - ell(T_eff, R, N, Q),
     )
 
-
-def report_to_dict(est: LogDetEstimate) -> dict:
-    return {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "clipped_fraction": est.clipped_fraction,
-    }

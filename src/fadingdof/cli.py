@@ -5,24 +5,34 @@ mc-logdet, verify-all. Exit codes: 0 ok, 1 property failure, 2 usage error,
 3 invalid regime. Randomized subcommands require --seed; there is no
 wall-clock default, so identical invocations produce byte-identical output.
 Exact quantities are always emitted as a fraction string with the decimal
-alongside.
+alongside. This module only parses, validates, dispatches to the library and
+writes the result.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
+from dataclasses import asdict, dataclass
 
 from . import analysis, dof, identify, jacobian, pilots
-from .model import Dims, InvalidConfigurationError, constant_model, random_coloring
+from .model import (
+    Dims,
+    InvalidConfigurationError,
+    coloring_to_dict,
+    complex_to_pairs,
+    constant_model,
+    dims_to_dict,
+    random_coloring,
+)
+from .verify import run_verify_all
 
-__all__ = ["main", "SweepConfig", "run_verify_all"]
+__all__ = ["main", "SweepConfig"]
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -34,10 +44,10 @@ EXIT_REGIME = 3
 class SweepConfig:
     """Grid of configurations for sweep mode, loaded from a JSON file.
 
-    Fields: lists of T, R, N, Q values, a list of seeds, trials per cell,
-    output path (or null for stdout) and format ("json" lines or "csv").
-    Every cell is validated before dispatch; invalid cells produce explicit
-    rows instead of being dropped.
+    Fields: lists of T, R, N, Q values, a list of seeds, trials per cell and
+    the output path (or null for stdout). Rows are written as JSON lines; any
+    other key is rejected. Every cell is validated before dispatch; invalid
+    cells produce explicit rows instead of being dropped.
     """
 
     T: list
@@ -47,32 +57,26 @@ class SweepConfig:
     seeds: list
     trials: int
     output: str | None
-    format: str
 
     @staticmethod
     def load(path: str) -> "SweepConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        # Older configs name the one output format there is.
+        if raw.pop("format", "json") != "json":
+            raise InvalidConfigurationError("sweep rows are JSON lines; drop the \"format\" key")
+        unknown = set(raw) - {"T", "R", "N", "Q", "seeds", "trials", "output"}
+        if unknown:
+            raise InvalidConfigurationError(f"unknown sweep config keys {sorted(unknown)}")
         cfg = SweepConfig(
-            T=list(raw["T"]),
-            R=list(raw["R"]),
-            N=list(raw["N"]),
-            Q=list(raw["Q"]),
+            **{axis: list(raw[axis]) for axis in "TRNQ"},
             seeds=list(raw.get("seeds", [])),
             trials=int(raw.get("trials", 0)),
             output=raw.get("output"),
-            format=raw.get("format", "json"),
         )
-        if cfg.format not in ("json", "csv"):
-            raise InvalidConfigurationError(f"unknown sweep format {cfg.format!r}")
+        if cfg.trials < 0:
+            raise InvalidConfigurationError(f"sweep trials must be >= 0, got {cfg.trials}")
         return cfg
-
-    def cells(self):
-        for T in self.T:
-            for R in self.R:
-                for N in self.N:
-                    for Q in self.Q:
-                        yield (T, R, N, Q)
 
 
 def _parse_dims(text: str, teff=None) -> Dims:
@@ -93,77 +97,75 @@ def _emit(text: str, out_path: str | None):
             fh.write(text)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+def _emit_json(obj, out_path: str | None):
+    _emit(json.dumps(obj, sort_keys=True, indent=2), out_path)
+
+
+def _usage(args, message: str) -> int:
+    sys.stderr.write(f"{args.command}: {message}\n")
+    return EXIT_USAGE
+
+
+def _run_sweep(cfg: SweepConfig, row, seeds=(None,)) -> int:
+    """Emit row(dims, seed, key) per cell and seed as JSON lines, in grid order.
+
+    key is the cell, plus the seed when seeds are given. A cell that fails
+    validation gets the row {**key, "error": reason} instead.
+    """
+
+    def one(job):
+        (T, R, N, Q), seed = job
+        key = {"cell": {"T": T, "R": R, "N": N, "Q": Q}}
+        if seed is not None:
+            key["seed"] = seed
+        try:
+            return row(Dims.create(T, R, N, Q), seed, key)
+        except InvalidConfigurationError as exc:
+            return {**key, "error": str(exc)}
+
+    cells = itertools.product(cfg.T, cfg.R, cfg.N, cfg.Q)
+    jobs = [(cell, seed) for cell in cells for seed in seeds]
+    with ThreadPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(jobs)))) as pool:
+        rows = list(pool.map(one, jobs))
+    _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n", cfg.output)
+    return EXIT_OK
 
 
 def _cmd_dof(args) -> int:
     if args.sweep:
-        return _run_dof_sweep(SweepConfig.load(args.sweep))
-    dims = _parse_dims(args.dims, args.teff)
-    rep = dof.dof_report(dims)
-    _emit(json.dumps(dof.report_to_dict(rep), sort_keys=True, indent=2), args.out)
-    return EXIT_OK
-
-
-def _run_dof_sweep(cfg: SweepConfig) -> int:
-    def one(cell):
-        T, R, N, Q = cell
-        try:
-            dims = Dims.create(T, R, N, Q)
-        except InvalidConfigurationError as exc:
-            return {"cell": {"T": T, "R": R, "N": N, "Q": Q}, "error": str(exc)}
-        return dof.report_to_dict(dof.dof_report(dims))
-
-    cells = list(cfg.cells())
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cells)))) as pool:
-        rows = list(pool.map(one, cells))
-    lines = "\n".join(_dumps(row) for row in rows) + "\n"
-    _emit(lines, cfg.output)
+        return _run_sweep(
+            SweepConfig.load(args.sweep),
+            lambda dims, seed, key: dof.report_to_dict(dof.dof_report(dims)),
+        )
+    _emit_json(dof.report_to_dict(dof.dof_report(_parse_dims(args.dims, args.teff))), args.out)
     return EXIT_OK
 
 
 def _cmd_figure1(args) -> int:
-    import io
-
-    rows = dof.figure1_curves(range(2, args.nmax + 1), antenna_cap=args.cap)
     buf = io.StringIO()
-    dof.write_figure1_csv(rows, buf)
+    dof.write_figure1_csv(dof.figure1_curves(range(2, args.nmax + 1), antenna_cap=args.cap), buf)
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
 def _cmd_pilots(args) -> int:
-    dims = _parse_dims(args.dims, args.teff)
-    pa = pilots.build_pilot_sets(dims)
+    pa = pilots.build_pilot_sets(_parse_dims(args.dims, args.teff))
     if args.json:
-        _emit(json.dumps(pilots.assignment_to_dict(pa), sort_keys=True, indent=2), args.out)
-        return EXIT_OK
-    lines = [
-        f"dealing {pa.theta_R} pilot positions to {dims.T_eff} antennas "
-        f"(block length {dims.N}):"
-    ]
-    for j in range(1, pa.theta_R + 1):
-        t, i = pilots.card_deal(j, dims.T_eff, dims.N)
-        lines.append(f"  card {j:>3}: face {i:>3} -> antenna {t}")
-    for t, p in enumerate(pa.pilot_sets, start=1):
-        lines.append(f"  P_{t} = {set(p)}")
-    lines.append(f"  flat pilot set = {set(pa.pilots)}  (ell = {pa.ell})")
-    _emit("\n".join(lines) + "\n", args.out)
+        _emit_json(pilots.assignment_to_dict(pa), args.out)
+    else:
+        _emit(pilots.assignment_table(pa), args.out)
     return EXIT_OK
 
 
 def _cmd_witness(args) -> int:
+    if not args.exact and args.seed is None:
+        return _usage(args, "--seed is required unless --exact is given")
     dims = _parse_dims(args.dims, args.teff)
     pa = pilots.build_pilot_sets(dims)
-    if not args.exact and args.seed is None:
-        sys.stderr.write("jacobian-witness: --seed is required unless --exact is given\n")
-        return EXIT_USAGE
-    seed = 0 if args.seed is None else args.seed
-    Z, s, x = jacobian.witness_construct(dims, pa, seed=seed, exact=args.exact)
+    Z, s, x = jacobian.witness_construct(dims, pa, seed=args.seed or 0, exact=args.exact)
     J = jacobian.assemble_jacobian(Z, s, x, pa)
     out = {
-        "dims": {"T": dims.T, "R": dims.R, "N": dims.N, "Q": dims.Q, "T_eff": dims.T_eff},
+        "dims": dims_to_dict(dims),
         "sigma_min": J.sigma_min,
         "abs_det": J.det_abs,
         "spectral_norm": J.spectral_norm,
@@ -175,109 +177,44 @@ def _cmd_witness(args) -> int:
         out["exact_det"] = {"re": str(det[0]), "im": str(det[1])}
         out["certified_nonzero"] = det != (0, 0)
     if args.json:
-        out["matrix"] = np.stack([J.matrix.real, J.matrix.imag], axis=-1).tolist()
-        from .model import coloring_to_dict
-
+        out["matrix"] = complex_to_pairs(J.matrix)
         out["coloring"] = coloring_to_dict(Z)
-        out["s"] = np.stack([s.real, s.imag], axis=-1).tolist()
-        _emit(json.dumps(out, sort_keys=True, indent=2), args.out)
+        out["s"] = complex_to_pairs(s)
+        _emit_json(out, args.out)
         return EXIT_OK
-    pattern = [
-        "".join("#" if v else "." for v in row) for row in (np.abs(J.matrix) > 0)
-    ]
-    text = json.dumps(out, sort_keys=True, indent=2) + "\nsparsity pattern:\n" + "\n".join(
-        pattern
-    )
+    pattern = "\n".join("".join("#" if v else "." for v in row) for row in J.matrix != 0)
+    text = json.dumps(out, sort_keys=True, indent=2) + "\nsparsity pattern:\n" + pattern
     _emit(text + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_genericity(args) -> int:
     if args.sweep:
-        return _run_genericity_sweep(SweepConfig.load(args.sweep))
-    dims = _parse_dims(args.dims, args.teff)
-    pa = pilots.build_pilot_sets(dims)
-    coloring = constant_model(dims) if args.constant_model else None
-    stats = jacobian.genericity_probe(dims, pa, args.trials, args.seed, coloring=coloring)
-    _emit(json.dumps(stats.__dict__, sort_keys=True, indent=2), args.out)
-    return EXIT_OK
+        cfg = SweepConfig.load(args.sweep)
 
-
-def _run_genericity_sweep(cfg: SweepConfig) -> int:
-    def one(job):
-        cell, seed = job
-        T, R, N, Q = cell
-        base = {"cell": {"T": T, "R": R, "N": N, "Q": Q}, "seed": seed}
-        try:
-            dims = Dims.create(T, R, N, Q)
+        def probe(dims, seed, key):
             dims.require_regime()
-            pa = pilots.build_pilot_sets(dims)
-        except InvalidConfigurationError as exc:
-            return {**base, "error": str(exc)}
-        stats = jacobian.genericity_probe(dims, pa, cfg.trials, seed)
-        return {**base, **stats.__dict__}
+            stats = jacobian.genericity_probe(dims, pilots.build_pilot_sets(dims), cfg.trials, seed)
+            return {**key, **asdict(stats)}
 
-    jobs = [(cell, seed) for cell in cfg.cells() for seed in cfg.seeds]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(jobs)))) as pool:
-        rows = list(pool.map(one, jobs))
-    lines = "\n".join(_dumps(row) for row in rows) + "\n"
-    _emit(lines, cfg.output)
+        return _run_sweep(cfg, probe, cfg.seeds)
+    if args.seed is None:
+        return _usage(args, "--seed is required")
+    dims = _parse_dims(args.dims, args.teff)
+    coloring = constant_model(dims) if args.constant_model else None
+    pa = pilots.build_pilot_sets(dims)
+    stats = jacobian.genericity_probe(dims, pa, args.trials, args.seed, coloring=coloring)
+    _emit_json(asdict(stats), args.out)
     return EXIT_OK
 
 
 def _cmd_identify(args) -> int:
     dims = _parse_dims(args.dims, args.teff)
-    results = run_recovery_trials(
+    results = identify.run_recovery_trials(
         dims, trials=args.trials, seed=args.seed, constant=args.constant_model
     )
-    residuals = sorted(r.residual for r in results)
-    errors = sorted(r.param_error for r in results)
-    summary = {
-        "trials": args.trials,
-        "success_rate": sum(r.success for r in results) / max(1, args.trials),
-        "median_residual": residuals[len(residuals) // 2] if residuals else None,
-        "median_param_error": errors[len(errors) // 2] if errors else None,
-    }
-    _emit(json.dumps(summary, sort_keys=True, indent=2), args.out)
+    _emit_json(identify.recovery_summary(results), args.out)
     return EXIT_OK
-
-
-def run_recovery_trials(
-    dims: Dims, trials: int, seed: int, constant: bool = False, perturbation: float = 1e-2
-):
-    """Truth-perturbed recovery trials shared by the CLI and the test suite.
-
-    Each trial draws a coloring (or uses the constant model), a ground truth
-    (s, x), forms the noiseless useful outputs, perturbs the truth by the given
-    relative amount, and runs the recovery iteration with the truth available
-    for error reporting.
-    """
-    from .model import standard_complex_gaussian
-
-    dims.require_regime()
-    pa = pilots.build_pilot_sets(dims)
-    results = []
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        Z = constant_model(dims) if constant else random_coloring(dims, seed + 1000 + k)
-        s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
-        x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-        x_pilot = x[np.asarray(pa.pilots, dtype=int) - 1]
-        x_data = x[np.asarray(pa.data, dtype=int) - 1]
-        y_target = identify.forward_map(s, x_data, x_pilot, pa, Z)
-        truth = np.concatenate([s, x_data])
-        noise = standard_complex_gaussian(rng, truth.size)
-        init_vec = truth + perturbation * np.linalg.norm(truth) * noise / np.linalg.norm(noise)
-        res = identify.recover(
-            y_target,
-            x_pilot,
-            pa,
-            Z,
-            init=(init_vec[: s.size], init_vec[s.size :]),
-            truth=(s, x_data),
-        )
-        results.append(res)
-    return results
 
 
 def _cmd_mc_logdet(args) -> int:
@@ -285,105 +222,32 @@ def _cmd_mc_logdet(args) -> int:
     pa = pilots.build_pilot_sets(dims)
     Z = constant_model(dims) if args.constant_model else random_coloring(dims, args.seed + 1)
     est = analysis.mc_logdet(Z, dims, pa, samples=args.samples, seed=args.seed)
-    _emit(json.dumps(analysis.report_to_dict(est), sort_keys=True, indent=2), args.out)
+    _emit_json(asdict(est), args.out)
     return EXIT_OK
 
 
-def _regime_cells(n_max: int):
-    """All (T_eff, R, N, Q) in the constructive regime with N <= n_max."""
-    for N in range(2, n_max + 1):
-        for Q in range(1, N):
-            for T_eff in range(1, N):
-                if T_eff * Q >= N:
-                    continue
-                dims_probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
-                for R in range(T_eff, dims_probe.rx_needed + 1):
-                    yield Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
-
-
-def run_verify_all(n_max: int = 10, log=print) -> bool:
-    """Deterministic property suite over the default grid; True if all pass."""
-    from .pilots import card_deal, mod_star, pilot_count, verify_pilot_properties
-
-    ok_all = True
-
-    def check(name, ok, detail=""):
-        nonlocal ok_all
-        ok_all &= bool(ok)
-        log(f"[{'PASS' if ok else 'FAIL'}] {name}{(' ' + detail) if detail and not ok else ''}")
-
-    ok = True
-    for T_eff in range(1, n_max + 1):
-        for N in range(1, n_max + 1):
-            images = {card_deal(j, T_eff, N) for j in range(1, T_eff * N + 1)}
-            ok &= len(images) == T_eff * N
-    check(f"card dealing bijective for all T_eff, N <= {n_max}", ok)
-
-    ok = True
-    bad = None
-    for dims in _regime_cells(n_max):
-        report = verify_pilot_properties(dims)
-        if not all(v["ok"] for v in report.values()):
-            ok, bad = False, (dims, report)
-    check(f"pilot-set properties on every regime cell with N <= {n_max}", ok, str(bad))
-
-    ok = True
-    for dims in _regime_cells(n_max):
-        if dims.R > dims.T_eff:
-            d, l = dims, dof.ell(dims.T_eff, dims.R, dims.N, dims.Q)
-            lhs = pilot_count(d.T_eff, d.R - 1, d.N, d.Q) - pilot_count(d.T_eff, d.R, d.N, d.Q)
-            ok &= lhs == d.N - d.T_eff * d.Q - l
-            ok &= l < d.N - d.T_eff * d.Q
-    check("pilot-count drop identity and redundancy bound on the regime grid", ok)
-
-    ok = True
-    for p in range(0, 19):
-        for q in range(p + 1, 19):
-            for b in range(2, 7):
-                for a in range(0, 7):
-                    for c in range(1, b + 1):
-                        count = sum(1 for j in range(p + 1, q + 1) if mod_star(j + a, b) == c)
-                        ok &= count <= -(-(q - p) // b)
-    check("window counting bound (exhaustive small grid)", ok)
-
-    ok = True
-    for N in range(1, n_max + 1):
-        for Q in range(1, 4):
-            for T in range(1, 13):
-                for R in range(1, 13):
-                    closed = dof.chi_low_star(T, R, N, Q)
-                    ok &= closed == dof.chi_low_star_brute(T, R, N, Q)
-                    ok &= closed <= dof.chi_upper(T, N)
-                    if N >= 2:
-                        in_region = T * Q < N and Fraction(R) >= Fraction(
-                            T * (N - 1), N - T * Q
-                        )
-                        ok &= (closed == dof.chi_upper(T, N)) == in_region
-    check(f"lower-bound closed form, ordering, equality region (N <= {n_max})", ok)
-
-    ok = True
-    rows = dof.figure1_curves(range(2, 1001))
-    ok &= rows[-1][1] == Fraction(998001, 250000)
-    ok &= all(a[1] <= b[1] for a, b in zip(rows, rows[1:])) and rows[-1][1] < 4
-    check("unconstrained figure ratio: exact value at N=1000, monotone toward 4", ok)
-
-    ok = True
-    for dims in _regime_cells(4):
-        pa = pilots.build_pilot_sets(dims)
-        det = jacobian.certify_witness_exact(dims, pa)
-        ok &= det != (0, 0)
-    check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)
-
-    return ok_all
-
-
 def _cmd_verify_all(args) -> int:
-    ok = run_verify_all(n_max=args.nmax)
-    return EXIT_OK if ok else EXIT_PROPERTY_FAILURE
+    return EXIT_OK if run_verify_all(n_max=args.nmax) else EXIT_PROPERTY_FAILURE
 
 
-def _add_dims_arg(p, required=True):
-    p.add_argument("--dims", required=required, help="problem size as T,R,N,Q")
+def _int_at_least(minimum: int):
+    """argparse type for an integer >= minimum; anything else is a usage error naming the flag."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _add_dims_arg(p, sweep=False):
+    """--dims (or, with sweep, exactly one of --dims and --sweep), --teff and --out."""
+    group = p.add_mutually_exclusive_group(required=True) if sweep else p
+    group.add_argument("--dims", required=not sweep, help="problem size as T,R,N,Q")
+    if sweep:
+        group.add_argument("--sweep", default=None, help="JSON sweep config file")
     p.add_argument("--teff", type=int, default=None, help="active transmit antennas")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -397,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dof", help="exact bound report for one configuration or a sweep")
-    _add_dims_arg(p, required=False)
-    p.add_argument("--sweep", default=None, help="JSON sweep config file")
+    _add_dims_arg(p, sweep=True)
     p.set_defaults(func=_cmd_dof)
 
     p = sub.add_parser("figure1", help="CSV of generic/constant maximal-DoF ratios")
@@ -414,30 +277,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobian-witness", help="construct and check a nonsingularity witness")
     _add_dims_arg(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--exact", action="store_true", help="integer witness + exact certificate")
     p.add_argument("--json", action="store_true", help="export matrices as JSON")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("genericity", help="random-draw nonsingularity statistics")
-    _add_dims_arg(p, required=False)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    _add_dims_arg(p, sweep=True)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--constant-model", action="store_true")
-    p.add_argument("--sweep", default=None, help="JSON sweep config file")
     p.set_defaults(func=_cmd_genericity)
 
     p = sub.add_parser("identify", help="truth-perturbed recovery trials")
     _add_dims_arg(p)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_int_at_least(0), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--constant-model", action="store_true")
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("mc-logdet", help="Monte-Carlo log-determinant estimate")
     _add_dims_arg(p)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--constant-model", action="store_true")
     p.set_defaults(func=_cmd_mc_logdet)
 
@@ -449,15 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) in ("genericity",) and not args.sweep and args.seed is None:
-        sys.stderr.write("genericity: --seed is required\n")
-        return EXIT_USAGE
-    if getattr(args, "command", None) in ("dof", "genericity"):
-        if not args.sweep and not args.dims:
-            sys.stderr.write(f"{args.command}: --dims or --sweep is required\n")
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidConfigurationError as exc:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ColoringMatrix, Dims, InvalidConfigurationError
+from .model import ColoringMatrix, Dims, InvalidConfigurationError, dims_to_dict
 
 __all__ = [
     "DofReport",
@@ -150,8 +150,6 @@ def _frac_pair(f: Fraction):
 
 def report_to_dict(rep: DofReport) -> dict:
     """JSON form; exact values are emitted as fraction strings with decimals alongside."""
-    from .model import dims_to_dict
-
     return {
         "dims": dims_to_dict(rep.dims),
         "valid_regime": rep.dims.in_proof_regime,

@@ -25,19 +25,26 @@ from .model import (
     standard_complex_gaussian,
 )
 from .jacobian import assemble_jacobian
-from .pilots import PilotAssignment
+from .pilots import PilotAssignment, build_pilot_sets
 
 __all__ = [
     "RecoveryResult",
-    "GaussNewtonOptions",
     "forward_map",
     "recover",
+    "run_recovery_trials",
+    "recovery_summary",
     "scaling_ambiguity_check",
     "rank_gap_demo",
     "cluster_solutions",
 ]
 
 RANK_TOL = 1e-8
+# Gauss-Newton: converged below this relative residual, within these caps.
+GN_TOL = 1e-12
+GN_MAX_ITERATIONS = 200
+GN_MAX_HALVINGS = 30
+# Relative size of the random offset from the truth that recovery trials start at.
+PERTURBATION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -55,13 +62,6 @@ class RecoveryResult:
     iterations: int
     s: np.ndarray
     x_data: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaussNewtonOptions:
-    tol: float = 1e-12
-    max_iterations: int = 200
-    max_halvings: int = 30
 
 
 def _assemble_x(x_data: np.ndarray, x_pilot: np.ndarray, pilots: PilotAssignment) -> np.ndarray:
@@ -95,7 +95,6 @@ def recover(
     pilots: PilotAssignment,
     Z: ColoringMatrix,
     init,
-    opts: GaussNewtonOptions = GaussNewtonOptions(),
     truth=None,
 ) -> RecoveryResult:
     """Gauss-Newton iteration on the square system phi(s, x_data) = y_target.
@@ -103,8 +102,8 @@ def recover(
     init is the starting point (s0, x_data0). Steps solve the complex
     linearization directly; a singular linearization falls back to a
     least-squares step, and each step is damped by halving until the residual
-    decreases (at most max_halvings times). Convergence is declared at
-    relative residual < tol; exceeding the iteration cap returns
+    decreases (at most GN_MAX_HALVINGS times). Convergence is declared at
+    relative residual < GN_TOL; exceeding GN_MAX_ITERATIONS returns
     success=False. truth, when given as (s, x_data), is only used to report
     param_error.
     """
@@ -123,14 +122,14 @@ def recover(
     res = residual_vec(s, x_data)
     res_norm = np.linalg.norm(res)
     iterations = 0
-    while res_norm / scale >= opts.tol and iterations < opts.max_iterations:
+    while res_norm / scale >= GN_TOL and iterations < GN_MAX_ITERATIONS:
         J = assemble_jacobian(Z, s, _assemble_x(x_data, x_pilot, pilots), pilots).matrix
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -res, rcond=None)[0]
         factor = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(GN_MAX_HALVINGS + 1):
             s_new = s + factor * step[:n_s]
             x_new = x_data + factor * step[n_s:]
             res_new = residual_vec(s_new, x_new)
@@ -151,13 +150,59 @@ def recover(
     else:
         param_error = float("nan")
     return RecoveryResult(
-        success=rel_res < opts.tol,
+        success=rel_res < GN_TOL,
         residual=rel_res,
         param_error=param_error,
         iterations=iterations,
         s=s,
         x_data=x_data,
     )
+
+
+def run_recovery_trials(dims: Dims, trials: int, seed: int, constant: bool = False):
+    """Truth-perturbed recovery trials, as run by `fadingdof identify`.
+
+    Each trial draws a coloring (or uses the constant model), a ground truth
+    (s, x), forms the noiseless useful outputs, perturbs the truth by
+    PERTURBATION relative to its norm, and runs the recovery iteration with
+    the truth available for error reporting.
+    """
+    dims.require_regime()
+    pa = build_pilot_sets(dims)
+    results = []
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        Z = constant_model(dims) if constant else random_coloring(dims, seed + 1000 + k)
+        s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
+        x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
+        x_pilot = x[np.asarray(pa.pilots, dtype=int) - 1]
+        x_data = x[np.asarray(pa.data, dtype=int) - 1]
+        y_target = forward_map(s, x_data, x_pilot, pa, Z)
+        truth = np.concatenate([s, x_data])
+        noise = standard_complex_gaussian(rng, truth.size)
+        init_vec = truth + PERTURBATION * np.linalg.norm(truth) * noise / np.linalg.norm(noise)
+        res = recover(
+            y_target,
+            x_pilot,
+            pa,
+            Z,
+            init=(init_vec[: s.size], init_vec[s.size :]),
+            truth=(s, x_data),
+        )
+        results.append(res)
+    return results
+
+
+def recovery_summary(results) -> dict:
+    """Trial count, success rate, and median residual and parameter error (None without trials)."""
+    residuals = sorted(r.residual for r in results)
+    errors = sorted(r.param_error for r in results)
+    return {
+        "trials": len(results),
+        "success_rate": sum(r.success for r in results) / max(1, len(results)),
+        "median_residual": residuals[len(residuals) // 2] if residuals else None,
+        "median_param_error": errors[len(errors) // 2] if errors else None,
+    }
 
 
 def scaling_ambiguity_check(

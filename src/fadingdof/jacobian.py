@@ -204,7 +204,6 @@ def genericity_probe(
     trials: int,
     seed: int,
     coloring: ColoringMatrix | None = None,
-    tol: float = NONSINGULAR_TOL,
 ) -> ProbeStats:
     """Draw (Z, s, x) i.i.d. CN(0,1) repeatedly and record singularity statistics.
 
@@ -231,7 +230,7 @@ def genericity_probe(
         x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
         J = assemble_jacobian(Z, s, x, pilots)
         ratio = J.sigma_min / J.spectral_norm if J.spectral_norm > 0 else 0.0
-        if ratio > tol:
+        if ratio > NONSINGULAR_TOL:
             n_nonsingular += 1
         min_det = min(min_det, J.det_abs)
         min_ratio = min(min_ratio, ratio)

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "InvalidConfigurationError",
     "Dims",
+    "regime_cells",
     "ColoringMatrix",
     "ChannelRealization",
     "standard_complex_gaussian",
@@ -33,6 +34,7 @@ __all__ = [
     "sample_realization",
     "dims_to_dict",
     "dims_from_dict",
+    "complex_to_pairs",
     "coloring_to_dict",
     "coloring_from_dict",
 ]
@@ -59,7 +61,7 @@ class Dims:
     def __post_init__(self):
         for name in ("T", "R", "N", "Q", "T_eff"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise InvalidConfigurationError(f"{name} must be a positive integer, got {v!r}")
         if self.Q > self.N:
             raise InvalidConfigurationError(f"Q={self.Q} must not exceed N={self.N}")
@@ -107,6 +109,21 @@ class Dims:
         return replace(self, R=R)
 
 
+def regime_cells(n_max: int):
+    """All (T_eff, R, N, Q) in the constructive regime with N <= n_max, T = T_eff.
+
+    Cells come in the order N, Q, T_eff, R, each ascending.
+    """
+    for N in range(2, n_max + 1):
+        for Q in range(1, N):
+            for T_eff in range(1, N):
+                if T_eff * Q >= N:
+                    continue
+                probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
+                for R in range(T_eff, probe.rx_needed + 1):
+                    yield Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
+
+
 @dataclass(frozen=True)
 class ColoringMatrix:
     """Deterministic correlation structure: an R x T grid of N x Q blocks.
@@ -150,16 +167,8 @@ class ColoringMatrix:
         R, T, N, Q = self.blocks.shape
         return self.blocks.transpose(0, 2, 1, 3).reshape(R * N, T * Q)
 
-    def conforms(self, dims: Dims) -> bool:
-        return (
-            self.n_rx == dims.R
-            and self.n_tx == dims.T_eff
-            and self.block_len == dims.N
-            and self.rank == dims.Q
-        )
-
     def require_conforms(self, dims: Dims):
-        if not self.conforms(dims):
+        if self.blocks.shape != (dims.R, dims.T_eff, dims.N, dims.Q):
             raise InvalidConfigurationError(
                 f"coloring grid {self.blocks.shape} does not conform to "
                 f"(R, T_eff, N, Q) = ({dims.R}, {dims.T_eff}, {dims.N}, {dims.Q})"
@@ -256,7 +265,8 @@ def sample_realization(Z: ColoringMatrix, dims: Dims, rho: float, seed: int) -> 
     return ChannelRealization(dims=dims, rho=rho, s=s, x=x, w=w, y_bar=y_bar, y=y)
 
 
-def _complex_to_pairs(a: np.ndarray):
+def complex_to_pairs(a: np.ndarray):
+    """JSON form of a complex array: the same nesting, each entry an [re, im] pair."""
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
@@ -280,7 +290,7 @@ def coloring_to_dict(Z: ColoringMatrix) -> dict:
         "n_tx": Z.n_tx,
         "block_len": Z.block_len,
         "rank": Z.rank,
-        "blocks": _complex_to_pairs(Z.blocks),
+        "blocks": complex_to_pairs(Z.blocks),
     }
 
 

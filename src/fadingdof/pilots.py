@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Dims, InvalidConfigurationError
+from .model import Dims, InvalidConfigurationError, dims_to_dict
 from .dof import ell
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "build_pilot_sets",
     "verify_pilot_properties",
     "assignment_to_dict",
+    "assignment_table",
 ]
 
 
@@ -86,12 +87,6 @@ class PilotAssignment:
     def useful_outputs(self) -> range:
         """I = [1 : RN - ell], 1-based."""
         return range(1, self.dims.R * self.dims.N - self.ell + 1)
-
-    @property
-    def redundant_outputs(self) -> range:
-        """J = [RN - ell + 1 : RN], 1-based."""
-        rn = self.dims.R * self.dims.N
-        return range(rn - self.ell + 1, rn + 1)
 
     @property
     def n_useful(self) -> int:
@@ -275,8 +270,6 @@ def verify_pilot_properties(dims: Dims | None = None, assignment: PilotAssignmen
 
 def assignment_to_dict(a: PilotAssignment) -> dict:
     """JSON form with sorted index arrays (all 1-based)."""
-    from .model import dims_to_dict
-
     out = {
         "dims": dims_to_dict(a.dims),
         "theta_R": a.theta_R,
@@ -293,3 +286,19 @@ def assignment_to_dict(a: PilotAssignment) -> dict:
         out["G_pool"] = list(a.G_pool)
         out["anchors"] = list(a.anchors)
     return out
+
+
+def assignment_table(a: PilotAssignment) -> str:
+    """Text form: the card-dealing table, each P_t and the flat pilot set."""
+    dims = a.dims
+    lines = [
+        f"dealing {a.theta_R} pilot positions to {dims.T_eff} antennas "
+        f"(block length {dims.N}):"
+    ]
+    for j in range(1, a.theta_R + 1):
+        t, i = card_deal(j, dims.T_eff, dims.N)
+        lines.append(f"  card {j:>3}: face {i:>3} -> antenna {t}")
+    for t, p in enumerate(a.pilot_sets, start=1):
+        lines.append(f"  P_{t} = {set(p)}")
+    lines.append(f"  flat pilot set = {set(a.pilots)}  (ell = {a.ell})")
+    return "\n".join(lines) + "\n"

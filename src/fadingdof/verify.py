@@ -1,0 +1,86 @@
+"""The deterministic property suite behind `fadingdof verify-all`: exact
+arithmetic and combinatorics only, so it needs no seed."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import dof, jacobian
+from .model import regime_cells
+from .pilots import build_pilot_sets, card_deal, mod_star, pilot_count, verify_pilot_properties
+
+__all__ = ["run_verify_all"]
+
+
+def run_verify_all(n_max: int = 10) -> bool:
+    """Print one [PASS]/[FAIL] line per property over the grid N <= n_max; True if all pass."""
+    ok_all = True
+
+    def check(name, ok, detail=""):
+        nonlocal ok_all
+        ok_all &= bool(ok)
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}{(' ' + detail) if detail and not ok else ''}")
+
+    ok = True
+    for T_eff in range(1, n_max + 1):
+        for N in range(1, n_max + 1):
+            images = {card_deal(j, T_eff, N) for j in range(1, T_eff * N + 1)}
+            ok &= len(images) == T_eff * N
+    check(f"card dealing bijective for all T_eff, N <= {n_max}", ok)
+
+    ok = True
+    bad = None
+    for dims in regime_cells(n_max):
+        report = verify_pilot_properties(dims)
+        if not all(v["ok"] for v in report.values()):
+            ok, bad = False, (dims, report)
+    check(f"pilot-set properties on every regime cell with N <= {n_max}", ok, str(bad))
+
+    ok = True
+    for dims in regime_cells(n_max):
+        if dims.R > dims.T_eff:
+            d, l = dims, dof.ell(dims.T_eff, dims.R, dims.N, dims.Q)
+            lhs = pilot_count(d.T_eff, d.R - 1, d.N, d.Q) - pilot_count(d.T_eff, d.R, d.N, d.Q)
+            ok &= lhs == d.N - d.T_eff * d.Q - l
+            ok &= l < d.N - d.T_eff * d.Q
+    check("pilot-count drop identity and redundancy bound on the regime grid", ok)
+
+    ok = True
+    for p in range(0, 19):
+        for q in range(p + 1, 19):
+            for b in range(2, 7):
+                for a in range(0, 7):
+                    for c in range(1, b + 1):
+                        count = sum(1 for j in range(p + 1, q + 1) if mod_star(j + a, b) == c)
+                        ok &= count <= -(-(q - p) // b)
+    check("window counting bound (exhaustive small grid)", ok)
+
+    ok = True
+    for N in range(1, n_max + 1):
+        for Q in range(1, 4):
+            for T in range(1, 13):
+                for R in range(1, 13):
+                    closed = dof.chi_low_star(T, R, N, Q)
+                    ok &= closed == dof.chi_low_star_brute(T, R, N, Q)
+                    ok &= closed <= dof.chi_upper(T, N)
+                    if N >= 2:
+                        in_region = T * Q < N and Fraction(R) >= Fraction(
+                            T * (N - 1), N - T * Q
+                        )
+                        ok &= (closed == dof.chi_upper(T, N)) == in_region
+    check(f"lower-bound closed form, ordering, equality region (N <= {n_max})", ok)
+
+    ok = True
+    rows = dof.figure1_curves(range(2, 1001))
+    ok &= rows[-1][1] == Fraction(998001, 250000)
+    ok &= all(a[1] <= b[1] for a, b in zip(rows, rows[1:])) and rows[-1][1] < 4
+    check("unconstrained figure ratio: exact value at N=1000, monotone toward 4", ok)
+
+    ok = True
+    for dims in regime_cells(4):
+        pa = build_pilot_sets(dims)
+        det = jacobian.certify_witness_exact(dims, pa)
+        ok &= det != (0, 0)
+    check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)
+
+    return ok_all

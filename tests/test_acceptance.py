@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from fadingdof.analysis import gaussian_log_magnitude_mean, mc_log_magnitude, mc_logdet
-from fadingdof.cli import run_recovery_trials
 from fadingdof.dof import (
     chi_const,
     chi_gen,
@@ -22,9 +21,15 @@ from fadingdof.dof import (
     dof_report,
     figure1_curves,
 )
-from fadingdof.identify import rank_gap_demo
+from fadingdof.identify import rank_gap_demo, run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, genericity_probe, witness_construct
-from fadingdof.model import Dims, constant_model, random_coloring, standard_complex_gaussian
+from fadingdof.model import (
+    Dims,
+    constant_model,
+    random_coloring,
+    regime_cells,
+    standard_complex_gaussian,
+)
 from fadingdof.pilots import build_pilot_sets, card_deal, verify_pilot_properties
 
 DIMS_2341 = Dims.create(2, 3, 4, 1)
@@ -38,17 +43,6 @@ def criterion(number, description):
         print(f"[FAIL] criterion {number}: {description}")
         raise
     print(f"[PASS] criterion {number}: {description}")
-
-
-def regime_dims(n_max, q_max=None):
-    for N in range(2, n_max + 1):
-        for Q in range(1, N if q_max is None else min(N, q_max + 1)):
-            for T_eff in range(1, N):
-                if T_eff * Q >= N:
-                    continue
-                probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
-                for R in range(T_eff, probe.rx_needed + 1):
-                    yield Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
 
 
 def test_criterion_1_dof_values():
@@ -114,7 +108,7 @@ def test_criterion_4_pilot_combinatorics():
                 assert len(image) == T_eff * N
 
         failures = []
-        for dims in regime_dims(12):
+        for dims in regime_cells(12):
             report = verify_pilot_properties(dims)
             bad = {k for k, v in report.items() if not v["ok"]}
             if bad:
@@ -133,7 +127,7 @@ def test_criterion_4_pilot_combinatorics():
 
 def test_criterion_5_witness_nonsingularity():
     with criterion(5, "witness sigma_min margin on every regime cell N<=8, Q<=2"):
-        cells = list(regime_dims(8, q_max=2))
+        cells = [d for d in regime_cells(8) if d.Q <= 2]
         assert len(cells) > 100
         for dims in cells:
             pa = build_pilot_sets(dims)
@@ -191,7 +185,7 @@ def finite_difference(Z, s, x, pilots, delta=1e-5):
 
 def test_criterion_8_jacobian_vs_finite_differences():
     with criterion(8, "central differences agree to 1e-6 on the small sweep"):
-        for dims in regime_dims(5, q_max=2):
+        for dims in (d for d in regime_cells(5) if d.Q <= 2):
             pa = build_pilot_sets(dims)
             for k in range(20):
                 rng = np.random.default_rng(1000 * dims.N + 10 * dims.R + k)

@@ -62,12 +62,29 @@ def test_exit_code_3_on_regime_violation(capsys):
     assert "regime" in err or "requires" in err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["identify", "--dims", "2,3,4,1"])  # missing required --trials/--seed
     assert exc.value.code == 2
     code, _, err = run_cli(capsys, "genericity", "--dims", "2,3,4,1")
     assert code == 2 and "--seed" in err
+    sweep = tmp_path / "cfg.json"
+    sweep.write_text(json.dumps({"T": [2], "R": [3], "N": [4], "Q": [1], "seeds": [7]}))
+    bad_args = [
+        (["genericity", "--dims", "2,3,4,1", "--trials", "-1", "--seed", "3"], "--trials"),
+        (["identify", "--dims", "2,3,4,1", "--trials", "-1", "--seed", "3"], "--trials"),
+        (["mc-logdet", "--dims", "2,3,4,1", "--samples", "0", "--seed", "8"], "--samples"),
+        (["identify", "--dims", "2,3,4,1", "--trials", "3", "--seed", "-1"], "--seed"),
+        (["genericity", "--dims", "2,3,4,1", "--seed", "x"], "--seed"),
+        (["dof", "--dims", "2,3,4,1", "--sweep", str(sweep)], "--dims"),
+        (["genericity", "--dims", "2,3,4,1", "--sweep", str(sweep)], "--dims"),
+    ]
+    for argv, flag in bad_args:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == "", argv
 
 
 def test_genericity_json(capsys):
@@ -155,6 +172,25 @@ def test_genericity_sweep(tmp_path):
     rows = [json.loads(line) for line in (tmp_path / "probe.jsonl").read_text().splitlines()]
     assert rows[0]["fraction_nonsingular"] == 1.0
     assert "error" in rows[1]  # R = 30 outside the regime, still reported
+
+
+def test_sweep_config_rejects_unknown_keys_and_formats(tmp_path, capsys):
+    out = tmp_path / "rows.jsonl"
+    path = tmp_path / "cfg.json"
+    for extra, word in [({"format": "csv"}, "format"), ({"seed": [1]}, "seed")]:
+        cfg = {"T": [2], "R": [3], "N": [4], "Q": [1], "output": str(out), **extra}
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "dof", "--sweep", str(path))
+        assert code == 3 and word in err, extra
+        assert not out.exists()  # rejected before any row is written
+
+
+def test_sweep_reports_bool_sizes_as_invalid_cells(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"T": [True], "R": [3], "N": [4], "Q": [1], "output": None}))
+    code, out, _ = run_cli(capsys, "dof", "--sweep", str(path))
+    assert code == 0
+    assert "positive integer" in json.loads(out)["error"]
 
 
 def test_entry_point_runs_in_subprocess():

@@ -9,6 +9,7 @@ from fadingdof.identify import (
     forward_map,
     rank_gap_demo,
     recover,
+    run_recovery_trials,
     scaling_ambiguity_check,
 )
 from fadingdof.jacobian import assemble_jacobian, bezout_bound
@@ -20,7 +21,6 @@ from fadingdof.model import (
     standard_complex_gaussian,
 )
 from fadingdof.pilots import build_pilot_sets
-from fadingdof.cli import run_recovery_trials
 
 DIMS = Dims.create(2, 3, 4, 1)
 PILOTS = build_pilot_sets(DIMS)

@@ -18,6 +18,7 @@ from fadingdof.model import (
     Dims,
     constant_model,
     random_coloring,
+    regime_cells,
     standard_complex_gaussian,
 )
 from fadingdof.identify import forward_map
@@ -144,19 +145,8 @@ def test_witness_example_zero_pattern():
     assert J.nonsingular
 
 
-def regime_dims(n_max, q_max):
-    for N in range(2, n_max + 1):
-        for Q in range(1, min(N, q_max + 1)):
-            for T_eff in range(1, N):
-                if T_eff * Q >= N:
-                    continue
-                probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
-                for R in range(T_eff, probe.rx_needed + 1):
-                    yield Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
-
-
 def test_witness_small_sweep():
-    for dims in regime_dims(6, 2):
+    for dims in (d for d in regime_cells(6) if d.Q <= 2):
         pa = build_pilot_sets(dims)
         Z, s, x = witness_construct(dims, pa, seed=17)
         J = assemble_jacobian(Z, s, x, pa)

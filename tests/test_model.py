@@ -14,6 +14,7 @@ from fadingdof.model import (
     dims_from_dict,
     dims_to_dict,
     random_coloring,
+    regime_cells,
     sample_realization,
     split_fading,
     split_tx,
@@ -198,6 +199,32 @@ def test_dims_validation():
     assert d.in_proof_regime
     bad = Dims.create(2, 30, 4, 1)
     assert not bad.in_proof_regime and "R <=" in bad.regime_violation()
+
+
+def test_dims_rejects_bool_fields():
+    # bool is an int subclass, so True would otherwise pass as a size of 1
+    with pytest.raises(InvalidConfigurationError):
+        Dims(T=True, R=True, N=2, Q=True, T_eff=True)
+    for name in ("T", "R", "N", "Q", "T_eff"):
+        fields = {"T": 1, "R": 1, "N": 2, "Q": 1, "T_eff": 1, name: True}
+        with pytest.raises(InvalidConfigurationError, match=f"^{name} must"):
+            Dims(**fields)
+
+
+def test_regime_cells_is_the_whole_regime_grid():
+    cells5, cells6 = list(regime_cells(5)), list(regime_cells(6))
+    assert len(cells5) == 57
+    assert len(cells6) == 107
+    assert cells6[: len(cells5)] == cells5  # ordered by N first
+    brute = set()
+    for N in range(2, 7):
+        for Q in range(1, N + 1):
+            for T_eff in range(1, N + 1):
+                for R in range(T_eff, 31):  # rx_needed <= 25 for N <= 6
+                    dims = Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
+                    if dims.in_proof_regime:
+                        brute.add(dims)
+    assert set(cells6) == brute and len(brute) == len(cells6)
 
 
 def test_json_round_trips():

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from fadingdof.model import Dims, InvalidConfigurationError
+from fadingdof.model import Dims, InvalidConfigurationError, regime_cells
 from fadingdof.pilots import (
     assignment_to_dict,
     build_pilot_sets,
@@ -14,17 +14,6 @@ from fadingdof.pilots import (
     pilot_count,
     verify_pilot_properties,
 )
-
-
-def regime_dims(n_max, q_max=None):
-    for N in range(2, n_max + 1):
-        for Q in range(1, N if q_max is None else min(N, q_max + 1)):
-            for T_eff in range(1, N):
-                if T_eff * Q >= N:
-                    continue
-                probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
-                for R in range(T_eff, probe.rx_needed + 1):
-                    yield Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
 
 
 def test_mod_star_values():
@@ -120,7 +109,7 @@ def test_regime_violation_raises():
 
 
 def test_properties_hold_on_regime_grid():
-    for dims in regime_dims(8):
+    for dims in regime_cells(8):
         report = verify_pilot_properties(dims)
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, (dims, bad)
@@ -130,7 +119,7 @@ def test_pilot_count_drop_identity():
     # going from R to R-1 receive antennas frees exactly N - T_eff*Q - ell pilots
     from fadingdof.dof import ell
 
-    for dims in regime_dims(10):
+    for dims in regime_cells(10):
         if dims.R == dims.T_eff:
             continue
         d = dims

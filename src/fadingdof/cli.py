@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -38,6 +39,8 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REGIME = 3
+# genericity --trials when the flag is not given.
+DEFAULT_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,9 @@ class SweepConfig:
 
     Fields: lists of T, R, N, Q values, a list of seeds, trials per cell and
     the output path (or null for stdout). Rows are written as JSON lines; any
-    other key is rejected. Every cell is validated before dispatch; invalid
-    cells produce explicit rows instead of being dropped.
+    other key, and a seed or trials count that is not a non-negative integer,
+    is rejected. Every cell is validated before dispatch; invalid cells
+    produce explicit rows instead of being dropped.
     """
 
     T: list
@@ -71,11 +75,14 @@ class SweepConfig:
         cfg = SweepConfig(
             **{axis: list(raw[axis]) for axis in "TRNQ"},
             seeds=list(raw.get("seeds", [])),
-            trials=int(raw.get("trials", 0)),
+            trials=raw.get("trials", 0),
             output=raw.get("output"),
         )
-        if cfg.trials < 0:
-            raise InvalidConfigurationError(f"sweep trials must be >= 0, got {cfg.trials}")
+        for name, value in [("trials", cfg.trials)] + [("seeds", seed) for seed in cfg.seeds]:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise InvalidConfigurationError(
+                    f"sweep {name}: expected a non-negative integer, got {value!r}"
+                )
         return cfg
 
 
@@ -110,7 +117,9 @@ def _run_sweep(cfg: SweepConfig, row, seeds=(None,)) -> int:
     """Emit row(dims, seed, key) per cell and seed as JSON lines, in grid order.
 
     key is the cell, plus the seed when seeds are given. A cell that fails
-    validation gets the row {**key, "error": reason} instead.
+    validation gets the row {**key, "error": reason} instead; any other
+    exception in a cell becomes that cell's error row too, named by its type
+    (traceback on stderr), and the other cells are still written.
     """
 
     def one(job):
@@ -122,6 +131,10 @@ def _run_sweep(cfg: SweepConfig, row, seeds=(None,)) -> int:
             return row(Dims.create(T, R, N, Q), seed, key)
         except InvalidConfigurationError as exc:
             return {**key, "error": str(exc)}
+        except Exception as exc:  # one bad cell must not lose the sweep
+            cell = json.dumps(key, sort_keys=True)
+            sys.stderr.write(f"sweep cell {cell} failed:\n{traceback.format_exc()}")
+            return {**key, "error": f"{type(exc).__name__}: {exc}"}
 
     cells = itertools.product(cfg.T, cfg.R, cfg.N, cfg.Q)
     jobs = [(cell, seed) for cell in cells for seed in seeds]
@@ -131,8 +144,19 @@ def _run_sweep(cfg: SweepConfig, row, seeds=(None,)) -> int:
     return EXIT_OK
 
 
+def _sweep_conflict(args, flags) -> int | None:
+    """Usage error when any of flags, which a sweep config replaces, is given with --sweep."""
+    values = {f: getattr(args, f[2:].replace("-", "_")) for f in flags}
+    given = [f for f, v in values.items() if v is not None and v is not False]
+    if given:
+        return _usage(args, f"{', '.join(given)} not allowed with --sweep")
+    return None
+
+
 def _cmd_dof(args) -> int:
     if args.sweep:
+        if (code := _sweep_conflict(args, ("--teff", "--out"))) is not None:
+            return code
         return _run_sweep(
             SweepConfig.load(args.sweep),
             lambda dims, seed, key: dof.report_to_dict(dof.dof_report(dims)),
@@ -173,9 +197,9 @@ def _cmd_witness(args) -> int:
         "bezout_bound": str(J.bezout_bound),
     }
     if args.exact:
-        det = jacobian.exact_gaussian_integer_det(J.matrix)
-        out["exact_det"] = {"re": str(det[0]), "im": str(det[1])}
-        out["certified_nonzero"] = det != (0, 0)
+        det = jacobian.exact_integer_det(J.matrix)
+        out["exact_det"] = {"re": str(det), "im": "0"}
+        out["certified_nonzero"] = det != 0
     if args.json:
         out["matrix"] = complex_to_pairs(J.matrix)
         out["coloring"] = coloring_to_dict(Z)
@@ -190,6 +214,9 @@ def _cmd_witness(args) -> int:
 
 def _cmd_genericity(args) -> int:
     if args.sweep:
+        flags = ("--teff", "--out", "--trials", "--seed", "--constant-model")
+        if (code := _sweep_conflict(args, flags)) is not None:
+            return code
         cfg = SweepConfig.load(args.sweep)
 
         def probe(dims, seed, key):
@@ -203,7 +230,8 @@ def _cmd_genericity(args) -> int:
     dims = _parse_dims(args.dims, args.teff)
     coloring = constant_model(dims) if args.constant_model else None
     pa = pilots.build_pilot_sets(dims)
-    stats = jacobian.genericity_probe(dims, pa, args.trials, args.seed, coloring=coloring)
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    stats = jacobian.genericity_probe(dims, pa, trials, args.seed, coloring=coloring)
     _emit_json(asdict(stats), args.out)
     return EXIT_OK
 
@@ -284,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genericity", help="random-draw nonsingularity statistics")
     _add_dims_arg(p, sweep=True)
-    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--trials", type=_int_at_least(0), help=f"default {DEFAULT_TRIALS}")
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--constant-model", action="store_true")
     p.set_defaults(func=_cmd_genericity)

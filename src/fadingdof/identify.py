@@ -165,14 +165,17 @@ def run_recovery_trials(dims: Dims, trials: int, seed: int, constant: bool = Fal
     Each trial draws a coloring (or uses the constant model), a ground truth
     (s, x), forms the noiseless useful outputs, perturbs the truth by
     PERTURBATION relative to its norm, and runs the recovery iteration with
-    the truth available for error reporting.
+    the truth available for error reporting. Every draw of a trial comes from
+    that trial's child of SeedSequence(seed), so no two (seed, trial) pairs
+    share a coloring.
     """
     dims.require_regime()
     pa = build_pilot_sets(dims)
     results = []
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        Z = constant_model(dims) if constant else random_coloring(dims, seed + 1000 + k)
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        coloring_seed, point_seed = child.spawn(2)
+        rng = np.random.default_rng(point_seed)
+        Z = constant_model(dims) if constant else random_coloring(dims, coloring_seed)
         s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
         x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
         x_pilot = x[np.asarray(pa.pilots, dtype=int) - 1]

@@ -8,6 +8,11 @@ assembles that matrix, constructs an explicit triple (Z, s, x) whose Jacobian
 determinant is provably nonzero, probes nonsingularity for random draws, and
 provides the determinant-preserving block reduction the construction rests on.
 
+The exact certificate is exact_integer_det: the witness Jacobian has 0/1
+entries, and its determinant is computed modulo as many word-size primes as
+the Hadamard bound requires and rebuilt by the Chinese remainder theorem.
+The tests keep a fraction-free (Bareiss) elimination as an independent oracle.
+
 Nonsingularity at finite precision means sigma_min > 1e-10 times the spectral
 norm; determinant magnitude alone is scale-fragile. All computations are
 pure; probe trials use per-trial derived seeds and may run concurrently.
@@ -34,7 +39,8 @@ __all__ = [
     "genericity_probe",
     "ProbeStats",
     "reduce_by_block",
-    "exact_gaussian_integer_det",
+    "DET_PRIMES",
+    "exact_integer_det",
 ]
 
 NONSINGULAR_TOL = 1e-10
@@ -179,14 +185,15 @@ def witness_construct(
 def certify_witness_exact(dims: Dims, pilots: PilotAssignment):
     """Exact-arithmetic certificate that the witness determinant is nonzero.
 
-    Builds the exact-mode witness, whose Jacobian has Gaussian-integer entries,
-    and evaluates the determinant with fraction-free elimination. Returns
-    (det_re, det_im) as exact integers; nonzero certifies nonsingularity with
-    no floating-point error.
+    Builds the exact-mode witness, whose Jacobian has 0/1 entries, and
+    evaluates its determinant with exact_integer_det: multi-modular
+    elimination under a Hadamard bound, rebuilt by the Chinese remainder
+    theorem. Returns (det, 0), the real and imaginary parts as exact
+    integers; nonzero certifies nonsingularity with no floating-point error.
     """
     Z, s, x = witness_construct(dims, pilots, exact=True)
     J = assemble_jacobian(Z, s, x, pilots)
-    return exact_gaussian_integer_det(J.matrix)
+    return exact_integer_det(J.matrix), 0
 
 
 @dataclass(frozen=True)
@@ -286,59 +293,95 @@ def reduce_by_block(M: np.ndarray, rows, cols, atol: float = 0.0) -> np.ndarray:
     return M[np.ix_(other_rows, other_cols)]
 
 
-def _as_gaussian_integers(M: np.ndarray):
-    rows = []
-    for row in np.asarray(M, dtype=complex):
-        out = []
-        for z in row:
-            a, b = round(z.real), round(z.imag)
-            if z.real != a or z.imag != b:
-                raise InvalidConfigurationError(
-                    f"entry {z} is not an exact Gaussian integer"
-                )
-            out.append((int(a), int(b)))
-        rows.append(out)
-    return rows
+# Word-size primes below 2^31, largest first. Residues stay below 2^31, so
+# every product of two stays below 2^62 and int64 elimination cannot
+# overflow. exact_integer_det takes as many as its Hadamard bound needs; all
+# 32 together cover |det| up to about 2^990.
+DET_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
+    2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
+    2147483237, 2147483179, 2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943, 2147482937, 2147482921,
+)
 
 
-def exact_gaussian_integer_det(M: np.ndarray):
-    """Exact determinant of a matrix with Gaussian-integer entries.
+def _integer_matrix(M: np.ndarray) -> np.ndarray:
+    """M as a square int64 array; raises unless every entry is a real integer below 2^62."""
+    A = np.asarray(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidConfigurationError(f"determinant of a non-square matrix of shape {A.shape}")
+    if A.dtype.kind == "c":
+        if np.any(A.imag != 0):
+            raise InvalidConfigurationError("matrix has complex entries; expected real integers")
+        A = A.real
+    if A.dtype.kind not in "biuf":
+        raise InvalidConfigurationError(f"matrix of dtype {A.dtype} is not numeric")
+    in_range = (A > -(2**62)) & (A < 2**62)  # False for nan and inf
+    if not (np.all(in_range) and np.array_equal(A, np.floor(A))):
+        raise InvalidConfigurationError("matrix entries are not exact integers below 2^62")
+    return A.astype(np.int64)
 
-    Fraction-free (Bareiss) elimination: every intermediate division is exact
-    in the ring of Gaussian integers, so the result is exact regardless of
-    size. Returns (re, im) as Python ints.
+
+def _det_mod_primes(A: np.ndarray, primes) -> np.ndarray:
+    """det(A) mod p for every p in primes, by int64 Gaussian elimination of all residues at once.
+
+    Each step updates only the rows with a nonzero in the pivot column and the
+    columns with a nonzero in the pivot row, so sparse matrices stay cheap. A
+    residue with no pivot left in some column has determinant 0 mod its prime.
     """
-    A = _as_gaussian_integers(M)
-    n = len(A)
+    p = np.asarray(primes, dtype=np.int64)
+    M = A[None, :, :] % p[:, None, None]
+    det = np.ones(len(primes), dtype=np.int64)
+    batch = np.arange(len(primes))
+    n = A.shape[0]
+    for k in range(n):
+        piv = np.argmax(M[:, k:, k] != 0, axis=1) + k
+        swap = piv != k
+        if swap.any():
+            row_k = M[batch, k].copy()
+            M[batch, k] = M[batch, piv]
+            M[batch, piv] = row_k
+        d = M[batch, k, k]
+        det = det * np.where(swap, p - d, d) % p
+        rows = np.flatnonzero(M[:, k + 1 :, k].any(axis=0)) + k + 1
+        cols = np.flatnonzero(M[:, k, k + 1 :].any(axis=0)) + k + 1
+        if rows.size == 0 or cols.size == 0:
+            continue
+        inv = np.array([pow(int(v), -1, int(q)) if v else 0 for v, q in zip(d, p)], dtype=np.int64)
+        factor = M[:, rows, k] * inv[:, None] % p[:, None]
+        block = (slice(None), rows[:, None], cols[None, :])
+        M[block] = (M[block] - factor[:, :, None] * M[:, k, cols][:, None, :]) % p[:, None, None]
+    return det
 
-    def mul(u, v):
-        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
-    def sub(u, v):
-        return (u[0] - v[0], u[1] - v[1])
+def exact_integer_det(M: np.ndarray) -> int:
+    """Exact determinant of a square matrix with real integer entries, as a Python int.
 
-    def div_exact(u, v):
-        den = v[0] * v[0] + v[1] * v[1]
-        num = mul(u, (v[0], -v[1]))
-        q_re, r_re = divmod(num[0], den)
-        q_im, r_im = divmod(num[1], den)
-        if r_re or r_im:
-            raise AssertionError("fraction-free elimination produced a non-exact division")
-        return (q_re, q_im)
-
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if A[i][k] != (0, 0)), None)
-        if pivot is None:
-            return (0, 0)
-        if pivot != k:
-            A[k], A[pivot] = A[pivot], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = div_exact(sub(mul(A[i][j], A[k][k]), mul(A[i][k], A[k][j])), prev)
-            A[i][k] = (0, 0)
-        prev = A[k][k]
-    det = A[n - 1][n - 1]
-    return (sign * det[0], sign * det[1])
+    Multi-modular: the Hadamard bound H = prod of the row norms fixes how many
+    primes of DET_PRIMES are needed, (prod p)^2 > 4 H^2 checked in integer
+    arithmetic; det is computed mod each of them and rebuilt by the Chinese
+    remainder theorem as the residue of least magnitude. Since |det| <= H <
+    (prod p) / 2 the result is exact, with no probabilistic step. A bound that
+    needs more primes than the table holds raises instead of guessing.
+    """
+    A = _integer_matrix(M)
+    if A.shape[0] * int(np.abs(A).max(initial=0)) ** 2 < 2**63:
+        norms = (A * A).sum(axis=1).tolist()
+    else:  # the int64 sums could overflow
+        norms = [sum(v * v for v in row) for row in A.tolist()]
+    h2 = math.prod(norms)
+    if h2 == 0:
+        return 0  # a zero row
+    count, P = 0, 1
+    while P * P <= 4 * h2:
+        if count == len(DET_PRIMES):
+            raise InvalidConfigurationError(
+                f"Hadamard bound 2^{h2.bit_length() / 2:.0f} needs more than {count} primes"
+            )
+        P *= DET_PRIMES[count]
+        count += 1
+    det, P = 0, 1
+    for r, q in zip(_det_mod_primes(A, DET_PRIMES[:count]).tolist(), DET_PRIMES):
+        det += P * ((r - det) * pow(P, -1, q) % q)
+        P *= q
+    return det - P if 2 * det > P else det

@@ -193,7 +193,7 @@ def standard_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def random_coloring(dims: Dims, seed: int) -> ColoringMatrix:
+def random_coloring(dims: Dims, seed: int | np.random.SeedSequence) -> ColoringMatrix:
     """Generic coloring draw: i.i.d. CN(0,1) entries over dims.T_eff antennas."""
     rng = np.random.default_rng(seed)
     blocks = standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q))

@@ -85,6 +85,22 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == "", argv
+    # flags that a sweep config replaces are refused, not silently ignored
+    out = tmp_path / "rows.jsonl"
+    with_sweep = [
+        (["dof", "--teff", "1"], "--teff"),
+        (["dof", "--out", str(out)], "--out"),
+        (["genericity", "--teff", "1"], "--teff"),
+        (["genericity", "--out", str(out)], "--out"),
+        (["genericity", "--trials", "1"], "--trials"),
+        (["genericity", "--trials", "0"], "--trials"),
+        (["genericity", "--seed", "0"], "--seed"),
+        (["genericity", "--constant-model"], "--constant-model"),
+    ]
+    for argv, flag in with_sweep:
+        code, stdout, err = run_cli(capsys, *argv, "--sweep", str(sweep))
+        assert code == 2 and flag in err and stdout == "", argv
+        assert not out.exists(), argv
 
 
 def test_genericity_json(capsys):
@@ -183,6 +199,45 @@ def test_sweep_config_rejects_unknown_keys_and_formats(tmp_path, capsys):
         code, _, err = run_cli(capsys, "dof", "--sweep", str(path))
         assert code == 3 and word in err, extra
         assert not out.exists()  # rejected before any row is written
+
+
+def test_sweep_config_rejects_bad_seeds_and_trials(tmp_path, capsys):
+    out = tmp_path / "rows.jsonl"
+    path = tmp_path / "cfg.json"
+    base = {"T": [2], "R": [3], "N": [4], "Q": [1], "seeds": [7], "trials": 2, "output": str(out)}
+    for bad in [{"seeds": [7, -1]}, {"seeds": [1.5]}, {"seeds": [True]}, {"trials": -1},
+                {"trials": 2.5}, {"trials": "3"}]:
+        path.write_text(json.dumps({**base, **bad}))
+        code, _, err = run_cli(capsys, "genericity", "--sweep", str(path))
+        assert code == 3 and next(iter(bad)) in err, bad
+        assert not out.exists(), bad
+
+
+def test_sweep_turns_unexpected_cell_failures_into_error_rows(tmp_path, monkeypatch):
+    import fadingdof.jacobian as jacobian
+
+    probe = jacobian.genericity_probe
+
+    def failing_probe(dims, pilots, trials, seed, coloring=None):
+        if dims.R == 3:
+            raise RuntimeError("probe blew up")
+        return probe(dims, pilots, trials, seed, coloring=coloring)
+
+    monkeypatch.setattr(jacobian, "genericity_probe", failing_probe)
+    out = tmp_path / "rows.jsonl"
+    path = tmp_path / "cfg.json"
+    cfg = {"T": [2], "R": [2, 3, 4], "N": [3], "Q": [1], "seeds": [7, 8], "trials": 3,
+           "output": str(out)}
+    path.write_text(json.dumps(cfg))
+    assert main(["genericity", "--sweep", str(path)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    keys = [(r["cell"]["R"], r["seed"]) for r in rows]
+    assert keys == [(2, 7), (2, 8), (3, 7), (3, 8), (4, 7), (4, 8)]  # grid order
+    for row in rows:
+        if row["cell"]["R"] == 3:
+            assert row["error"] == "RuntimeError: probe blew up"
+        else:
+            assert row["fraction_nonsingular"] == 1.0 and row["trials"] == 3
 
 
 def test_sweep_reports_bool_sizes_as_invalid_cells(tmp_path, capsys):

@@ -156,3 +156,22 @@ def test_rank_gap_demo_values():
 def test_rank_gap_demo_stable_over_seeds():
     for seed in range(50):
         assert rank_gap_demo(DIMS, seed=seed) == (2, 3)
+
+
+def test_neighbouring_seeds_draw_distinct_colorings(monkeypatch):
+    # seed + 1000 + trial once gave --seed 2 trial 1 and --seed 3 trial 0 the same Z
+    import fadingdof.identify as identify
+
+    drawn = []
+
+    def recording_coloring(dims, seed):
+        Z = random_coloring(dims, seed)
+        drawn.append(Z.blocks)
+        return Z
+
+    monkeypatch.setattr(identify, "random_coloring", recording_coloring)
+    run_recovery_trials(DIMS, trials=2, seed=2)
+    run_recovery_trials(DIMS, trials=1, seed=3)
+    assert len(drawn) == 3
+    assert not np.array_equal(drawn[1], drawn[2])
+    assert not np.array_equal(drawn[0], drawn[1])

@@ -1,14 +1,20 @@
-"""Recovery Jacobian: assembly, witnesses, probes, block reduction."""
+"""Recovery Jacobian: assembly, witnesses, probes, block reduction, exact determinants."""
+
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fadingdof.jacobian import (
+    DET_PRIMES,
     ReductionError,
     assemble_jacobian,
     bezout_bound,
     certify_witness_exact,
-    exact_gaussian_integer_det,
+    exact_integer_det,
     genericity_probe,
     reduce_by_block,
     witness_construct,
@@ -16,6 +22,7 @@ from fadingdof.jacobian import (
 from fadingdof.model import (
     ColoringMatrix,
     Dims,
+    InvalidConfigurationError,
     constant_model,
     random_coloring,
     regime_cells,
@@ -254,3 +261,184 @@ def test_exact_integer_determinant_against_float_oracle():
         assert abs(complex(re, im) - ref) <= 1e-6 * max(1.0, abs(ref))
     singular = np.array([[1, 2], [2, 4]], dtype=complex)
     assert exact_gaussian_integer_det(singular) == (0, 0)
+
+
+def _as_gaussian_integers(M: np.ndarray):
+    rows = []
+    for row in np.asarray(M, dtype=complex):
+        out = []
+        for z in row:
+            a, b = round(z.real), round(z.imag)
+            if z.real != a or z.imag != b:
+                raise InvalidConfigurationError(f"entry {z} is not an exact Gaussian integer")
+            out.append((int(a), int(b)))
+        rows.append(out)
+    return rows
+
+
+def exact_gaussian_integer_det(M):
+    """Oracle: exact determinant of a Gaussian-integer matrix by Bareiss elimination.
+
+    Fraction-free: every intermediate division is exact in the ring of
+    Gaussian integers, so the result is exact regardless of size, but the
+    pure-Python arithmetic is slow beyond n of about 100. Takes a complex
+    array, or a list of rows of Python ints (exact beyond float range).
+    Returns (re, im) as Python ints.
+    """
+    if isinstance(M, list):
+        A = [[(int(v), 0) for v in row] for row in M]
+    else:
+        A = _as_gaussian_integers(M)
+    n = len(A)
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1])
+
+    def div_exact(u, v):
+        den = v[0] * v[0] + v[1] * v[1]
+        num = mul(u, (v[0], -v[1]))
+        q_re, r_re = divmod(num[0], den)
+        q_im, r_im = divmod(num[1], den)
+        if r_re or r_im:
+            raise AssertionError("fraction-free elimination produced a non-exact division")
+        return (q_re, q_im)
+
+    sign = 1
+    prev = (1, 0)
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if A[i][k] != (0, 0)), None)
+        if pivot is None:
+            return (0, 0)
+        if pivot != k:
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = div_exact(sub(mul(A[i][j], A[k][k]), mul(A[i][k], A[k][j])), prev)
+            A[i][k] = (0, 0)
+        prev = A[k][k]
+    det = A[n - 1][n - 1]
+    return (sign * det[0], sign * det[1])
+
+
+def oracle_det(M) -> int:
+    re, im = exact_gaussian_integer_det(M)
+    assert im == 0
+    return re
+
+
+def exact_witness_matrix(dims):
+    pa = build_pilot_sets(dims)
+    Z, s, x = witness_construct(dims, pa, exact=True)
+    return assemble_jacobian(Z, s, x, pa).matrix
+
+
+@pytest.mark.parametrize(
+    "dims",
+    list(regime_cells(5)) + [Dims.create(4, 8, 16, 2)],
+    ids=lambda d: f"{d.T}{d.R}{d.N}{d.Q}",
+)
+def test_exact_integer_det_matches_oracle_on_witnesses(dims):
+    J = exact_witness_matrix(dims)
+    det = exact_integer_det(J)
+    assert det == oracle_det(J) != 0
+    assert certify_witness_exact(dims, build_pilot_sets(dims)) == (det, 0)
+
+
+def random_integer_matrix(seed, n=12, bound=1000):
+    return np.random.default_rng(seed).integers(-bound, bound + 1, (n, n))
+
+
+def test_exact_integer_det_combines_several_primes():
+    for seed in range(3):
+        M = random_integer_matrix(seed)
+        det = exact_integer_det(M)
+        assert abs(det) > 2**62  # beyond int64, so several residues were combined
+        assert det == oracle_det(M.astype(complex))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arrays(np.int64, (12, 12), elements=st.integers(-1000, 1000)))
+def test_exact_integer_det_matches_oracle_on_random_matrices(M):
+    assert exact_integer_det(M) == oracle_det(M.astype(complex))
+
+
+def test_exact_integer_det_entries_beyond_float_precision():
+    # entries of 2^40 make the squared row norms overflow int64
+    rng = np.random.default_rng(3)
+    M = rng.integers(-(2**40), 2**40, (6, 6))
+    assert exact_integer_det(M) == oracle_det(M.tolist())
+
+
+def test_exact_integer_det_singular_and_prime_multiple():
+    M = random_integer_matrix(4, n=6)
+    repeated = M.copy()
+    repeated[4] = repeated[1]
+    assert exact_integer_det(repeated) == 0
+    zero_row = M.copy()
+    zero_row[2] = 0
+    assert exact_integer_det(zero_row) == 0
+    # det = 3 * p for the first table prime p: its residue is 0, the others are not
+    p = DET_PRIMES[0]
+    upper = np.triu(random_integer_matrix(5, n=6, bound=3), k=1) + np.diag([p, 3, 1, 1, 1, 1])
+    mixed = np.tril(random_integer_matrix(6, n=6, bound=3), k=-1) + np.eye(6, dtype=np.int64)
+    M = mixed @ upper  # unit lower triangular times upper triangular
+    assert exact_integer_det(M) == oracle_det(M.tolist()) == 3 * p
+    assert exact_integer_det(-M[::-1]) == oracle_det((-M[::-1]).tolist())
+
+
+def test_exact_integer_det_at_the_hadamard_bound():
+    # |det| = H exactly; with H between p/2 and p for the first table prime p,
+    # one residue cannot tell det from det + p, so a second prime is needed
+    a = 30000
+    assert DET_PRIMES[0] / 2 < 2 * a * a < DET_PRIMES[0]
+    assert exact_integer_det(np.array([[a, a], [a, -a]])) == -2 * a * a
+    H = np.array([[1]])
+    for _ in range(4):
+        H = np.block([[H, H], [H, -H]])  # Sylvester Hadamard matrix of order 16
+    assert exact_integer_det(H) == oracle_det(H.tolist())
+    assert abs(exact_integer_det(H)) == 16**8
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+        np.array([[1, 1j], [0, 1]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[2.0**63, 0.0], [0.0, 1.0]]),
+        np.array([["1", "0"], ["0", "1"]]),
+        np.ones((2, 3)),
+    ],
+    ids=["fraction", "complex", "nan", "inf", "huge", "strings", "non-square"],
+)
+def test_exact_integer_det_rejects_non_integer_input(bad):
+    with pytest.raises(InvalidConfigurationError):
+        exact_integer_det(bad)
+
+
+def test_exact_integer_det_refuses_to_guess_past_the_prime_table():
+    M = np.full((40, 40), 2**61, dtype=np.int64) + np.eye(40, dtype=np.int64)
+    with pytest.raises(InvalidConfigurationError, match="primes"):
+        exact_integer_det(M)
+
+
+def test_det_primes_are_distinct_primes_below_2_31():
+    assert len(set(DET_PRIMES)) == len(DET_PRIMES)
+    for p in DET_PRIMES:
+        assert 2 < p < 2**31
+        assert all(p % d for d in range(2, isqrt(p) + 1)), p
+
+
+def test_exact_certificate_at_n432_matches_slogdet_sign():
+    dims = Dims.create(6, 11, 40, 3)
+    J = exact_witness_matrix(dims)
+    assert J.shape == (432, 432)
+    det, im = certify_witness_exact(dims, build_pilot_sets(dims))
+    sign, _ = np.linalg.slogdet(J)
+    assert im == 0 and det in (1, -1)
+    assert det == sign.real

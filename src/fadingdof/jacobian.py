@@ -13,6 +13,12 @@ entries, and its determinant is computed modulo as many word-size primes as
 the Hadamard bound requires and rebuilt by the Chinese remainder theorem.
 The tests keep a fraction-free (Bareiss) elimination as an independent oracle.
 
+Assembly builds only the matrix. Its spectral statistics are lazy: the
+singular values (one SVD) and the determinant's sign and log-magnitude (one
+slogdet) are each computed on first use and cached on the JacobianMatrix, so
+recovery and the exact certificate, which read only the matrix, factorize
+nothing, and every statistic costs at most one factorization of its kind.
+
 Nonsingularity at finite precision means sigma_min > 1e-10 times the spectral
 norm; determinant magnitude alone is scale-fragile. All computations are
 pure; probe trials use per-trial derived seeds and may run concurrently.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,17 +55,59 @@ NONSINGULAR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class JacobianMatrix:
+    """The square recovery Jacobian with lazily computed, cached spectral statistics.
+
+    Assembly builds only the matrix. The singular values (one SVD) and the
+    sign and log-magnitude of the determinant (one slogdet) are each computed
+    on first use and kept, so a caller that reads only .matrix pays for no
+    factorization and one that reads every statistic pays for each at most
+    once.
+    """
+
     dims: Dims
     pilots: PilotAssignment
     matrix: np.ndarray
-    det_abs: float
-    sigma_min: float
-    spectral_norm: float
-    bezout_bound: int
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """All singular values, largest first."""
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.singular_values[-1])
+
+    @property
+    def spectral_norm(self) -> float:
+        return float(self.singular_values[0])
 
     @property
     def nonsingular(self) -> bool:
         return self.sigma_min > NONSINGULAR_TOL * self.spectral_norm
+
+    @cached_property
+    def _slogdet(self) -> tuple:
+        sign, logdet = np.linalg.slogdet(self.matrix)
+        return sign, float(logdet)
+
+    @property
+    def sign(self):
+        """Sign of the determinant: a unit complex number, or 0 when it is exactly singular."""
+        return self._slogdet[0]
+
+    @property
+    def log_abs_det(self) -> float:
+        """log |det|, finite where |det| itself would overflow or underflow a float."""
+        return self._slogdet[1]
+
+    @property
+    def det_abs(self) -> float:
+        """|det| as a float, derived from log_abs_det (inf past float range, 0.0 when singular)."""
+        return 0.0 if self.sign == 0 else float(np.exp(self.log_abs_det))
+
+    @property
+    def bezout_bound(self) -> int:
+        return bezout_bound(self.dims, self.pilots)
 
 
 def bezout_bound(dims: Dims, pilots: PilotAssignment) -> int:
@@ -74,12 +123,10 @@ def _diagonal_grid(Z: ColoringMatrix, s: np.ndarray, dims: Dims) -> np.ndarray:
     """The (RN, T_eff*N) grid whose (r, t) block is diag(Z_{r,t} s_{r,t})."""
     sv = split_fading(np.asarray(s, dtype=complex), dims)
     R, Teff, N = dims.R, dims.T_eff, dims.N
+    a = np.matmul(Z.blocks, sv[..., None])[..., 0]  # (R, T_eff, N): Z_{r,t} s_{r,t}
+    r, t, i = np.indices(a.shape, sparse=True)
     A = np.zeros((R * N, Teff * N), dtype=complex)
-    for r in range(R):
-        for t in range(Teff):
-            a = Z.blocks[r, t] @ sv[r, t]
-            idx = np.arange(N)
-            A[r * N + idx, t * N + idx] = a
+    A[r * N + i, t * N + i] = a
     return A
 
 
@@ -101,18 +148,7 @@ def assemble_jacobian(
         raise InvalidConfigurationError(
             f"Jacobian is {M.shape}, not square; dims outside the valid regime?"
         )
-    svals = np.linalg.svd(M, compute_uv=False)
-    sign, logdet = np.linalg.slogdet(M)
-    det_abs = 0.0 if sign == 0 else float(np.exp(logdet))
-    return JacobianMatrix(
-        dims=dims,
-        pilots=pilots,
-        matrix=M,
-        det_abs=det_abs,
-        sigma_min=float(svals[-1]),
-        spectral_norm=float(svals[0]),
-        bezout_bound=bezout_bound(dims, pilots),
-    )
+    return JacobianMatrix(dims=dims, pilots=pilots, matrix=M)
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

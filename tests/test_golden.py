@@ -1,24 +1,29 @@
-"""Golden stdout for exact CLI outputs, compared byte for byte.
+"""Golden outputs of the CLI and the library, compared byte for byte or to 1e-12.
 
-The files under tests/golden/ were recorded from an earlier version of the
-CLI. Only exact outputs are pinned byte for byte (Fractions, combinatorics,
-integer certificates), so the bytes do not depend on the platform's floating
+The files under tests/golden/ were recorded from an earlier version. Exact
+outputs are pinned byte for byte (Fractions, combinatorics, integer
+certificates), so those bytes do not depend on the platform's floating
 point. The exact witness reports also carry three LAPACK-derived floats
 (abs_det, sigma_min, spectral_norm); those are compared to 1e-12 relative,
 and the rest of the report, the exact determinant and the sparsity pattern
-included, byte for byte.
+included, byte for byte. The numeric paths (genericity probes and a
+Monte-Carlo log-det estimate) are compared the same way: counts exactly,
+LAPACK-derived floats to 1e-12 relative.
 The other tests compare two runs of the same code; these catch drift across
 a refactor. Change a golden file only together with an intended change of
-the output it pins.
-"""
+the output it pins."""
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from fadingdof.analysis import mc_logdet
 from fadingdof.cli import main
+from fadingdof.model import Dims, random_coloring
+from fadingdof.pilots import build_pilot_sets
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_CONFIG = {"T": [2], "R": [3], "N": [4], "Q": [1, 5], "output": None}
@@ -69,3 +74,36 @@ def test_exact_witness_matches_golden(name, capsys):
     assert sorted(got) == ["abs_det", "sigma_min", "spectral_norm"] == sorted(want)
     for field, value in want.items():
         assert got[field] == pytest.approx(value, rel=1e-12, abs=0), field
+
+
+PROBE_CASES = {
+    f"genericity_{tag}{suffix}.json": ["genericity", "--dims", dims, "--trials", "64", "--seed", "5"]
+    + flag
+    for dims, tag in [("2,3,4,1", "2341"), ("3,4,12,1", "34121")]
+    for flag, suffix in [([], ""), (["--constant-model"], "_constant")]
+}
+
+
+def assert_matches_numeric_golden(got, want, floats):
+    """Same keys; the float fields to 1e-12 relative, every other field exactly."""
+    assert sorted(got) == sorted(want)
+    for field, value in want.items():
+        if field in floats:
+            assert got[field] == pytest.approx(value, rel=1e-12, abs=0), field
+        else:
+            assert got[field] == value, field
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CASES))
+def test_genericity_matches_golden(name, capsys):
+    assert main(PROBE_CASES[name]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / name).read_text())
+    assert_matches_numeric_golden(got, want, floats={"min_abs_det", "min_sigma_ratio"})
+
+
+def test_mc_logdet_matches_golden():
+    dims = Dims.create(3, 4, 12, 1)
+    est = mc_logdet(random_coloring(dims, 7), dims, build_pilot_sets(dims), 256, seed=3)
+    want = json.loads((GOLDEN / "mc_logdet_34121.json").read_text())
+    assert_matches_numeric_golden(asdict(est), want, floats={"mean", "stderr"})

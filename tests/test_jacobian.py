@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fadingdof.analysis import mc_logdet
 from fadingdof.jacobian import (
     DET_PRIMES,
+    JacobianMatrix,
     ReductionError,
+    _diagonal_grid,
     assemble_jacobian,
     bezout_bound,
     certify_witness_exact,
@@ -26,9 +29,10 @@ from fadingdof.model import (
     constant_model,
     random_coloring,
     regime_cells,
+    split_fading,
     standard_complex_gaussian,
 )
-from fadingdof.identify import forward_map
+from fadingdof.identify import forward_map, run_recovery_trials
 from fadingdof.pilots import build_pilot_sets
 
 DIMS = Dims.create(2, 3, 4, 1)
@@ -194,6 +198,83 @@ def test_bezout_bounds():
         exponent = dims.R * dims.T_eff * dims.Q + len(pa.data)
         assert exponent == pa.n_useful
         assert bezout_bound(dims, pa) == 2**exponent
+
+
+def diagonal_grid_loop(Z, s, dims):
+    """Oracle: the (r, t) blocks diag(Z_{r,t} s_{r,t}) filled one at a time."""
+    sv = split_fading(np.asarray(s, dtype=complex), dims)
+    R, Teff, N = dims.R, dims.T_eff, dims.N
+    A = np.zeros((R * N, Teff * N), dtype=complex)
+    for r in range(R):
+        for t in range(Teff):
+            a = Z.blocks[r, t] @ sv[r, t]
+            idx = np.arange(N)
+            A[r * N + idx, t * N + idx] = a
+    return A
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [DIMS, Dims.create(3, 4, 12, 1), Dims.create(1, 2, 3, 2, T_eff=1), Dims.create(4, 8, 16, 2),
+     Dims.create(2, 4, 7, 3), Dims.create(6, 11, 40, 3)],
+    ids=str,
+)
+def test_diagonal_grid_is_bitwise_the_loop(dims):
+    for seed in range(10):
+        Z, s, _ = generic_point(seed, dims)
+        assert _diagonal_grid(Z, s, dims).tobytes() == diagonal_grid_loop(Z, s, dims).tobytes()
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.svd and np.linalg.slogdet calls made during the test."""
+    calls = {"svd": 0, "slogdet": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
+    results = run_recovery_trials(Dims.create(3, 4, 12, 1), trials=3, seed=4)
+    assert all(r.success and r.iterations > 0 for r in results)
+    assert certify_witness_exact(DIMS, PILOTS) != (0, 0)
+    assert linalg_calls == {"svd": 0, "slogdet": 0}
+
+
+def test_mc_logdet_one_svd_per_draw(linalg_calls):
+    est = mc_logdet(random_coloring(DIMS, 1), DIMS, PILOTS, samples=7, seed=2)
+    assert est.samples == 7
+    assert linalg_calls == {"svd": 7, "slogdet": 0}
+
+
+def test_probe_one_svd_and_one_slogdet_per_trial(linalg_calls):
+    assert genericity_probe(DIMS, PILOTS, trials=5, seed=3).trials == 5
+    assert linalg_calls == {"svd": 5, "slogdet": 5}
+
+
+def test_spectral_stats_are_computed_once(linalg_calls):
+    J = assemble_jacobian(*generic_point(8), PILOTS)
+    assert linalg_calls == {"svd": 0, "slogdet": 0}
+    first = [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det]
+    assert linalg_calls == {"svd": 1, "slogdet": 1}
+    assert [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det] == first
+    assert linalg_calls == {"svd": 1, "slogdet": 1}
+
+
+def test_log_abs_det_is_finite_past_float_range():
+    J = assemble_jacobian(*generic_point(9), PILOTS)
+    big = JacobianMatrix(J.dims, J.pilots, 1e40 * J.matrix)  # |det| scales by 1e480
+    sign, logdet = np.linalg.slogdet(big.matrix)
+    assert big.log_abs_det == logdet and np.isfinite(logdet) and logdet > np.log(np.finfo(float).max)
+    assert big.sign == sign and abs(sign) == pytest.approx(1.0)
+    with np.errstate(over="ignore"):
+        assert big.det_abs == np.inf  # the float view overflows; log_abs_det does not
+    assert J.det_abs == float(np.exp(J.log_abs_det))
 
 
 def test_reduce_block_triangular():

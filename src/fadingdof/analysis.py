@@ -61,7 +61,7 @@ def mc_logdet(
     dims: Dims,
     pilots: PilotAssignment,
     samples: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> LogDetEstimate:
     """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x).
 
@@ -70,12 +70,15 @@ def mc_logdet(
     above the package nonsingularity threshold times the spectral norm) and
     draws whose value falls below the floor both contribute the floor value
     and are counted in clipped_fraction. For an integrable integrand the
-    standard error shrinks like samples^(-1/2).
+    standard error shrinks like samples^(-1/2). seed may be a SeedSequence,
+    e.g. one child of a spawn tree that also seeds the coloring.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     n_batches = -(-samples // BATCH)
-    children = np.random.SeedSequence(seed).spawn(n_batches)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    children = seed.spawn(n_batches)
     values = np.empty(samples, dtype=float)
     clipped = 0
     pos = 0

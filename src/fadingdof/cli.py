@@ -21,6 +21,8 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import analysis, dof, identify, jacobian, pilots
 from .model import (
     Dims,
@@ -248,8 +250,9 @@ def _cmd_identify(args) -> int:
 def _cmd_mc_logdet(args) -> int:
     dims = _parse_dims(args.dims, args.teff)
     pa = pilots.build_pilot_sets(dims)
-    Z = constant_model(dims) if args.constant_model else random_coloring(dims, args.seed + 1)
-    est = analysis.mc_logdet(Z, dims, pa, samples=args.samples, seed=args.seed)
+    coloring_seed, batch_seed = np.random.SeedSequence(args.seed).spawn(2)
+    Z = constant_model(dims) if args.constant_model else random_coloring(dims, coloring_seed)
+    est = analysis.mc_logdet(Z, dims, pa, samples=args.samples, seed=batch_seed)
     _emit_json(asdict(est), args.out)
     return EXIT_OK
 

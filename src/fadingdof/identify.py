@@ -244,16 +244,19 @@ def rank_gap_demo(dims: Dims, seed: int) -> tuple[int, int]:
 
     Draws one (s, x) pair and evaluates both colorings on it; returns the
     numerical ranks of the N x R matrices of per-antenna outputs. The generic
+    coloring and the point come from the two children of SeedSequence(seed),
+    so distinct seeds share no stream. The generic
     coloring lifts the outputs out of the low-dimensional subspace the
     constant model confines them to.
     """
     if dims.Q != 1:
         raise InvalidConfigurationError("rank gap demo uses the constant model, so Q must be 1")
-    rng = np.random.default_rng(seed)
+    coloring_seed, point_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(point_seed)
     s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
     x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
     ranks = []
-    for Z in (constant_model(dims), random_coloring(dims, seed + 1)):
+    for Z in (constant_model(dims), random_coloring(dims, coloring_seed)):
         y_bar = build_B(Z, x, dims) @ s
         ranks.append(_numerical_rank(y_bar.reshape(dims.R, dims.N).T))
     return ranks[0], ranks[1]

@@ -175,3 +175,28 @@ def test_neighbouring_seeds_draw_distinct_colorings(monkeypatch):
     assert len(drawn) == 3
     assert not np.array_equal(drawn[1], drawn[2])
     assert not np.array_equal(drawn[0], drawn[1])
+
+
+def test_rank_gap_demo_neighbouring_seeds_share_no_stream(monkeypatch):
+    # default_rng(seed) for (s, x) and seed + 1 for Z once made seed 4's s
+    # repeat the real parts of seed 3's coloring
+    import fadingdof.identify as identify
+
+    points, colorings = [], []
+
+    def recording_gaussian(rng, shape):
+        out = standard_complex_gaussian(rng, shape)
+        points.append(out)
+        return out
+
+    def recording_coloring(dims, seed):
+        Z = random_coloring(dims, seed)
+        colorings.append(Z.blocks)
+        return Z
+
+    monkeypatch.setattr(identify, "standard_complex_gaussian", recording_gaussian)
+    monkeypatch.setattr(identify, "random_coloring", recording_coloring)
+    assert rank_gap_demo(DIMS, seed=3) == rank_gap_demo(DIMS, seed=4) == (2, 3)
+    assert len(points) == 4 and len(colorings) == 2  # (s, x) per call, one Z per call
+    s4 = points[2]
+    assert not np.isin(s4.real, colorings[0].real).any()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import ColoringMatrix, Dims, standard_complex_gaussian
 from .dof import chi_low, ell
-from .jacobian import NONSINGULAR_TOL, assemble_jacobian
+from .jacobian import assemble_jacobian
 from .pilots import PilotAssignment
 
 __all__ = [
@@ -88,11 +88,11 @@ def mc_logdet(
         for _ in range(count):
             s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
             x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-            svals = assemble_jacobian(Z, s, x, pilots).singular_values
-            if svals[-1] <= NONSINGULAR_TOL * svals[0]:
-                val = -math.inf
+            J = assemble_jacobian(Z, s, x, pilots)
+            if J.nonsingular:
+                val = 2.0 * float(np.sum(np.log(J.singular_values)))
             else:
-                val = 2.0 * float(np.sum(np.log(svals)))
+                val = -math.inf
             if val < LOG_FLOOR:
                 val = LOG_FLOOR
                 clipped += 1

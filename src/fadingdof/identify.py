@@ -244,10 +244,10 @@ def rank_gap_demo(dims: Dims, seed: int) -> tuple[int, int]:
 
     Draws one (s, x) pair and evaluates both colorings on it; returns the
     numerical ranks of the N x R matrices of per-antenna outputs. The generic
-    coloring and the point come from the two children of SeedSequence(seed),
-    so distinct seeds share no stream. The generic
     coloring lifts the outputs out of the low-dimensional subspace the
-    constant model confines them to.
+    constant model confines them to. The generic coloring and the point come
+    from the two children of SeedSequence(seed), so distinct seeds share no
+    stream.
     """
     if dims.Q != 1:
         raise InvalidConfigurationError("rank gap demo uses the constant model, so Q must be 1")

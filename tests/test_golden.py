@@ -11,7 +11,8 @@ Monte-Carlo log-det estimate) are compared the same way: counts exactly,
 LAPACK-derived floats to 1e-12 relative.
 The other tests compare two runs of the same code; these catch drift across
 a refactor. Change a golden file only together with an intended change of
-the output it pins."""
+the output it pins.
+"""
 
 import json
 import re

@@ -3,7 +3,9 @@
 Subcommands: dof, figure1, pilots, jacobian-witness, genericity, identify,
 mc-logdet, verify-all. Exit codes: 0 ok, 1 property failure, 2 usage error,
 3 invalid regime. Randomized subcommands require --seed; there is no
-wall-clock default, so identical invocations produce byte-identical output.
+wall-clock default, so identical invocations produce byte-identical output
+on the same numpy/BLAS build and BLAS thread count (the last bits of LAPACK
+results on large matrices can change with the thread count).
 Exact quantities are always emitted as a fraction string with the decimal
 alongside. This module only parses, validates, dispatches to the library and
 writes the result.
@@ -12,13 +14,12 @@ writes the result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import itertools
 import json
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,15 +46,21 @@ EXIT_REGIME = 3
 DEFAULT_TRIALS = 100
 
 
+class UsageError(Exception):
+    """A flag that is missing, conflicting or unusable; main() exits 2 with the message."""
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of configurations for sweep mode, loaded from a JSON file.
 
     Fields: lists of T, R, N, Q values, a list of seeds, trials per cell and
-    the output path (or null for stdout). Rows are written as JSON lines; any
-    other key, and a seed or trials count that is not a non-negative integer,
-    is rejected. Every cell is validated before dispatch; invalid cells
-    produce explicit rows instead of being dropped.
+    the output path (or null for stdout). Rows are written as JSON lines. A
+    file that is not a JSON object, a missing axis, an axis or seeds that are
+    not a list, any other key, a seed or trials count that is not a
+    non-negative integer and an output that is not a string are rejected. Every
+    cell is validated before dispatch; invalid cells produce explicit rows
+    instead of being dropped.
     """
 
     T: list
@@ -66,17 +73,32 @@ class SweepConfig:
 
     @staticmethod
     def load(path: str) -> "SweepConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"--sweep: cannot read {path!r}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InvalidConfigurationError(f"sweep config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidConfigurationError("sweep config must be a JSON object")
         # Older configs name the one output format there is.
         if raw.pop("format", "json") != "json":
             raise InvalidConfigurationError("sweep rows are JSON lines; drop the \"format\" key")
         unknown = set(raw) - {"T", "R", "N", "Q", "seeds", "trials", "output"}
         if unknown:
             raise InvalidConfigurationError(f"unknown sweep config keys {sorted(unknown)}")
+        missing = [axis for axis in "TRNQ" if axis not in raw]
+        if missing:
+            raise InvalidConfigurationError(f"sweep config lacks the axes {missing}")
+        for name in ["T", "R", "N", "Q", "seeds"]:
+            if not isinstance(raw.get(name, []), list):
+                raise InvalidConfigurationError(f"sweep {name}: expected a list, got {raw[name]!r}")
+        if not isinstance(raw.get("output"), (str, type(None))):
+            raise InvalidConfigurationError("sweep output: expected a path or null")
         cfg = SweepConfig(
-            **{axis: list(raw[axis]) for axis in "TRNQ"},
-            seeds=list(raw.get("seeds", [])),
+            **{axis: raw[axis] for axis in "TRNQ"},
+            seeds=raw.get("seeds", []),
             trials=raw.get("trials", 0),
             output=raw.get("output"),
         )
@@ -96,69 +118,66 @@ def _parse_dims(text: str, teff=None) -> Dims:
     return Dims.create(T, R, N, Q, T_eff=teff)
 
 
+def _open_output(path: str | None, error, name: str):
+    """stdout, or path opened as UTF-8 with newlines as written; error(...) if it cannot be."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise error(f"{name}: cannot write {path!r}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out_path: str | None):
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if out_path is None and not text.endswith("\n"):
+        text += "\n"
+    with _open_output(out_path, UsageError, "--out") as fh:
+        fh.write(text)
 
 
 def _emit_json(obj, out_path: str | None):
     _emit(json.dumps(obj, sort_keys=True, indent=2), out_path)
 
 
-def _usage(args, message: str) -> int:
-    sys.stderr.write(f"{args.command}: {message}\n")
-    return EXIT_USAGE
-
-
 def _run_sweep(cfg: SweepConfig, row, seeds=(None,)) -> int:
-    """Emit row(dims, seed, key) per cell and seed as JSON lines, in grid order.
+    """Write row(dims, seed, key) per cell and seed as a JSON line, in grid order.
 
-    key is the cell, plus the seed when seeds are given. A cell that fails
+    Each row is computed in turn and flushed as soon as it is done. key is
+    the cell, plus the seed when seeds are given. A cell that fails
     validation gets the row {**key, "error": reason} instead; any other
     exception in a cell becomes that cell's error row too, named by its type
     (traceback on stderr), and the other cells are still written.
     """
-
-    def one(job):
-        (T, R, N, Q), seed = job
-        key = {"cell": {"T": T, "R": R, "N": N, "Q": Q}}
-        if seed is not None:
-            key["seed"] = seed
-        try:
-            return row(Dims.create(T, R, N, Q), seed, key)
-        except InvalidConfigurationError as exc:
-            return {**key, "error": str(exc)}
-        except Exception as exc:  # one bad cell must not lose the sweep
-            cell = json.dumps(key, sort_keys=True)
-            sys.stderr.write(f"sweep cell {cell} failed:\n{traceback.format_exc()}")
-            return {**key, "error": f"{type(exc).__name__}: {exc}"}
-
     cells = itertools.product(cfg.T, cfg.R, cfg.N, cfg.Q)
-    jobs = [(cell, seed) for cell in cells for seed in seeds]
-    with ThreadPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(jobs)))) as pool:
-        rows = list(pool.map(one, jobs))
-    _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n", cfg.output)
+    with _open_output(cfg.output, InvalidConfigurationError, "sweep output") as out:
+        for (T, R, N, Q), seed in itertools.product(cells, seeds):
+            key = {"cell": {"T": T, "R": R, "N": N, "Q": Q}}
+            if seed is not None:
+                key["seed"] = seed
+            try:
+                result = row(Dims.create(T, R, N, Q), seed, key)
+            except InvalidConfigurationError as exc:
+                result = {**key, "error": str(exc)}
+            except Exception as exc:  # one bad cell must not lose the sweep
+                cell = json.dumps(key, sort_keys=True)
+                sys.stderr.write(f"sweep cell {cell} failed:\n{traceback.format_exc()}")
+                result = {**key, "error": f"{type(exc).__name__}: {exc}"}
+            out.write(json.dumps(result, sort_keys=True) + "\n")
+            out.flush()
     return EXIT_OK
 
 
-def _sweep_conflict(args, flags) -> int | None:
+def _reject_sweep_conflicts(args, flags):
     """Usage error when any of flags, which a sweep config replaces, is given with --sweep."""
     values = {f: getattr(args, f[2:].replace("-", "_")) for f in flags}
     given = [f for f, v in values.items() if v is not None and v is not False]
     if given:
-        return _usage(args, f"{', '.join(given)} not allowed with --sweep")
-    return None
+        raise UsageError(f"{', '.join(given)} not allowed with --sweep")
 
 
 def _cmd_dof(args) -> int:
     if args.sweep:
-        if (code := _sweep_conflict(args, ("--teff", "--out"))) is not None:
-            return code
+        _reject_sweep_conflicts(args, ("--teff", "--out"))
         return _run_sweep(
             SweepConfig.load(args.sweep),
             lambda dims, seed, key: dof.report_to_dict(dof.dof_report(dims)),
@@ -185,7 +204,7 @@ def _cmd_pilots(args) -> int:
 
 def _cmd_witness(args) -> int:
     if not args.exact and args.seed is None:
-        return _usage(args, "--seed is required unless --exact is given")
+        raise UsageError("--seed is required unless --exact is given")
     dims = _parse_dims(args.dims, args.teff)
     pa = pilots.build_pilot_sets(dims)
     Z, s, x = jacobian.witness_construct(dims, pa, seed=args.seed or 0, exact=args.exact)
@@ -216,19 +235,16 @@ def _cmd_witness(args) -> int:
 
 def _cmd_genericity(args) -> int:
     if args.sweep:
-        flags = ("--teff", "--out", "--trials", "--seed", "--constant-model")
-        if (code := _sweep_conflict(args, flags)) is not None:
-            return code
+        _reject_sweep_conflicts(args, ("--teff", "--out", "--trials", "--seed", "--constant-model"))
         cfg = SweepConfig.load(args.sweep)
 
         def probe(dims, seed, key):
-            dims.require_regime()
             stats = jacobian.genericity_probe(dims, pilots.build_pilot_sets(dims), cfg.trials, seed)
             return {**key, **asdict(stats)}
 
         return _run_sweep(cfg, probe, cfg.seeds)
     if args.seed is None:
-        return _usage(args, "--seed is required")
+        raise UsageError("--seed is required")
     dims = _parse_dims(args.dims, args.teff)
     coloring = constant_model(dims) if args.constant_model else None
     pa = pilots.build_pilot_sets(dims)
@@ -345,6 +361,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"{args.command}: {exc}\n")
+        return EXIT_USAGE
     except InvalidConfigurationError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_REGIME

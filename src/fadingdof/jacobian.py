@@ -218,18 +218,18 @@ def witness_construct(
     return ColoringMatrix(Zb), sv.reshape(-1), x
 
 
-def certify_witness_exact(dims: Dims, pilots: PilotAssignment):
+def certify_witness_exact(dims: Dims, pilots: PilotAssignment) -> int:
     """Exact-arithmetic certificate that the witness determinant is nonzero.
 
     Builds the exact-mode witness, whose Jacobian has 0/1 entries, and
     evaluates its determinant with exact_integer_det: multi-modular
     elimination under a Hadamard bound, rebuilt by the Chinese remainder
-    theorem. Returns (det, 0), the real and imaginary parts as exact
-    integers; nonzero certifies nonsingularity with no floating-point error.
+    theorem. Returns the determinant as an exact int; nonzero certifies
+    nonsingularity with no floating-point error.
     """
     Z, s, x = witness_construct(dims, pilots, exact=True)
     J = assemble_jacobian(Z, s, x, pilots)
-    return exact_integer_det(J.matrix), 0
+    return exact_integer_det(J.matrix)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,20 @@ def test_sweep_config_rejects_unknown_keys_and_formats(tmp_path, capsys):
         code, _, err = run_cli(capsys, "dof", "--sweep", str(path))
         assert code == 3 and word in err, extra
         assert not out.exists()  # rejected before any row is written
+    base = {"T": [2], "R": [3], "N": [4], "Q": [1], "output": str(out)}
+    malformed = [
+        (json.dumps(base)[:-1], "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        (json.dumps({k: v for k, v in base.items() if k != "Q"}), "'Q'"),
+        (json.dumps({**base, "T": 2}), "sweep T"),
+        (json.dumps({**base, "output": 5}), "sweep output"),
+    ]
+    for text, word in malformed:
+        path.write_text(text)
+        code, stdout, err = run_cli(capsys, "dof", "--sweep", str(path))
+        assert code == 3 and stdout == "", text
+        assert err.startswith("invalid configuration: ") and word in err, text
+        assert not out.exists(), text
 
 
 def test_sweep_config_rejects_bad_seeds_and_trials(tmp_path, capsys):
@@ -206,11 +220,15 @@ def test_sweep_config_rejects_bad_seeds_and_trials(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     base = {"T": [2], "R": [3], "N": [4], "Q": [1], "seeds": [7], "trials": 2, "output": str(out)}
     for bad in [{"seeds": [7, -1]}, {"seeds": [1.5]}, {"seeds": [True]}, {"trials": -1},
-                {"trials": 2.5}, {"trials": "3"}]:
+                {"trials": 2.5}, {"trials": "3"}, {"seeds": 7}, {"R": 3}]:
         path.write_text(json.dumps({**base, **bad}))
         code, _, err = run_cli(capsys, "genericity", "--sweep", str(path))
         assert code == 3 and next(iter(bad)) in err, bad
         assert not out.exists(), bad
+    missing = tmp_path / "no_such_cfg.json"
+    for command in ["dof", "genericity"]:
+        code, stdout, err = run_cli(capsys, command, "--sweep", str(missing))
+        assert code == 2 and "--sweep" in err and stdout == "", command
 
 
 def test_sweep_turns_unexpected_cell_failures_into_error_rows(tmp_path, monkeypatch):
@@ -238,6 +256,61 @@ def test_sweep_turns_unexpected_cell_failures_into_error_rows(tmp_path, monkeypa
             assert row["error"] == "RuntimeError: probe blew up"
         else:
             assert row["fraction_nonsingular"] == 1.0 and row["trials"] == 3
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.json"
+    code, stdout, err = run_cli(capsys, "dof", "--dims", "2,3,4,1", "--out", str(target))
+    assert code == 2 and err.startswith("dof: --out") and stdout == ""
+    assert not target.parent.exists()
+
+
+def test_unwritable_sweep_output_is_rejected_before_any_cell(tmp_path, capsys, monkeypatch):
+    import fadingdof.dof as dof
+
+    calls = []
+    report = dof.dof_report
+    monkeypatch.setattr(dof, "dof_report", lambda dims: calls.append(dims) or report(dims))
+    path = tmp_path / "cfg.json"
+    target = tmp_path / "missing_dir" / "rows.jsonl"
+    path.write_text(json.dumps({"T": [2], "R": [3], "N": [4], "Q": [1], "output": str(target)}))
+    code, stdout, err = run_cli(capsys, "dof", "--sweep", str(path))
+    assert code == 3 and err.startswith("invalid configuration: sweep output") and stdout == ""
+    assert calls == []  # no cell ran
+
+
+def test_sweep_writes_each_row_as_its_cell_finishes(tmp_path, monkeypatch):
+    import fadingdof.dof as dof
+
+    report = dof.dof_report
+    out = tmp_path / "rows.jsonl"
+    on_disk = []  # the output file as the second cell starts
+
+    def interrupted_report(dims):
+        if dims.R == 4:
+            on_disk.append(out.read_text())
+            raise KeyboardInterrupt  # not an Exception: ends the sweep, no error row
+        return report(dims)
+
+    monkeypatch.setattr(dof, "dof_report", interrupted_report)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"T": [2], "R": [3, 4, 5], "N": [4], "Q": [1], "output": str(out)}))
+    with pytest.raises(KeyboardInterrupt):
+        main(["dof", "--sweep", str(path)])
+    assert len(on_disk) == 1 and on_disk[0] == out.read_text()
+    rows = [json.loads(line) for line in on_disk[0].splitlines()]
+    assert len(rows) == 1 and rows[0]["dims"]["R"] == 3
+
+
+def test_empty_sweep_grid_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "rows.jsonl"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"T": [], "R": [3], "N": [4], "Q": [1], "output": str(out)}))
+    assert main(["dof", "--sweep", str(path)]) == 0
+    assert out.read_bytes() == b""
+    path.write_text(json.dumps({"T": [2], "R": [3], "N": [4], "Q": [1], "trials": 2}))
+    code, stdout, _ = run_cli(capsys, "genericity", "--sweep", str(path))  # no seeds
+    assert code == 0 and stdout == ""
 
 
 def test_sweep_reports_bool_sizes_as_invalid_cells(tmp_path, capsys):

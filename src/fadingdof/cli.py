@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -114,7 +115,10 @@ def _parse_dims(text: str, teff=None) -> Dims:
     parts = text.split(",")
     if len(parts) != 4:
         raise InvalidConfigurationError(f"--dims expects T,R,N,Q, got {text!r}")
-    T, R, N, Q = (int(p) for p in parts)
+    try:
+        T, R, N, Q = (int(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"--dims expects integers T,R,N,Q, got {text!r}") from None
     return Dims.create(T, R, N, Q, T_eff=teff)
 
 
@@ -299,6 +303,7 @@ def _add_dims_arg(p, sweep=False):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache  # the parser depends on no input; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fadingdof",
@@ -312,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dof)
 
     p = sub.add_parser("figure1", help="CSV of generic/constant maximal-DoF ratios")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="antenna cap for the bounded series")
+    p.add_argument("--nmax", type=_int_at_least(2), required=True)
+    p.add_argument(
+        "--cap", type=_int_at_least(1), default=None, help="antenna cap for the bounded series"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_figure1)
 
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mc_logdet)
 
     p = sub.add_parser("verify-all", help="deterministic property suite; nonzero exit on failure")
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--nmax", type=_int_at_least(2), default=10)
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

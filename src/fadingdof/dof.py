@@ -1,13 +1,12 @@
 """Closed-form degrees-of-freedom quantities and antenna optimization.
 
-Every bound is computed as an exact Fraction; floats appear only when a
-figure table is rendered. All functions are pure and trivially parallel
-over grid points.
+Every bound is computed in integers scaled by N (each one has denominator N)
+and returned as an exact Fraction; floats appear only when a figure table is
+rendered. All functions are pure and trivially parallel over grid points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,7 +66,7 @@ def chi_const_max(N: int) -> Fraction:
 
 def chi_gen(T: int, N: int) -> Fraction:
     """DoF of the generic model, T (1 - 1/N); exact when T < N/Q and R is large enough."""
-    return Fraction(T) * (1 - Fraction(1, N))
+    return Fraction(T * (N - 1), N)
 
 
 def chi_upper(T: int, N: int) -> Fraction:
@@ -75,14 +74,17 @@ def chi_upper(T: int, N: int) -> Fraction:
     return chi_gen(T, N)
 
 
+def _chi_low_scaled(T_eff: int, R: int, N: int, Q: int) -> int:
+    """N chi_low(T_eff, R, N, Q) = min{T_eff (N - 1), R (N - T_eff Q)}."""
+    return min(T_eff * (N - 1), R * (N - T_eff * Q))
+
+
 def chi_low(T_eff: int, R: int, N: int, Q: int) -> Fraction:
     """Lower bound with T_eff active transmit antennas.
 
     min{T_eff (1 - 1/N), R (1 - T_eff Q / N)}; may be <= 0 when N <= T_eff Q.
     """
-    a = Fraction(T_eff) * (1 - Fraction(1, N))
-    b = Fraction(R) * (1 - Fraction(T_eff * Q, N))
-    return min(a, b)
+    return Fraction(_chi_low_scaled(T_eff, R, N, Q), N)
 
 
 def optimal_active_tx(R: int, N: int, Q: int) -> Fraction:
@@ -92,10 +94,9 @@ def optimal_active_tx(R: int, N: int, Q: int) -> Fraction:
 
 def rounded_lower(R: int, N: int, Q: int) -> Fraction:
     """Best lower bound at the integer neighbors of the fractional optimum."""
-    t_opt = optimal_active_tx(R, N, Q)
-    hi = Fraction(R) * (1 - Fraction(math.ceil(t_opt) * Q, N))
-    lo = Fraction(math.floor(t_opt)) * (1 - Fraction(1, N))
-    return max(hi, lo)
+    d = N + R * Q - 1  # optimal_active_tx = R N / d
+    t_ceil, t_floor = -(-R * N // d), R * N // d
+    return Fraction(max(R * (N - t_ceil * Q), t_floor * (N - 1)), N)
 
 
 def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:
@@ -104,7 +105,7 @@ def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:
     Equals T (1 - 1/N) when T <= T_opt, otherwise the rounded optimum;
     equivalently min{T (1 - 1/N), rounded optimum}.
     """
-    if T <= optimal_active_tx(R, N, Q):
+    if T * (N + R * Q - 1) <= R * N:  # T <= optimal_active_tx(R, N, Q)
         return chi_gen(T, N)
     return rounded_lower(R, N, Q)
 
@@ -115,10 +116,7 @@ def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
     T_eff = 0 contributes 0 (an inactive transmitter yields a trivial bound);
     without it the maximum can be negative while the closed form floors at 0.
     """
-    best = Fraction(0)
-    for t_eff in range(1, min(T, R) + 1):
-        best = max(best, chi_low(t_eff, R, N, Q))
-    return best
+    return Fraction(max(_chi_low_scaled(t, R, N, Q) for t in range(min(T, R) + 1)), N)
 
 
 def ell(T_eff: int, R: int, N: int, Q: int) -> int:

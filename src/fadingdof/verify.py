@@ -47,11 +47,12 @@ def run_verify_all(n_max: int = 10) -> bool:
 
     ok = True
     for p in range(0, 19):
-        for q in range(p + 1, 19):
-            for b in range(2, 7):
-                for a in range(0, 7):
-                    for c in range(1, b + 1):
-                        count = sum(1 for j in range(p + 1, q + 1) if mod_star(j + a, b) == c)
+        for b in range(2, 7):
+            for a in range(0, 7):
+                for c in range(1, b + 1):
+                    count = 0  # of j in (p, q] with mod_star(j + a, b) == c, as q grows
+                    for q in range(p + 1, 19):
+                        count += mod_star(q + a, b) == c
                         ok &= count <= -(-(q - p) // b)
     check("window counting bound (exhaustive small grid)", ok)
 
@@ -61,13 +62,13 @@ def run_verify_all(n_max: int = 10) -> bool:
             for T in range(1, 13):
                 for R in range(1, 13):
                     closed = dof.chi_low_star(T, R, N, Q)
+                    upper = dof.chi_upper(T, N)
                     ok &= closed == dof.chi_low_star_brute(T, R, N, Q)
-                    ok &= closed <= dof.chi_upper(T, N)
+                    ok &= closed <= upper
                     if N >= 2:
-                        in_region = T * Q < N and Fraction(R) >= Fraction(
-                            T * (N - 1), N - T * Q
-                        )
-                        ok &= (closed == dof.chi_upper(T, N)) == in_region
+                        # R >= T (N - 1) / (N - T Q), with N - T Q > 0
+                        in_region = T * Q < N and R * (N - T * Q) >= T * (N - 1)
+                        ok &= (closed == upper) == in_region
     check(f"lower-bound closed form, ordering, equality region (N <= {n_max})", ok)
 
     ok = True

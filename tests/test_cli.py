@@ -60,6 +60,8 @@ def test_exit_code_3_on_regime_violation(capsys):
     code, _, err = run_cli(capsys, "jacobian-witness", "--dims", "2,3,4,2", "--seed", "1")
     assert code == 3
     assert "regime" in err or "requires" in err
+    code, _, err = run_cli(capsys, "dof", "--dims", "2,3,4")  # not four parts
+    assert code == 3 and "--dims" in err
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -78,6 +80,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         (["genericity", "--dims", "2,3,4,1", "--seed", "x"], "--seed"),
         (["dof", "--dims", "2,3,4,1", "--sweep", str(sweep)], "--dims"),
         (["genericity", "--dims", "2,3,4,1", "--sweep", str(sweep)], "--dims"),
+        (["figure1", "--nmax", "10", "--cap", "0"], "--cap"),
+        (["figure1", "--nmax", "10", "--cap", "-2"], "--cap"),
+        (["figure1", "--nmax", "-5"], "--nmax"),
+        (["figure1", "--nmax", "1"], "--nmax"),
+        (["verify-all", "--nmax", "1"], "--nmax"),
+        (["verify-all", "--nmax", "-3"], "--nmax"),
     ]
     for argv, flag in bad_args:
         with pytest.raises(SystemExit) as exc:
@@ -85,6 +93,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == "", argv
+    # a --dims part that is not an integer: one line naming the flag, no traceback
+    for dims in ["a,3,4,1", "2,3,4,1.5", "2,3,,1"]:
+        code, stdout, err = run_cli(capsys, "dof", "--dims", dims)
+        assert code == 2 and stdout == "", dims
+        assert err == f"dof: --dims expects integers T,R,N,Q, got {dims!r}\n"
     # flags that a sweep config replaces are refused, not silently ignored
     out = tmp_path / "rows.jsonl"
     with_sweep = [
@@ -143,6 +156,13 @@ def test_mc_logdet_json(capsys):
     payload = json.loads(out)
     assert payload["samples"] == 100
     assert payload["clipped_fraction"] == 0.0
+
+
+def test_smallest_grid_bounds_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "figure1", "--nmax", "2", "--cap", "1")
+    assert code == 0 and out.splitlines()[1] == "2,1.0,1.0,1.0"
+    code, out, _ = run_cli(capsys, "verify-all", "--nmax", "2")
+    assert code == 0 and "[FAIL]" not in out
 
 
 def test_verify_all_exit_zero(capsys):

@@ -1,9 +1,12 @@
 """Exact bound arithmetic and antenna optimization."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadingdof.dof import (
     chi_const,
@@ -15,6 +18,7 @@ from fadingdof.dof import (
     chi_upper,
     dof_report,
     ell,
+    rounded_lower,
     figure1_curves,
     optimal_active_tx,
     residual_noise_variances,
@@ -82,6 +86,60 @@ def test_chi_low_star_matches_brute_force_everywhere():
                         N,
                         Q,
                     )
+
+
+# Oracle: the paper's formulas in Fraction arithmetic, kept apart from the
+# library's N-scaled integers (its brute force shares them with chi_low).
+def oracle_chi_gen(T, N):
+    return T * (1 - F(1, N))
+
+
+def oracle_chi_low(T_eff, R, N, Q):
+    return min(T_eff * (1 - F(1, N)), R * (1 - F(T_eff * Q, N)))
+
+
+def oracle_t_opt(R, N, Q):
+    return F(R * N, N + R * Q - 1)
+
+
+def oracle_rounded_lower(R, N, Q):
+    t_opt = oracle_t_opt(R, N, Q)
+    return max(R * (1 - F(math.ceil(t_opt) * Q, N)), math.floor(t_opt) * (1 - F(1, N)))
+
+
+def oracle_chi_low_star(T, R, N, Q):
+    if T <= oracle_t_opt(R, N, Q):
+        return oracle_chi_gen(T, N)
+    return oracle_rounded_lower(R, N, Q)
+
+
+def test_bounds_match_fraction_oracle_on_grid():
+    # N = 1 and T_eff Q >= N are included, where chi_low <= 0
+    for N in range(1, 31):
+        for Q in range(1, 5):
+            for R in range(1, 21):
+                t_opt, eta = oracle_t_opt(R, N, Q), oracle_rounded_lower(R, N, Q)
+                assert optimal_active_tx(R, N, Q) == t_opt, (R, N, Q)
+                assert rounded_lower(R, N, Q) == eta, (R, N, Q)
+                lows = [oracle_chi_low(t, R, N, Q) for t in range(1, 21)]
+                for T in range(1, 21):
+                    cell = (T, R, N, Q)
+                    gen = oracle_chi_gen(T, N)
+                    brute = max([F(0)] + lows[: min(T, R)])
+                    assert chi_gen(T, N) == chi_upper(T, N) == gen, cell
+                    assert chi_low(T, R, N, Q) == lows[T - 1], cell
+                    assert chi_low_star(T, R, N, Q) == (gen if T <= t_opt else eta) == brute, cell
+                    assert chi_low_star_brute(T, R, N, Q) == brute, cell
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(*[st.integers(1, 10**6)] * 4)
+def test_closed_forms_match_fraction_oracle_on_large_ints(T, R, N, Q):
+    assert optimal_active_tx(R, N, Q) == oracle_t_opt(R, N, Q)
+    assert chi_gen(T, N) == chi_upper(T, N) == oracle_chi_gen(T, N)
+    assert chi_low(T, R, N, Q) == oracle_chi_low(T, R, N, Q)
+    assert rounded_lower(R, N, Q) == oracle_rounded_lower(R, N, Q)
+    assert chi_low_star(T, R, N, Q) == oracle_chi_low_star(T, R, N, Q)
 
 
 def test_ordering_and_monotonicity_invariants():

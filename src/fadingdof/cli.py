@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -303,7 +302,6 @@ def _add_dims_arg(p, sweep=False):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
-@functools.cache  # the parser depends on no input; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fadingdof",

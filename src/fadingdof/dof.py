@@ -87,15 +87,20 @@ def chi_low(T_eff: int, R: int, N: int, Q: int) -> Fraction:
     return Fraction(_chi_low_scaled(T_eff, R, N, Q), N)
 
 
+def _t_opt_terms(R: int, N: int, Q: int) -> tuple[int, int]:
+    """Numerator and denominator of the crossing point T_opt = R N / (N + R Q - 1)."""
+    return R * N, N + R * Q - 1
+
+
 def optimal_active_tx(R: int, N: int, Q: int) -> Fraction:
     """Crossing point of the two arguments of chi_low: R N / (N + R Q - 1)."""
-    return Fraction(R * N, N + R * Q - 1)
+    return Fraction(*_t_opt_terms(R, N, Q))
 
 
 def rounded_lower(R: int, N: int, Q: int) -> Fraction:
     """Best lower bound at the integer neighbors of the fractional optimum."""
-    d = N + R * Q - 1  # optimal_active_tx = R N / d
-    t_ceil, t_floor = -(-R * N // d), R * N // d
+    num, den = _t_opt_terms(R, N, Q)
+    t_ceil, t_floor = -(-num // den), num // den
     return Fraction(max(R * (N - t_ceil * Q), t_floor * (N - 1)), N)
 
 
@@ -105,7 +110,8 @@ def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:
     Equals T (1 - 1/N) when T <= T_opt, otherwise the rounded optimum;
     equivalently min{T (1 - 1/N), rounded optimum}.
     """
-    if T * (N + R * Q - 1) <= R * N:  # T <= optimal_active_tx(R, N, Q)
+    num, den = _t_opt_terms(R, N, Q)
+    if T * den <= num:
         return chi_gen(T, N)
     return rounded_lower(R, N, Q)
 

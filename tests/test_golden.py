@@ -17,13 +17,12 @@ the output it pins.
 import json
 import re
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import pytest
 
 from fadingdof.analysis import mc_logdet
-from fadingdof.cli import build_parser, main
+from fadingdof.cli import main
 from fadingdof.model import Dims, random_coloring
 from fadingdof.pilots import build_pilot_sets
 
@@ -40,21 +39,13 @@ CASES = {
 }
 
 
-def golden_text(name):
-    return (GOLDEN / name).read_bytes().decode("utf-8")
-
-
-def case_argv(name, tmp_path):
-    """CASES[name] with the sweep config written under tmp_path."""
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(SWEEP_CONFIG))
-    return [arg.format(config=config) for arg in CASES[name]]
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, tmp_path, capsys):
-    assert main(case_argv(name, tmp_path)) == 0
-    assert capsys.readouterr().out == golden_text(name)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SWEEP_CONFIG))
+    argv = [arg.format(config=config) for arg in CASES[name]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_bytes().decode("utf-8")
 
 
 WITNESS_CASES = {
@@ -75,19 +66,15 @@ def split_float_fields(text):
     return FLOAT_FIELD.sub(take, text), values
 
 
-def assert_witness_matches_golden(name, out):
-    got_text, got = split_float_fields(out)
-    want_text, want = split_float_fields(golden_text(name))
+@pytest.mark.parametrize("name", sorted(WITNESS_CASES))
+def test_exact_witness_matches_golden(name, capsys):
+    assert main(WITNESS_CASES[name]) == 0
+    got_text, got = split_float_fields(capsys.readouterr().out)
+    want_text, want = split_float_fields((GOLDEN / name).read_bytes().decode("utf-8"))
     assert got_text == want_text
     assert sorted(got) == ["abs_det", "sigma_min", "spectral_norm"] == sorted(want)
     for field, value in want.items():
         assert got[field] == pytest.approx(value, rel=1e-12, abs=0), field
-
-
-@pytest.mark.parametrize("name", sorted(WITNESS_CASES))
-def test_exact_witness_matches_golden(name, capsys):
-    assert main(WITNESS_CASES[name]) == 0
-    assert_witness_matches_golden(name, capsys.readouterr().out)
 
 
 PROBE_CASES = {
@@ -108,16 +95,12 @@ def assert_matches_numeric_golden(got, want, floats):
             assert got[field] == value, field
 
 
-def assert_probe_matches_golden(name, out):
-    want = json.loads((GOLDEN / name).read_text())
-    floats = {"min_abs_det", "min_sigma_ratio"}
-    assert_matches_numeric_golden(json.loads(out), want, floats)
-
-
 @pytest.mark.parametrize("name", sorted(PROBE_CASES))
 def test_genericity_matches_golden(name, capsys):
     assert main(PROBE_CASES[name]) == 0
-    assert_probe_matches_golden(name, capsys.readouterr().out)
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / name).read_text())
+    assert_matches_numeric_golden(got, want, floats={"min_abs_det", "min_sigma_ratio"})
 
 
 def test_mc_logdet_matches_golden():
@@ -125,58 +108,3 @@ def test_mc_logdet_matches_golden():
     est = mc_logdet(random_coloring(dims, 7), dims, build_pilot_sets(dims), 256, seed=3)
     want = json.loads((GOLDEN / "mc_logdet_34121.json").read_text())
     assert_matches_numeric_golden(asdict(est), want, floats={"mean", "stderr"})
-
-
-def assert_stdout_matches_golden(name, out):
-    assert out == golden_text(name)
-
-
-def assert_no_certificate(out):
-    assert '"exact_det"' not in out and "sparsity pattern:" in out
-
-
-def parser_reuse_steps(tmp_path):
-    """(argv, check) pairs, check(stdout) asserting; --json, --exact,
-    --constant-model and --out are each given and, at the next step, left out."""
-    csv = tmp_path / "figure1.csv"
-
-    def assert_csv_file_matches_golden(out):
-        assert out == "" and csv.read_bytes().decode("utf-8") == golden_text("figure1_nmax50.csv")
-
-    def stdout(name):
-        return case_argv(name, tmp_path), partial(assert_stdout_matches_golden, name)
-
-    def witness(name):
-        return WITNESS_CASES[name], partial(assert_witness_matches_golden, name)
-
-    def probe(name):
-        return PROBE_CASES[name], partial(assert_probe_matches_golden, name)
-
-    return [
-        stdout("pilots_4561_json.json"),
-        stdout("pilots_4561.txt"),
-        witness("witness_exact_2452.txt"),
-        (["jacobian-witness", "--dims", "2,4,5,2", "--seed", "3"], assert_no_certificate),
-        probe("genericity_2341_constant.json"),
-        probe("genericity_2341.json"),
-        (CASES["figure1_nmax50.csv"] + ["--out", str(csv)], assert_csv_file_matches_golden),
-        stdout("figure1_nmax50.csv"),
-        stdout("dof_sweep.jsonl"),
-        stdout("dof_2341.json"),
-        stdout("verify_all_nmax5.txt"),
-        probe("genericity_34121_constant.json"),
-        probe("genericity_34121.json"),
-        witness("witness_exact_48162.txt"),
-    ]
-
-
-def test_reused_parser_leaks_no_state_between_calls(tmp_path, capsys):
-    assert build_parser() is build_parser()
-    steps = parser_reuse_steps(tmp_path)
-    first = {}
-    # flags given then left out, then the reverse order: left out then given
-    for argv, check in steps + steps[::-1]:
-        assert main(argv) == 0, argv
-        out = capsys.readouterr().out
-        check(out)
-        assert first.setdefault(tuple(argv), out) == out, argv

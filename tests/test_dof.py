@@ -18,10 +18,10 @@ from fadingdof.dof import (
     chi_upper,
     dof_report,
     ell,
-    rounded_lower,
     figure1_curves,
     optimal_active_tx,
     residual_noise_variances,
+    rounded_lower,
     virtual_simo_K,
 )
 from fadingdof.model import (

@@ -8,14 +8,12 @@ experiments (identify), and Monte-Carlo log-determinant evidence (analysis).
 """
 
 from .model import (
-    ChannelRealization,
     ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     build_B,
     constant_model,
     random_coloring,
-    sample_realization,
 )
 from .dof import (
     DofReport,
@@ -27,7 +25,6 @@ from .dof import (
     dof_report,
     ell,
     figure1_curves,
-    virtual_simo_K,
 )
 from .pilots import PilotAssignment, build_pilot_sets, card_deal, mod_star, verify_pilot_properties
 from .jacobian import (
@@ -35,10 +32,9 @@ from .jacobian import (
     assemble_jacobian,
     bezout_bound,
     genericity_probe,
-    reduce_by_block,
     witness_construct,
 )
-from .identify import RecoveryResult, forward_map, rank_gap_demo, recover, scaling_ambiguity_check
-from .analysis import LogDetEstimate, entropy_chain_report, mc_logdet
+from .identify import RecoveryResult, forward_map, recover
+from .analysis import LogDetEstimate, mc_logdet
 
 __version__ = "0.1.0"

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .model import ColoringMatrix, Dims, standard_complex_gaussian
-from .dof import chi_low, ell
 from .jacobian import assemble_jacobian
 from .pilots import PilotAssignment
 
@@ -31,10 +29,6 @@ __all__ = [
     "LOG_FLOOR",
     "LogDetEstimate",
     "mc_logdet",
-    "gaussian_log_magnitude_mean",
-    "mc_log_magnitude",
-    "EntropyChainReport",
-    "entropy_chain_report",
 ]
 
 LOG_FLOOR = -700.0
@@ -103,53 +97,3 @@ def mc_logdet(
     return LogDetEstimate(
         mean=mean, stderr=stderr, samples=samples, clipped_fraction=clipped / samples
     )
-
-
-def gaussian_log_magnitude_mean() -> float:
-    """E[log |xi|] for xi ~ CN(0, 1): minus half the Euler-Mascheroni constant."""
-    return -float(np.euler_gamma) / 2.0
-
-
-def mc_log_magnitude(samples: int, seed: int) -> float:
-    """Monte-Carlo estimate of E[log |xi|], xi ~ CN(0, 1); 1-D calibration case."""
-    rng = np.random.default_rng(seed)
-    xi = standard_complex_gaussian(rng, samples)
-    return float(np.mean(np.log(np.abs(xi))))
-
-
-@dataclass(frozen=True)
-class EntropyChainReport:
-    """Exact bookkeeping of the mutual-information chain for one configuration.
-
-    prelog_coefficient is min{RN - R T_eff Q, T_eff N - T_eff}, the log-SNR
-    coefficient left after discarding redundant outputs and conditioning;
-    divided by N it reproduces the lower bound. solution_entropy_bits is the
-    size of the useful output set, which caps (in bits) the entropy of the
-    discrete solution-branch variable: log2 of the isolated-zero bound.
-    """
-
-    dims: Dims
-    prelog_coefficient: int
-    prelog: Fraction
-    chi_low: Fraction
-    matches_chi_low: bool
-    trivial: bool
-    solution_entropy_bits: int
-
-
-def entropy_chain_report(dims: Dims) -> EntropyChainReport:
-    """Pure integer/rational report; valid also in the degenerate N <= T_eff*Q case."""
-    T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
-    coeff = min(R * N - R * T_eff * Q, T_eff * N - T_eff)
-    prelog = Fraction(coeff, N)
-    bound = chi_low(T_eff, R, N, Q)
-    return EntropyChainReport(
-        dims=dims,
-        prelog_coefficient=coeff,
-        prelog=prelog,
-        chi_low=bound,
-        matches_chi_low=prelog == bound,
-        trivial=coeff <= 0,
-        solution_entropy_bits=R * N - ell(T_eff, R, N, Q),
-    )
-

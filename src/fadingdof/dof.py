@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .model import ColoringMatrix, Dims, InvalidConfigurationError, dims_to_dict
+from .model import Dims, dims_to_dict
 
 __all__ = [
     "DofReport",
@@ -28,13 +26,9 @@ __all__ = [
     "ell",
     "figure1_curves",
     "write_figure1_csv",
-    "virtual_simo_K",
-    "residual_noise_variances",
     "dof_report",
     "report_to_dict",
 ]
-
-K_MARGIN = Fraction(1, 10**6)
 
 
 @dataclass(frozen=True)
@@ -205,27 +199,3 @@ def write_figure1_csv(rows, stream):
     writer.writerow(["N", "ratio_unconstrained", "ratio_lower", "ratio_upper"])
     for N, unconstrained, lower, upper in rows:
         writer.writerow([N, repr(float(unconstrained)), repr(float(lower)), repr(float(upper))])
-
-
-def virtual_simo_K(Z: ColoringMatrix, dims: Dims) -> float:
-    """Noise-splitting constant for the SIMO decomposition of the upper bound.
-
-    K = (1 + eps) * max_{r,i} sum_{t,q} |[Z_{r,t}]_i^q|^2 with eps = 1e-6; the
-    strict margin keeps every residual noise variance 1 - sum|Z|^2 / (K T)
-    positive. Raises on an all-zero coloring matrix (the split degenerates).
-    """
-    Z.require_conforms(dims)
-    row_power = np.sum(np.abs(Z.blocks) ** 2, axis=(1, 3))  # (R, N)
-    peak = float(row_power.max())
-    if peak <= 0.0:
-        raise InvalidConfigurationError("coloring matrix is identically zero; K undefined")
-    K = float((1 + K_MARGIN) * Fraction(peak))
-    if np.any(residual_noise_variances(Z, K) <= 0.0):
-        raise InvalidConfigurationError("residual noise variance not strictly positive")
-    return K
-
-
-def residual_noise_variances(Z: ColoringMatrix, K: float) -> np.ndarray:
-    """Per-(r, i) variance 1 - sum_{t,q} |[Z_{r,t}]_i^q|^2 / (K T) left after the split."""
-    row_power = np.sum(np.abs(Z.blocks) ** 2, axis=(1, 3))
-    return 1.0 - row_power / (K * Z.n_tx)

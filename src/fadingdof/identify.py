@@ -18,7 +18,6 @@ import numpy as np
 from .model import (
     ColoringMatrix,
     Dims,
-    InvalidConfigurationError,
     build_B,
     constant_model,
     random_coloring,
@@ -33,12 +32,8 @@ __all__ = [
     "recover",
     "run_recovery_trials",
     "recovery_summary",
-    "scaling_ambiguity_check",
-    "rank_gap_demo",
-    "cluster_solutions",
 ]
 
-RANK_TOL = 1e-8
 # Gauss-Newton: converged below this relative residual, within these caps.
 GN_TOL = 1e-12
 GN_MAX_ITERATIONS = 200
@@ -206,72 +201,3 @@ def recovery_summary(results) -> dict:
         "median_residual": residuals[len(residuals) // 2] if residuals else None,
         "median_param_error": errors[len(errors) // 2] if errors else None,
     }
-
-
-def scaling_ambiguity_check(
-    s: np.ndarray, x: np.ndarray, Z: ColoringMatrix, dims: Dims, seed: int = 0
-) -> bool:
-    """Confirm the per-antenna scaling invariance of the noiseless outputs.
-
-    Rescaling (x_t, s_{r,t}) to (c_t x_t, s_{r,t} / c_t) for random nonzero
-    c_t must leave y_bar unchanged to 1e-12 relative; this is the ambiguity
-    the pilots exist to pin down.
-    """
-    rng = np.random.default_rng(seed)
-    c = standard_complex_gaussian(rng, dims.T_eff)
-    c += (np.abs(c) < 0.1) * 1.0  # keep every factor safely away from zero
-    s_mat = np.asarray(s, dtype=complex).reshape(dims.R, dims.T_eff, dims.Q)
-    x_mat = np.asarray(x, dtype=complex).reshape(dims.T_eff, dims.N)
-    y_ref = build_B(Z, x_mat.reshape(-1), dims) @ s_mat.reshape(-1)
-    x_scaled = (c[:, None] * x_mat).reshape(-1)
-    s_scaled = (s_mat / c[None, :, None]).reshape(-1)
-    y_scaled = build_B(Z, x_scaled, dims) @ s_scaled
-    denom = np.linalg.norm(y_ref)
-    if denom == 0.0:
-        return True
-    return bool(np.linalg.norm(y_scaled - y_ref) / denom <= 1e-12)
-
-
-def _numerical_rank(M: np.ndarray) -> int:
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > RANK_TOL * svals[0]))
-
-
-def rank_gap_demo(dims: Dims, seed: int) -> tuple[int, int]:
-    """Rank of the stacked noiseless receive vectors: constant vs generic coloring.
-
-    Draws one (s, x) pair and evaluates both colorings on it; returns the
-    numerical ranks of the N x R matrices of per-antenna outputs. The generic
-    coloring lifts the outputs out of the low-dimensional subspace the
-    constant model confines them to. The generic coloring and the point come
-    from the two children of SeedSequence(seed), so distinct seeds share no
-    stream.
-    """
-    if dims.Q != 1:
-        raise InvalidConfigurationError("rank gap demo uses the constant model, so Q must be 1")
-    coloring_seed, point_seed = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(point_seed)
-    s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
-    x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-    ranks = []
-    for Z in (constant_model(dims), random_coloring(dims, coloring_seed)):
-        y_bar = build_B(Z, x, dims) @ s
-        ranks.append(_numerical_rank(y_bar.reshape(dims.R, dims.N).T))
-    return ranks[0], ranks[1]
-
-
-def cluster_solutions(points, rel_tol: float = 1e-6):
-    """Greedy clustering of converged parameter vectors by relative distance.
-
-    Returns one representative per cluster; used to count distinct solutions
-    across random restarts.
-    """
-    reps: list[np.ndarray] = []
-    for p in points:
-        p = np.asarray(p)
-        scale = max(np.linalg.norm(p), 1.0)
-        if not any(np.linalg.norm(p - r) <= rel_tol * scale for r in reps):
-            reps.append(p)
-    return reps

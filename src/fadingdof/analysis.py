@@ -9,9 +9,10 @@ The expectation is taken over the Gaussian density rather than as the raw
 Lebesgue integral against exp(-||.||^2); the two differ by the density
 normalization, a factor pi per complex dimension.
 
-Draws are processed in fixed-size batches with per-batch derived seeds and a
-fixed reduction order, so estimates are reproducible and batches could be
-evaluated concurrently.
+Draws come in batches of BATCH, each batch from its own derived seed. Within
+a batch they are assembled and factorized in stacks of at most
+jacobian.STACK_BYTES, one SVD call per stack. The reduction order is fixed,
+so estimates are reproducible and do not depend on the stack depth.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ColoringMatrix, Dims, standard_complex_gaussian
-from .jacobian import assemble_jacobian
+from .model import ColoringMatrix, Dims, complex_gaussian_draws
+from .jacobian import NONSINGULAR_TOL, JacobianLayout
 from .pilots import PilotAssignment
 
 __all__ = [
@@ -59,7 +60,9 @@ def mc_logdet(
 ) -> LogDetEstimate:
     """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x).
 
-    The log-determinant is evaluated as twice the sum of log singular values.
+    The log-determinant is evaluated as twice the sum of log singular values,
+    from one SVD per draw; each draw's s and then x come from its batch's
+    generator, and the SVDs of a stack of draws are made by one call.
     Draws that are singular at working precision (smallest singular value not
     above the package nonsingularity threshold times the spectral norm) and
     draws whose value falls below the floor both contribute the floor value
@@ -73,25 +76,26 @@ def mc_logdet(
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(n_batches)
+    layout = JacobianLayout(pilots)
+    sizes = (dims.R * dims.T_eff * dims.Q, dims.T_eff * dims.N)
     values = np.empty(samples, dtype=float)
     clipped = 0
     pos = 0
     for child in children:
         rng = np.random.default_rng(child)
-        count = min(BATCH, samples - pos)
-        for _ in range(count):
-            s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
-            x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-            J = assemble_jacobian(Z, s, x, pilots)
-            if J.nonsingular:
-                val = 2.0 * float(np.sum(np.log(J.singular_values)))
-            else:
-                val = -math.inf
-            if val < LOG_FLOOR:
-                val = LOG_FLOOR
-                clipped += 1
-            values[pos] = val
-            pos += 1
+        batch_end = min(pos + BATCH, samples)
+        while pos < batch_end:
+            count = min(layout.per_stack, batch_end - pos)
+            S, X = complex_gaussian_draws(rng, count, *sizes)
+            singular_values = np.linalg.svd(layout.assemble(Z.blocks, S, X), compute_uv=False)
+            nonsingular = singular_values[:, -1] > NONSINGULAR_TOL * singular_values[:, 0]
+            vals = np.full(count, -math.inf)
+            vals[nonsingular] = 2.0 * np.log(singular_values[nonsingular]).sum(axis=1)
+            low = vals < LOG_FLOOR
+            vals[low] = LOG_FLOOR
+            clipped += int(np.count_nonzero(low))
+            values[pos : pos + count] = vals
+            pos += count
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return LogDetEstimate(

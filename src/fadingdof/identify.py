@@ -23,7 +23,7 @@ from .model import (
     random_coloring,
     standard_complex_gaussian,
 )
-from .jacobian import assemble_jacobian
+from .jacobian import JacobianLayout
 from .pilots import PilotAssignment, build_pilot_sets
 
 __all__ = [
@@ -114,11 +114,13 @@ def recover(
     def residual_vec(s_cur, x_cur):
         return forward_map(s_cur, x_cur, x_pilot, pilots, Z) - y_target
 
+    layout = JacobianLayout(pilots)
     res = residual_vec(s, x_data)
     res_norm = np.linalg.norm(res)
     iterations = 0
     while res_norm / scale >= GN_TOL and iterations < GN_MAX_ITERATIONS:
-        J = assemble_jacobian(Z, s, _assemble_x(x_data, x_pilot, pilots), pilots).matrix
+        x = _assemble_x(x_data, x_pilot, pilots)
+        J = layout.assemble(Z.blocks, s[None], x[None])[0]
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:

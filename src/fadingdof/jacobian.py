@@ -12,15 +12,20 @@ entries, and its determinant is computed modulo as many word-size primes as
 the Hadamard bound requires and rebuilt by the Chinese remainder theorem.
 The tests keep a fraction-free (Bareiss) elimination as an independent oracle.
 
-Assembly builds only the matrix. Its spectral statistics are lazy: the
-singular values (one SVD) and the determinant's sign and log-magnitude (one
-slogdet) are each computed on first use and cached on the JacobianMatrix, so
+Assembly builds only matrices. JacobianLayout assembles the Jacobians of
+many draws as one (k, n, n) stack, and the Monte-Carlo callers (the probe
+here, analysis.mc_logdet) factorize each stack of at most STACK_BYTES with one
+stacked SVD call, plus one slogdet call in the probe: every draw's matrix is
+factorized once per kind, with one LAPACK call per stack. A single
+JacobianMatrix computes its singular values (one SVD) and the determinant's
+sign and log-magnitude (one slogdet) on first use and caches them, so
 recovery and the exact certificate, which read only the matrix, factorize
-nothing, and every statistic costs at most one factorization of its kind.
+nothing.
 
 Nonsingularity at finite precision means sigma_min > 1e-10 times the spectral
 norm; determinant magnitude alone is scale-fragile. All computations are
-pure; probe trials use per-trial derived seeds and may run concurrently.
+pure; each probe trial draws from its own derived seed, so the statistics do
+not depend on how the trials are grouped into stacks.
 """
 
 from __future__ import annotations
@@ -31,13 +36,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ColoringMatrix, Dims, InvalidConfigurationError, build_B, split_fading, standard_complex_gaussian
+from .model import (
+    ColoringMatrix,
+    Dims,
+    InvalidConfigurationError,
+    complex_gaussian_draws,
+    split_fading,
+    split_tx,
+    standard_complex_gaussian,
+)
 from .pilots import PilotAssignment, build_pilot_sets
 
 __all__ = [
     "NONSINGULAR_TOL",
     "JacobianMatrix",
+    "JacobianLayout",
     "assemble_jacobian",
+    "assemble_jacobians",
     "bezout_bound",
     "witness_construct",
     "certify_witness_exact",
@@ -48,6 +63,8 @@ __all__ = [
 ]
 
 NONSINGULAR_TOL = 1e-10
+# Largest stack of Jacobians factorized by one LAPACK call; a larger matrix is factorized alone.
+STACK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -116,35 +133,88 @@ def bezout_bound(dims: Dims, pilots: PilotAssignment) -> int:
     return 2 ** (dims.R * dims.T_eff * dims.Q + len(pilots.data))
 
 
-def _diagonal_grid(Z: ColoringMatrix, s: np.ndarray, dims: Dims) -> np.ndarray:
-    """The (RN, T_eff*N) grid whose (r, t) block is diag(Z_{r,t} s_{r,t})."""
-    sv = split_fading(np.asarray(s, dtype=complex), dims)
-    R, Teff, N = dims.R, dims.T_eff, dims.N
-    a = np.matmul(Z.blocks, sv[..., None])[..., 0]  # (R, T_eff, N): Z_{r,t} s_{r,t}
-    r, t, i = np.indices(a.shape, sparse=True)
-    A = np.zeros((R * N, Teff * N), dtype=complex)
-    A[r * N + i, t * N + i] = a
-    return A
+class JacobianLayout:
+    """Where the entries of B and of the diagonal grid land in the Jacobian of one pilot assignment.
+
+    Built once per assignment, it assembles stacks of Jacobians of any depth:
+    the B entries x_t[i] Z_{r,t}[i,q] come from one broadcast multiply, the
+    diagonal entries Z_{r,t} s_{r,t} from one batched matmul, and index arrays
+    computed here scatter both into their rows and the data columns. The
+    scatter fills all R N rows of each matrix, and the stack keeps the first
+    n = |I|, the useful ones. per_stack is the depth of a stack of at most
+    STACK_BYTES, and at least one.
+    """
+
+    def __init__(self, pilots: PilotAssignment):
+        dims = pilots.dims
+        R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
+        n_b = R * Teff * Q
+        n = pilots.n_useful
+        if n != n_b + len(pilots.data):
+            raise InvalidConfigurationError(
+                f"Jacobian is {(n, n_b + len(pilots.data))}, not square; dims outside the valid regime?"
+            )
+        self.dims, self.n = dims, n
+        self.per_stack = max(1, STACK_BYTES // (n * n * np.dtype(complex).itemsize))
+        # B entry (r, t, i, q) sits at row r N + i and column (r T_eff + t) Q + q
+        row_start = np.arange(R * N).reshape(R, 1, N, 1) * n
+        self._b_dst = (row_start + np.arange(n_b).reshape(R, Teff, 1, Q)).ravel()
+        # diagonal entry (r, t, i) sits at row r N + i and, when t N + i is a
+        # data position, in that position's column after the n_b of B
+        data0 = np.asarray(pilots.data) - 1
+        r = np.arange(R)[:, None]
+        self._a_src = (r * (Teff * N) + data0).ravel()
+        self._a_dst = ((r * N + data0 % N) * n + n_b + np.arange(len(data0))).ravel()
+
+    def assemble(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The (k, n, n) Jacobians at the k points (S[j], X[j]).
+
+        Z_blocks is one (R, T_eff, N, Q) coloring shared by every point, or a
+        (k, R, T_eff, N, Q) stack of them; S is (k, R T_eff Q) and X is (k, T_eff N).
+        """
+        dims = self.dims
+        R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
+        k, n = len(S), self.n
+        if (
+            S.shape != (k, R * Teff * Q)
+            or X.shape != (k, Teff * N)
+            or Z_blocks.shape not in ((R, Teff, N, Q), (k, R, Teff, N, Q))
+        ):
+            raise InvalidConfigurationError(
+                f"stack shapes Z {Z_blocks.shape}, s {S.shape}, x {X.shape} do not conform to {dims}"
+            )
+        products = X.reshape(k, 1, Teff, N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
+        diagonal = np.matmul(Z_blocks, S.reshape(k, R, Teff, Q, 1))  # Z_{r,t} s_{r,t}
+        J = np.zeros((k, R * N * n), dtype=complex)
+        J[:, self._b_dst] = products.reshape(k, -1)
+        J[:, self._a_dst] = diagonal.reshape(k, -1)[:, self._a_src]
+        return J[:, : n * n].reshape(k, n, n)
+
+
+def assemble_jacobians(
+    Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray, pilots: PilotAssignment
+) -> np.ndarray:
+    """The (k, n, n) stack of Jacobians [(B  [A]^D)]_I at the points (S[j], X[j]).
+
+    Z_blocks is one shared (R, T_eff, N, Q) coloring or a per-point
+    (k, R, T_eff, N, Q) stack; see JacobianLayout.assemble.
+    """
+    return JacobianLayout(pilots).assemble(Z_blocks, S, X)
 
 
 def assemble_jacobian(
     Z: ColoringMatrix, s: np.ndarray, x: np.ndarray, pilots: PilotAssignment
 ) -> JacobianMatrix:
-    """Assemble the square Jacobian [(B  [A]^D)]_I at the point (s, x).
+    """Assemble the square Jacobian [(B  [A]^D)]_I at the point (s, x): a stack of one.
 
     Column order is the fading vector first (R T_eff Q columns), then the data
     entries of x in ascending flat index.
     """
     dims = pilots.dims
-    B = build_B(Z, x, dims)
-    A = _diagonal_grid(Z, s, dims)
-    data0 = np.asarray(pilots.data, dtype=int) - 1
-    useful0 = np.arange(pilots.n_useful)
-    M = np.hstack([B, A[:, data0]])[useful0, :]
-    if M.shape[0] != M.shape[1]:
-        raise InvalidConfigurationError(
-            f"Jacobian is {M.shape}, not square; dims outside the valid regime?"
-        )
+    Z.require_conforms(dims)
+    x = split_tx(np.asarray(x, dtype=complex), dims)
+    s = split_fading(np.asarray(s, dtype=complex), dims)
+    M = assemble_jacobians(Z.blocks, s.reshape(1, -1), x.reshape(1, -1), pilots)[0]
     return JacobianMatrix(dims=dims, pilots=pilots, matrix=M)
 
 
@@ -249,31 +319,37 @@ def genericity_probe(
 
     A fixed coloring (e.g. the constant model) can be supplied to probe a
     specific correlation structure with random (s, x) only. trials = 0 yields
-    empty statistics. Trials use independently derived seeds and are
-    reproducible regardless of evaluation order.
+    empty statistics. Each trial draws Z (unless fixed), s and x, in that
+    order, from its own child of SeedSequence(seed). The trials' Jacobians
+    are factorized in stacks of JacobianLayout.per_stack, one SVD and one
+    slogdet call per stack.
     """
     if trials == 0:
         return ProbeStats(0, 0, None, None, None)
+    layout = JacobianLayout(pilots)
+    shape = (dims.R, dims.T_eff, dims.N, dims.Q)
+    sizes = (dims.R * dims.T_eff * dims.Q, dims.T_eff * dims.N)
+    if coloring is None:
+        sizes = (math.prod(shape), *sizes)
+    else:
+        coloring.require_conforms(dims)
     children = np.random.SeedSequence(seed).spawn(trials)
     n_nonsingular = 0
     min_det = math.inf
     min_ratio = math.inf
-    for child in children:
-        rng = np.random.default_rng(child)
-        if coloring is None:
-            Z = ColoringMatrix(
-                standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q))
-            )
-        else:
-            Z = coloring
-        s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
-        x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-        J = assemble_jacobian(Z, s, x, pilots)
-        ratio = J.sigma_min / J.spectral_norm if J.spectral_norm > 0 else 0.0
-        if ratio > NONSINGULAR_TOL:
-            n_nonsingular += 1
-        min_det = min(min_det, J.det_abs)
-        min_ratio = min(min_ratio, ratio)
+    for start in range(0, trials, layout.per_stack):
+        chunk = children[start : start + layout.per_stack]
+        draws = [complex_gaussian_draws(np.random.default_rng(child), 1, *sizes) for child in chunk]
+        *Z, S, X = (np.concatenate(column) for column in zip(*draws))  # Z is [] for a fixed coloring
+        Z_blocks = Z[0].reshape(len(chunk), *shape) if Z else coloring.blocks
+        J = layout.assemble(Z_blocks, S, X)
+        singular_values = np.linalg.svd(J, compute_uv=False)
+        sign, logdet = np.linalg.slogdet(J)
+        norm = singular_values[:, 0]
+        ratio = np.divide(singular_values[:, -1], norm, out=np.zeros(len(chunk)), where=norm > 0)
+        n_nonsingular += int(np.count_nonzero(ratio > NONSINGULAR_TOL))
+        min_det = min(min_det, float(np.where(sign == 0, 0.0, np.exp(logdet)).min()))
+        min_ratio = min(min_ratio, float(ratio.min()))
     return ProbeStats(
         trials=trials,
         n_nonsingular=n_nonsingular,

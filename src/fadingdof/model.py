@@ -27,6 +27,7 @@ __all__ = [
     "regime_cells",
     "ColoringMatrix",
     "standard_complex_gaussian",
+    "complex_gaussian_draws",
     "random_coloring",
     "constant_model",
     "build_B",
@@ -124,8 +125,9 @@ def regime_cells(n_max: int):
 class ColoringMatrix:
     """Deterministic correlation structure: an R x T grid of N x Q blocks.
 
-    ``blocks`` has shape (R, n_tx, N, Q). The stacked view places block
-    (r, t) at rows r*N:(r+1)*N and columns t*Q:(t+1)*Q, receive-major.
+    ``blocks`` has shape (R, n_tx, N, Q): blocks[r, t] is Z_{r+1,t+1}, which
+    the stacked (R N) x (T Q) matrix holds at rows r*N:(r+1)*N and columns
+    t*Q:(t+1)*Q, receive-major.
     """
 
     blocks: np.ndarray
@@ -153,16 +155,6 @@ class ColoringMatrix:
     def rank(self) -> int:
         return self.blocks.shape[3]
 
-    def block(self, r: int, t: int) -> np.ndarray:
-        """Block Z_{r,t} for 1-based antenna indices."""
-        return self.blocks[r - 1, t - 1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """The (R*N, T*Q) stacked coloring matrix."""
-        R, T, N, Q = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(R * N, T * Q)
-
     def require_conforms(self, dims: Dims):
         if self.blocks.shape != (dims.R, dims.T_eff, dims.N, dims.Q):
             raise InvalidConfigurationError(
@@ -174,6 +166,21 @@ class ColoringMatrix:
 def standard_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) entries: independent real/imaginary parts of variance 1/2 each."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def complex_gaussian_draws(rng: np.random.Generator, count: int, *sizes: int) -> list:
+    """count consecutive draws of standard_complex_gaussian(rng, size) for each size in turn.
+
+    One standard_normal call reads the same stretch of the generator's stream
+    as the per-size calls would, in the same order, so row j of each returned
+    (count, size) array holds exactly what draw j would have made.
+    """
+    g = rng.standard_normal((count, 2 * sum(sizes)))
+    out, at = [], 0
+    for size in sizes:
+        out.append((g[:, at : at + size] + 1j * g[:, at + size : at + 2 * size]) / math.sqrt(2.0))
+        at += 2 * size
+    return out
 
 
 def random_coloring(dims: Dims, seed: int | np.random.SeedSequence) -> ColoringMatrix:

@@ -4,11 +4,19 @@ Each is a few lines of numpy on top of the channel model: the 1-D log-moment
 calibration, the rank gap between constant and generic coloring, the
 per-antenna scaling ambiguity, distinct-solution counting, the virtual-SIMO
 noise split of the upper bound and the determinant-preserving block reduction.
+The per-draw Jacobian assembly here is the oracle that the library's stacked
+assembly must match bit for bit, and assembles non-square cases too.
 """
 
 import numpy as np
 
-from fadingdof.model import build_B, constant_model, random_coloring, standard_complex_gaussian
+from fadingdof.model import (
+    build_B,
+    constant_model,
+    random_coloring,
+    split_fading,
+    standard_complex_gaussian,
+)
 
 
 def gaussian_log_magnitude_mean() -> float:
@@ -104,3 +112,25 @@ def reduce_by_block(M: np.ndarray, rows, cols) -> np.ndarray:
     svals = np.linalg.svd(M[np.ix_(E, F)], compute_uv=False)
     assert svals[-1] > 1e-12 * svals[0]
     return M[np.ix_(other_rows, other_cols)]
+
+
+def diagonal_grid_loop(Z, s, dims):
+    """Oracle: the (r, t) blocks diag(Z_{r,t} s_{r,t}) filled one at a time."""
+    sv = split_fading(np.asarray(s, dtype=complex), dims)
+    R, Teff, N = dims.R, dims.T_eff, dims.N
+    A = np.zeros((R * N, Teff * N), dtype=complex)
+    for r in range(R):
+        for t in range(Teff):
+            a = Z.blocks[r, t] @ sv[r, t]
+            idx = np.arange(N)
+            A[r * N + idx, t * N + idx] = a
+    return A
+
+
+def assemble_jacobian_loop(Z, s, x, pilots):
+    """Oracle: one Jacobian from the full B and diagonal grid, data columns picked, useful rows cut."""
+    dims = pilots.dims
+    B = build_B(Z, x, dims)
+    A = diagonal_grid_loop(Z, s, dims)
+    data0 = np.asarray(pilots.data, dtype=int) - 1
+    return np.hstack([B, A[:, data0]])[: pilots.n_useful, :]

@@ -29,27 +29,54 @@ def defined_names(node) -> set:
     return set()
 
 
+def references(node, kinds=(ast.Name, ast.Attribute)) -> set:
+    """Names and attributes node uses outside the definitions of the names it defines.
+
+    A class counts its members one by one, so a method or property that only
+    refers to itself is not referenced.
+    """
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.bases, *node.keywords, *node.decorator_list, *node.body]
+        return set().union(*(references(part, kinds) for part in parts)) - {node.name}
+    used = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds)}
+    return used - defined_names(node)
+
+
+def src_references(kinds=(ast.Name, ast.Attribute)) -> set:
+    # imports and export lists do not count
+    return {
+        name
+        for module, tree in module_trees().items()
+        if module != "__init__"
+        for stmt in tree.body
+        if "__all__" not in defined_names(stmt)
+        for name in references(stmt, kinds)
+    }
+
+
 def test_every_exported_name_is_referenced_in_src():
-    # a reference is a name or attribute use in any top-level statement other
-    # than the name's own definition; imports and export lists do not count
-    trees = module_trees()
-    referenced = set()
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
-        for stmt in tree.body:
-            own = defined_names(stmt)
-            if "__all__" in own:
-                continue
-            for n in ast.walk(stmt):
-                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
-                if name is not None and name not in own:
-                    referenced.add(name)
+    referenced = src_references()
     unreached = [
         f"{module}.{name}"
-        for module, tree in sorted(trees.items())
+        for module, tree in sorted(module_trees().items())
         for name in exported(tree)
         if name not in referenced
+    ]
+    assert not unreached, unreached
+
+
+def test_every_public_member_of_an_exported_class_is_referenced_in_src():
+    # members are reached as attributes, so a local variable of the same name does not count
+    referenced = src_references(kinds=(ast.Attribute,))
+    unreached = [
+        f"{module}.{node.name}.{member.name}"
+        for module, tree in sorted(module_trees().items())
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported(tree)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in referenced
     ]
     assert not unreached, unreached
 

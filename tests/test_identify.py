@@ -3,7 +3,13 @@
 import dataclasses
 
 import numpy as np
-from paper_facts import cluster_solutions, numerical_rank, rank_gap, scaling_ambiguity_holds
+from paper_facts import (
+    assemble_jacobian_loop,
+    cluster_solutions,
+    numerical_rank,
+    rank_gap,
+    scaling_ambiguity_holds,
+)
 
 from fadingdof.identify import forward_map, recover, run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, bezout_bound
@@ -113,11 +119,7 @@ def test_one_fewer_pilot_leaves_null_space():
         data=tuple(sorted(pa.data + (extra,))),
     )
     Z, s, x, _, _ = truth_instance(11)
-    from fadingdof.jacobian import _diagonal_grid  # rectangular case needs manual assembly
-
-    B = build_B(Z, x, DIMS)
-    A = _diagonal_grid(Z, s, DIMS)
-    M = np.hstack([B, A[:, np.asarray(hacked.data) - 1]])[: hacked.n_useful]
+    M = assemble_jacobian_loop(Z, s, x, hacked)  # rectangular: the library refuses it
     assert M.shape == (12, 13)
     rank = numerical_rank(M)
     assert rank == 12  # still solvable

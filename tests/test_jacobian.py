@@ -1,5 +1,7 @@
 """Recovery Jacobian: assembly, witnesses, probes, block reduction, exact determinants."""
 
+import dataclasses
+import math
 from math import isqrt
 
 import numpy as np
@@ -7,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from paper_facts import reduce_by_block
+from paper_facts import assemble_jacobian_loop, reduce_by_block
 
-from fadingdof.analysis import mc_logdet
+from fadingdof.analysis import BATCH, LOG_FLOOR, LogDetEstimate, mc_logdet
 from fadingdof.jacobian import (
     DET_PRIMES,
+    NONSINGULAR_TOL,
+    STACK_BYTES,
+    JacobianLayout,
     JacobianMatrix,
-    _diagonal_grid,
+    ProbeStats,
     assemble_jacobian,
+    assemble_jacobians,
     bezout_bound,
     certify_witness_exact,
     exact_integer_det,
@@ -28,7 +34,6 @@ from fadingdof.model import (
     constant_model,
     random_coloring,
     regime_cells,
-    split_fading,
     standard_complex_gaussian,
 )
 from fadingdof.identify import forward_map, run_recovery_trials
@@ -199,70 +204,185 @@ def test_bezout_bounds():
         assert bezout_bound(dims, pa) == 2**exponent
 
 
-def diagonal_grid_loop(Z, s, dims):
-    """Oracle: the (r, t) blocks diag(Z_{r,t} s_{r,t}) filled one at a time."""
-    sv = split_fading(np.asarray(s, dtype=complex), dims)
-    R, Teff, N = dims.R, dims.T_eff, dims.N
-    A = np.zeros((R * N, Teff * N), dtype=complex)
-    for r in range(R):
-        for t in range(Teff):
-            a = Z.blocks[r, t] @ sv[r, t]
-            idx = np.arange(N)
-            A[r * N + idx, t * N + idx] = a
-    return A
+BITWISE_CELLS = [
+    DIMS, Dims.create(3, 4, 12, 1), Dims.create(1, 2, 3, 2, T_eff=1), Dims.create(4, 8, 16, 2),
+    Dims.create(2, 4, 7, 3), Dims.create(6, 11, 40, 3),
+]
 
 
-@pytest.mark.parametrize(
-    "dims",
-    [DIMS, Dims.create(3, 4, 12, 1), Dims.create(1, 2, 3, 2, T_eff=1), Dims.create(4, 8, 16, 2),
-     Dims.create(2, 4, 7, 3), Dims.create(6, 11, 40, 3)],
-    ids=str,
-)
+@pytest.mark.parametrize("dims", BITWISE_CELLS, ids=str)
 def test_diagonal_grid_is_bitwise_the_loop(dims):
-    for seed in range(10):
-        Z, s, _ = generic_point(seed, dims)
-        assert _diagonal_grid(Z, s, dims).tobytes() == diagonal_grid_loop(Z, s, dims).tobytes()
+    # stacked assembly against the per-draw oracle: generic points, one
+    # stack with per-point colorings and one with a shared coloring, the
+    # constant model where it exists (Q = 1) and the exact witness
+    pa = build_pilot_sets(dims)
+    points = [generic_point(seed, dims) for seed in range(10)]
+    S = np.stack([s for _, s, _ in points])
+    X = np.stack([x for _, _, x in points])
+    per_point = assemble_jacobians(np.stack([Z.blocks for Z, _, _ in points]), S, X, pa)
+    colorings = [Z for Z, _, _ in points]
+    if dims.Q == 1:
+        colorings.append(constant_model(dims))
+    for Z in colorings:
+        shared = assemble_jacobians(Z.blocks, S, X, pa)
+        for j, (_, s, x) in enumerate(points):
+            assert shared[j].tobytes() == assemble_jacobian_loop(Z, s, x, pa).tobytes()
+    for j, (Z, s, x) in enumerate(points):
+        oracle = assemble_jacobian_loop(Z, s, x, pa).tobytes()
+        assert per_point[j].tobytes() == oracle
+        assert assemble_jacobian(Z, s, x, pa).matrix.tobytes() == oracle
+    witness = witness_construct(dims, pa, exact=True)
+    assert assemble_jacobian(*witness, pa).matrix.tobytes() == assemble_jacobian_loop(*witness, pa).tobytes()
+
+
+def test_assembly_keeps_its_shape_errors():
+    Z, s, x = generic_point(3)
+    with pytest.raises(InvalidConfigurationError, match="does not conform"):
+        assemble_jacobian(random_coloring(Dims.create(2, 2, 4, 1), seed=0), s, x, PILOTS)
+    with pytest.raises(InvalidConfigurationError, match="x must have length"):
+        assemble_jacobian(Z, s, x[:-1], PILOTS)
+    with pytest.raises(InvalidConfigurationError, match="s must have length"):
+        assemble_jacobian(Z, s[:-1], x, PILOTS)
+    with pytest.raises(InvalidConfigurationError, match="do not conform"):
+        assemble_jacobians(Z.blocks, s[None], x[None, :-1], PILOTS)
+    one_more_row = dataclasses.replace(PILOTS, ell=PILOTS.ell - 1)
+    with pytest.raises(InvalidConfigurationError, match=r"Jacobian is \(13, 12\), not square"):
+        assemble_jacobian(Z, s, x, one_more_row)
+
+
+def probe_loop(dims, pilots, trials, seed, coloring=None):
+    """Reference: the probe one draw at a time, with one SVD and one slogdet per oracle matrix."""
+    if trials == 0:
+        return ProbeStats(0, 0, None, None, None)
+    n_nonsingular, min_det, min_ratio = 0, math.inf, math.inf
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        if coloring is None:
+            Z = ColoringMatrix(standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q)))
+        else:
+            Z = coloring
+        s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
+        x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
+        M = assemble_jacobian_loop(Z, s, x, pilots)
+        sv = np.linalg.svd(M, compute_uv=False)
+        sign, logdet = np.linalg.slogdet(M)
+        ratio = float(sv[-1]) / float(sv[0]) if sv[0] > 0 else 0.0
+        n_nonsingular += ratio > NONSINGULAR_TOL
+        min_det = min(min_det, 0.0 if sign == 0 else float(np.exp(float(logdet))))
+        min_ratio = min(min_ratio, ratio)
+    return ProbeStats(trials, n_nonsingular, n_nonsingular / trials, min_det, min_ratio)
+
+
+def mc_logdet_loop(Z, dims, pilots, samples, seed):
+    """Reference: mc_logdet one draw at a time, with one SVD per oracle matrix."""
+    seed = np.random.SeedSequence(seed)
+    values, clipped = [], 0
+    for child in seed.spawn(-(-samples // BATCH)):
+        rng = np.random.default_rng(child)
+        for _ in range(min(BATCH, samples - len(values))):
+            s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
+            x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
+            sv = np.linalg.svd(assemble_jacobian_loop(Z, s, x, pilots), compute_uv=False)
+            val = 2.0 * float(np.sum(np.log(sv))) if sv[-1] > NONSINGULAR_TOL * sv[0] else -math.inf
+            if val < LOG_FLOOR:
+                val, clipped = LOG_FLOOR, clipped + 1
+            values.append(val)
+    values = np.array(values)
+    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+    return LogDetEstimate(float(values.mean()), stderr, samples, clipped / samples)
+
+
+# (dims, count, constant model): counts 0 and 1, 257 draws across a BATCH
+# seed boundary, 200 and 300 draws at n=45 (stacks of 129 there) and n=432
+# (stacks of one)
+REFERENCE_CASES = [
+    (DIMS, 0, False), (DIMS, 1, False), (DIMS, 257, False), (DIMS, 257, True),
+    (Dims.create(3, 4, 12, 1), 200, False), (Dims.create(3, 4, 12, 1), 300, True),
+    (Dims.create(6, 11, 40, 3), 2, False),
+]
+
+
+@pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
+def test_probe_is_bitwise_the_reference_loop(dims, count, constant):
+    pa = build_pilot_sets(dims)
+    coloring = constant_model(dims) if constant else None
+    stacked = genericity_probe(dims, pa, trials=count, seed=count + 11, coloring=coloring)
+    assert repr(stacked) == repr(probe_loop(dims, pa, count, count + 11, coloring))
+
+
+@pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
+def test_mc_logdet_is_bitwise_the_reference_loop(dims, count, constant):
+    if count == 0:
+        count = 1  # mc_logdet needs a sample
+    pa = build_pilot_sets(dims)
+    Z = constant_model(dims) if constant else random_coloring(dims, count)
+    stacked = mc_logdet(Z, dims, pa, samples=count, seed=count + 12)
+    assert repr(stacked) == repr(mc_logdet_loop(Z, dims, pa, count, count + 12))
 
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts of np.linalg.svd and np.linalg.slogdet calls made during the test."""
-    calls = {"svd": 0, "slogdet": 0}
-    for name in calls:
+    """Matrices factorized by np.linalg.svd and np.linalg.slogdet during the test.
 
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    A stacked input counts each of its matrices; calls["stacks"] records
+    (matrices, bytes) of every input that holds more than one.
+    """
+    calls = {"svd": 0, "slogdet": 0, "stacks": []}
+    for name in ("svd", "slogdet"):
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            matrices = math.prod(np.shape(a)[:-2])
+            calls[_name] += matrices
+            if matrices > 1:
+                calls["stacks"].append((matrices, np.asarray(a).nbytes))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def factorized(calls):
+    assert all(nbytes <= STACK_BYTES for _, nbytes in calls["stacks"]), calls["stacks"]
+    return {"svd": calls["svd"], "slogdet": calls["slogdet"]}
 
 
 def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
     results = run_recovery_trials(Dims.create(3, 4, 12, 1), trials=3, seed=4)
     assert all(r.success and r.iterations > 0 for r in results)
     assert certify_witness_exact(DIMS, PILOTS) != 0
-    assert linalg_calls == {"svd": 0, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 0, "slogdet": 0}
 
 
 def test_mc_logdet_one_svd_per_draw(linalg_calls):
     est = mc_logdet(random_coloring(DIMS, 1), DIMS, PILOTS, samples=7, seed=2)
     assert est.samples == 7
-    assert linalg_calls == {"svd": 7, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 7, "slogdet": 0}
 
 
 def test_probe_one_svd_and_one_slogdet_per_trial(linalg_calls):
     assert genericity_probe(DIMS, PILOTS, trials=5, seed=3).trials == 5
-    assert linalg_calls == {"svd": 5, "slogdet": 5}
+    assert factorized(linalg_calls) == {"svd": 5, "slogdet": 5}
+
+
+def test_stacks_stay_under_the_byte_cap(linalg_calls):
+    # at n=45 a stack holds 129 matrices: 200 trials and 300 draws need more than one
+    dims = Dims.create(3, 4, 12, 1)
+    pa = build_pilot_sets(dims)
+    per_stack = JacobianLayout(pa).per_stack
+    assert per_stack == STACK_BYTES // (45 * 45 * 16) == 129
+    genericity_probe(dims, pa, trials=200, seed=1)
+    mc_logdet(random_coloring(dims, 2), dims, pa, samples=300, seed=3)
+    assert factorized(linalg_calls) == {"svd": 500, "slogdet": 200}
+    assert max(matrices for matrices, _ in linalg_calls["stacks"]) == per_stack
 
 
 def test_spectral_stats_are_computed_once(linalg_calls):
     J = assemble_jacobian(*generic_point(8), PILOTS)
-    assert linalg_calls == {"svd": 0, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 0, "slogdet": 0}
     first = [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det]
-    assert linalg_calls == {"svd": 1, "slogdet": 1}
+    assert factorized(linalg_calls) == {"svd": 1, "slogdet": 1}
     assert [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det] == first
-    assert linalg_calls == {"svd": 1, "slogdet": 1}
+    assert factorized(linalg_calls) == {"svd": 1, "slogdet": 1}
 
 
 def test_log_abs_det_is_finite_past_float_range():

@@ -11,6 +11,7 @@ from fadingdof.model import (
     InvalidConfigurationError,
     build_B,
     coloring_to_dict,
+    complex_gaussian_draws,
     constant_model,
     dims_to_dict,
     random_coloring,
@@ -103,6 +104,14 @@ def test_fading_unit_variance_law_of_large_numbers():
     assert 0.98 <= var <= 1.02
 
 
+def test_complex_gaussian_draws_read_the_stream_in_per_draw_order():
+    got = complex_gaussian_draws(np.random.default_rng(8), 3, 2, 5)
+    rng = np.random.default_rng(8)
+    for j in range(3):
+        for size, block in zip((2, 5), got):
+            assert block[j].tobytes() == standard_complex_gaussian(rng, size).tobytes()
+
+
 def test_input_power_meets_average_constraint():
     # E||x||^2 = T_eff*N, within the T*N budget; 2% band on the pooled mean
     rng = np.random.default_rng(202)
@@ -115,8 +124,8 @@ def test_input_power_meets_average_constraint():
 
 def test_constant_model_is_all_ones_and_rejects_high_rank():
     Z = constant_model(DIMS_2341)
-    assert Z.stacked.shape == (12, 2)
-    assert np.array_equal(Z.stacked, np.ones((12, 2)))
+    assert Z.blocks.shape == (3, 2, 4, 1)
+    assert np.array_equal(Z.blocks, np.ones((3, 2, 4, 1)))
     with pytest.raises(InvalidConfigurationError):
         constant_model(Dims.create(2, 3, 4, 2, T_eff=1))
 

@@ -312,10 +312,12 @@ def test_probe_is_bitwise_the_reference_loop(dims, count, constant):
 
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
 def test_mc_logdet_is_bitwise_the_reference_loop(dims, count, constant):
-    if count == 0:
-        count = 1  # mc_logdet needs a sample
     pa = build_pilot_sets(dims)
     Z = constant_model(dims) if constant else random_coloring(dims, count)
+    if count == 0:
+        with pytest.raises(ValueError, match="samples must be positive"):
+            mc_logdet(Z, dims, pa, samples=0, seed=12)
+        return
     stacked = mc_logdet(Z, dims, pa, samples=count, seed=count + 12)
     assert repr(stacked) == repr(mc_logdet_loop(Z, dims, pa, count, count + 12))
 

@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-logdet", help="Monte-Carlo log-determinant estimate")
     _add_dims_arg(p)
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
+    # a standard error needs two samples: one would print "stderr": Infinity, which is not JSON
+    p.add_argument("--samples", type=_int_at_least(2), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--constant-model", action="store_true")
     p.set_defaults(func=_cmd_mc_logdet)

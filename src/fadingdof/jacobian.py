@@ -8,9 +8,13 @@ assembles that matrix, constructs an explicit triple (Z, s, x) whose Jacobian
 determinant is provably nonzero, and probes nonsingularity for random draws.
 
 The exact certificate is exact_integer_det: the witness Jacobian has 0/1
-entries, and its determinant is computed modulo as many word-size primes as
-the Hadamard bound requires and rebuilt by the Chinese remainder theorem.
-The tests keep a fraction-free (Bareiss) elimination as an independent oracle.
+entries. Rows and columns with a single nonzero are peeled off first, each a
+one-term Laplace expansion, in time linear in the nonzeros; the witness is
+block triangular and peels to an empty core. What core is left, or the whole
+of a matrix with no singleton row or column, has its determinant computed
+modulo as many word-size primes as the core's Hadamard bound requires and
+rebuilt by the Chinese remainder theorem. The tests keep a fraction-free
+(Bareiss) elimination as an independent oracle.
 
 Assembly builds only matrices. JacobianLayout assembles the Jacobians of
 many draws as one (k, n, n) stack, and the Monte-Carlo callers (the probe
@@ -289,10 +293,9 @@ def certify_witness_exact(dims: Dims, pilots: PilotAssignment) -> int:
     """Exact-arithmetic certificate that the witness determinant is nonzero.
 
     Builds the exact-mode witness, whose Jacobian has 0/1 entries, and
-    evaluates its determinant with exact_integer_det: multi-modular
-    elimination under a Hadamard bound, rebuilt by the Chinese remainder
-    theorem. Returns the determinant as an exact int; nonzero certifies
-    nonsingularity with no floating-point error.
+    evaluates its determinant with exact_integer_det, whose peel expands the
+    block-triangular witness entry by entry. Returns the determinant as an
+    exact int; nonzero certifies nonsingularity with no floating-point error.
     """
     Z, s, x = witness_construct(dims, pilots, exact=True)
     J = assemble_jacobian(Z, s, x, pilots)
@@ -361,8 +364,8 @@ def genericity_probe(
 
 # Word-size primes below 2^31, largest first. Residues stay below 2^31, so
 # every product of two stays below 2^62 and int64 elimination cannot
-# overflow. exact_integer_det takes as many as its Hadamard bound needs; all
-# 32 together cover |det| up to about 2^990.
+# overflow. exact_integer_det takes as many as the Hadamard bound of its core
+# needs; all 32 together cover |det| up to about 2^990.
 DET_PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
     2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
@@ -420,17 +423,110 @@ def _det_mod_primes(A: np.ndarray, primes) -> np.ndarray:
     return det
 
 
+def _peel(A: np.ndarray) -> tuple:
+    """Strip the singleton rows and columns of the integer matrix A by one-term Laplace expansions.
+
+    A row with one nonzero among the remaining columns, or a column with one
+    nonzero among the remaining rows, is expanded along and removed, which
+    multiplies the determinant by that entry; removals repeat until none is
+    left. Returns (factor, rows, cols) with det A = factor * det A[rows][:, cols],
+    where rows and cols are the ascending indices of the leftover core.
+    factor carries the sign of the permutation that sends each peeled row to
+    its pivot column and the core rows to the core columns in order; it is 0
+    when a row or column empties. O(nnz) on row dicts and column sets.
+    """
+    n = len(A)
+    r_idx, c_idx = np.nonzero(A)
+    row_entries = [{} for _ in range(n)]
+    col_rows = [set() for _ in range(n)]
+    for i, j, v in zip(r_idx.tolist(), c_idx.tolist(), A[r_idx, c_idx].tolist()):
+        row_entries[i][j] = v
+        col_rows[j].add(i)
+    rows_todo = [i for i in range(n) if len(row_entries[i]) == 1]
+    cols_todo = [j for j in range(n) if len(col_rows[j]) == 1]
+    perm = [-1] * n  # peeled row -> its pivot column
+    factor = 1
+    while rows_todo or cols_todo:
+        if rows_todo:
+            i = rows_todo.pop()
+            if perm[i] >= 0:
+                continue
+            (j,) = row_entries[i]
+        else:
+            j = cols_todo.pop()
+            if col_rows[j] is None:
+                continue
+            (i,) = col_rows[j]
+        perm[i] = j
+        factor *= row_entries[i][j]
+        for c in row_entries[i]:
+            if c != j:
+                rest = col_rows[c]
+                rest.discard(i)
+                if not rest:
+                    return 0, [], []
+                if len(rest) == 1:
+                    cols_todo.append(c)
+        for r in col_rows[j]:
+            if r != i:
+                rest = row_entries[r]
+                del rest[j]
+                if not rest:
+                    return 0, [], []
+                if len(rest) == 1:
+                    rows_todo.append(r)
+        col_rows[j] = None
+    rows = [i for i in range(n) if perm[i] < 0]
+    cols = [j for j in range(n) if col_rows[j] is not None]
+    for i, j in zip(rows, cols):
+        perm[i] = j
+    # the sign of the permutation is (-1)^(n - number of cycles)
+    parity, seen = n, bytearray(n)
+    for start in range(n):
+        if not seen[start]:
+            parity -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = 1
+                k = perm[k]
+    return (-factor if parity % 2 else factor), rows, cols
+
+
 def exact_integer_det(M: np.ndarray) -> int:
     """Exact determinant of a square matrix with real integer entries, as a Python int.
 
-    Multi-modular: the Hadamard bound H = prod of the row norms fixes how many
-    primes of DET_PRIMES are needed, (prod p)^2 > 4 H^2 checked in integer
-    arithmetic; det is computed mod each of them and rebuilt by the Chinese
-    remainder theorem as the residue of least magnitude. Since |det| <= H <
-    (prod p) / 2 the result is exact, with no probabilistic step. A bound that
-    needs more primes than the table holds raises instead of guessing.
+    First the peel: a row or column with a single nonzero is a Laplace
+    expansion with a single term, so such pivots are removed one after another
+    and their entries multiplied exactly, leaving a core with no singleton (see
+    _peel). The witness Jacobians are block triangular and peel to an empty
+    core. A matrix with no singleton row or column, found by one nonzero count
+    per axis, is the core as it stands and builds no index bookkeeping.
+
+    Then the core, multi-modular: the Hadamard bound H = prod of the core's row
+    norms fixes how many primes of DET_PRIMES are needed, (prod p)^2 > 4 H^2
+    checked in integer arithmetic; det is computed mod each of them and rebuilt
+    by the Chinese remainder theorem as the residue of least magnitude. Since
+    |det| <= H < (prod p) / 2 the result is exact, with no probabilistic step.
+    A core whose bound needs more primes than the table holds raises instead
+    of guessing; peeled pivots count against no bound.
     """
     A = _integer_matrix(M)
+    if A.size == 0:
+        return 1
+    nonzero = A != 0
+    fewest = min(nonzero.sum(axis=1).min(), nonzero.sum(axis=0).min())  # nonzeros in the sparsest line
+    if fewest == 0:
+        return 0  # a zero row or column
+    if fewest > 1:
+        return _multimodular_det(A)
+    factor, rows, cols = _peel(A)
+    if factor == 0 or not rows:
+        return factor
+    return factor * _multimodular_det(A[np.ix_(rows, cols)])
+
+
+def _multimodular_det(A: np.ndarray) -> int:
+    """det A of a square int64 array: residues mod the primes its Hadamard bound needs, joined by CRT."""
     if A.shape[0] * int(np.abs(A).max(initial=0)) ** 2 < 2**63:
         norms = (A * A).sum(axis=1).tolist()
     else:  # the int64 sums could overflow

@@ -77,6 +77,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         (["genericity", "--dims", "2,3,4,1", "--trials", "-1", "--seed", "3"], "--trials"),
         (["identify", "--dims", "2,3,4,1", "--trials", "-1", "--seed", "3"], "--trials"),
         (["mc-logdet", "--dims", "2,3,4,1", "--samples", "0", "--seed", "8"], "--samples"),
+        (["mc-logdet", "--dims", "2,3,4,1", "--samples", "1", "--seed", "8"], "--samples"),
         (["identify", "--dims", "2,3,4,1", "--trials", "3", "--seed", "-1"], "--seed"),
         (["genericity", "--dims", "2,3,4,1", "--seed", "x"], "--seed"),
         (["dof", "--dims", "2,3,4,1", "--sweep", str(sweep)], "--dims"),

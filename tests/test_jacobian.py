@@ -27,6 +27,7 @@ from fadingdof.jacobian import (
     genericity_probe,
     witness_construct,
 )
+from fadingdof.jacobian import _integer_matrix, _multimodular_det, _peel
 from fadingdof.model import (
     ColoringMatrix,
     Dims,
@@ -611,6 +612,89 @@ def test_exact_integer_det_refuses_to_guess_past_the_prime_table():
     M = np.full((40, 40), 2**61, dtype=np.int64) + np.eye(40, dtype=np.int64)
     with pytest.raises(InvalidConfigurationError, match="primes"):
         exact_integer_det(M)
+
+
+def permuted(M, seed):
+    """M with its rows and its columns shuffled by two seeded permutations."""
+    rng = np.random.default_rng(seed)
+    return M[rng.permutation(len(M))][:, rng.permutation(len(M))]
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Mostly zeros: the diagonal, part of the upper triangle and stray entries, rows and columns permuted."""
+    n = draw(st.integers(1, 10))
+    values = draw(arrays(np.int64, (n, n), elements=st.integers(-1000, 1000)))
+    triangle = np.triu(draw(arrays(np.bool_, (n, n), elements=st.booleans()))) | np.eye(n, dtype=bool)
+    stray = draw(arrays(np.bool_, (n, n), elements=st.sampled_from([False] * 3 + [True])))
+    M = np.where(triangle | stray, values, 0)
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return M[rows][:, cols]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_integer_matrices())
+def test_exact_integer_det_matches_oracle_on_sparse_permuted_matrices(M):
+    assert exact_integer_det(M) == oracle_det(M.tolist())
+
+
+def test_peel_takes_a_permuted_triangular_matrix_whole():
+    rng = np.random.default_rng(7)
+    diagonal = rng.choice([-3, -2, -1, 1, 2, 3], 30)
+    M = permuted(np.triu(rng.integers(-1000, 1001, (30, 30)), k=1) + np.diag(diagonal), seed=8)
+    factor, rows, cols = _peel(M)
+    assert rows == cols == []
+    assert abs(factor) == abs(math.prod(diagonal.tolist()))
+    assert exact_integer_det(M) == factor == oracle_det(M.tolist())
+
+
+def test_peel_leaves_a_dense_core_that_needs_several_primes():
+    rng = np.random.default_rng(9)
+    core = random_integer_matrix(0)  # |det| > 2^62: several residues are combined
+    M = np.zeros((20, 20), dtype=np.int64)
+    M[:8, :8] = np.triu(rng.integers(-5, 6, (8, 8)), k=1) + np.diag(rng.choice([-2, 1, 2], 8))
+    M[:8, 8:] = rng.integers(-1000, 1001, (8, 12))
+    M[8:, 8:] = core
+    M = permuted(M, seed=10)
+    _, rows, cols = _peel(M)
+    assert len(rows) == len(cols) == 12
+    det = exact_integer_det(M)
+    assert abs(det) > 2**62
+    assert det == oracle_det(M.tolist())
+
+
+def test_peel_finds_a_row_emptied_midway():
+    # no zero row or column, but removing the pivot of either row 0 or row 1
+    # leaves the other one empty
+    M = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 1]])
+    assert _peel(M)[0] == 0
+    assert exact_integer_det(M) == 0 == oracle_det(M.tolist())
+    assert exact_integer_det(M.T) == 0
+
+
+def test_exact_integer_det_of_the_smallest_matrices():
+    assert exact_integer_det(np.zeros((0, 0))) == 1
+    assert exact_integer_det(np.array([[-7]])) == -7
+    assert exact_integer_det(np.array([[0]])) == 0
+
+
+def test_exact_integer_det_of_a_diagonal_past_the_prime_table():
+    # the Hadamard bound applies to the core only, and a diagonal peels whole
+    M = permuted(np.diag(np.full(40, 2**61, dtype=np.int64)), seed=11)
+    sign = oracle_det(permuted(np.eye(40, dtype=np.int64), seed=11).tolist())
+    assert exact_integer_det(M) == sign * 2 ** (61 * 40)
+
+
+def test_every_witness_peels_to_an_empty_core():
+    # the witness Jacobian is block triangular, one receive antenna per
+    # step: the peel expands it entry by entry, with nothing left over
+    for dims in regime_cells(8):
+        A = _integer_matrix(exact_witness_matrix(dims))
+        factor, rows, cols = _peel(A)
+        assert rows == cols == [] and factor in (1, -1), dims
+        if dims.N <= 6:  # the whole matrix, multi-modular, is the peel's oracle
+            assert _multimodular_det(A) == factor, dims
 
 
 def test_det_primes_are_distinct_primes_below_2_31():

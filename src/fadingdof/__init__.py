@@ -11,7 +11,6 @@ from .model import (
     ColoringMatrix,
     Dims,
     InvalidConfigurationError,
-    build_B,
     constant_model,
     random_coloring,
 )

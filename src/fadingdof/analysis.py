@@ -10,9 +10,11 @@ Lebesgue integral against exp(-||.||^2); the two differ by the density
 normalization, a factor pi per complex dimension.
 
 Draws come in batches of BATCH, each batch from its own derived seed. Within
-a batch they are assembled and factorized in stacks of at most
-jacobian.STACK_BYTES, one SVD call per stack. The reduction order is fixed,
-so estimates are reproducible and do not depend on the stack depth.
+a batch they are factorized in stacks of at most jacobian.STACK_BYTES by the
+per-antenna elimination, which never forms a Jacobian: a QR of each fading
+block and an SVD of each R factor and of the Schur block give log |det J|.
+The reduction order is fixed, so estimates are reproducible and do not depend
+on the stack depth.
 """
 
 from __future__ import annotations
@@ -60,15 +62,16 @@ def mc_logdet(
 ) -> LogDetEstimate:
     """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x).
 
-    The log-determinant is evaluated as twice the sum of log singular values,
-    from one SVD per draw; each draw's s and then x come from its batch's
-    generator, and the SVDs of a stack of draws are made by one call.
-    Draws that are singular at working precision (smallest singular value not
-    above the package nonsingularity threshold times the spectral norm) and
-    draws whose value falls below the floor both contribute the floor value
-    and are counted in clipped_fraction. For an integrable integrand the
-    standard error shrinks like samples^(-1/2). seed may be a SeedSequence,
-    e.g. one child of a spawn tree that also seeds the coloring.
+    log |det J|^2 is twice the sum of the log singular values of the factors
+    of the per-antenna elimination (JacobianLayout.eliminate), which factors a
+    stack of draws with one QR and two SVD calls; each draw's s and then x
+    come from its batch's generator. Draws that are singular at working
+    precision (some factor with sigma_min not above the package
+    nonsingularity threshold times its sigma_max) and draws whose value falls
+    below the floor both contribute the floor value and are counted in
+    clipped_fraction. For an integrable integrand the standard error shrinks
+    like samples^(-1/2). seed may be a SeedSequence, e.g. one child of a
+    spawn tree that also seeds the coloring.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -87,10 +90,8 @@ def mc_logdet(
         while pos < batch_end:
             count = min(layout.per_stack, batch_end - pos)
             S, X = complex_gaussian_draws(rng, count, *sizes)
-            singular_values = np.linalg.svd(layout.assemble(Z.blocks, S, X), compute_uv=False)
-            nonsingular = singular_values[:, -1] > NONSINGULAR_TOL * singular_values[:, 0]
-            vals = np.full(count, -math.inf)
-            vals[nonsingular] = 2.0 * np.log(singular_values[nonsingular]).sum(axis=1)
+            log_abs_det, ratio = layout.eliminate(Z.blocks, S, X)
+            vals = np.where(ratio > NONSINGULAR_TOL, 2.0 * log_abs_det, -math.inf)
             low = vals < LOG_FLOOR
             vals[low] = LOG_FLOOR
             clipped += int(np.count_nonzero(low))

@@ -18,9 +18,10 @@ import numpy as np
 from .model import (
     ColoringMatrix,
     Dims,
-    build_B,
+    channel_vectors,
     constant_model,
     random_coloring,
+    split_fading,
     standard_complex_gaussian,
 )
 from .jacobian import JacobianLayout
@@ -76,12 +77,17 @@ def forward_map(
 ) -> np.ndarray:
     """Noiseless useful outputs as a function of the unknowns (s, x_data).
 
-    Each component is a degree-2 polynomial in the unknowns.
+    Each component is a degree-2 polynomial in the unknowns: output i of
+    receive antenna r is sum_t x_t[i] h_{r,t}[i], the channel vectors h
+    coming from one batched matmul, so the block-diagonal B is never formed.
     """
     dims = pilots.dims
+    Z.require_conforms(dims)
+    s = split_fading(np.asarray(s, dtype=complex), dims)
     x = _assemble_x(np.asarray(x_data, dtype=complex), np.asarray(x_pilot, dtype=complex), pilots)
-    y_bar = build_B(Z, x, dims) @ np.asarray(s, dtype=complex)
-    return y_bar[: pilots.n_useful]
+    h = channel_vectors(Z.blocks, s.ravel())
+    y_bar = (x.reshape(dims.T_eff, dims.N) * h).sum(axis=1)
+    return y_bar.ravel()[: pilots.n_useful]
 
 
 def recover(

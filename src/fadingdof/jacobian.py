@@ -17,19 +17,27 @@ rebuilt by the Chinese remainder theorem. The tests keep a fraction-free
 (Bareiss) elimination as an independent oracle.
 
 Assembly builds only matrices. JacobianLayout assembles the Jacobians of
-many draws as one (k, n, n) stack, and the Monte-Carlo callers (the probe
-here, analysis.mc_logdet) factorize each stack of at most STACK_BYTES with one
-stacked SVD call, plus one slogdet call in the probe: every draw's matrix is
-factorized once per kind, with one LAPACK call per stack. A single
-JacobianMatrix computes its singular values (one SVD) and the determinant's
-sign and log-magnitude (one slogdet) on first use and caches them, so
-recovery and the exact certificate, which read only the matrix, factorize
-nothing.
+many draws as one (k, n, n) stack, for recovery and the exact certificate. The
+Monte-Carlo callers (the probe here, analysis.mc_logdet) never assemble: they
+follow the paper's induction over receive antennas. J = [blockdiag_r(B_r) | A]
+and the fading columns of antenna r touch only its own rows, so
+JacobianLayout.eliminate takes a QR of every B_r and leaves a square Schur
+block S on the data columns; |det J| = prod_r |det R_r| |det S|. One QR call
+and two SVD calls (every R_r, then S) factor a stack of draws of at most
+STACK_BYTES. A single JacobianMatrix computes its singular values (one SVD)
+and the determinant's sign and log-magnitude (one slogdet) on first use and
+caches them, so recovery and the exact certificate, which read only the
+matrix, factorize nothing.
 
-Nonsingularity at finite precision means sigma_min > 1e-10 times the spectral
-norm; determinant magnitude alone is scale-fragile. All computations are
-pure; each probe trial draws from its own derived seed, so the statistics do
-not depend on how the trials are grouped into stacks.
+Nonsingularity at finite precision: a JacobianMatrix is nonsingular when
+sigma_min > 1e-10 (NONSINGULAR_TOL) times its spectral norm; a probe or
+Monte-Carlo draw when every factor of its elimination, each R_r and S, has
+sigma_min > NONSINGULAR_TOL sigma_max. Both mean det J != 0 in exact
+arithmetic, but they are not the same test at finite precision. Determinant
+magnitude alone is scale-fragile; the probe reports its log, which cannot
+overflow. All computations
+are pure; each probe trial draws from its own derived seed, so the
+statistics do not depend on how the trials are grouped into stacks.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .model import (
     ColoringMatrix,
     Dims,
     InvalidConfigurationError,
+    channel_vectors,
     complex_gaussian_draws,
     split_fading,
     split_tx,
@@ -142,11 +151,14 @@ class JacobianLayout:
 
     Built once per assignment, it assembles stacks of Jacobians of any depth:
     the B entries x_t[i] Z_{r,t}[i,q] come from one broadcast multiply, the
-    diagonal entries Z_{r,t} s_{r,t} from one batched matmul, and index arrays
-    computed here scatter both into their rows and the data columns. The
-    scatter fills all R N rows of each matrix, and the stack keeps the first
-    n = |I|, the useful ones. per_stack is the depth of a stack of at most
-    STACK_BYTES, and at least one.
+    diagonal entries h_{r,t} = Z_{r,t} s_{r,t} from one batched matmul, and
+    index arrays computed here scatter both into their rows and the data
+    columns. The scatter fills all R N rows of each matrix, and the stack keeps
+    the first n = |I|, the useful ones.
+
+    eliminate factors the same stacks without forming them (see there).
+    per_stack is the depth of a stack whose elimination holds at most
+    STACK_BYTES in its Q factors and Schur blocks, and at least one.
     """
 
     def __init__(self, pilots: PilotAssignment):
@@ -154,12 +166,13 @@ class JacobianLayout:
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
         n_b = R * Teff * Q
         n = pilots.n_useful
-        if n != n_b + len(pilots.data):
+        m = len(pilots.data)
+        if n != n_b + m:
             raise InvalidConfigurationError(
-                f"Jacobian is {(n, n_b + len(pilots.data))}, not square; dims outside the valid regime?"
+                f"Jacobian is {(n, n_b + m)}, not square; dims outside the valid regime?"
             )
         self.dims, self.n = dims, n
-        self.per_stack = max(1, STACK_BYTES // (n * n * np.dtype(complex).itemsize))
+        self.per_stack = max(1, STACK_BYTES // ((R * N * N + m * m) * np.dtype(complex).itemsize))
         # B entry (r, t, i, q) sits at row r N + i and column (r T_eff + t) Q + q
         row_start = np.arange(R * N).reshape(R, 1, N, 1) * n
         self._b_dst = (row_start + np.arange(n_b).reshape(R, Teff, 1, Q)).ravel()
@@ -168,17 +181,18 @@ class JacobianLayout:
         data0 = np.asarray(pilots.data) - 1
         r = np.arange(R)[:, None]
         self._a_src = (r * (Teff * N) + data0).ravel()
-        self._a_dst = ((r * N + data0 % N) * n + n_b + np.arange(len(data0))).ravel()
+        self._a_dst = ((r * N + data0 % N) * n + n_b + np.arange(m)).ravel()
+        # the elimination's view: data column c holds h_{r,t}[i] at face i of
+        # every antenna r, where t N + i is its position; the last antenna
+        # keeps its first N - ell faces
+        self._data0, self._faces = data0, data0 % N
+        self._last_rows = n - (R - 1) * N
+        self._cut_columns = np.flatnonzero(self._faces >= self._last_rows)
 
-    def assemble(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """The (k, n, n) Jacobians at the k points (S[j], X[j]).
-
-        Z_blocks is one (R, T_eff, N, Q) coloring shared by every point, or a
-        (k, R, T_eff, N, Q) stack of them; S is (k, R T_eff Q) and X is (k, T_eff N).
-        """
+    def _require_conforming(self, Z_blocks, S, X):
         dims = self.dims
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
-        k, n = len(S), self.n
+        k = len(S)
         if (
             S.shape != (k, R * Teff * Q)
             or X.shape != (k, Teff * N)
@@ -187,12 +201,65 @@ class JacobianLayout:
             raise InvalidConfigurationError(
                 f"stack shapes Z {Z_blocks.shape}, s {S.shape}, x {X.shape} do not conform to {dims}"
             )
-        products = X.reshape(k, 1, Teff, N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
-        diagonal = np.matmul(Z_blocks, S.reshape(k, R, Teff, Q, 1))  # Z_{r,t} s_{r,t}
-        J = np.zeros((k, R * N * n), dtype=complex)
+
+    def assemble(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The (k, n, n) Jacobians at the k points (S[j], X[j]).
+
+        Z_blocks is one (R, T_eff, N, Q) coloring shared by every point, or a
+        (k, R, T_eff, N, Q) stack of them; S is (k, R T_eff Q) and X is (k, T_eff N).
+        """
+        self._require_conforming(Z_blocks, S, X)
+        dims = self.dims
+        k, n = len(S), self.n
+        products = X.reshape(k, 1, dims.T_eff, dims.N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
+        diagonal = channel_vectors(Z_blocks, S)
+        J = np.zeros((k, dims.R * dims.N * n), dtype=complex)
         J[:, self._b_dst] = products.reshape(k, -1)
         J[:, self._a_dst] = diagonal.reshape(k, -1)[:, self._a_src]
         return J[:, : n * n].reshape(k, n, n)
+
+    def eliminate(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple:
+        """log |det J| and the smallest factor sigma ratio of each of the k Jacobians at (S[j], X[j]).
+
+        Arguments as for assemble; no n x n matrix is formed. The fading
+        columns of antenna r touch only its own rows, as B_r = [diag(x_t)
+        Z_{r,t}]_t (N x T_eff Q; the last antenna's cut rows set to zero), so
+        one stacked complete QR, B_r = [Q1_r Q2_r] [R_r; 0], eliminates them.
+        Left multiplying row block r by Q_r^H, a unitary map, leaves a block
+        triangular matrix with diagonal blocks R_r and the square Schur block
+        S, whose row block r is Q2_r^H A_r. Data column c has one entry in
+        antenna r, h_{r,t}[i] at face i, so that column of the row block is the
+        gather conj(Q2_r[i, :]) h_{r,t}[i]; the trailing ell rows, those of the
+        last antenna's cut faces, are zero and dropped.
+
+        So |det J| = prod_r |det R_r| |det S|, and log |det J| is the sum of
+        the logs of the singular values of every R_r (one stacked SVD) and of
+        S (one more): -inf when one is exactly zero, with no warning. The
+        ratio is the least sigma_min / sigma_max over those factors, 0 for a
+        zero factor; J is nonsingular in exact arithmetic exactly when every
+        factor is, which the callers judge as ratio > NONSINGULAR_TOL.
+        """
+        self._require_conforming(Z_blocks, S, X)
+        dims = self.dims
+        R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
+        k, m, width = len(S), len(self._data0), Teff * Q
+        products = X.reshape(k, 1, Teff, N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
+        B = products.transpose(0, 1, 3, 2, 4).reshape(k, R, N, width)
+        B[:, -1, self._last_rows :] = 0
+        Qr, Rr = np.linalg.qr(B, mode="complete")
+        a = channel_vectors(Z_blocks, S).reshape(k, R, Teff * N)[:, :, self._data0]
+        a[:, -1, self._cut_columns] = 0
+        schur = Qr[..., width:].conj().swapaxes(-1, -2)[..., self._faces]  # (k, R, N - T_eff Q, m)
+        schur *= a[:, :, None, :]
+        schur = schur.reshape(k, -1, m)[:, :m]
+        r_sv = np.linalg.svd(Rr[:, :, :width], compute_uv=False)  # (k, R, T_eff Q)
+        s_sv = np.linalg.svd(schur, compute_uv=False)[:, None]  # (k, 1, m)
+        largest = np.concatenate([r_sv[..., 0], s_sv[..., 0]], axis=1)  # per factor
+        smallest = np.concatenate([r_sv[..., -1], s_sv[..., -1]], axis=1)
+        ratio = np.divide(smallest, largest, out=np.zeros(largest.shape), where=largest > 0)
+        sv = np.concatenate([r_sv.reshape(k, -1), s_sv[:, 0]], axis=1)  # the n singular values
+        logs = np.log(sv, out=np.full(sv.shape, -np.inf), where=sv > 0)
+        return logs.sum(axis=1), ratio.min(axis=1)
 
 
 def assemble_jacobians(
@@ -304,11 +371,21 @@ def certify_witness_exact(dims: Dims, pilots: PilotAssignment) -> int:
 
 @dataclass(frozen=True)
 class ProbeStats:
+    """Nonsingularity statistics of a genericity probe; the last three are None without trials.
+
+    A trial is nonsingular when every factor of its per-antenna elimination
+    (JacobianLayout.eliminate) has sigma_min / sigma_max > NONSINGULAR_TOL;
+    min_factor_sigma_ratio is the least such ratio over all trials.
+    min_log_abs_det is the least natural log |det J|, from the same factors:
+    finite where |det J| itself would overflow a float, and None when some
+    trial is exactly singular.
+    """
+
     trials: int
     n_nonsingular: int
     fraction_nonsingular: float | None
-    min_abs_det: float | None
-    min_sigma_ratio: float | None
+    min_log_abs_det: float | None
+    min_factor_sigma_ratio: float | None
 
 
 def genericity_probe(
@@ -324,8 +401,8 @@ def genericity_probe(
     specific correlation structure with random (s, x) only. trials = 0 yields
     empty statistics. Each trial draws Z (unless fixed), s and x, in that
     order, from its own child of SeedSequence(seed). The trials' Jacobians
-    are factorized in stacks of JacobianLayout.per_stack, one SVD and one
-    slogdet call per stack.
+    are eliminated in stacks of JacobianLayout.per_stack, one QR and two SVD
+    calls per stack.
     """
     if trials == 0:
         return ProbeStats(0, 0, None, None, None)
@@ -338,27 +415,23 @@ def genericity_probe(
         coloring.require_conforms(dims)
     children = np.random.SeedSequence(seed).spawn(trials)
     n_nonsingular = 0
-    min_det = math.inf
+    min_log_det = math.inf
     min_ratio = math.inf
     for start in range(0, trials, layout.per_stack):
         chunk = children[start : start + layout.per_stack]
         draws = [complex_gaussian_draws(np.random.default_rng(child), 1, *sizes) for child in chunk]
         *Z, S, X = (np.concatenate(column) for column in zip(*draws))  # Z is [] for a fixed coloring
         Z_blocks = Z[0].reshape(len(chunk), *shape) if Z else coloring.blocks
-        J = layout.assemble(Z_blocks, S, X)
-        singular_values = np.linalg.svd(J, compute_uv=False)
-        sign, logdet = np.linalg.slogdet(J)
-        norm = singular_values[:, 0]
-        ratio = np.divide(singular_values[:, -1], norm, out=np.zeros(len(chunk)), where=norm > 0)
+        log_abs_det, ratio = layout.eliminate(Z_blocks, S, X)
         n_nonsingular += int(np.count_nonzero(ratio > NONSINGULAR_TOL))
-        min_det = min(min_det, float(np.where(sign == 0, 0.0, np.exp(logdet)).min()))
+        min_log_det = min(min_log_det, float(log_abs_det.min()))
         min_ratio = min(min_ratio, float(ratio.min()))
     return ProbeStats(
         trials=trials,
         n_nonsingular=n_nonsingular,
         fraction_nonsingular=n_nonsingular / trials,
-        min_abs_det=min_det,
-        min_sigma_ratio=min_ratio,
+        min_log_abs_det=None if min_log_det == -math.inf else min_log_det,
+        min_factor_sigma_ratio=min_ratio,
     )
 
 

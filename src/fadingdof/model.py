@@ -4,8 +4,9 @@ The channel between transmit antenna t and receive antenna r is h_{r,t} =
 Z_{r,t} s_{r,t}, where Z_{r,t} is a deterministic N x Q coloring block and
 s_{r,t} ~ CN(0, I_Q). The noiseless output stacks as y_bar = B s with B
 block-diagonal over receive antennas and B_r = (diag(x_1) Z_{r,1} ...
-diag(x_T) Z_{r,T}). Everything here is a pure function of (inputs, seed);
-values are immutable after construction and safe to share across threads.
+diag(x_T) Z_{r,T}); entrywise, y_r[i] = sum_t x_t[i] h_{r,t}[i]. Everything
+here is a pure function of (inputs, seed); values are immutable after
+construction and safe to share across threads.
 Independent realizations may be evaluated concurrently with distinct seeds.
 
 Vector stacking order is receive-major then transmit throughout: s =
@@ -30,7 +31,7 @@ __all__ = [
     "complex_gaussian_draws",
     "random_coloring",
     "constant_model",
-    "build_B",
+    "channel_vectors",
     "dims_to_dict",
     "complex_to_pairs",
     "coloring_to_dict",
@@ -219,22 +220,15 @@ def split_fading(s: np.ndarray, dims: Dims) -> np.ndarray:
     return s.reshape(dims.R, dims.T_eff, dims.Q)
 
 
-def build_B(Z: ColoringMatrix, x: np.ndarray, dims: Dims) -> np.ndarray:
-    """Assemble the (R*N, R*T_eff*Q) block-diagonal matrix B.
+def channel_vectors(Z_blocks: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The channel vectors h_{r,t} = Z_{r,t} s_{r,t}, from one batched matmul.
 
-    Block r is the horizontal concatenation over t of diag(x_t) Z_{r,t}.
+    Z_blocks is an (R, T_eff, N, Q) coloring, or a stack of them with the
+    leading axes of S; S holds stacked fading vectors, shape (..., R T_eff Q).
+    Returns (..., R, T_eff, N).
     """
-    Z.require_conforms(dims)
-    xt = split_tx(np.asarray(x, dtype=complex), dims)
-    R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
-    B = np.zeros((R * N, R * Teff * Q), dtype=complex)
-    for r in range(R):
-        # block[t] = diag(x_t) Z_{r,t}
-        block = xt[:, :, None] * Z.blocks[r]
-        B[r * N : (r + 1) * N, r * Teff * Q : (r + 1) * Teff * Q] = (
-            block.transpose(1, 0, 2).reshape(N, Teff * Q)
-        )
-    return B
+    R, Teff, _, Q = Z_blocks.shape[-4:]
+    return np.matmul(Z_blocks, S.reshape(*S.shape[:-1], R, Teff, Q, 1))[..., 0]
 
 
 def complex_to_pairs(a: np.ndarray):

@@ -4,17 +4,21 @@ Each is a few lines of numpy on top of the channel model: the 1-D log-moment
 calibration, the rank gap between constant and generic coloring, the
 per-antenna scaling ambiguity, distinct-solution counting, the virtual-SIMO
 noise split of the upper bound and the determinant-preserving block reduction.
-The per-draw Jacobian assembly here is the oracle that the library's stacked
-assembly must match bit for bit, and assembles non-square cases too.
+The dense block-diagonal B is the oracle of the library's forward map, and
+the per-draw Jacobian assembly the oracle that its stacked assembly must match
+bit for bit; it assembles non-square cases too. probe_draws replays the draws
+of a genericity probe one at a time, for full-SVD oracles of its verdicts.
 """
 
 import numpy as np
 
+from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
-    build_B,
+    ColoringMatrix,
     constant_model,
     random_coloring,
     split_fading,
+    split_tx,
     standard_complex_gaussian,
 )
 
@@ -114,6 +118,24 @@ def reduce_by_block(M: np.ndarray, rows, cols) -> np.ndarray:
     return M[np.ix_(other_rows, other_cols)]
 
 
+def build_B(Z, x, dims) -> np.ndarray:
+    """Oracle: the (R*N, R*T_eff*Q) block-diagonal matrix B, so that y_bar = B s.
+
+    Block r is the horizontal concatenation over t of diag(x_t) Z_{r,t}.
+    """
+    Z.require_conforms(dims)
+    xt = split_tx(np.asarray(x, dtype=complex), dims)
+    R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
+    B = np.zeros((R * N, R * Teff * Q), dtype=complex)
+    for r in range(R):
+        # block[t] = diag(x_t) Z_{r,t}
+        block = xt[:, :, None] * Z.blocks[r]
+        B[r * N : (r + 1) * N, r * Teff * Q : (r + 1) * Teff * Q] = (
+            block.transpose(1, 0, 2).reshape(N, Teff * Q)
+        )
+    return B
+
+
 def diagonal_grid_loop(Z, s, dims):
     """Oracle: the (r, t) blocks diag(Z_{r,t} s_{r,t}) filled one at a time."""
     sv = split_fading(np.asarray(s, dtype=complex), dims)
@@ -134,3 +156,22 @@ def assemble_jacobian_loop(Z, s, x, pilots):
     A = diagonal_grid_loop(Z, s, dims)
     data0 = np.asarray(pilots.data, dtype=int) - 1
     return np.hstack([B, A[:, data0]])[: pilots.n_useful, :]
+
+
+def probe_draws(dims, trials, seed, coloring=None):
+    """The (Z, s, x) of each trial of genericity_probe(dims, ..., trials, seed, coloring), one at a time."""
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        if coloring is None:
+            Z = ColoringMatrix(standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q)))
+        else:
+            Z = coloring
+        s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
+        x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
+        yield Z, s, x
+
+
+def full_svd_verdict(M) -> bool:
+    """Oracle verdict on one Jacobian: sigma_min(M) > NONSINGULAR_TOL ||M||_2, from a full SVD."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return bool(sv[-1] > NONSINGULAR_TOL * sv[0])

@@ -100,7 +100,7 @@ def test_genericity_matches_golden(name, capsys):
     assert main(PROBE_CASES[name]) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / name).read_text())
-    assert_matches_numeric_golden(got, want, floats={"min_abs_det", "min_sigma_ratio"})
+    assert_matches_numeric_golden(got, want, floats={"min_log_abs_det", "min_factor_sigma_ratio"})
 
 
 def test_mc_logdet_matches_golden():
@@ -108,3 +108,42 @@ def test_mc_logdet_matches_golden():
     est = mc_logdet(random_coloring(dims, 7), dims, build_pilot_sets(dims), 256, seed=3)
     want = json.loads((GOLDEN / "mc_logdet_34121.json").read_text())
     assert_matches_numeric_golden(asdict(est), want, floats={"mean", "stderr"})
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+JSON_CASES = {
+    **{name: argv for name, argv in CASES.items() if name.endswith((".json", ".jsonl"))},
+    **PROBE_CASES,
+    # n = 600: log |det| is about 890, past the float range of |det|
+    "genericity_8106051.json": ["genericity", "--dims", "8,10,60,5", "--trials", "1", "--seed", "1"],
+}
+
+
+def json_rows(name, text):
+    lines = text.splitlines() if name.endswith(".jsonl") else [text]
+    return [strict_json(line) for line in lines]
+
+
+@pytest.mark.filterwarnings("error")  # such as an overflow in exp
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_json_outputs_are_strict_json(name, tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SWEEP_CONFIG))
+    assert main([arg.format(config=config) for arg in JSON_CASES[name]]) == 0
+    captured = capsys.readouterr()
+    assert json_rows(name, captured.out) and captured.err == ""
+
+
+def test_json_goldens_are_strict_json():
+    names = sorted(p.name for p in GOLDEN.glob("*.json*"))
+    assert len(names) == 8
+    for name in names:
+        assert json_rows(name, (GOLDEN / name).read_text()), name

@@ -3,8 +3,10 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from paper_facts import (
     assemble_jacobian_loop,
+    build_B,
     cluster_solutions,
     numerical_rank,
     rank_gap,
@@ -15,7 +17,7 @@ from fadingdof.identify import forward_map, recover, run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, bezout_bound
 from fadingdof.model import (
     Dims,
-    build_B,
+    InvalidConfigurationError,
     constant_model,
     random_coloring,
     standard_complex_gaussian,
@@ -47,6 +49,28 @@ def test_forward_map_matches_model_outputs():
     got = forward_map(s, x_data, x_pilot, PILOTS, Z)
     assert got.shape == (12,)  # |useful| = 12 here
     assert np.allclose(got, y_bar[:12], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [Dims.create(2, 3, 4, 1), Dims.create(3, 4, 12, 1), Dims.create(4, 8, 16, 2), Dims.create(6, 11, 40, 3)],
+    ids=str,
+)
+def test_forward_map_matches_the_dense_B_on_the_ladder(dims):
+    pilots = build_pilot_sets(dims)
+    for seed in range(3):
+        Z, s, x, x_pilot, x_data = truth_instance(seed, dims, pilots)
+        want = (build_B(Z, x, dims) @ s)[: pilots.n_useful]
+        got = forward_map(s, x_data, x_pilot, pilots, Z)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_forward_map_keeps_its_shape_errors():
+    Z, s, x, x_pilot, x_data = truth_instance(4)
+    with pytest.raises(InvalidConfigurationError, match="does not conform"):
+        forward_map(s, x_data, x_pilot, PILOTS, random_coloring(Dims.create(2, 2, 4, 1), seed=0))
+    with pytest.raises(InvalidConfigurationError, match="s must have length"):
+        forward_map(s[:-1], x_data, x_pilot, PILOTS, Z)
 
 
 def test_recover_from_exact_truth_is_instant():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from math import isqrt
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from paper_facts import assemble_jacobian_loop, reduce_by_block
+from paper_facts import assemble_jacobian_loop, full_svd_verdict, probe_draws, reduce_by_block
 
+import fadingdof.jacobian as jacobian_module
 from fadingdof.analysis import BATCH, LOG_FLOOR, LogDetEstimate, mc_logdet
 from fadingdof.jacobian import (
     DET_PRIMES,
@@ -246,36 +248,28 @@ def test_assembly_keeps_its_shape_errors():
         assemble_jacobian(Z, s[:-1], x, PILOTS)
     with pytest.raises(InvalidConfigurationError, match="do not conform"):
         assemble_jacobians(Z.blocks, s[None], x[None, :-1], PILOTS)
+    with pytest.raises(InvalidConfigurationError, match="do not conform"):
+        JacobianLayout(PILOTS).eliminate(Z.blocks, s[None], x[None, :-1])
     one_more_row = dataclasses.replace(PILOTS, ell=PILOTS.ell - 1)
     with pytest.raises(InvalidConfigurationError, match=r"Jacobian is \(13, 12\), not square"):
         assemble_jacobian(Z, s, x, one_more_row)
 
 
 def probe_loop(dims, pilots, trials, seed, coloring=None):
-    """Reference: the probe one draw at a time, with one SVD and one slogdet per oracle matrix."""
-    if trials == 0:
-        return ProbeStats(0, 0, None, None, None)
-    n_nonsingular, min_det, min_ratio = 0, math.inf, math.inf
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        if coloring is None:
-            Z = ColoringMatrix(standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q)))
-        else:
-            Z = coloring
-        s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
-        x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
+    """Oracle: the probe's draws one at a time, each Jacobian judged by a full SVD.
+
+    Returns the full-SVD verdicts and slogdet's log |det| of every trial.
+    """
+    verdicts, log_dets = [], []
+    for Z, s, x in probe_draws(dims, trials, seed, coloring):
         M = assemble_jacobian_loop(Z, s, x, pilots)
-        sv = np.linalg.svd(M, compute_uv=False)
-        sign, logdet = np.linalg.slogdet(M)
-        ratio = float(sv[-1]) / float(sv[0]) if sv[0] > 0 else 0.0
-        n_nonsingular += ratio > NONSINGULAR_TOL
-        min_det = min(min_det, 0.0 if sign == 0 else float(np.exp(float(logdet))))
-        min_ratio = min(min_ratio, ratio)
-    return ProbeStats(trials, n_nonsingular, n_nonsingular / trials, min_det, min_ratio)
+        verdicts.append(full_svd_verdict(M))
+        log_dets.append(float(np.linalg.slogdet(M)[1]))
+    return verdicts, log_dets
 
 
 def mc_logdet_loop(Z, dims, pilots, samples, seed):
-    """Reference: mc_logdet one draw at a time, with one SVD per oracle matrix."""
+    """Oracle: mc_logdet one draw at a time, with one full SVD per assembled Jacobian."""
     seed = np.random.SeedSequence(seed)
     values, clipped = [], 0
     for child in seed.spawn(-(-samples // BATCH)):
@@ -294,8 +288,8 @@ def mc_logdet_loop(Z, dims, pilots, samples, seed):
 
 
 # (dims, count, constant model): counts 0 and 1, 257 draws across a BATCH
-# seed boundary, 200 and 300 draws at n=45 (stacks of 129 there) and n=432
-# (stacks of one)
+# seed boundary, 200 and 300 draws at n=45 (stacks of 157 there) and n=432
+# (stacks of three)
 REFERENCE_CASES = [
     (DIMS, 0, False), (DIMS, 1, False), (DIMS, 257, False), (DIMS, 257, True),
     (Dims.create(3, 4, 12, 1), 200, False), (Dims.create(3, 4, 12, 1), 300, True),
@@ -303,16 +297,30 @@ REFERENCE_CASES = [
 ]
 
 
+@pytest.fixture
+def one_draw_per_stack(monkeypatch):
+    """Shrinks the stack budget so that every layout's per_stack is one."""
+
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(jacobian_module, "STACK_BYTES", 1)
+            assert JacobianLayout(PILOTS).per_stack == 1
+            return fn(*args, **kwargs)
+
+    return run
+
+
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
-def test_probe_is_bitwise_the_reference_loop(dims, count, constant):
+def test_probe_stacks_are_bitwise_one_draw_at_a_time(dims, count, constant, one_draw_per_stack):
     pa = build_pilot_sets(dims)
     coloring = constant_model(dims) if constant else None
     stacked = genericity_probe(dims, pa, trials=count, seed=count + 11, coloring=coloring)
-    assert repr(stacked) == repr(probe_loop(dims, pa, count, count + 11, coloring))
+    by_draw = one_draw_per_stack(genericity_probe, dims, pa, trials=count, seed=count + 11, coloring=coloring)
+    assert repr(stacked) == repr(by_draw)
 
 
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
-def test_mc_logdet_is_bitwise_the_reference_loop(dims, count, constant):
+def test_mc_logdet_stacks_are_bitwise_one_draw_at_a_time(dims, count, constant, one_draw_per_stack):
     pa = build_pilot_sets(dims)
     Z = constant_model(dims) if constant else random_coloring(dims, count)
     if count == 0:
@@ -320,24 +328,80 @@ def test_mc_logdet_is_bitwise_the_reference_loop(dims, count, constant):
             mc_logdet(Z, dims, pa, samples=0, seed=12)
         return
     stacked = mc_logdet(Z, dims, pa, samples=count, seed=count + 12)
-    assert repr(stacked) == repr(mc_logdet_loop(Z, dims, pa, count, count + 12))
+    assert repr(stacked) == repr(one_draw_per_stack(mc_logdet, Z, dims, pa, samples=count, seed=count + 12))
+
+
+@pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
+def test_probe_agrees_with_the_full_svd_oracle(dims, count, constant):
+    pa = build_pilot_sets(dims)
+    coloring = constant_model(dims) if constant else None
+    stats = genericity_probe(dims, pa, trials=count, seed=count + 11, coloring=coloring)
+    verdicts, log_dets = probe_loop(dims, pa, count, count + 11, coloring)
+    assert stats.trials == count
+    assert stats.n_nonsingular == sum(verdicts)
+    if count == 0:
+        assert stats == ProbeStats(0, 0, None, None, None)
+        return
+    assert stats.fraction_nonsingular == sum(verdicts) / count
+    if not constant:  # a numerically singular log |det| is rounding noise
+        assert stats.min_log_abs_det == pytest.approx(min(log_dets), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("dims, count, constant", [case for case in REFERENCE_CASES if case[1]], ids=str)
+def test_mc_logdet_agrees_with_the_full_svd_oracle(dims, count, constant):
+    pa = build_pilot_sets(dims)
+    Z = constant_model(dims) if constant else random_coloring(dims, count)
+    est = mc_logdet(Z, dims, pa, samples=count, seed=count + 12)
+    oracle = mc_logdet_loop(Z, dims, pa, count, count + 12)
+    assert (est.samples, est.clipped_fraction) == (oracle.samples, oracle.clipped_fraction)
+    assert est.mean == pytest.approx(oracle.mean, rel=1e-10, abs=0)
+    assert est.stderr == pytest.approx(oracle.stderr, rel=1e-10, abs=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(list(regime_cells(8))), st.integers(0, 2**32 - 1), st.booleans())
+def test_elimination_matches_slogdet_and_the_full_svd_verdict(dims, seed, constant):
+    pa = build_pilot_sets(dims)
+    coloring = constant_model(dims) if constant and dims.Q == 1 else None
+    draws = list(probe_draws(dims, 2, seed, coloring))
+    log_abs_det, ratio = JacobianLayout(pa).eliminate(
+        np.stack([Z.blocks for Z, _, _ in draws]),
+        np.stack([s for _, s, _ in draws]),
+        np.stack([x for _, _, x in draws]),
+    )
+    for j, (Z, s, x) in enumerate(draws):
+        M = assemble_jacobian_loop(Z, s, x, pa)
+        nonsingular = bool(ratio[j] > NONSINGULAR_TOL)
+        assert nonsingular == full_svd_verdict(M), dims
+        if nonsingular:
+            assert abs(log_abs_det[j] - np.linalg.slogdet(M)[1]) <= 1e-9 * len(M), dims
+
+
+def test_elimination_of_an_exactly_singular_jacobian_is_quiet():
+    # zero fading empties every Schur column: log |det| is -inf and the ratio 0, with no warning
+    Z, _, x = generic_point(23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_abs_det, ratio = JacobianLayout(PILOTS).eliminate(Z.blocks, np.zeros((1, 6), complex), x[None])
+    assert log_abs_det.tolist() == [-math.inf] and ratio.tolist() == [0.0]
 
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Matrices factorized by np.linalg.svd and np.linalg.slogdet during the test.
+    """Matrices factorized by np.linalg.svd, qr and slogdet during the test.
 
     A stacked input counts each of its matrices; calls["stacks"] records
-    (matrices, bytes) of every input that holds more than one.
+    (name, matrices, shape of one matrix, bytes) of every input that holds
+    more than one.
     """
-    calls = {"svd": 0, "slogdet": 0, "stacks": []}
-    for name in ("svd", "slogdet"):
+    calls = {"svd": 0, "qr": 0, "slogdet": 0, "stacks": []}
+    for name in ("svd", "qr", "slogdet"):
 
         def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             matrices = math.prod(np.shape(a)[:-2])
             calls[_name] += matrices
             if matrices > 1:
-                calls["stacks"].append((matrices, np.asarray(a).nbytes))
+                calls["stacks"].append((_name, matrices, np.shape(a)[-2:], np.asarray(a).nbytes))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -345,47 +409,50 @@ def linalg_calls(monkeypatch):
 
 
 def factorized(calls):
-    assert all(nbytes <= STACK_BYTES for _, nbytes in calls["stacks"]), calls["stacks"]
-    return {"svd": calls["svd"], "slogdet": calls["slogdet"]}
+    assert all(nbytes <= STACK_BYTES for *_, nbytes in calls["stacks"]), calls["stacks"]
+    return {"svd": calls["svd"], "qr": calls["qr"], "slogdet": calls["slogdet"]}
 
 
 def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
     results = run_recovery_trials(Dims.create(3, 4, 12, 1), trials=3, seed=4)
     assert all(r.success and r.iterations > 0 for r in results)
     assert certify_witness_exact(DIMS, PILOTS) != 0
-    assert factorized(linalg_calls) == {"svd": 0, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
 
 
-def test_mc_logdet_one_svd_per_draw(linalg_calls):
+def test_mc_logdet_one_qr_per_antenna_and_an_svd_per_factor(linalg_calls):
+    # R = 3: each draw has three fading blocks to QR, three R factors and one Schur block
     est = mc_logdet(random_coloring(DIMS, 1), DIMS, PILOTS, samples=7, seed=2)
     assert est.samples == 7
-    assert factorized(linalg_calls) == {"svd": 7, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 7 * 4, "qr": 7 * 3, "slogdet": 0}
 
 
-def test_probe_one_svd_and_one_slogdet_per_trial(linalg_calls):
+def test_probe_one_qr_per_antenna_and_an_svd_per_factor(linalg_calls):
     assert genericity_probe(DIMS, PILOTS, trials=5, seed=3).trials == 5
-    assert factorized(linalg_calls) == {"svd": 5, "slogdet": 5}
+    assert factorized(linalg_calls) == {"svd": 5 * 4, "qr": 5 * 3, "slogdet": 0}
 
 
 def test_stacks_stay_under_the_byte_cap(linalg_calls):
-    # at n=45 a stack holds 129 matrices: 200 trials and 300 draws need more than one
+    # at n=45 (R=4, N=12, m=33 data columns) a stack holds 157 draws: 200
+    # trials and 300 draws need more than one
     dims = Dims.create(3, 4, 12, 1)
     pa = build_pilot_sets(dims)
     per_stack = JacobianLayout(pa).per_stack
-    assert per_stack == STACK_BYTES // (45 * 45 * 16) == 129
+    assert per_stack == STACK_BYTES // ((4 * 12 * 12 + 33 * 33) * 16) == 157
     genericity_probe(dims, pa, trials=200, seed=1)
     mc_logdet(random_coloring(dims, 2), dims, pa, samples=300, seed=3)
-    assert factorized(linalg_calls) == {"svd": 500, "slogdet": 200}
-    assert max(matrices for matrices, _ in linalg_calls["stacks"]) == per_stack
+    assert factorized(linalg_calls) == {"svd": 500 * 5, "qr": 500 * 4, "slogdet": 0}
+    schur_stacks = [count for name, count, shape, _ in linalg_calls["stacks"] if shape == (33, 33)]
+    assert max(schur_stacks) == per_stack and sum(schur_stacks) == 500
 
 
 def test_spectral_stats_are_computed_once(linalg_calls):
     J = assemble_jacobian(*generic_point(8), PILOTS)
-    assert factorized(linalg_calls) == {"svd": 0, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
     first = [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det]
-    assert factorized(linalg_calls) == {"svd": 1, "slogdet": 1}
+    assert factorized(linalg_calls) == {"svd": 1, "qr": 0, "slogdet": 1}
     assert [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det] == first
-    assert factorized(linalg_calls) == {"svd": 1, "slogdet": 1}
+    assert factorized(linalg_calls) == {"svd": 1, "qr": 0, "slogdet": 1}
 
 
 def test_log_abs_det_is_finite_past_float_range():

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from paper_facts import build_B
 
 from fadingdof.model import (
     ColoringMatrix,
     Dims,
     InvalidConfigurationError,
-    build_B,
+    channel_vectors,
     coloring_to_dict,
     complex_gaussian_draws,
     constant_model,
@@ -74,6 +75,20 @@ def test_build_B_matches_entrywise_oracle():
     got = build_B(Z, x, DIMS_2341) @ s
     expected = entrywise_output(Z, s, x, DIMS_2341)
     assert np.allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_channel_vectors_give_the_entrywise_outputs():
+    rng = np.random.default_rng(43)
+    Z = random_coloring(DIMS_2341, seed=4)
+    S = standard_complex_gaussian(rng, (3, 6))
+    X = standard_complex_gaussian(rng, (3, 8))
+    h = channel_vectors(Z.blocks, S)
+    assert h.shape == (3, 3, 2, 4)  # (draws, R, T_eff, N)
+    for j in range(3):
+        y = (X[j].reshape(2, 4) * h[j]).sum(axis=1).ravel()  # y_r[i] = sum_t x_t[i] h_{r,t}[i]
+        assert np.allclose(y, entrywise_output(Z, S[j], X[j], DIMS_2341), rtol=1e-12, atol=0)
+    per_draw = channel_vectors(np.stack([Z.blocks] * 3), S)
+    assert np.array_equal(per_draw, h)
 
 
 def test_build_B_linear_in_x():

@@ -185,7 +185,7 @@ class JacobianLayout:
         # the elimination's view: data column c holds h_{r,t}[i] at face i of
         # every antenna r, where t N + i is its position; the last antenna
         # keeps its first N - ell faces
-        self._data0, self._faces = data0, data0 % N
+        self._faces = data0 % N
         self._last_rows = n - (R - 1) * N
         self._cut_columns = np.flatnonzero(self._faces >= self._last_rows)
 
@@ -242,12 +242,12 @@ class JacobianLayout:
         self._require_conforming(Z_blocks, S, X)
         dims = self.dims
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
-        k, m, width = len(S), len(self._data0), Teff * Q
+        k, m, width = len(S), len(self._faces), Teff * Q
         products = X.reshape(k, 1, Teff, N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
         B = products.transpose(0, 1, 3, 2, 4).reshape(k, R, N, width)
         B[:, -1, self._last_rows :] = 0
         Qr, Rr = np.linalg.qr(B, mode="complete")
-        a = channel_vectors(Z_blocks, S).reshape(k, R, Teff * N)[:, :, self._data0]
+        a = channel_vectors(Z_blocks, S).reshape(k, -1)[:, self._a_src].reshape(k, R, m)
         a[:, -1, self._cut_columns] = 0
         schur = Qr[..., width:].conj().swapaxes(-1, -2)[..., self._faces]  # (k, R, N - T_eff Q, m)
         schur *= a[:, :, None, :]

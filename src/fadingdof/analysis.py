@@ -11,8 +11,10 @@ normalization, a factor pi per complex dimension.
 
 Draws come in batches of BATCH, each batch from its own derived seed. Within
 a batch they are factorized in stacks of at most jacobian.STACK_BYTES by the
-per-antenna elimination, which never forms a Jacobian: a QR of each fading
-block and an SVD of each R factor and of the Schur block give log |det J|.
+grouped elimination, which never forms a Jacobian: a QR of each antenna's
+fading block, or of each face's block of data columns when those leave the
+smaller Schur block, and an SVD of each R factor and of the Schur block
+give log |det J|.
 The reduction order is fixed, so estimates are reproducible and do not depend
 on the stack depth.
 """
@@ -63,8 +65,9 @@ def mc_logdet(
     """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x).
 
     log |det J|^2 is twice the sum of the log singular values of the factors
-    of the per-antenna elimination (JacobianLayout.eliminate), which factors a
-    stack of draws with one QR and two SVD calls; each draw's s and then x
+    of the grouped elimination (JacobianLayout.eliminate), which factors a
+    stack of draws with one QR and one SVD call per shape class of its groups
+    and one SVD call for the Schur blocks; each draw's s and then x
     come from its batch's generator. Draws that are singular at working
     precision (some factor with sigma_min not above the package
     nonsingularity threshold times its sigma_max) and draws whose value falls

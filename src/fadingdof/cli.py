@@ -25,15 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import analysis, dof, identify, jacobian, pilots
-from .model import (
-    Dims,
-    InvalidConfigurationError,
-    coloring_to_dict,
-    complex_to_pairs,
-    constant_model,
-    dims_to_dict,
-    random_coloring,
-)
+from .model import Dims, InvalidConfigurationError, constant_model, random_coloring
 from .verify import run_verify_all
 
 __all__ = ["main", "SweepConfig"]
@@ -209,29 +201,12 @@ def _cmd_witness(args) -> int:
     if not args.exact and args.seed is None:
         raise UsageError("--seed is required unless --exact is given")
     dims = _parse_dims(args.dims, args.teff)
-    pa = pilots.build_pilot_sets(dims)
-    Z, s, x = jacobian.witness_construct(dims, pa, seed=args.seed or 0, exact=args.exact)
-    J = jacobian.assemble_jacobian(Z, s, x, pa)
-    out = {
-        "dims": dims_to_dict(dims),
-        "sigma_min": J.sigma_min,
-        "abs_det": J.det_abs,
-        "spectral_norm": J.spectral_norm,
-        "nonsingular": J.nonsingular,
-        "bezout_bound": str(J.bezout_bound),
-    }
-    if args.exact:
-        det = jacobian.exact_integer_det(J.matrix)
-        out["exact_det"] = {"re": str(det), "im": "0"}
-        out["certified_nonzero"] = det != 0
+    report = jacobian.witness_report(dims, seed=args.seed or 0, exact=args.exact, export=args.json)
     if args.json:
-        out["matrix"] = complex_to_pairs(J.matrix)
-        out["coloring"] = coloring_to_dict(Z)
-        out["s"] = complex_to_pairs(s)
-        _emit_json(out, args.out)
+        _emit_json(report, args.out)
         return EXIT_OK
-    pattern = "\n".join("".join("#" if v else "." for v in row) for row in J.matrix != 0)
-    text = json.dumps(out, sort_keys=True, indent=2) + "\nsparsity pattern:\n" + pattern
+    pattern = report.pop("sparsity_pattern")
+    text = json.dumps(report, sort_keys=True, indent=2) + "\nsparsity pattern:\n" + pattern
     _emit(text + "\n", args.out)
     return EXIT_OK
 

@@ -49,7 +49,11 @@ class RecoveryResult:
 
     residual is relative: ||phi(s_hat, x_hat) - y_target|| / ||y_target||.
     param_error is the relative distance to the supplied ground truth (NaN if
-    none was given). success implies residual <= 1e-9.
+    none was given). success implies residual <= 1e-9. stop_reason says why
+    the iteration ended: "converged", "max_iterations" or "no_descent" (no
+    halving of the last step lowered the residual). lstsq_fallbacks counts
+    the steps taken by least squares because the linearization was singular,
+    and halvings the step halvings over all iterations.
     """
 
     success: bool
@@ -58,6 +62,9 @@ class RecoveryResult:
     iterations: int
     s: np.ndarray
     x_data: np.ndarray
+    stop_reason: str
+    lstsq_fallbacks: int
+    halvings: int
 
 
 def _assemble_x(x_data: np.ndarray, x_pilot: np.ndarray, pilots: PilotAssignment) -> np.ndarray:
@@ -104,9 +111,10 @@ def recover(
     linearization directly; a singular linearization falls back to a
     least-squares step, and each step is damped by halving until the residual
     decreases (at most GN_MAX_HALVINGS times). Convergence is declared at
-    relative residual < GN_TOL; exceeding GN_MAX_ITERATIONS returns
-    success=False. truth, when given as (s, x_data), is only used to report
-    param_error.
+    relative residual < GN_TOL; exceeding GN_MAX_ITERATIONS, or a step that
+    no halving makes descend, returns success=False, with the stop_reason and
+    the counts of fallbacks and halvings on the result. truth, when given as
+    (s, x_data), is only used to report param_error.
     """
     dims = pilots.dims
     n_s = dims.R * dims.T_eff * dims.Q
@@ -123,7 +131,8 @@ def recover(
     layout = JacobianLayout(pilots)
     res = residual_vec(s, x_data)
     res_norm = np.linalg.norm(res)
-    iterations = 0
+    iterations = lstsq_fallbacks = halvings = 0
+    stop_reason = "max_iterations"
     while res_norm / scale >= GN_TOL and iterations < GN_MAX_ITERATIONS:
         x = _assemble_x(x_data, x_pilot, pilots)
         J = layout.assemble(Z.blocks, s[None], x[None])[0]
@@ -131,6 +140,7 @@ def recover(
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -res, rcond=None)[0]
+            lstsq_fallbacks += 1
         factor = 1.0
         for _ in range(GN_MAX_HALVINGS + 1):
             s_new = s + factor * step[:n_s]
@@ -140,12 +150,16 @@ def recover(
             if new_norm < res_norm:
                 break
             factor /= 2.0
+            halvings += 1
         else:
-            break  # no descent direction left; stop at the current iterate
+            stop_reason = "no_descent"  # stop at the current iterate
+            break
         s, x_data, res, res_norm = s_new, x_new, res_new, new_norm
         iterations += 1
 
     rel_res = float(res_norm / scale)
+    if rel_res < GN_TOL:
+        stop_reason = "converged"
     if truth is not None:
         truth_vec = np.concatenate([np.ravel(truth[0]), np.ravel(truth[1])])
         got = np.concatenate([s, x_data])
@@ -159,6 +173,9 @@ def recover(
         iterations=iterations,
         s=s,
         x_data=x_data,
+        stop_reason=stop_reason,
+        lstsq_fallbacks=lstsq_fallbacks,
+        halvings=halvings,
     )
 
 

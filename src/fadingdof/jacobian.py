@@ -16,22 +16,27 @@ modulo as many word-size primes as the core's Hadamard bound requires and
 rebuilt by the Chinese remainder theorem. The tests keep a fraction-free
 (Bareiss) elimination as an independent oracle.
 
-Assembly builds only matrices. JacobianLayout assembles the Jacobians of
-many draws as one (k, n, n) stack, for recovery and the exact certificate. The
-Monte-Carlo callers (the probe here, analysis.mc_logdet) never assemble: they
-follow the paper's induction over receive antennas. J = [blockdiag_r(B_r) | A]
-and the fading columns of antenna r touch only its own rows, so
-JacobianLayout.eliminate takes a QR of every B_r and leaves a square Schur
-block S on the data columns; |det J| = prod_r |det R_r| |det S|. One QR call
-and two SVD calls (every R_r, then S) factor a stack of draws of at most
-STACK_BYTES. A single JacobianMatrix computes its singular values (one SVD)
-and the determinant's sign and log-magnitude (one slogdet) on first use and
-caches them, so recovery and the exact certificate, which read only the
-matrix, factorize nothing.
+Assembly builds only matrices. JacobianLayout assembles the Jacobians of many
+draws as one (k, n, n) stack, for recovery and the exact certificate. The
+Monte-Carlo callers (the probe here, analysis.mc_logdet) never assemble.
+J = [B | [A]^D] has two column families, each confined to a row group: the
+fading columns of antenna r touch only its own rows (the paper's induction
+over receive antennas), and the data columns at face i only the rows of
+face i. JacobianLayout.eliminate takes a QR of every group's block on one
+family and leaves a square Schur block S on the other; |det J| =
+prod_g |det R_g| |det S|. It eliminates the faces when the n_b = R T_eff Q
+fading columns are fewer than the m data columns, so S is n_b x n_b, and
+the antennas otherwise, so S is m x m. A stack of draws of at most
+STACK_BYTES costs one QR call and one SVD call per shape class of groups
+(the antennas are one class; faces fall into a few by their row and data
+column counts) and one SVD call for S. A single JacobianMatrix computes its
+singular values (one SVD) and the determinant's sign and log-magnitude (one
+slogdet) on first use and caches them, so recovery and the exact
+certificate, which read only the matrix, factorize nothing.
 
 Nonsingularity at finite precision: a JacobianMatrix is nonsingular when
 sigma_min > 1e-10 (NONSINGULAR_TOL) times its spectral norm; a probe or
-Monte-Carlo draw when every factor of its elimination, each R_r and S, has
+Monte-Carlo draw when every factor of its elimination, each R_g and S, has
 sigma_min > NONSINGULAR_TOL sigma_max. Both mean det J != 0 in exact
 arithmetic, but they are not the same test at finite precision. Determinant
 magnitude alone is scale-fragile; the probe reports its log, which cannot
@@ -53,7 +58,10 @@ from .model import (
     Dims,
     InvalidConfigurationError,
     channel_vectors,
+    coloring_to_dict,
     complex_gaussian_draws,
+    complex_to_pairs,
+    dims_to_dict,
     split_fading,
     split_tx,
     standard_complex_gaussian,
@@ -69,6 +77,7 @@ __all__ = [
     "bezout_bound",
     "witness_construct",
     "certify_witness_exact",
+    "witness_report",
     "genericity_probe",
     "ProbeStats",
     "DET_PRIMES",
@@ -156,8 +165,12 @@ class JacobianLayout:
     columns. The scatter fills all R N rows of each matrix, and the stack keeps
     the first n = |I|, the useful ones.
 
-    eliminate factors the same stacks without forming them (see there).
-    per_stack is the depth of a stack whose elimination holds at most
+    eliminate factors the same stacks without forming them (see there). side
+    names the column family it eliminates group by group, which leaves the
+    smaller Schur block: "faces" (the data columns, face by face) when the
+    n_b = R T_eff Q fading columns are fewer than the m data columns, else
+    "antennas" (the fading columns, antenna by antenna). per_stack is the
+    depth of a stack whose elimination on that side holds at most
     STACK_BYTES in its Q factors and Schur blocks, and at least one.
     """
 
@@ -172,22 +185,26 @@ class JacobianLayout:
                 f"Jacobian is {(n, n_b + m)}, not square; dims outside the valid regime?"
             )
         self.dims, self.n = dims, n
-        self.per_stack = max(1, STACK_BYTES // ((R * N * N + m * m) * np.dtype(complex).itemsize))
+        self.side = "faces" if n_b < m else "antennas"
         # B entry (r, t, i, q) sits at row r N + i and column (r T_eff + t) Q + q
         row_start = np.arange(R * N).reshape(R, 1, N, 1) * n
         self._b_dst = (row_start + np.arange(n_b).reshape(R, Teff, 1, Q)).ravel()
         # diagonal entry (r, t, i) sits at row r N + i and, when t N + i is a
         # data position, in that position's column after the n_b of B
-        data0 = np.asarray(pilots.data) - 1
+        self._data0 = np.asarray(pilots.data) - 1
         r = np.arange(R)[:, None]
-        self._a_src = (r * (Teff * N) + data0).ravel()
-        self._a_dst = ((r * N + data0 % N) * n + n_b + np.arange(m)).ravel()
-        # the elimination's view: data column c holds h_{r,t}[i] at face i of
-        # every antenna r, where t N + i is its position; the last antenna
-        # keeps its first N - ell faces
-        self._faces = data0 % N
+        self._a_src = (r * (Teff * N) + self._data0).ravel()
+        self._a_dst = ((r * N + self._data0 % N) * n + n_b + np.arange(m)).ravel()
+        # the last antenna keeps its first N - ell faces
         self._last_rows = n - (R - 1) * N
-        self._cut_columns = np.flatnonzero(self._faces >= self._last_rows)
+        if self.side == "faces":  # a Q factor per face, R x R or (R - 1) x (R - 1)
+            q_entries = self._last_rows * R * R + (N - self._last_rows) * (R - 1) ** 2
+            self._schur_size = n_b
+        else:  # a Q factor per antenna, N x N
+            q_entries = R * N * N
+            self._schur_size = m
+        stack_entries = q_entries + self._schur_size**2
+        self.per_stack = max(1, STACK_BYTES // (stack_entries * np.dtype(complex).itemsize))
 
     def _require_conforming(self, Z_blocks, S, X):
         dims = self.dims
@@ -218,46 +235,94 @@ class JacobianLayout:
         J[:, self._a_dst] = diagonal.reshape(k, -1)[:, self._a_src]
         return J[:, : n * n].reshape(k, n, n)
 
+    @cached_property
+    def _groups(self) -> list:
+        """(block, at, value) index arrays of each shape class of the groups that side eliminates.
+
+        The indices point into the flat products x_t[i] Z_{r,t}[i,q] (R, T_eff,
+        N, Q) and channel entries h_{r,t}[i] (R, T_eff, N), whose entries at
+        the last antenna's cut faces eliminate sets to zero. block (G, rows,
+        width) gathers the confined block of each of the G groups of the
+        class; the other family's column c has its one entry in each group at
+        row at[c], and value[g, c] gathers it. Built on first use, so a layout
+        that only assembles builds none.
+        """
+        R, Teff, N, Q = self.dims.R, self.dims.T_eff, self.dims.N, self.dims.Q
+        data0 = self._data0
+        faces = data0 % N
+        if self.side == "antennas":
+            # antenna r: the N x T_eff Q block B_r; data column c at row i_c, its face
+            r, i, t, q = np.ix_(range(R), range(N), range(Teff), range(Q))
+            block = (((r * Teff + t) * N + i) * Q + q).reshape(R, N, Teff * Q)
+            return [(block, faces, np.arange(R)[:, None] * (Teff * N) + data0)]
+        # face i: the R_i x d_i block H_i[r, t] = h_{r,t}[i] on its data columns,
+        # R_i = R - 1 at the cut faces; fading column (r, t, q) at row r
+        rows = np.where(np.arange(N) < self._last_rows, R, R - 1)
+        width = np.bincount(faces, minlength=N)
+        by_face = np.argsort(faces, kind="stable")  # data columns face by face, t ascending
+        first = np.cumsum(width) - width
+        col = np.arange(R * Teff * Q)
+        groups = []
+        for R_i, d_i in sorted(set(zip(rows.tolist(), width.tolist()))):
+            f = np.flatnonzero((rows == R_i) & (width == d_i))
+            columns = by_face[first[f][:, None] + np.arange(d_i)]  # (G, d_i)
+            block = np.arange(R_i)[:, None] * (Teff * N) + data0[columns][:, None, :]
+            # a cut face has no last-antenna row: row R - 2 stands in, times a zero value
+            at = np.minimum(col // (Teff * Q), R_i - 1)
+            groups.append((block, at, ((col // Q) * N + f[:, None]) * Q + col % Q))
+        return groups
+
     def eliminate(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple:
         """log |det J| and the smallest factor sigma ratio of each of the k Jacobians at (S[j], X[j]).
 
-        Arguments as for assemble; no n x n matrix is formed. The fading
-        columns of antenna r touch only its own rows, as B_r = [diag(x_t)
-        Z_{r,t}]_t (N x T_eff Q; the last antenna's cut rows set to zero), so
-        one stacked complete QR, B_r = [Q1_r Q2_r] [R_r; 0], eliminates them.
-        Left multiplying row block r by Q_r^H, a unitary map, leaves a block
-        triangular matrix with diagonal blocks R_r and the square Schur block
-        S, whose row block r is Q2_r^H A_r. Data column c has one entry in
-        antenna r, h_{r,t}[i] at face i, so that column of the row block is the
-        gather conj(Q2_r[i, :]) h_{r,t}[i]; the trailing ell rows, those of the
-        last antenna's cut faces, are zero and dropped.
+        Arguments as for assemble; no n x n matrix is formed. J = [B | [A]^D]
+        has two column families, each confined to a row group: the fading
+        columns of antenna r touch only its N rows, as B_r = [diag(x_t)
+        Z_{r,t}]_t (the last antenna's cut rows set to zero), and the data
+        columns at face i touch only the R_i rows of that face (R - 1 at the
+        last antenna's ell cut faces), as H_i[r, t] = h_{r,t}[i]. Every column
+        of the other family has exactly one entry in each group. side picks
+        the family to eliminate. One stacked complete QR per shape class of
+        its groups, K_g = [Q1_g Q2_g] [R_g; 0], and left multiplying row group
+        g by Q_g^H, a unitary map, leave a block triangular matrix with
+        diagonal blocks R_g and the square Schur block S on the other family,
+        whose row block g is Q2_g^H times that family's entries in group g:
+        for a column with entry v at row j of the group, the gather
+        conj(Q2_g[j, :]) v. On the antenna side the trailing ell rows, those
+        of the last antenna's cut faces, are zero and dropped.
 
-        So |det J| = prod_r |det R_r| |det S|, and log |det J| is the sum of
-        the logs of the singular values of every R_r (one stacked SVD) and of
-        S (one more): -inf when one is exactly zero, with no warning. The
-        ratio is the least sigma_min / sigma_max over those factors, 0 for a
-        zero factor; J is nonsingular in exact arithmetic exactly when every
-        factor is, which the callers judge as ratio > NONSINGULAR_TOL.
+        So |det J| = prod_g |det R_g| |det S|, and log |det J| is the sum of
+        the logs of the singular values of every R_g (one stacked SVD per
+        shape class) and of S (one more): -inf when one is exactly zero, with
+        no warning. The ratio is the least sigma_min / sigma_max over those
+        factors, 0 for a zero factor; J is nonsingular in exact arithmetic
+        exactly when every factor is, which the callers judge as ratio >
+        NONSINGULAR_TOL.
         """
         self._require_conforming(Z_blocks, S, X)
         dims = self.dims
-        R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
-        k, m, width = len(S), len(self._faces), Teff * Q
-        products = X.reshape(k, 1, Teff, N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
-        B = products.transpose(0, 1, 3, 2, 4).reshape(k, R, N, width)
-        B[:, -1, self._last_rows :] = 0
-        Qr, Rr = np.linalg.qr(B, mode="complete")
-        a = channel_vectors(Z_blocks, S).reshape(k, -1)[:, self._a_src].reshape(k, R, m)
-        a[:, -1, self._cut_columns] = 0
-        schur = Qr[..., width:].conj().swapaxes(-1, -2)[..., self._faces]  # (k, R, N - T_eff Q, m)
-        schur *= a[:, :, None, :]
-        schur = schur.reshape(k, -1, m)[:, :m]
-        r_sv = np.linalg.svd(Rr[:, :, :width], compute_uv=False)  # (k, R, T_eff Q)
-        s_sv = np.linalg.svd(schur, compute_uv=False)[:, None]  # (k, 1, m)
-        largest = np.concatenate([r_sv[..., 0], s_sv[..., 0]], axis=1)  # per factor
-        smallest = np.concatenate([r_sv[..., -1], s_sv[..., -1]], axis=1)
+        k, size = len(S), self._schur_size
+        products = X.reshape(k, 1, dims.T_eff, dims.N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
+        channels = channel_vectors(Z_blocks, S)
+        products[:, -1, :, self._last_rows :] = 0  # outside the useful rows
+        channels[:, -1, :, self._last_rows :] = 0
+        products, channels = products.reshape(k, -1), channels.reshape(k, -1)
+        confined, other = (channels, products) if self.side == "faces" else (products, channels)
+        factor_sv, schur = [], []
+        for block, at, value in self._groups:
+            width = block.shape[-1]
+            Qg, Rg = np.linalg.qr(np.take(confined, block, axis=1), mode="complete")
+            rows = Qg[..., width:].conj().swapaxes(-1, -2)[..., at]  # (k, G, rows - width, size)
+            rows *= np.take(other, value, axis=1)[:, :, None, :]
+            schur.append(rows.reshape(k, -1, size))
+            if width:
+                factor_sv.append(np.linalg.svd(Rg[..., :width, :], compute_uv=False).reshape(k, -1, width))
+        schur = schur[0] if len(schur) == 1 else np.concatenate(schur, axis=1)  # one class: no copy
+        factor_sv.append(np.linalg.svd(schur[:, :size], compute_uv=False)[:, None])
+        largest = np.concatenate([sv[..., 0] for sv in factor_sv], axis=1)  # per factor
+        smallest = np.concatenate([sv[..., -1] for sv in factor_sv], axis=1)
         ratio = np.divide(smallest, largest, out=np.zeros(largest.shape), where=largest > 0)
-        sv = np.concatenate([r_sv.reshape(k, -1), s_sv[:, 0]], axis=1)  # the n singular values
+        sv = np.concatenate([sv.reshape(k, -1) for sv in factor_sv], axis=1)  # the n singular values
         logs = np.log(sv, out=np.full(sv.shape, -np.inf), where=sv > 0)
         return logs.sum(axis=1), ratio.min(axis=1)
 
@@ -369,11 +434,46 @@ def certify_witness_exact(dims: Dims, pilots: PilotAssignment) -> int:
     return exact_integer_det(J.matrix)
 
 
+def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool = False) -> dict:
+    """What `fadingdof jacobian-witness` prints: the witness Jacobian's dims and spectral statistics.
+
+    The keys are dims, sigma_min, abs_det, spectral_norm, nonsingular and
+    bezout_bound (a decimal string); exact=True builds the 0/1 witness and
+    adds its exact_det ({"re", "im"} decimal strings) and certified_nonzero.
+    With export the matrix, coloring and s follow as JSON [re, im] pairs;
+    without, sparsity_pattern renders the matrix as one line per row, "#"
+    for a nonzero entry and "." for a zero, from one pass over its nonzero
+    mask.
+    """
+    pilots = build_pilot_sets(dims)
+    Z, s, x = witness_construct(dims, pilots, seed=seed, exact=exact)
+    J = assemble_jacobian(Z, s, x, pilots)
+    report = {
+        "dims": dims_to_dict(dims),
+        "sigma_min": J.sigma_min,
+        "abs_det": J.det_abs,
+        "spectral_norm": J.spectral_norm,
+        "nonsingular": J.nonsingular,
+        "bezout_bound": str(J.bezout_bound),
+    }
+    if exact:
+        det = exact_integer_det(J.matrix)
+        report["exact_det"] = {"re": str(det), "im": "0"}
+        report["certified_nonzero"] = det != 0
+    if export:
+        report.update(matrix=complex_to_pairs(J.matrix), coloring=coloring_to_dict(Z), s=complex_to_pairs(s))
+    else:
+        chars = np.where(J.matrix != 0, ord("#"), ord(".")).astype(np.uint8)
+        lines = np.concatenate([chars, np.full((len(chars), 1), ord("\n"), np.uint8)], axis=1)
+        report["sparsity_pattern"] = lines.tobytes().decode("ascii")[:-1]
+    return report
+
+
 @dataclass(frozen=True)
 class ProbeStats:
     """Nonsingularity statistics of a genericity probe; the last three are None without trials.
 
-    A trial is nonsingular when every factor of its per-antenna elimination
+    A trial is nonsingular when every factor of its grouped elimination
     (JacobianLayout.eliminate) has sigma_min / sigma_max > NONSINGULAR_TOL;
     min_factor_sigma_ratio is the least such ratio over all trials.
     min_log_abs_det is the least natural log |det J|, from the same factors:
@@ -401,8 +501,9 @@ def genericity_probe(
     specific correlation structure with random (s, x) only. trials = 0 yields
     empty statistics. Each trial draws Z (unless fixed), s and x, in that
     order, from its own child of SeedSequence(seed). The trials' Jacobians
-    are eliminated in stacks of JacobianLayout.per_stack, one QR and two SVD
-    calls per stack.
+    are eliminated in stacks of JacobianLayout.per_stack, one QR and one SVD
+    call per shape class of groups and one SVD call for the Schur blocks per
+    stack.
     """
     if trials == 0:
         return ProbeStats(0, 0, None, None, None)
@@ -448,20 +549,28 @@ DET_PRIMES = (
 
 
 def _integer_matrix(M: np.ndarray) -> np.ndarray:
-    """M as a square int64 array; raises unless every entry is a real integer below 2^62."""
+    """M as a square int64 array; raises unless every entry is a real integer below 2^62.
+
+    One pass finds the nonzero entries (nan and inf among them), and only
+    those are checked and copied: a witness is mostly zeros.
+    """
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidConfigurationError(f"determinant of a non-square matrix of shape {A.shape}")
-    if A.dtype.kind == "c":
-        if np.any(A.imag != 0):
-            raise InvalidConfigurationError("matrix has complex entries; expected real integers")
-        A = A.real
-    if A.dtype.kind not in "biuf":
+    if A.dtype.kind not in "biufc":
         raise InvalidConfigurationError(f"matrix of dtype {A.dtype} is not numeric")
-    in_range = (A > -(2**62)) & (A < 2**62)  # False for nan and inf
-    if not (np.all(in_range) and np.array_equal(A, np.floor(A))):
+    at = np.flatnonzero(A != 0)
+    values = A.ravel()[at]
+    if values.dtype.kind == "c":
+        if np.any(values.imag != 0):
+            raise InvalidConfigurationError("matrix has complex entries; expected real integers")
+        values = values.real
+    in_range = (values > -(2**62)) & (values < 2**62)  # False for nan and inf
+    if not (np.all(in_range) and np.array_equal(values, np.floor(values))):
         raise InvalidConfigurationError("matrix entries are not exact integers below 2^62")
-    return A.astype(np.int64)
+    out = np.zeros(A.shape, dtype=np.int64)
+    out.ravel()[at] = values
+    return out
 
 
 def _det_mod_primes(A: np.ndarray, primes) -> np.ndarray:

@@ -13,9 +13,11 @@ from paper_facts import (
     scaling_ambiguity_holds,
 )
 
-from fadingdof.identify import forward_map, recover, run_recovery_trials
+import fadingdof.identify as identify_module
+from fadingdof.identify import GN_MAX_HALVINGS, forward_map, recover, run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, bezout_bound
 from fadingdof.model import (
+    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     constant_model,
@@ -87,6 +89,23 @@ def test_recover_from_perturbed_truth():
     assert all(r.success for r in results)
     assert all(r.residual < 1e-9 for r in results)
     assert all(r.param_error < 1e-6 for r in results)
+
+
+def test_recover_says_why_it_stopped(monkeypatch):
+    converged = run_recovery_trials(DIMS, trials=3, seed=51)
+    assert [(r.success, r.stop_reason, r.lstsq_fallbacks) for r in converged] == [(True, "converged", 0)] * 3
+    # a zero coloring maps every point to zero: J = 0 is singular, and the
+    # least-squares step, zero, cannot lower the residual at any halving
+    Z, s, _, x_pilot, x_data = truth_instance(3)
+    y = forward_map(s, x_data, x_pilot, PILOTS, Z)
+    stuck = recover(y, x_pilot, PILOTS, ColoringMatrix(np.zeros_like(Z.blocks)), init=(s, x_data))
+    assert (stuck.success, stuck.stop_reason, stuck.iterations) == (False, "no_descent", 0)
+    assert (stuck.lstsq_fallbacks, stuck.halvings) == (1, GN_MAX_HALVINGS + 1)
+    # one Gauss-Newton step from a start 1e-2 off the truth does not reach 1e-12
+    monkeypatch.setattr(identify_module, "GN_MAX_ITERATIONS", 1)
+    (capped,) = run_recovery_trials(DIMS, trials=1, seed=51)
+    assert (capped.success, capped.stop_reason, capped.iterations) == (False, "max_iterations", 1)
+    assert (capped.lstsq_fallbacks, capped.halvings) == (0, 0)
 
 
 def test_recover_constant_model_leaves_parameter_error():

@@ -1,6 +1,8 @@
 """Recovery Jacobian: assembly, witnesses, probes, block reduction, exact determinants."""
 
+import collections
 import dataclasses
+import functools
 import math
 import warnings
 from math import isqrt
@@ -62,6 +64,10 @@ def expected_mask():
             for col in ROW_PATTERN[i + 1]:
                 mask[row, col - 1] = True
     return mask
+
+
+# n=45: 12 fading columns against 33 data columns, eliminated face by face
+FACE_CELL = Dims.create(3, 4, 12, 1)
 
 
 def generic_point(seed, dims=DIMS):
@@ -288,12 +294,12 @@ def mc_logdet_loop(Z, dims, pilots, samples, seed):
 
 
 # (dims, count, constant model): counts 0 and 1, 257 draws across a BATCH
-# seed boundary, 200 and 300 draws at n=45 (stacks of 157 there) and n=432
-# (stacks of three)
+# seed boundary at n=12 (eliminated by antenna), 200 and 300 draws at n=45
+# and 2 and 7 draws at n=432 (both by face; stacks of five there)
 REFERENCE_CASES = [
     (DIMS, 0, False), (DIMS, 1, False), (DIMS, 257, False), (DIMS, 257, True),
-    (Dims.create(3, 4, 12, 1), 200, False), (Dims.create(3, 4, 12, 1), 300, True),
-    (Dims.create(6, 11, 40, 3), 2, False),
+    (FACE_CELL, 200, False), (FACE_CELL, 300, True),
+    (Dims.create(6, 11, 40, 3), 2, False), (Dims.create(6, 11, 40, 3), 7, False),
 ]
 
 
@@ -358,13 +364,22 @@ def test_mc_logdet_agrees_with_the_full_svd_oracle(dims, count, constant):
     assert est.stderr == pytest.approx(oracle.stderr, rel=1e-10, abs=0)
 
 
+@functools.cache
+def cells_of_side(side, n_max):
+    return [dims for dims in regime_cells(n_max) if JacobianLayout(build_pilot_sets(dims)).side == side]
+
+
+@pytest.mark.parametrize("side", ["antennas", "faces"])
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from(list(regime_cells(8))), st.integers(0, 2**32 - 1), st.booleans())
-def test_elimination_matches_slogdet_and_the_full_svd_verdict(dims, seed, constant):
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+def test_elimination_matches_slogdet_and_the_full_svd_verdict(side, data, seed, constant):
+    dims = data.draw(st.sampled_from(cells_of_side(side, 8)), label="dims")
     pa = build_pilot_sets(dims)
+    layout = JacobianLayout(pa)
+    assert layout.side == side
     coloring = constant_model(dims) if constant and dims.Q == 1 else None
     draws = list(probe_draws(dims, 2, seed, coloring))
-    log_abs_det, ratio = JacobianLayout(pa).eliminate(
+    log_abs_det, ratio = layout.eliminate(
         np.stack([Z.blocks for Z, _, _ in draws]),
         np.stack([s for _, s, _ in draws]),
         np.stack([x for _, _, x in draws]),
@@ -377,12 +392,41 @@ def test_elimination_matches_slogdet_and_the_full_svd_verdict(dims, seed, consta
             assert abs(log_abs_det[j] - np.linalg.slogdet(M)[1]) <= 1e-9 * len(M), dims
 
 
-def test_elimination_of_an_exactly_singular_jacobian_is_quiet():
-    # zero fading empties every Schur column: log |det| is -inf and the ratio 0, with no warning
-    Z, _, x = generic_point(23)
+def test_the_smaller_schur_block_picks_the_side():
+    # the m data columns against the n_b = R T_eff Q fading ones: faces when
+    # n_b < m, antennas otherwise, ties included
+    counts = collections.Counter()
+    for dims in regime_cells(6):
+        pa = build_pilot_sets(dims)
+        n_b, m = dims.R * dims.T_eff * dims.Q, len(pa.data)
+        side = JacobianLayout(pa).side
+        assert side == ("faces" if n_b < m else "antennas"), dims
+        if dims.Q == 1:
+            counts["tie" if n_b == m else side] += 1
+    assert counts == {"faces": 8, "tie": 6, "antennas": 55}
+    ladder = [Dims.create(2, 3, 4, 1), FACE_CELL, Dims.create(4, 8, 16, 2), Dims.create(6, 11, 40, 3)]
+    assert [JacobianLayout(build_pilot_sets(d)).side for d in ladder] == ["antennas", "faces"] * 2
+    assert JacobianLayout(build_pilot_sets(Dims.create(8, 10, 60, 5))).side == "antennas"  # n_b 400, m 200
+
+
+def test_a_layout_that_only_assembles_builds_no_elimination_indices():
+    layout = JacobianLayout(build_pilot_sets(FACE_CELL))
+    Z, s, x = generic_point(4, FACE_CELL)
+    layout.assemble(Z.blocks, s[None], x[None])
+    assert "_groups" not in vars(layout)
+    layout.eliminate(Z.blocks, s[None], x[None])
+    assert "_groups" in vars(layout)
+
+
+@pytest.mark.parametrize("dims", [DIMS, FACE_CELL], ids=["antennas", "faces"])
+def test_elimination_of_an_exactly_singular_jacobian_is_quiet(dims):
+    # zero fading empties every Schur column, or every face block: log |det|
+    # is -inf and the ratio 0, with no warning
+    Z, _, x = generic_point(23, dims)
+    zero = np.zeros((1, dims.R * dims.T_eff * dims.Q), complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        log_abs_det, ratio = JacobianLayout(PILOTS).eliminate(Z.blocks, np.zeros((1, 6), complex), x[None])
+        log_abs_det, ratio = JacobianLayout(build_pilot_sets(dims)).eliminate(Z.blocks, zero, x[None])
     assert log_abs_det.tolist() == [-math.inf] and ratio.tolist() == [0.0]
 
 
@@ -420,30 +464,45 @@ def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
     assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
 
 
-def test_mc_logdet_one_qr_per_antenna_and_an_svd_per_factor(linalg_calls):
-    # R = 3: each draw has three fading blocks to QR, three R factors and one Schur block
-    est = mc_logdet(random_coloring(DIMS, 1), DIMS, PILOTS, samples=7, seed=2)
+# (dims, QRs and SVDs per draw): at n=12 (a tie, eliminated by antenna) R = 3
+# fading blocks, their three R factors and S; at n=45 the N = 12 face blocks,
+# each with data columns, their twelve R factors and S
+PER_DRAW = [(DIMS, 3, 3 + 1), (FACE_CELL, 12, 12 + 1)]
+
+
+@pytest.mark.parametrize("dims, qr, svd", PER_DRAW, ids=["antennas", "faces"])
+def test_mc_logdet_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, svd):
+    est = mc_logdet(random_coloring(dims, 1), dims, build_pilot_sets(dims), samples=7, seed=2)
     assert est.samples == 7
-    assert factorized(linalg_calls) == {"svd": 7 * 4, "qr": 7 * 3, "slogdet": 0}
+    assert factorized(linalg_calls) == {"svd": 7 * svd, "qr": 7 * qr, "slogdet": 0}
 
 
-def test_probe_one_qr_per_antenna_and_an_svd_per_factor(linalg_calls):
-    assert genericity_probe(DIMS, PILOTS, trials=5, seed=3).trials == 5
-    assert factorized(linalg_calls) == {"svd": 5 * 4, "qr": 5 * 3, "slogdet": 0}
+@pytest.mark.parametrize("dims, qr, svd", PER_DRAW, ids=["antennas", "faces"])
+def test_probe_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, svd):
+    assert genericity_probe(dims, build_pilot_sets(dims), trials=5, seed=3).trials == 5
+    assert factorized(linalg_calls) == {"svd": 5 * svd, "qr": 5 * qr, "slogdet": 0}
 
 
-def test_stacks_stay_under_the_byte_cap(linalg_calls):
-    # at n=45 (R=4, N=12, m=33 data columns) a stack holds 157 draws: 200
-    # trials and 300 draws need more than one
-    dims = Dims.create(3, 4, 12, 1)
+@pytest.mark.parametrize(
+    "dims, q_entries, schur, per_stack, groups",
+    [
+        # n=124: eight 16 x 16 Q factors and S of the m = 60 data columns
+        (Dims.create(4, 8, 16, 2), 8 * 16 * 16, 60, 46, 8),
+        # n=432: 32 faces with 11 x 11 Q factors, 8 cut faces with 10 x 10
+        # ones, and S of the n_b = 198 fading columns
+        (Dims.create(6, 11, 40, 3), 32 * 11 * 11 + 8 * 10 * 10, 198, 5, 40),
+    ],
+    ids=["antennas", "faces"],
+)
+def test_stacks_stay_under_the_byte_cap(linalg_calls, dims, q_entries, schur, per_stack, groups):
     pa = build_pilot_sets(dims)
-    per_stack = JacobianLayout(pa).per_stack
-    assert per_stack == STACK_BYTES // ((4 * 12 * 12 + 33 * 33) * 16) == 157
-    genericity_probe(dims, pa, trials=200, seed=1)
-    mc_logdet(random_coloring(dims, 2), dims, pa, samples=300, seed=3)
-    assert factorized(linalg_calls) == {"svd": 500 * 5, "qr": 500 * 4, "slogdet": 0}
-    schur_stacks = [count for name, count, shape, _ in linalg_calls["stacks"] if shape == (33, 33)]
-    assert max(schur_stacks) == per_stack and sum(schur_stacks) == 500
+    assert JacobianLayout(pa).per_stack == STACK_BYTES // ((q_entries + schur * schur) * 16) == per_stack
+    draws = per_stack + 4  # two stacks for each caller
+    genericity_probe(dims, pa, trials=draws, seed=1)
+    mc_logdet(random_coloring(dims, 2), dims, pa, samples=draws, seed=3)
+    assert factorized(linalg_calls) == {"svd": 2 * draws * (groups + 1), "qr": 2 * draws * groups, "slogdet": 0}
+    schur_stacks = [count for name, count, shape, _ in linalg_calls["stacks"] if shape == (schur, schur)]
+    assert schur_stacks == [per_stack, 4] * 2
 
 
 def test_spectral_stats_are_computed_once(linalg_calls):
@@ -673,6 +732,39 @@ def test_exact_integer_det_at_the_hadamard_bound():
 def test_exact_integer_det_rejects_non_integer_input(bad):
     with pytest.raises(InvalidConfigurationError):
         exact_integer_det(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[1, 0], [0, 1 + 1e-300j]]), "complex entries"),
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), "exact integers"),
+        (np.array([[1.0, -np.inf], [0.0, 1.0]]), "exact integers"),
+        (np.array([[1.0, 0.0], [2.0**62, 1.0]]), "exact integers"),
+        (np.array([[1, 0], [0, -(2**62)]], dtype=np.int64), "exact integers"),
+        (np.array([[1, 2**63], [0, 1]], dtype=np.uint64), "exact integers"),
+        (np.array([[1.0, 0.0], [0.0, 1.5]]), "exact integers"),
+        (np.ones((2, 3)), "non-square"),
+        (np.ones(4), "non-square"),
+        (np.array([["1", "0"], ["0", "1"]]), "not numeric"),
+        (np.array([[1, 0], [0, 1]], dtype=object), "not numeric"),
+    ],
+    ids=["imaginary", "nan", "inf", "2^62", "-2^62", "uint64", "non-integer", "non-square", "vector", "strings", "object"],
+)
+def test_integer_matrix_rejects_each_bad_entry(bad, message):
+    with pytest.raises(InvalidConfigurationError, match=message):
+        _integer_matrix(bad)
+
+
+def test_integer_matrix_keeps_every_exact_integer():
+    for big, dtypes in [(2**62 - 1, [np.int64]), (2**61, [np.int64, np.float64, complex])]:
+        want = np.array([[big, 0, -big], [0, 0, 1], [3, 0, 0]], dtype=np.int64)
+        for dtype in dtypes:
+            got = _integer_matrix(want.astype(dtype))
+            assert got.dtype == np.int64 and np.array_equal(got, want), (big, dtype)
+        assert np.array_equal(_integer_matrix(want.T), want.T)  # a non-contiguous view
+    assert np.array_equal(_integer_matrix(np.eye(3, dtype=bool)), np.eye(3, dtype=np.int64))
+    assert np.array_equal(_integer_matrix(np.array([[-0.0, 2 + 0j], [1, 0]])), [[0, 2], [1, 0]])
 
 
 def test_exact_integer_det_refuses_to_guess_past_the_prime_table():

@@ -277,69 +277,103 @@ def _add_dims_arg(p, sweep=False):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fadingdof",
-        description="Degrees-of-freedom bounds and identifiability experiments "
-        "for generic block-fading MIMO channels",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dof", help="exact bound report for one configuration or a sweep")
+def _dof_args(p):
     _add_dims_arg(p, sweep=True)
-    p.set_defaults(func=_cmd_dof)
 
-    p = sub.add_parser("figure1", help="CSV of generic/constant maximal-DoF ratios")
+
+def _figure1_args(p):
     p.add_argument("--nmax", type=_int_at_least(2), required=True)
     p.add_argument(
         "--cap", type=_int_at_least(1), default=None, help="antenna cap for the bounded series"
     )
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_figure1)
 
-    p = sub.add_parser("pilots", help="pilot assignment (card-dealing table or JSON)")
+
+def _pilots_args(p):
     _add_dims_arg(p)
     p.add_argument("--json", action="store_true", help="emit the assignment as JSON")
-    p.set_defaults(func=_cmd_pilots)
 
-    p = sub.add_parser("jacobian-witness", help="construct and check a nonsingularity witness")
+
+def _witness_args(p):
     _add_dims_arg(p)
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--exact", action="store_true", help="integer witness + exact certificate")
     p.add_argument("--json", action="store_true", help="export matrices as JSON")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("genericity", help="random-draw nonsingularity statistics")
+
+def _genericity_args(p):
     _add_dims_arg(p, sweep=True)
     p.add_argument("--trials", type=_int_at_least(0), help=f"default {DEFAULT_TRIALS}")
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--constant-model", action="store_true")
-    p.set_defaults(func=_cmd_genericity)
 
-    p = sub.add_parser("identify", help="truth-perturbed recovery trials")
+
+def _identify_args(p):
     _add_dims_arg(p)
     p.add_argument("--trials", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--constant-model", action="store_true")
-    p.set_defaults(func=_cmd_identify)
 
-    p = sub.add_parser("mc-logdet", help="Monte-Carlo log-determinant estimate")
+
+def _mc_logdet_args(p):
     _add_dims_arg(p)
     # a standard error needs two samples: one would print "stderr": Infinity, which is not JSON
     p.add_argument("--samples", type=_int_at_least(2), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--constant-model", action="store_true")
-    p.set_defaults(func=_cmd_mc_logdet)
 
-    p = sub.add_parser("verify-all", help="deterministic property suite; nonzero exit on failure")
+
+def _verify_all_args(p):
     p.add_argument("--nmax", type=_int_at_least(2), default=10)
-    p.set_defaults(func=_cmd_verify_all)
 
+
+# name -> (help, function adding its arguments, handler), in the order help lists them
+_COMMANDS = {
+    "dof": ("exact bound report for one configuration or a sweep", _dof_args, _cmd_dof),
+    "figure1": ("CSV of generic/constant maximal-DoF ratios", _figure1_args, _cmd_figure1),
+    "pilots": ("pilot assignment (card-dealing table or JSON)", _pilots_args, _cmd_pilots),
+    "jacobian-witness": (
+        "construct and check a nonsingularity witness", _witness_args, _cmd_witness
+    ),
+    "genericity": ("random-draw nonsingularity statistics", _genericity_args, _cmd_genericity),
+    "identify": ("truth-perturbed recovery trials", _identify_args, _cmd_identify),
+    "mc-logdet": ("Monte-Carlo log-determinant estimate", _mc_logdet_args, _cmd_mc_logdet),
+    "verify-all": (
+        "deterministic property suite; nonzero exit on failure", _verify_all_args, _cmd_verify_all
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fadingdof parser with every subcommand, or with command's alone.
+
+    Each subcommand is built by the same code either way, so its help, usage
+    and errors do not depend on which build parses it. A parser built for one
+    command still names all of them in its usage, which it prints with an
+    "unrecognized arguments" error; an unknown or missing command, and the
+    top-level --help, need the full build.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fadingdof",
+        description="Degrees-of-freedom bounds and identifiability experiments "
+        "for generic block-fading MIMO channels",
+    )
+    # argparse's own metavar, spelt out so that a one-command build shows every name
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its subcommand first builds only that one's parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -308,16 +308,24 @@ class JacobianLayout:
         channels[:, -1, :, self._last_rows :] = 0
         products, channels = products.reshape(k, -1), channels.reshape(k, -1)
         confined, other = (channels, products) if self.side == "faces" else (products, channels)
-        factor_sv, schur = [], []
-        for block, at, value in self._groups:
-            width = block.shape[-1]
+        heights = [G * (rows - width) for G, rows, width in (block.shape for block, _, _ in self._groups)]
+        # S with the draws inside each row, so every class's rows are one
+        # contiguous slice that np.take fills in place (its default mode
+        # "raise" would buffer it; the indices are in range by construction)
+        schur = np.empty((sum(heights), k, size), dtype=complex)
+        factor_sv, start = [], 0
+        for (block, at, value), height in zip(self._groups, heights):
+            G, rows, width = block.shape
             Qg, Rg = np.linalg.qr(np.take(confined, block, axis=1), mode="complete")
-            rows = Qg[..., width:].conj().swapaxes(-1, -2)[..., at]  # (k, G, rows - width, size)
-            rows *= np.take(other, value, axis=1)[:, :, None, :]
-            schur.append(rows.reshape(k, -1, size))
+            # the class's rows of S: conj(Q2_g[at[c], :]) times column c's value in group g
+            part = schur[start : start + height].reshape(G, rows - width, k, size)
+            np.take(Qg[..., width:].transpose(1, 3, 0, 2), at, axis=-1, out=part, mode="clip")
+            np.conjugate(part, out=part)
+            part *= np.take(other, value, axis=1).transpose(1, 0, 2)[:, None]
+            start += height
             if width:
                 factor_sv.append(np.linalg.svd(Rg[..., :width, :], compute_uv=False).reshape(k, -1, width))
-        schur = schur[0] if len(schur) == 1 else np.concatenate(schur, axis=1)  # one class: no copy
+        schur = schur.swapaxes(0, 1)  # (k, rows, size)
         factor_sv.append(np.linalg.svd(schur[:, :size], compute_uv=False)[:, None])
         largest = np.concatenate([sv[..., 0] for sv in factor_sv], axis=1)  # per factor
         smallest = np.concatenate([sv[..., -1] for sv in factor_sv], axis=1)
@@ -548,11 +556,12 @@ DET_PRIMES = (
 )
 
 
-def _integer_matrix(M: np.ndarray) -> np.ndarray:
-    """M as a square int64 array; raises unless every entry is a real integer below 2^62.
+def _integer_matrix(M: np.ndarray) -> tuple:
+    """M as a square int64 array and the ascending flat positions of its nonzeros.
 
-    One pass finds the nonzero entries (nan and inf among them), and only
-    those are checked and copied: a witness is mostly zeros.
+    Raises unless every entry is a real integer below 2^62. One pass finds the
+    nonzero entries (nan and inf among them), and only those are checked and
+    copied: a witness is mostly zeros.
     """
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -570,7 +579,7 @@ def _integer_matrix(M: np.ndarray) -> np.ndarray:
         raise InvalidConfigurationError("matrix entries are not exact integers below 2^62")
     out = np.zeros(A.shape, dtype=np.int64)
     out.ravel()[at] = values
-    return out
+    return out, at
 
 
 def _det_mod_primes(A: np.ndarray, primes) -> np.ndarray:
@@ -605,23 +614,25 @@ def _det_mod_primes(A: np.ndarray, primes) -> np.ndarray:
     return det
 
 
-def _peel(A: np.ndarray) -> tuple:
+def _peel(A: np.ndarray, at: np.ndarray) -> tuple:
     """Strip the singleton rows and columns of the integer matrix A by one-term Laplace expansions.
 
-    A row with one nonzero among the remaining columns, or a column with one
-    nonzero among the remaining rows, is expanded along and removed, which
-    multiplies the determinant by that entry; removals repeat until none is
-    left. Returns (factor, rows, cols) with det A = factor * det A[rows][:, cols],
-    where rows and cols are the ascending indices of the leftover core.
+    at holds the flat positions of A's nonzeros, as _integer_matrix returns
+    them, so A is not scanned again. A row with one nonzero among the
+    remaining columns, or a column with one nonzero among the remaining rows,
+    is expanded along and removed, which multiplies the determinant by that
+    entry; removals repeat until none is left. Returns (factor, rows, cols)
+    with det A = factor * det A[rows][:, cols], where rows and cols are the
+    ascending indices of the leftover core.
     factor carries the sign of the permutation that sends each peeled row to
     its pivot column and the core rows to the core columns in order; it is 0
     when a row or column empties. O(nnz) on row dicts and column sets.
     """
     n = len(A)
-    r_idx, c_idx = np.nonzero(A)
+    r_idx, c_idx = np.divmod(at, n)
     row_entries = [{} for _ in range(n)]
     col_rows = [set() for _ in range(n)]
-    for i, j, v in zip(r_idx.tolist(), c_idx.tolist(), A[r_idx, c_idx].tolist()):
+    for i, j, v in zip(r_idx.tolist(), c_idx.tolist(), A.ravel()[at].tolist()):
         row_entries[i][j] = v
         col_rows[j].add(i)
     rows_todo = [i for i in range(n) if len(row_entries[i]) == 1]
@@ -681,8 +692,9 @@ def exact_integer_det(M: np.ndarray) -> int:
     expansion with a single term, so such pivots are removed one after another
     and their entries multiplied exactly, leaving a core with no singleton (see
     _peel). The witness Jacobians are block triangular and peel to an empty
-    core. A matrix with no singleton row or column, found by one nonzero count
-    per axis, is the core as it stands and builds no index bookkeeping.
+    core. A matrix with no singleton row or column, found by counting the
+    nonzero positions _integer_matrix returns per row and per column, is the
+    core as it stands and builds no index bookkeeping.
 
     Then the core, multi-modular: the Hadamard bound H = prod of the core's row
     norms fixes how many primes of DET_PRIMES are needed, (prod p)^2 > 4 H^2
@@ -692,16 +704,17 @@ def exact_integer_det(M: np.ndarray) -> int:
     A core whose bound needs more primes than the table holds raises instead
     of guessing; peeled pivots count against no bound.
     """
-    A = _integer_matrix(M)
-    if A.size == 0:
+    A, at = _integer_matrix(M)
+    n = len(A)
+    if n == 0:
         return 1
-    nonzero = A != 0
-    fewest = min(nonzero.sum(axis=1).min(), nonzero.sum(axis=0).min())  # nonzeros in the sparsest line
+    per_line = np.bincount(at // n, minlength=n), np.bincount(at % n, minlength=n)
+    fewest = min(count.min() for count in per_line)  # nonzeros in the sparsest line
     if fewest == 0:
         return 0  # a zero row or column
     if fewest > 1:
         return _multimodular_det(A)
-    factor, rows, cols = _peel(A)
+    factor, rows, cols = _peel(A, at)
     if factor == 0 or not rows:
         return factor
     return factor * _multimodular_det(A[np.ix_(rows, cols)])

@@ -1,17 +1,79 @@
 """CLI contracts: output formats, exit codes, determinism, sweeps."""
 
+import argparse
 import collections
 import json
 
 import pytest
 
-from fadingdof.cli import main
+from fadingdof import cli
+from fadingdof.cli import _COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parser_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program: help or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def valid_args(name):
+    return {"figure1": ["--nmax", "3"], "verify-all": []}.get(name, ["--dims", "2,3,4,1"])
+
+
+# per command: its help, a missing or malformed argument, an unknown flag and
+# a stray word after valid arguments (reported with the top-level usage)
+PARSES = [
+    argv
+    for name in _COMMANDS
+    for argv in (
+        [name, "-h"],
+        [name, "--dims"],
+        [name, "--seed", "-1", "--nmax", "x"],
+        [name, "--no-such-flag"],
+        [name, *valid_args(name), "stray"],
+    )
+] + [["-h"], [], ["no-such-command"], ["verify"], ["--nmax", "3", "verify-all"]]
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_a_one_command_parser_prints_what_the_full_parser_does(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the top-level usage wraps at this width
+    full = parser_exit(capsys, build_parser().parse_args, argv)
+    assert full[0] in (0, 2)
+    assert parser_exit(capsys, main, argv) == full
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_a_call_builds_only_the_parser_of_the_command_it_names(monkeypatch, capsys):
+    assert subcommands(build_parser()) == list(_COMMANDS)
+    built = []
+
+    def recorded(command=None):
+        built.append(build_parser(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    for name in _COMMANDS:
+        assert subcommands(build_parser(name)) == [name]
+        built.clear()
+        parser_exit(capsys, main, [name, "-h"])
+        assert [subcommands(p) for p in built] == [[name]]
+    assert main(["verify-all", "--nmax", "2"]) == 0
+    assert subcommands(built[-1]) == ["verify-all"]
+    parser_exit(capsys, main, ["no-such-command"])  # lists the commands there are
+    assert subcommands(built[-1]) == list(_COMMANDS)
 
 
 def test_dof_report_json(capsys):

@@ -760,11 +760,15 @@ def test_integer_matrix_keeps_every_exact_integer():
     for big, dtypes in [(2**62 - 1, [np.int64]), (2**61, [np.int64, np.float64, complex])]:
         want = np.array([[big, 0, -big], [0, 0, 1], [3, 0, 0]], dtype=np.int64)
         for dtype in dtypes:
-            got = _integer_matrix(want.astype(dtype))
+            got, at = _integer_matrix(want.astype(dtype))
             assert got.dtype == np.int64 and np.array_equal(got, want), (big, dtype)
-        assert np.array_equal(_integer_matrix(want.T), want.T)  # a non-contiguous view
-    assert np.array_equal(_integer_matrix(np.eye(3, dtype=bool)), np.eye(3, dtype=np.int64))
-    assert np.array_equal(_integer_matrix(np.array([[-0.0, 2 + 0j], [1, 0]])), [[0, 2], [1, 0]])
+            assert at.tolist() == [0, 2, 5, 6], (big, dtype)
+        got, at = _integer_matrix(want.T)  # a non-contiguous view
+        assert np.array_equal(got, want.T) and at.tolist() == [0, 2, 6, 7]
+    got, at = _integer_matrix(np.eye(3, dtype=bool))
+    assert np.array_equal(got, np.eye(3, dtype=np.int64)) and at.tolist() == [0, 4, 8]
+    got, at = _integer_matrix(np.array([[-0.0, 2 + 0j], [1, 0]]))
+    assert np.array_equal(got, [[0, 2], [1, 0]]) and at.tolist() == [1, 2]
 
 
 def test_exact_integer_det_refuses_to_guess_past_the_prime_table():
@@ -802,7 +806,7 @@ def test_peel_takes_a_permuted_triangular_matrix_whole():
     rng = np.random.default_rng(7)
     diagonal = rng.choice([-3, -2, -1, 1, 2, 3], 30)
     M = permuted(np.triu(rng.integers(-1000, 1001, (30, 30)), k=1) + np.diag(diagonal), seed=8)
-    factor, rows, cols = _peel(M)
+    factor, rows, cols = _peel(*_integer_matrix(M))
     assert rows == cols == []
     assert abs(factor) == abs(math.prod(diagonal.tolist()))
     assert exact_integer_det(M) == factor == oracle_det(M.tolist())
@@ -816,7 +820,7 @@ def test_peel_leaves_a_dense_core_that_needs_several_primes():
     M[:8, 8:] = rng.integers(-1000, 1001, (8, 12))
     M[8:, 8:] = core
     M = permuted(M, seed=10)
-    _, rows, cols = _peel(M)
+    _, rows, cols = _peel(*_integer_matrix(M))
     assert len(rows) == len(cols) == 12
     det = exact_integer_det(M)
     assert abs(det) > 2**62
@@ -827,7 +831,7 @@ def test_peel_finds_a_row_emptied_midway():
     # no zero row or column, but removing the pivot of either row 0 or row 1
     # leaves the other one empty
     M = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 1]])
-    assert _peel(M)[0] == 0
+    assert _peel(*_integer_matrix(M))[0] == 0
     assert exact_integer_det(M) == 0 == oracle_det(M.tolist())
     assert exact_integer_det(M.T) == 0
 
@@ -849,8 +853,8 @@ def test_every_witness_peels_to_an_empty_core():
     # the witness Jacobian is block triangular, one receive antenna per
     # step: the peel expands it entry by entry, with nothing left over
     for dims in regime_cells(8):
-        A = _integer_matrix(exact_witness_matrix(dims))
-        factor, rows, cols = _peel(A)
+        A, at = _integer_matrix(exact_witness_matrix(dims))
+        factor, rows, cols = _peel(A, at)
         assert rows == cols == [] and factor in (1, -1), dims
         if dims.N <= 6:  # the whole matrix, multi-modular, is the peel's oracle
             assert _multimodular_det(A) == factor, dims

@@ -15,14 +15,12 @@ from .model import Dims, dims_to_dict
 __all__ = [
     "DofReport",
     "chi_const",
-    "chi_const_max",
     "chi_gen",
     "chi_upper",
     "chi_low",
     "optimal_active_tx",
     "rounded_lower",
     "chi_low_star",
-    "chi_low_star_brute",
     "ell",
     "figure1_curves",
     "write_figure1_csv",
@@ -51,11 +49,6 @@ def chi_const(T: int, R: int, N: int) -> Fraction:
     """DoF of the constant block-fading model: M (1 - M/N), M = min(T, R, floor(N/2))."""
     M = min(T, R, N // 2)
     return Fraction(M) * (1 - Fraction(M, N))
-
-
-def chi_const_max(N: int) -> Fraction:
-    """Maximal constant-model DoF over antenna counts; attained at T = R = floor(N/2)."""
-    return chi_const(N // 2, N // 2, N)
 
 
 def chi_gen(T: int, N: int) -> Fraction:
@@ -91,11 +84,24 @@ def optimal_active_tx(R: int, N: int, Q: int) -> Fraction:
     return Fraction(*_t_opt_terms(R, N, Q))
 
 
-def rounded_lower(R: int, N: int, Q: int) -> Fraction:
-    """Best lower bound at the integer neighbors of the fractional optimum."""
+def _rounded_lower_scaled(R: int, N: int, Q: int) -> int:
+    """N times the best lower bound at the integer neighbors of T_opt."""
     num, den = _t_opt_terms(R, N, Q)
     t_ceil, t_floor = -(-num // den), num // den
-    return Fraction(max(R * (N - t_ceil * Q), t_floor * (N - 1)), N)
+    return max(R * (N - t_ceil * Q), t_floor * (N - 1))
+
+
+def rounded_lower(R: int, N: int, Q: int) -> Fraction:
+    """Best lower bound at the integer neighbors of the fractional optimum."""
+    return Fraction(_rounded_lower_scaled(R, N, Q), N)
+
+
+def _chi_low_star_scaled(T: int, R: int, N: int, Q: int) -> int:
+    """N chi_low_star(T, R, N, Q): T (N - 1) when T <= T_opt, else N times the rounded optimum."""
+    num, den = _t_opt_terms(R, N, Q)
+    if T * den <= num:
+        return T * (N - 1)
+    return _rounded_lower_scaled(R, N, Q)
 
 
 def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:
@@ -104,19 +110,16 @@ def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:
     Equals T (1 - 1/N) when T <= T_opt, otherwise the rounded optimum;
     equivalently min{T (1 - 1/N), rounded optimum}.
     """
-    num, den = _t_opt_terms(R, N, Q)
-    if T * den <= num:
-        return chi_gen(T, N)
-    return rounded_lower(R, N, Q)
+    return Fraction(_chi_low_star_scaled(T, R, N, Q), N)
 
 
-def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
-    """Independent maximization of chi_low over integer T_eff in [0 : min(T, R)].
+def _chi_low_star_brute_scaled(T: int, R: int, N: int, Q: int) -> int:
+    """N times the independent maximum of chi_low over integer T_eff in [0 : min(T, R)].
 
     T_eff = 0 contributes 0 (an inactive transmitter yields a trivial bound);
     without it the maximum can be negative while the closed form floors at 0.
     """
-    return Fraction(max(_chi_low_scaled(t, R, N, Q) for t in range(min(T, R) + 1)), N)
+    return max(_chi_low_scaled(t, R, N, Q) for t in range(min(T, R) + 1))
 
 
 def ell(T_eff: int, R: int, N: int, Q: int) -> int:
@@ -166,27 +169,31 @@ def report_to_dict(rep: DofReport) -> dict:
 def figure1_curves(n_values, antenna_cap: int | None = None):
     """Ratio of maximal generic-model DoF (Q = 1) to maximal constant-model DoF.
 
-    Unconstrained ratio: ((N-1)^2 / N) / chi_const_max(N). With an antenna cap A,
-    the generic-model maximum is not known in closed form, so the capped ratio is
-    reported as a [lower, upper] pair: the numerator is max chi_low_star over
-    T, R <= A for the lower series and max chi_upper over T <= A for the upper
-    series, the denominator max chi_const over T, R <= A. Rows with N < 2 are
-    skipped. Returns (N, ratio_unconstrained, ratio_lower, ratio_upper) tuples of
-    exact Fractions.
+    Unconstrained ratio: ((N-1)^2 / N) / (M (N-M) / N) with M = floor(N/2), where
+    the constant model peaks. With an antenna cap A, the generic-model maximum
+    is not known in closed form, so the capped ratio is reported as a [lower,
+    upper] pair: the numerator is max chi_low_star over T, R <= A for the lower
+    series and max chi_upper over T <= A for the upper series, the denominator
+    max chi_const over T, R <= A. Every bound has the denominator N, so each
+    ratio is one Fraction of N-scaled integers. Rows with N < 2 are skipped.
+    Returns (N, ratio_unconstrained, ratio_lower, ratio_upper) tuples of exact
+    Fractions.
     """
     rows = []
     for N in n_values:
         if N < 2:
             continue
-        unconstrained = Fraction((N - 1) ** 2, N) / chi_const_max(N)
+        M = N // 2
+        unconstrained = Fraction((N - 1) ** 2, M * (N - M))
         if antenna_cap is None:
             rows.append((N, unconstrained, unconstrained, unconstrained))
             continue
         A = antenna_cap
         # chi_low_star is nondecreasing in both T and R, so the capped corner is optimal
-        denom = chi_const(A, A, N)
-        lower = chi_low_star(A, A, N, 1) / denom
-        upper = chi_upper(A, N) / denom
+        M_cap = min(A, M)
+        denom = M_cap * (N - M_cap)  # N chi_const(A, A, N)
+        lower = Fraction(_chi_low_star_scaled(A, A, N, 1), denom)
+        upper = Fraction(A * (N - 1), denom)  # N chi_upper(A, N)
         rows.append((N, unconstrained, lower, upper))
     return rows
 

@@ -66,7 +66,7 @@ from .model import (
     split_tx,
     standard_complex_gaussian,
 )
-from .pilots import PilotAssignment, build_pilot_sets
+from .pilots import PilotAssignment, build_pilot_sets, pilot_chain
 
 __all__ = [
     "NONSINGULAR_TOL",
@@ -397,7 +397,9 @@ def witness_construct(
     Zb = np.zeros((R, Teff, N, Q), dtype=complex)
     sv = np.zeros((R, Teff, Q), dtype=complex)
 
-    base = pilots if R == Teff else build_pilot_sets(dims.with_rx(Teff))
+    # the assignments for R' = T_eff..R-1, whose partitions the lower receive rows use
+    chain = pilot_chain(dims.with_rx(R - 1)) if R > Teff else [pilots]
+    base = chain[0]
     for r in range(Teff):
         pilot_rows = np.asarray(base.pilot_sets[r], dtype=int) - 1
         data_rows = np.asarray(base.data_sets[r], dtype=int) - 1
@@ -414,7 +416,7 @@ def witness_construct(
         Zb[r, r][data_rows, :] = np.conj(srr)[None, :]
 
     for rr in range(Teff + 1, R + 1):
-        pa = pilots if rr == R else build_pilot_sets(dims.with_rx(rr))
+        pa = pilots if rr == R else chain[rr - Teff]
         for t in range(Teff):
             g_rows = np.asarray(pa.G_sets[t], dtype=int) - 1
             fill = np.eye(Q, dtype=complex) if exact else _random_unitary(rng, Q)

@@ -18,13 +18,14 @@ converted to 0-based exactly once, at this module's array boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "InvalidConfigurationError",
     "Dims",
+    "regime_chains",
     "regime_cells",
     "ColoringMatrix",
     "standard_complex_gaussian",
@@ -104,13 +105,14 @@ class Dims:
             raise InvalidConfigurationError(f"dims {self} outside valid regime: {reason}")
 
     def with_rx(self, R: int) -> "Dims":
-        return replace(self, R=R)
+        return Dims(T=self.T, R=R, N=self.N, Q=self.Q, T_eff=self.T_eff)
 
 
-def regime_cells(n_max: int):
-    """All (T_eff, R, N, Q) in the constructive regime with N <= n_max, T = T_eff.
+def regime_chains(n_max: int):
+    """The top cell, R = rx_needed, of each (N, Q, T_eff) chain of the constructive regime.
 
-    Cells come in the order N, Q, T_eff, R, each ascending.
+    A chain holds the cells R = T_eff..rx_needed of one (N, Q, T_eff) with
+    N <= n_max and T = T_eff. Chains come in the order N, Q, T_eff, each ascending.
     """
     for N in range(2, n_max + 1):
         for Q in range(1, N):
@@ -118,8 +120,17 @@ def regime_cells(n_max: int):
                 if T_eff * Q >= N:
                     continue
                 probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
-                for R in range(T_eff, probe.rx_needed + 1):
-                    yield Dims(T=T_eff, R=R, N=N, Q=Q, T_eff=T_eff)
+                yield probe.with_rx(probe.rx_needed)
+
+
+def regime_cells(n_max: int):
+    """All (T_eff, R, N, Q) in the constructive regime with N <= n_max, T = T_eff.
+
+    Cells come in the order N, Q, T_eff, R, each ascending.
+    """
+    for top in regime_chains(n_max):
+        for R in range(top.T_eff, top.R + 1):
+            yield top.with_rx(R)
 
 
 @dataclass(frozen=True)

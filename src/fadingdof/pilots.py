@@ -26,6 +26,7 @@ __all__ = [
     "pilot_count",
     "PilotAssignment",
     "build_pilot_sets",
+    "pilot_chain",
     "verify_pilot_properties",
     "assignment_to_dict",
     "assignment_table",
@@ -93,16 +94,16 @@ class PilotAssignment:
         return self.dims.R * self.dims.N - self.ell
 
 
-def _faces_by_player(cards, T_eff: int) -> list[list[int]]:
+def _faces_by_player(cards, T_eff: int) -> tuple[tuple[int, ...], ...]:
     """Faces of the dealt (player, face) cards, grouped by player and sorted."""
     sets: list[list[int]] = [[] for _ in range(T_eff)]
     for t, i in cards:
         sets[t - 1].append(i)
-    return [sorted(s) for s in sets]
+    return tuple([tuple(sorted(s)) for s in sets])
 
 
-def _witness_anchors(T_eff: int, N: int, theta: int) -> dict[int, int]:
-    """One pilot face per player taken from the tail of the deal.
+def _witness_anchors(cards, T_eff: int, N: int, theta: int) -> dict[int, int]:
+    """One pilot face per player taken from the tail of the deal ``cards``.
 
     The window is [theta - T_eff + 1 : theta] unless a multiple n*cycle of the
     deal cycle falls strictly inside it, in which case the second half is
@@ -119,7 +120,7 @@ def _witness_anchors(T_eff: int, N: int, theta: int) -> dict[int, int]:
         window = list(range(lo, theta + 1))
     anchors: dict[int, int] = {}
     for j in window:
-        t, i = card_deal(j, T_eff, N)
+        t, i = cards[j - 1]
         if t in anchors:
             raise AssertionError(f"anchor window dealt player {t} twice (theta={theta})")
         anchors[t] = i
@@ -128,50 +129,58 @@ def _witness_anchors(T_eff: int, N: int, theta: int) -> dict[int, int]:
     return anchors
 
 
-def build_pilot_sets(dims: Dims) -> PilotAssignment:
-    """Construct the pilot assignment for dims in the valid regime.
+def _deal(n_cards: int, T_eff: int, N: int) -> list[tuple[int, int]]:
+    """Cards 1..n_cards of the deal to T_eff players, as (player, face) pairs."""
+    return [card_deal(j, T_eff, N) for j in range(1, n_cards + 1)]
 
-    Pilot faces are dealt with card_deal over [1:theta_R]. When R > T_eff the
-    partition data for the inductive step comes from the (R-1)-antenna deal of
-    theta_{R-1} >= theta_R cards, which extends this one: L_t collects the
-    faces of the extra cards dealt to antenna t (those dropped from P_t), the
-    anchors g_t come from the tail window of the deal, and each G_t is the
-    anchor plus Q-1 filler faces taken in ascending order from the remaining
-    pool.
+
+def _assignment(dims: Dims, cards) -> PilotAssignment:
+    """The assignment for dims (in the regime) from a deal prefix of at least theta_{R-1} cards.
+
+    P_t comes from the first theta_R cards. When R > T_eff the partition data
+    for the inductive step comes from the (R-1)-antenna deal of theta_{R-1} >=
+    theta_R cards, which extends this one: L_t collects the faces of the extra
+    cards dealt to antenna t (those dropped from P_t), the anchors g_t come
+    from the tail window of the deal, and each G_t is the anchor plus Q-1
+    filler faces taken in ascending order from the remaining pool.
     """
-    dims.require_regime()
     T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
     theta = pilot_count(T_eff, R, N, Q)
-    theta_prev = pilot_count(T_eff, R - 1, N, Q) if R > T_eff else theta
-    cards = [card_deal(j, T_eff, N) for j in range(1, theta_prev + 1)]
+    # Tuples are built from lists: tuple() of a generator grows by reallocs, and
+    # in a process that builds many assignments that fragments the heap for good.
     pilot_sets = _faces_by_player(cards[:theta], T_eff)
-    data_sets = [sorted(set(range(1, N + 1)) - set(p)) for p in pilot_sets]
-    pilots = sorted(i + t * N for t, p in enumerate(pilot_sets) for i in p)
-    data = sorted(set(range(1, T_eff * N + 1)) - set(pilots))
+    data_sets = tuple(
+        [tuple([i for i in range(1, N + 1) if i not in taken]) for taken in map(set, pilot_sets)]
+    )
+    # player t's faces embed into [(t-1)N + 1 : tN], so the flat sets come out sorted
+    pilots = tuple([i + t * N for t, p in enumerate(pilot_sets) for i in p])
+    data = tuple([i + t * N for t, d in enumerate(data_sets) for i in d])
     l = ell(T_eff, R, N, Q)
 
     L_sets = G_sets = G_pool = anchors = None
     if R > T_eff:
-        L_sets = tuple(tuple(faces) for faces in _faces_by_player(cards[theta:], T_eff))
-        dropped = set().union(*(set(s) for s in L_sets))
-        pool = sorted(set(range(1, N - l + 1)) - dropped)
-        anchor_map = _witness_anchors(T_eff, N, theta)
-        anchors = tuple(anchor_map[t] for t in range(1, T_eff + 1))
-        filler = [g for g in pool if g not in set(anchors)]
-        g_sets = []
-        for t in range(T_eff):
-            extra, filler = filler[: Q - 1], filler[Q - 1 :]
-            g_sets.append(tuple(sorted([anchors[t], *extra])))
-        G_sets = tuple(g_sets)
-        G_pool = tuple(pool)
+        theta_prev = pilot_count(T_eff, R - 1, N, Q)
+        L_sets = _faces_by_player(cards[theta:theta_prev], T_eff)
+        dropped = {i for faces in L_sets for i in faces}
+        G_pool = tuple([g for g in range(1, N - l + 1) if g not in dropped])
+        anchor_map = _witness_anchors(cards, T_eff, N, theta)
+        anchors = tuple([anchor_map[t] for t in range(1, T_eff + 1)])
+        anchor_set = set(anchors)
+        filler = [g for g in G_pool if g not in anchor_set]
+        G_sets = tuple(
+            [
+                tuple(sorted([anchors[t], *filler[t * (Q - 1) : (t + 1) * (Q - 1)]]))
+                for t in range(T_eff)
+            ]
+        )
 
     return PilotAssignment(
         dims=dims,
         theta_R=theta,
-        pilot_sets=tuple(tuple(p) for p in pilot_sets),
-        data_sets=tuple(tuple(d) for d in data_sets),
-        pilots=tuple(pilots),
-        data=tuple(data),
+        pilot_sets=pilot_sets,
+        data_sets=data_sets,
+        pilots=pilots,
+        data=data,
         ell=l,
         L_sets=L_sets,
         G_sets=G_sets,
@@ -180,12 +189,39 @@ def build_pilot_sets(dims: Dims) -> PilotAssignment:
     )
 
 
+def build_pilot_sets(dims: Dims) -> PilotAssignment:
+    """Construct the pilot assignment for dims in the valid regime.
+
+    Pilot faces are dealt with card_deal over [1:theta_R]; when R > T_eff the
+    deal runs on to theta_{R-1} cards for the induction partition (see
+    PilotAssignment).
+    """
+    dims.require_regime()
+    T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
+    n_cards = pilot_count(T_eff, R - 1 if R > T_eff else R, N, Q)
+    return _assignment(dims, _deal(n_cards, T_eff, N))
+
+
+def pilot_chain(dims: Dims) -> list[PilotAssignment]:
+    """The assignments for R' = T_eff..R, in that order, from one deal.
+
+    theta_{R'} falls as R' grows, so every assignment on the chain deals a
+    prefix of the theta_{T_eff} = T_eff^2 Q cards of the square case; they
+    are dealt once. Element k equals build_pilot_sets(dims.with_rx(T_eff + k)).
+    """
+    dims.require_regime()
+    T_eff, N = dims.T_eff, dims.N
+    cards = _deal(pilot_count(T_eff, T_eff, N, dims.Q), T_eff, N)
+    return [_assignment(dims.with_rx(r), cards) for r in range(T_eff, dims.R + 1)]
+
+
 def verify_pilot_properties(dims: Dims | None = None, assignment: PilotAssignment | None = None):
     """Check the structural properties of a pilot assignment one by one.
 
     Returns {property: {"ok": bool, "detail": payload}}; the detail carries a
-    counterexample on failure. Builds the assignment from dims when one is not
-    supplied, so corrupted assignments can be checked directly.
+    counterexample on failure and is built only then. Builds the assignment
+    from dims when one is not supplied, so corrupted assignments can be
+    checked directly.
     """
     if assignment is None:
         if dims is None:
@@ -197,72 +233,93 @@ def verify_pilot_properties(dims: Dims | None = None, assignment: PilotAssignmen
     cap = T_eff * Q
     report: dict[str, dict] = {}
 
-    def record(name, ok, detail=None):
-        report[name] = {"ok": bool(ok), "detail": None if ok else detail}
+    def record(name, ok, detail):
+        """detail() builds the failure payload; it is not called when ok."""
+        report[name] = {"ok": True, "detail": None} if ok else {"ok": False, "detail": detail()}
 
     total = sum(len(p) for p in a.pilot_sets)
-    record("pilot_total", total == a.theta_R, {"total": total, "theta_R": a.theta_R})
+    record("pilot_total", total == a.theta_R, lambda: {"total": total, "theta_R": a.theta_R})
 
-    oversized = [(t + 1, len(p)) for t, p in enumerate(a.pilot_sets) if len(p) > cap]
-    record("pilot_size_cap", not oversized, {"oversized": oversized, "cap": cap})
+    record(
+        "pilot_size_cap",
+        all(len(p) <= cap for p in a.pilot_sets),
+        lambda: {
+            "oversized": [(t + 1, len(p)) for t, p in enumerate(a.pilot_sets) if len(p) > cap],
+            "cap": cap,
+        },
+    )
 
     expected_flat = sorted(i + t * N for t, p in enumerate(a.pilot_sets) for i in p)
     record(
         "flat_embedding",
         list(a.pilots) == expected_flat,
-        {"pilots": list(a.pilots), "expected": expected_flat},
+        lambda: {"pilots": list(a.pilots), "expected": expected_flat},
     )
 
     n_useful = len(a.useful_outputs)
+    expected_useful = R * T_eff * Q + len(a.data)
     record(
         "useful_output_size",
-        n_useful == R * T_eff * Q + len(a.data),
-        {"useful": n_useful, "expected": R * T_eff * Q + len(a.data)},
+        n_useful == expected_useful,
+        lambda: {"useful": n_useful, "expected": expected_useful},
     )
 
     if R == T_eff:
         return report
 
-    seen: dict[int, int] = {}
-    clash = None
-    for t, ls in enumerate(a.L_sets, start=1):
-        for i in ls:
-            if i in seen:
-                clash = {"face": i, "antennas": (seen[i], t)}
-            seen[i] = t
-    record("L_disjoint", clash is None, clash)
+    def last_clash(sets):
+        """The last face found in two sets, with the 1-based indices of both, or None."""
+        seen: dict[int, int] = {}
+        clash = None
+        for t, faces in enumerate(sets, start=1):
+            for i in faces:
+                if i in seen:
+                    clash = {"face": i, "antennas": (seen[i], t)}
+                seen[i] = t
+        return clash
 
-    out = [
-        (t + 1, i)
-        for t, ls in enumerate(a.L_sets)
-        for i in ls
-        if not 1 <= i <= N - a.ell
-    ]
-    record("L_in_range", not out, {"outside": out, "range": (1, N - a.ell)})
+    clash = last_clash(a.L_sets)
+    record("L_disjoint", clash is None, lambda: clash)
 
-    bad_size = [(t + 1, len(g)) for t, g in enumerate(a.G_sets) if len(g) != Q]
-    record("G_size", not bad_size, {"bad": bad_size, "expected": Q})
+    top = N - a.ell
+    record(
+        "L_in_range",
+        all(1 <= i <= top for ls in a.L_sets for i in ls),
+        lambda: {
+            "outside": [
+                (t + 1, i) for t, ls in enumerate(a.L_sets) for i in ls if not 1 <= i <= top
+            ],
+            "range": (1, top),
+        },
+    )
 
-    seen, clash = {}, None
-    for t, gs in enumerate(a.G_sets, start=1):
-        for i in gs:
-            if i in seen:
-                clash = {"face": i, "antennas": (seen[i], t)}
-            seen[i] = t
-    record("G_disjoint", clash is None, clash)
+    record(
+        "G_size",
+        all(len(g) == Q for g in a.G_sets),
+        lambda: {
+            "bad": [(t + 1, len(g)) for t, g in enumerate(a.G_sets) if len(g) != Q],
+            "expected": Q,
+        },
+    )
+
+    g_clash = last_clash(a.G_sets)
+    record("G_disjoint", g_clash is None, lambda: g_clash)
 
     missing = [
         t + 1
         for t, (g, p) in enumerate(zip(a.G_sets, a.pilot_sets))
-        if not set(g) & set(p)
+        if set(g).isdisjoint(p)
     ]
-    record("G_meets_pilots", not missing, {"antennas": missing})
+    record("G_meets_pilots", not missing, lambda: {"antennas": missing})
 
-    union = sorted(set().union(*(set(g) for g in a.G_sets)))
-    expected_pool = sorted(
-        set(range(1, N - a.ell + 1)) - set().union(*(set(ls) for ls in a.L_sets))
+    union = {i for g in a.G_sets for i in g}
+    dropped = {i for ls in a.L_sets for i in ls}
+    expected_pool = {i for i in range(1, top + 1) if i not in dropped}
+    record(
+        "G_covers",
+        union == expected_pool,
+        lambda: {"union": sorted(union), "expected": sorted(expected_pool)},
     )
-    record("G_covers", union == expected_pool, {"union": union, "expected": expected_pool})
 
     return report
 

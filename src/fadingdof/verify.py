@@ -6,8 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import dof, jacobian
-from .model import regime_cells
-from .pilots import build_pilot_sets, card_deal, mod_star, pilot_count, verify_pilot_properties
+from .model import regime_cells, regime_chains
+from .pilots import card_deal, mod_star, pilot_chain, pilot_count, verify_pilot_properties
 
 __all__ = ["run_verify_all"]
 
@@ -30,10 +30,11 @@ def run_verify_all(n_max: int = 10) -> bool:
 
     ok = True
     bad = None
-    for dims in regime_cells(n_max):
-        report = verify_pilot_properties(dims)
-        if not all(v["ok"] for v in report.values()):
-            ok, bad = False, (dims, report)
+    for top in regime_chains(n_max):
+        for pa in pilot_chain(top):
+            report = verify_pilot_properties(assignment=pa)
+            if not all(v["ok"] for v in report.values()):
+                ok, bad = False, (pa.dims, report)
     check(f"pilot-set properties on every regime cell with N <= {n_max}", ok, str(bad))
 
     ok = True
@@ -60,14 +61,14 @@ def run_verify_all(n_max: int = 10) -> bool:
     for N in range(1, n_max + 1):
         for Q in range(1, 4):
             for T in range(1, 13):
+                upper = T * (N - 1)  # N chi_upper(T, N); every bound here is scaled by N
                 for R in range(1, 13):
-                    closed = dof.chi_low_star(T, R, N, Q)
-                    upper = dof.chi_upper(T, N)
-                    ok &= closed == dof.chi_low_star_brute(T, R, N, Q)
+                    closed = dof._chi_low_star_scaled(T, R, N, Q)
+                    ok &= closed == dof._chi_low_star_brute_scaled(T, R, N, Q)
                     ok &= closed <= upper
                     if N >= 2:
                         # R >= T (N - 1) / (N - T Q), with N - T Q > 0
-                        in_region = T * Q < N and R * (N - T * Q) >= T * (N - 1)
+                        in_region = T * Q < N and R * (N - T * Q) >= upper
                         ok &= (closed == upper) == in_region
     check(f"lower-bound closed form, ordering, equality region (N <= {n_max})", ok)
 
@@ -78,10 +79,9 @@ def run_verify_all(n_max: int = 10) -> bool:
     check("unconstrained figure ratio: exact value at N=1000, monotone toward 4", ok)
 
     ok = True
-    for dims in regime_cells(4):
-        pa = build_pilot_sets(dims)
-        det = jacobian.certify_witness_exact(dims, pa)
-        ok &= det != 0
+    for top in regime_chains(4):
+        for pa in pilot_chain(top):
+            ok &= jacobian.certify_witness_exact(pa.dims, pa) != 0
     check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)
 
     return ok_all

@@ -8,10 +8,15 @@ The dense block-diagonal B is the oracle of the library's forward map, and
 the per-draw Jacobian assembly the oracle that its stacked assembly must match
 bit for bit; it assembles non-square cases too. probe_draws replays the draws
 of a genericity probe one at a time, for full-SVD oracles of its verdicts.
+The brute-force maximum of the lower bound and the constant model's peak are
+the Fraction oracles of the library's N-scaled closed forms.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
+from fadingdof.dof import chi_const, chi_low
 from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
     ColoringMatrix,
@@ -21,6 +26,20 @@ from fadingdof.model import (
     split_tx,
     standard_complex_gaussian,
 )
+
+
+def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
+    """Oracle: chi_low maximized by enumeration over integer T_eff in [0 : min(T, R)].
+
+    T_eff = 0 contributes 0 (an inactive transmitter yields a trivial bound);
+    without it the maximum can be negative while the closed form floors at 0.
+    """
+    return max(chi_low(t, R, N, Q) for t in range(min(T, R) + 1))
+
+
+def chi_const_max(N: int) -> Fraction:
+    """Oracle: maximal constant-model DoF over antenna counts, attained at T = R = floor(N/2)."""
+    return chi_const(N // 2, N // 2, N)
 
 
 def gaussian_log_magnitude_mean() -> float:

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-from paper_facts import gaussian_log_magnitude_mean, mc_log_magnitude, rank_gap
+from paper_facts import chi_low_star_brute, gaussian_log_magnitude_mean, mc_log_magnitude, rank_gap
 
 from fadingdof.analysis import mc_logdet
 from fadingdof.dof import (
@@ -17,7 +17,6 @@ from fadingdof.dof import (
     chi_gen,
     chi_low,
     chi_low_star,
-    chi_low_star_brute,
     chi_upper,
     dof_report,
     figure1_curves,

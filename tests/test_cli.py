@@ -238,7 +238,7 @@ def test_verify_all_exit_zero(capsys):
 def test_verify_all_covers_its_grids(monkeypatch, capsys):
     # each check's call count is fixed by its loop bounds, so no grid can shrink unseen
     from fadingdof import dof, jacobian, verify
-    from fadingdof.model import regime_cells
+    from fadingdof.model import regime_cells, regime_chains
 
     calls = collections.Counter()
 
@@ -251,9 +251,9 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("card_deal", "pilot_count", "verify_pilot_properties", "mod_star"):
+    for name in ("card_deal", "pilot_count", "verify_pilot_properties", "mod_star", "pilot_chain"):
         count(verify, name)
-    count(dof, "chi_low_star_brute")
+    count(dof, "_chi_low_star_brute_scaled")
     count(jacobian, "certify_witness_exact")
     n_max = 10
     assert verify.run_verify_all(n_max)
@@ -264,11 +264,54 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
         "pilot_count": 2 * sum(d.R > d.T_eff for d in cells),
         # window check: q in (p, 18] for p <= 18, a < 7, c <= b for 2 <= b <= 6
         "mod_star": sum(18 - p for p in range(19)) * 7 * sum(range(2, 7)),
-        "chi_low_star_brute": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
+        "_chi_low_star_brute_scaled": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
+        # one deal per (N, Q, T_eff) chain: the pilot grid, then the witness grid N <= 4
+        "pilot_chain": len(list(regime_chains(n_max))) + len(list(regime_chains(4))),
         "certify_witness_exact": len(list(regime_cells(4))),
     }
     assert (calls["mod_star"], calls["certify_witness_exact"]) == (23_940, 22)
+    assert (len(cells), calls["pilot_chain"]) == (732, 100 + 9)
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_verify_all_fails_on_one_corrupted_chain_cell(monkeypatch, capsys):
+    # a G_t one face short on one cell of one chain must surface as a FAIL with its dims
+    import dataclasses
+
+    from fadingdof import verify
+    from fadingdof.model import Dims
+
+    target = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
+    original = verify.pilot_chain
+
+    def corrupted(top):
+        shrunk = lambda pa: dataclasses.replace(pa, G_sets=(pa.G_sets[0][1:], *pa.G_sets[1:]))
+        return [shrunk(pa) if pa.dims == target else pa for pa in original(top)]
+
+    monkeypatch.setattr(verify, "pilot_chain", corrupted)
+    assert not verify.run_verify_all(8)
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] pilot-set properties"), lines
+    assert str(target) in failed[0] and "'G_size': {'ok': False" in failed[0]
+    code, out, _ = run_cli(capsys, "verify-all", "--nmax", "8")
+    assert code == 1 and out.count("[FAIL]") == 1
+
+
+def test_verify_all_fails_on_a_closed_form_off_by_one(monkeypatch, capsys):
+    from fadingdof import dof, verify
+
+    original = dof._chi_low_star_scaled
+
+    def off_by_one(T, R, N, Q):
+        return original(T, R, N, Q) + ((T, R, N, Q) == (3, 5, 7, 2))
+
+    monkeypatch.setattr(dof, "_chi_low_star_scaled", off_by_one)
+    assert not verify.run_verify_all(7)
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] lower-bound closed form, ordering, equality region (N <= 7)"]
+    code, out, _ = run_cli(capsys, "verify-all", "--nmax", "7")
+    assert code == 1 and out.count("[FAIL]") == 1
 
 
 def test_dof_sweep_reports_invalid_cells(tmp_path, capsys):

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from paper_facts import virtual_simo_K
+from paper_facts import chi_const_max, chi_low_star_brute, virtual_simo_K
 
+from fadingdof import dof
 from fadingdof.dof import (
     chi_const,
-    chi_const_max,
     chi_gen,
     chi_low,
     chi_low_star,
-    chi_low_star_brute,
     chi_upper,
     dof_report,
     ell,
@@ -79,6 +78,18 @@ def test_chi_low_star_matches_brute_force_everywhere():
                         N,
                         Q,
                     )
+
+
+def test_scaled_forms_are_N_times_the_fraction_oracles():
+    # verify-all compares these integers; the public values are them over N
+    for N in range(1, 11):
+        for Q in range(1, 4):
+            for T in range(1, 13):
+                for R in range(1, 13):
+                    brute = chi_low_star_brute(T, R, N, Q)
+                    assert dof._chi_low_star_brute_scaled(T, R, N, Q) == N * brute, (T, R, N, Q)
+                    assert dof._chi_low_star_scaled(T, R, N, Q) == N * brute, (T, R, N, Q)
+                    assert chi_low_star(T, R, N, Q) == brute
 
 
 # Oracle: the paper's formulas in Fraction arithmetic, kept apart from the
@@ -169,6 +180,20 @@ def test_figure1_unconstrained_values():
     assert len(rows) == 2  # N = 1 skipped
     assert rows[0][1] == F(9, 4)
     assert rows[1][1] == F(998001, 250000)
+
+
+def test_figure1_unconstrained_column_matches_the_constant_model_peak():
+    rows = figure1_curves(range(2, 2001))
+    assert [N for N, *_ in rows] == list(range(2, 2001))
+    for N, unconstrained, lower, upper in rows:
+        assert unconstrained == lower == upper == F((N - 1) ** 2, N) / chi_const_max(N), N
+
+
+def test_figure1_capped_column_matches_the_fraction_bounds():
+    for A in (1, 2, 4, 7):
+        for N, _, lower, upper in figure1_curves(range(2, 120), antenna_cap=A):
+            assert lower == chi_low_star(A, A, N, 1) / chi_const(A, A, N), (A, N)
+            assert upper == chi_upper(A, N) / chi_const(A, A, N), (A, N)
 
 
 def test_figure1_capped_ratios_converge_to_one():

@@ -184,6 +184,45 @@ def test_witness_exact_certificates():
         assert isinstance(det, int) and det != 0
 
 
+# sha256 prefixes of the exact witness (Z, s, x), all entries 0 or 1, recorded
+# when each receive row still took its partition from its own per-R deal
+EXACT_WITNESS_SHA256 = {
+    (2, 3, 4, 1): "4d69f14b83d5a9a0",
+    (3, 4, 12, 1): "f022b2b03170e4fe",
+    (4, 8, 16, 2): "9ca0f853f09b49f3",
+    (6, 11, 40, 3): "7977881ed1e1dae1",
+    (2, 4, 5, 2): "95989ba27e0701cc",
+}
+
+
+def witness_bytes(witness):
+    Z, s, x = witness
+    return Z.blocks.tobytes(), s.tobytes(), x.tobytes()
+
+
+@pytest.mark.parametrize("cell", sorted(EXACT_WITNESS_SHA256))
+def test_witness_from_the_chain_equals_the_per_R_witness(cell, monkeypatch):
+    import hashlib
+
+    dims = Dims.create(*cell)
+    pa = build_pilot_sets(dims)
+    exact = witness_construct(dims, pa, exact=True)
+    Z, s, x = exact
+    flat = np.concatenate([Z.blocks.ravel(), s, x])
+    assert not flat.imag.any()
+    digest = hashlib.sha256(flat.real.astype(np.int8).tobytes()).hexdigest()[:16]
+    assert digest == EXACT_WITNESS_SHA256[cell]
+    seeded = witness_construct(dims, pa, seed=5)
+    # the same witnesses, bit for bit, with each R' < R partition built on its own
+    monkeypatch.setattr(
+        jacobian_module,
+        "pilot_chain",
+        lambda top: [build_pilot_sets(top.with_rx(r)) for r in range(top.T_eff, top.R + 1)],
+    )
+    assert witness_bytes(exact) == witness_bytes(witness_construct(dims, pa, exact=True))
+    assert witness_bytes(seeded) == witness_bytes(witness_construct(dims, pa, seed=5))
+
+
 def test_probe_generic_and_constant():
     stats = genericity_probe(DIMS, PILOTS, trials=50, seed=12)
     assert stats.fraction_nonsingular == 1.0

@@ -4,13 +4,16 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fadingdof.model import Dims, InvalidConfigurationError, regime_cells
+from fadingdof.model import Dims, InvalidConfigurationError, regime_cells, regime_chains
 from fadingdof.pilots import (
     assignment_to_dict,
     build_pilot_sets,
     card_deal,
     mod_star,
+    pilot_chain,
     pilot_count,
     verify_pilot_properties,
 )
@@ -144,6 +147,44 @@ def test_one_deal_matches_two_deal_oracle():
         cur, prev = faces(d, d.R), faces(d, d.R - 1)
         assert pa.pilot_sets == tuple(tuple(sorted(c)) for c in cur), d
         assert pa.L_sets == tuple(tuple(sorted(p - c)) for p, c in zip(prev, cur)), d
+
+
+def assert_chain_matches_per_R_builds(top):
+    chain = pilot_chain(top)
+    assert [pa.dims.R for pa in chain] == list(range(top.T_eff, top.R + 1))
+    for pa in chain:
+        assert pa == build_pilot_sets(top.with_rx(pa.dims.R)), pa.dims
+
+
+def test_one_deal_chain_equals_per_R_builds_on_every_cell_up_to_N_10():
+    tops = list(regime_chains(10))
+    assert len(tops) == 100
+    assert sum(top.R - top.T_eff + 1 for top in tops) == len(list(regime_cells(10))) == 732
+    for top in tops:
+        assert_chain_matches_per_R_builds(top)
+    # a chain may stop below rx_needed
+    assert_chain_matches_per_R_builds(Dims(T=3, R=5, N=8, Q=2, T_eff=3))
+
+
+@st.composite
+def regime_cell(draw, n_max=16):
+    N = draw(st.integers(2, n_max))
+    Q = draw(st.integers(1, N - 1))
+    T_eff = draw(st.integers(1, (N - 1) // Q))
+    top = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff).rx_needed
+    T = draw(st.integers(T_eff, T_eff + 2))
+    return Dims(T=T, R=draw(st.integers(T_eff, top)), N=N, Q=Q, T_eff=T_eff)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(regime_cell())
+def test_one_deal_chain_equals_per_R_builds_on_random_cells(dims):
+    assert_chain_matches_per_R_builds(dims)
+
+
+def test_chain_rejects_cells_outside_the_regime():
+    with pytest.raises(InvalidConfigurationError):
+        pilot_chain(Dims(T=2, R=12, N=4, Q=1, T_eff=2))
 
 
 def test_corrupted_assignment_fails_checks():

@@ -2,13 +2,17 @@
 
 Every bound is computed in integers scaled by N (each one has denominator N)
 and returned as an exact Fraction; floats appear only when a figure table is
-rendered. All functions are pure and trivially parallel over grid points.
+rendered. The brute-force maximum that `verify-all` holds the closed form
+against takes a whole grid of cells at once, as int64 arrays. All functions
+are pure and trivially parallel over grid points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .model import Dims, dims_to_dict
 
@@ -113,13 +117,21 @@ def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:
     return Fraction(_chi_low_star_scaled(T, R, N, Q), N)
 
 
-def _chi_low_star_brute_scaled(T: int, R: int, N: int, Q: int) -> int:
-    """N times the independent maximum of chi_low over integer T_eff in [0 : min(T, R)].
+def _chi_low_star_brute_grid(N, Q, T, R) -> np.ndarray:
+    """N chi_low_star on a grid, as the independent maximum of N chi_low over integer T_eff.
 
-    T_eff = 0 contributes 0 (an inactive transmitter yields a trivial bound);
-    without it the maximum can be negative while the closed form floors at 0.
+    N, Q, T and R are integer arrays that broadcast to the grid (np.ogrid
+    axes, say). The maximum runs over T_eff in [0 : min(T, R)] one T_eff at a
+    time, so no temporary is larger than the grid. T_eff = 0 contributes 0
+    (an inactive transmitter yields a trivial bound); without it the maximum
+    can be negative while the closed form floors at 0.
     """
-    return max(_chi_low_scaled(t, R, N, Q) for t in range(min(T, R) + 1))
+    cap = np.minimum(T, R)
+    best = np.full(np.broadcast_shapes(*(np.shape(a) for a in (N, Q, T, R))), np.iinfo(np.int64).min)
+    for t in range(int(np.max(cap)) + 1):
+        low = np.minimum(t * (N - 1), R * (N - t * Q))  # N chi_low(t, R, N, Q)
+        np.maximum(best, np.where(t <= cap, low, best), out=best)
+    return best
 
 
 def ell(T_eff: int, R: int, N: int, Q: int) -> int:

@@ -384,63 +384,86 @@ def witness_construct(
     keeps one block of a block-triangular factorization nonsingular, so the
     full determinant is a product of nonzero factors.
 
-    With exact=True all fills are identity blocks; every entry is then 0 or 1,
-    exactly representable, and the determinant can be certified nonzero in
-    exact integer arithmetic (see certify_witness_exact). The default draws
-    seeded random unitary fills, which keeps the matrix well conditioned.
+    With exact=True all fills are identity blocks and no random generator is
+    made; every entry is then 0 or 1, exactly representable, and the
+    determinant can be certified nonzero in exact integer arithmetic (see
+    certify_witness_exact). Row r depends only on the assignment with r
+    receive antennas, so the exact witness of a cell is the prefix Z[:R],
+    s[:R T_eff Q], x of the witness of any cell above it on its chain. The
+    default draws seeded random unitary fills, row by row, which keeps the
+    matrix well conditioned. The fills of all rows are then written at once
+    from index arrays of the pilot, data, anchor and dropped faces.
     """
     dims.require_regime()
     if pilots.dims != dims:
         raise InvalidConfigurationError("pilot assignment was built for different dims")
     Teff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
-    rng = np.random.default_rng(seed)
+    # the assignments for R' = T_eff..R; receive row R' uses the partition of its own
+    chain = [*pilot_chain(dims.with_rx(R - 1)), pilots] if R > Teff else [pilots]
+    base, above = chain[0], chain[1:]
+
+    # base_fill[r] fills the pilot rows of receive row r, s_base[r] is s_{r,r},
+    # and anchor_fill[k, t] fills the anchor rows of Z_{T_eff+k+1, t}
+    if exact:
+        base_fill = np.broadcast_to(np.eye(Teff * Q, dtype=complex), (Teff, Teff * Q, Teff * Q))
+        s_base = np.zeros((Teff, Q), dtype=complex)
+        s_base[:, 0] = 1.0
+        anchor_fill = np.broadcast_to(np.eye(Q, dtype=complex), (len(above), Teff, Q, Q))
+    else:
+        rng = np.random.default_rng(seed)
+        base_fill = np.empty((Teff, Teff * Q, Teff * Q), dtype=complex)
+        s_base = np.empty((Teff, Q), dtype=complex)
+        for r in range(Teff):
+            base_fill[r] = _random_unitary(rng, Teff * Q)
+            g = standard_complex_gaussian(rng, Q)
+            s_base[r] = g / np.linalg.norm(g)
+        anchor_fill = np.empty((len(above), Teff, Q, Q), dtype=complex)
+        for k in range(len(above)):
+            for t in range(Teff):
+                anchor_fill[k, t] = _random_unitary(rng, Q)
+
     Zb = np.zeros((R, Teff, N, Q), dtype=complex)
     sv = np.zeros((R, Teff, Q), dtype=complex)
+    r = np.arange(Teff)
+    # pilot face k of antenna r, column c = t Q + q of (Z_{r,1} ... Z_{r,T_eff})
+    pilot_rows = np.asarray(base.pilot_sets) - 1
+    c = np.arange(Teff * Q)
+    Zb[r[:, None, None], c // Q, pilot_rows[:, :, None], c % Q] = base_fill
+    sv[r, r] = s_base
+    Zb[r[:, None], r[:, None], np.asarray(base.data_sets) - 1] = np.conj(s_base)[:, None, :]
 
-    # the assignments for R' = T_eff..R-1, whose partitions the lower receive rows use
-    chain = pilot_chain(dims.with_rx(R - 1)) if R > Teff else [pilots]
-    base = chain[0]
-    for r in range(Teff):
-        pilot_rows = np.asarray(base.pilot_sets[r], dtype=int) - 1
-        data_rows = np.asarray(base.data_sets[r], dtype=int) - 1
-        fill = np.eye(Teff * Q, dtype=complex) if exact else _random_unitary(rng, Teff * Q)
-        for t in range(Teff):
-            Zb[r, t][pilot_rows, :] = fill[:, t * Q : (t + 1) * Q]
-        srr = np.zeros(Q, dtype=complex)
-        if exact:
-            srr[0] = 1.0
-        else:
-            g = standard_complex_gaussian(rng, Q)
-            srr = g / np.linalg.norm(g)
-        sv[r, r] = srr
-        Zb[r, r][data_rows, :] = np.conj(srr)[None, :]
-
-    for rr in range(Teff + 1, R + 1):
-        pa = pilots if rr == R else chain[rr - Teff]
-        for t in range(Teff):
-            g_rows = np.asarray(pa.G_sets[t], dtype=int) - 1
-            fill = np.eye(Q, dtype=complex) if exact else _random_unitary(rng, Q)
-            Zb[rr - 1, t][g_rows, :] = fill
-            k0 = pa.G_sets[t].index(pa.anchors[t])
-            srt = np.conj(fill[k0])
-            sv[rr - 1, t] = srt
-            l_rows = np.asarray(pa.L_sets[t], dtype=int) - 1
-            Zb[rr - 1, t][l_rows, :] = np.conj(srt)[None, :]
+    if above:
+        k = np.arange(len(above))[:, None]  # receive row T_eff + k
+        g_rows = np.asarray([pa.G_sets for pa in above]) - 1  # [k, t, j]: face j of G_t
+        Zb[Teff + k[..., None, None], r[:, None, None], g_rows[..., None], np.arange(Q)] = anchor_fill
+        anchors = np.asarray([pa.anchors for pa in above]) - 1
+        k0 = (g_rows == anchors[..., None]).argmax(axis=-1)  # the anchor's place in G_t
+        sv[Teff:] = np.conj(anchor_fill[k, r, k0])
+        # (receive row, antenna, face) of every dropped face, in L_t
+        dropped = [(Teff + k, t, i - 1) for k, pa in enumerate(above) for t, L in enumerate(pa.L_sets) for i in L]
+        rows, t, i = np.asarray(dropped, dtype=int).reshape(-1, 3).T
+        Zb[rows, t, i] = np.conj(sv[rows, t])
 
     x = np.ones(Teff * N, dtype=complex)
     return ColoringMatrix(Zb), sv.reshape(-1), x
 
 
-def certify_witness_exact(dims: Dims, pilots: PilotAssignment) -> int:
+def certify_witness_exact(dims: Dims, pilots: PilotAssignment, witness=None) -> int:
     """Exact-arithmetic certificate that the witness determinant is nonzero.
 
     Builds the exact-mode witness, whose Jacobian has 0/1 entries, and
     evaluates its determinant with exact_integer_det, whose peel expands the
     block-triangular witness entry by entry. Returns the determinant as an
     exact int; nonzero certifies nonsingularity with no floating-point error.
+
+    witness, when given, is the exact witness (Z, s, x) of a cell above dims
+    on its chain (same T_eff, N and Q, R at least dims.R), such as the
+    chain's top; dims is certified on its prefix, which is its own witness,
+    so one build serves every cell of a chain.
     """
-    Z, s, x = witness_construct(dims, pilots, exact=True)
-    J = assemble_jacobian(Z, s, x, pilots)
+    Z, s, x = witness_construct(dims, pilots, exact=True) if witness is None else witness
+    R = dims.R
+    J = assemble_jacobian(ColoringMatrix(Z.blocks[:R]), s[: R * dims.T_eff * dims.Q], x, pilots)
     return exact_integer_det(J.matrix)
 
 

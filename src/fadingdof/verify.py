@@ -3,7 +3,10 @@ arithmetic and combinatorics only, so it needs no seed."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from . import dof, jacobian
 from .model import regime_cells, regime_chains
@@ -38,38 +41,41 @@ def run_verify_all(n_max: int = 10) -> bool:
     check(f"pilot-set properties on every regime cell with N <= {n_max}", ok, str(bad))
 
     ok = True
-    for dims in regime_cells(n_max):
-        if dims.R > dims.T_eff:
-            d, l = dims, dof.ell(dims.T_eff, dims.R, dims.N, dims.Q)
-            lhs = pilot_count(d.T_eff, d.R - 1, d.N, d.Q) - pilot_count(d.T_eff, d.R, d.N, d.Q)
-            ok &= lhs == d.N - d.T_eff * d.Q - l
-            ok &= l < d.N - d.T_eff * d.Q
+    for top in regime_chains(n_max):
+        T_eff, N, Q = top.T_eff, top.N, top.Q
+        thetas = [pilot_count(T_eff, R, N, Q) for R in range(T_eff, top.R + 1)]
+        for R in range(T_eff + 1, top.R + 1):
+            drop, l = thetas[R - 1 - T_eff] - thetas[R - T_eff], dof.ell(T_eff, R, N, Q)
+            ok &= drop == N - T_eff * Q - l and l < N - T_eff * Q
     check("pilot-count drop identity and redundancy bound on the regime grid", ok)
 
     ok = True
-    for p in range(0, 19):
-        for b in range(2, 7):
-            for a in range(0, 7):
-                for c in range(1, b + 1):
-                    count = 0  # of j in (p, q] with mod_star(j + a, b) == c, as q grows
-                    for q in range(p + 1, 19):
-                        count += mod_star(q + a, b) == c
-                        ok &= count <= -(-(q - p) // b)
+    # q + a for q in [1:18], a in [0:6], at [a, q - 1]; p and the window end q run over [0:18]
+    values = np.arange(7)[:, None] + np.arange(1, 19)
+    ends = np.arange(19)
+    for b in range(2, 7):
+        residues = np.array([mod_star(v, b) for v in range(1, 25)])[values - 1]
+        hits = (residues[:, None, :] == np.arange(1, b + 1)[:, None]).astype(np.int8)  # [a, c, q - 1]
+        counts = np.zeros((7, b, 19), dtype=np.int8)  # of j in [1 : q] with mod_star(j + a, b) == c
+        np.cumsum(hits, axis=-1, dtype=np.int8, out=counts[..., 1:])
+        window = counts[..., None, :] - counts[..., :, None]  # [a, c, p, q]: of j in (p : q]
+        bound = -((ends[:, None] - ends) // b)  # ceil((q - p) / b)
+        ok &= bool(((window <= bound) | (ends <= ends[:, None])).all())
     check("window counting bound (exhaustive small grid)", ok)
 
-    ok = True
-    for N in range(1, n_max + 1):
-        for Q in range(1, 4):
-            for T in range(1, 13):
-                upper = T * (N - 1)  # N chi_upper(T, N); every bound here is scaled by N
-                for R in range(1, 13):
-                    closed = dof._chi_low_star_scaled(T, R, N, Q)
-                    ok &= closed == dof._chi_low_star_brute_scaled(T, R, N, Q)
-                    ok &= closed <= upper
-                    if N >= 2:
-                        # R >= T (N - 1) / (N - T Q), with N - T Q > 0
-                        in_region = T * Q < N and R * (N - T * Q) >= upper
-                        ok &= (closed == upper) == in_region
+    # N, Q, T and R, each from 1, on the axes of an (n_max, 3, 12, 12) grid; bounds scaled by N
+    N, Q, T, R = np.ogrid[1 : n_max + 1, 1:4, 1:13, 1:13]
+    cells = itertools.product(range(1, n_max + 1), range(1, 4), range(1, 13), range(1, 13))
+    closed = np.array([dof._chi_low_star_scaled(t, r, n, q) for n, q, t, r in cells], dtype=np.int64)
+    closed = closed.reshape(n_max, 3, 12, 12)
+    upper = T * (N - 1)  # N chi_upper(T, N)
+    # the equality region R >= T (N - 1) / (N - T Q), with N - T Q > 0, checked for N >= 2
+    in_region = (T * Q < N) & (R * (N - T * Q) >= upper)
+    ok = bool(
+        (closed == dof._chi_low_star_brute_grid(N, Q, T, R)).all()
+        and (closed <= upper).all()
+        and ((closed == upper) == in_region)[1:].all()
+    )
     check(f"lower-bound closed form, ordering, equality region (N <= {n_max})", ok)
 
     ok = True
@@ -79,9 +85,11 @@ def run_verify_all(n_max: int = 10) -> bool:
     check("unconstrained figure ratio: exact value at N=1000, monotone toward 4", ok)
 
     ok = True
-    for top in regime_chains(4):
-        for pa in pilot_chain(top):
-            ok &= jacobian.certify_witness_exact(pa.dims, pa) != 0
+    for dims in regime_cells(4):
+        if dims.R == dims.T_eff:  # a chain's first cell: deal the chain and build its top's witness
+            chain = pilot_chain(dims.with_rx(dims.rx_needed))
+            witness = jacobian.witness_construct(chain[-1].dims, chain[-1], exact=True)
+        ok &= jacobian.certify_witness_exact(dims, chain[dims.R - dims.T_eff], witness) != 0
     check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)
 
     return ok_all

@@ -9,14 +9,17 @@ the per-draw Jacobian assembly the oracle that its stacked assembly must match
 bit for bit; it assembles non-square cases too. probe_draws replays the draws
 of a genericity probe one at a time, for full-SVD oracles of its verdicts.
 The brute-force maximum of the lower bound and the constant model's peak are
-the Fraction oracles of the library's N-scaled closed forms.
+the Fraction oracles of the library's N-scaled closed forms; the scalar
+N-scaled brute force is the oracle of the library's grid of it. The
+per-(r, t) witness fill loop is the oracle that the library's vectorised
+witness must match bit for bit, in both modes.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from fadingdof.dof import chi_const, chi_low
+from fadingdof.dof import _chi_low_scaled, chi_const, chi_low
 from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
     ColoringMatrix,
@@ -35,6 +38,11 @@ def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
     without it the maximum can be negative while the closed form floors at 0.
     """
     return max(chi_low(t, R, N, Q) for t in range(min(T, R) + 1))
+
+
+def chi_low_star_brute_scaled(T: int, R: int, N: int, Q: int) -> int:
+    """Oracle: N chi_low_star as the maximum of N chi_low over integer T_eff in [0 : min(T, R)]."""
+    return max(_chi_low_scaled(t, R, N, Q) for t in range(min(T, R) + 1))
 
 
 def chi_const_max(N: int) -> Fraction:
@@ -194,3 +202,45 @@ def full_svd_verdict(M) -> bool:
     """Oracle verdict on one Jacobian: sigma_min(M) > NONSINGULAR_TOL ||M||_2, from a full SVD."""
     sv = np.linalg.svd(M, compute_uv=False)
     return bool(sv[-1] > NONSINGULAR_TOL * sv[0])
+
+
+def witness_construct_loop(dims, pilots, seed: int = 0, exact: bool = False):
+    """Oracle: the witness (Z, s, x) filled block by block, one (r, t) at a time.
+
+    The random fills are drawn in the same order as the library's: per base
+    row a unitary T_eff Q fill then s_{r,r}, then per further row and antenna
+    a unitary Q x Q fill.
+    """
+    from fadingdof.jacobian import _random_unitary
+    from fadingdof.pilots import pilot_chain
+
+    Teff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
+    rng = None if exact else np.random.default_rng(seed)
+    Zb = np.zeros((R, Teff, N, Q), dtype=complex)
+    sv = np.zeros((R, Teff, Q), dtype=complex)
+    chain = pilot_chain(dims.with_rx(R - 1)) if R > Teff else [pilots]
+    base = chain[0]
+    for r in range(Teff):
+        pilot_rows = np.asarray(base.pilot_sets[r], dtype=int) - 1
+        data_rows = np.asarray(base.data_sets[r], dtype=int) - 1
+        fill = np.eye(Teff * Q, dtype=complex) if exact else _random_unitary(rng, Teff * Q)
+        for t in range(Teff):
+            Zb[r, t][pilot_rows, :] = fill[:, t * Q : (t + 1) * Q]
+        srr = np.zeros(Q, dtype=complex)
+        if exact:
+            srr[0] = 1.0
+        else:
+            g = standard_complex_gaussian(rng, Q)
+            srr = g / np.linalg.norm(g)
+        sv[r, r] = srr
+        Zb[r, r][data_rows, :] = np.conj(srr)[None, :]
+    for rr in range(Teff + 1, R + 1):
+        pa = pilots if rr == R else chain[rr - Teff]
+        for t in range(Teff):
+            g_rows = np.asarray(pa.G_sets[t], dtype=int) - 1
+            fill = np.eye(Q, dtype=complex) if exact else _random_unitary(rng, Q)
+            Zb[rr - 1, t][g_rows, :] = fill
+            srt = np.conj(fill[pa.G_sets[t].index(pa.anchors[t])])
+            sv[rr - 1, t] = srt
+            Zb[rr - 1, t][np.asarray(pa.L_sets[t], dtype=int) - 1, :] = np.conj(srt)[None, :]
+    return ColoringMatrix(Zb), sv.reshape(-1), np.ones(Teff * N, dtype=complex)

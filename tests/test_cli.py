@@ -236,11 +236,12 @@ def test_verify_all_exit_zero(capsys):
 
 
 def test_verify_all_covers_its_grids(monkeypatch, capsys):
-    # each check's call count is fixed by its loop bounds, so no grid can shrink unseen
+    # each check's call count and grid shape is fixed by its loop bounds, so no grid can shrink unseen
     from fadingdof import dof, jacobian, verify
     from fadingdof.model import regime_cells, regime_chains
 
     calls = collections.Counter()
+    grids = []
 
     def count(module, name):
         original = getattr(module, name)
@@ -253,24 +254,133 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
 
     for name in ("card_deal", "pilot_count", "verify_pilot_properties", "mod_star", "pilot_chain"):
         count(verify, name)
-    count(dof, "_chi_low_star_brute_scaled")
-    count(jacobian, "certify_witness_exact")
+    count(dof, "_chi_low_star_scaled")
+    count(jacobian, "witness_construct")
+    count(jacobian, "exact_integer_det")
+    brute_grid = dof._chi_low_star_brute_grid
+
+    def recorded_grid(*axes):
+        grids.append(brute_grid(*axes))
+        return grids[-1]
+
+    monkeypatch.setattr(dof, "_chi_low_star_brute_grid", recorded_grid)
     n_max = 10
     assert verify.run_verify_all(n_max)
     cells = list(regime_cells(n_max))
     assert calls == {
         "card_deal": sum(range(1, n_max + 1)) ** 2,  # T_eff * N cards for T_eff, N <= n_max
         "verify_pilot_properties": len(cells),
-        "pilot_count": 2 * sum(d.R > d.T_eff for d in cells),
-        # window check: q in (p, 18] for p <= 18, a < 7, c <= b for 2 <= b <= 6
-        "mod_star": sum(18 - p for p in range(19)) * 7 * sum(range(2, 7)),
-        "_chi_low_star_brute_scaled": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
+        "pilot_count": len(cells),  # theta_R of every cell, R = T_eff..top along each chain
+        # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
+        "mod_star": 24 * 5,
+        "_chi_low_star_scaled": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
         # one deal per (N, Q, T_eff) chain: the pilot grid, then the witness grid N <= 4
         "pilot_chain": len(list(regime_chains(n_max))) + len(list(regime_chains(4))),
-        "certify_witness_exact": len(list(regime_cells(4))),
+        # the witness grid N <= 4: one build per chain, at its top, and a determinant per cell
+        "witness_construct": len(list(regime_chains(4))),
+        "exact_integer_det": len(list(regime_cells(4))),
     }
-    assert (calls["mod_star"], calls["certify_witness_exact"]) == (23_940, 22)
+    assert [grid.shape for grid in grids] == [(n_max, 3, 12, 12)]  # the brute-force oracle's grid
+    assert (calls["mod_star"], calls["witness_construct"], calls["exact_integer_det"]) == (120, 9, 22)
     assert (len(cells), calls["pilot_chain"]) == (732, 100 + 9)
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def failed_lines(capsys, n_max):
+    """The [FAIL] lines of run_verify_all(n_max), which must also be the CLI's, with exit code 1."""
+    from fadingdof.verify import run_verify_all
+
+    assert not run_verify_all(n_max)
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    code, out, _ = run_cli(capsys, "verify-all", "--nmax", str(n_max))
+    assert code == 1 and [line for line in out.splitlines() if line.startswith("[FAIL]")] == failed
+    return failed
+
+
+def test_verify_all_fails_on_a_wrong_residue_table(monkeypatch, capsys):
+    # multiples of 3 read as residue 1: two in every three j hit c = 1
+    from fadingdof import verify
+
+    original = verify.mod_star
+    monkeypatch.setattr(verify, "mod_star", lambda a, b: 1 if b == 3 and a % 3 == 0 else original(a, b))
+    failed = failed_lines(capsys, 5)
+    assert failed == ["[FAIL] window counting bound (exhaustive small grid)"]
+
+
+def test_verify_all_fails_on_a_redundancy_count_off_by_one(monkeypatch, capsys):
+    from fadingdof import dof
+
+    original = dof.ell
+    off_by_one = lambda T_eff, R, N, Q: original(T_eff, R, N, Q) + ((T_eff, R, N, Q) == (3, 5, 8, 2))
+    monkeypatch.setattr(dof, "ell", off_by_one)
+    failed = failed_lines(capsys, 8)
+    assert failed == ["[FAIL] pilot-count drop identity and redundancy bound on the regime grid"]
+
+
+def test_verify_all_fails_on_one_zero_witness_determinant(monkeypatch, capsys):
+    # of the cells with N <= 4 only (T_eff, R, N, Q) = (2, 3, 3, 1), below its chain's top, has n = 9
+    from fadingdof import jacobian
+
+    original = jacobian.exact_integer_det
+    monkeypatch.setattr(jacobian, "exact_integer_det", lambda M: 0 if len(M) == 9 else original(M))
+    failed = failed_lines(capsys, 5)
+    assert failed == ["[FAIL] witness determinant certified nonzero in exact arithmetic (N <= 4)"]
+
+
+def test_verify_all_fails_on_one_wrong_brute_force_cell(monkeypatch, capsys):
+    from fadingdof import dof
+
+    original = dof._chi_low_star_brute_grid
+
+    def wrong_at_one_cell(*axes):
+        grid = original(*axes)
+        grid[6, 1, 2, 4] -= 1  # (N, Q, T, R) = (7, 2, 3, 5)
+        return grid
+
+    monkeypatch.setattr(dof, "_chi_low_star_brute_grid", wrong_at_one_cell)
+    failed = failed_lines(capsys, 7)
+    assert failed == ["[FAIL] lower-bound closed form, ordering, equality region (N <= 7)"]
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["jacobian-witness", "--dims", "2,4,5,2", "--exact"]])
+def test_exact_calls_load_no_random_generator(argv):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout.strip() != "False":
+        pytest.skip("import numpy already loads numpy.random here")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import contextlib, io, sys\n"
+        "from fadingdof.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    run = lambda args: subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+    assert run(argv).stdout.split() == ["0", "False"]
+    # the seeded witness still draws, so the probe sees the generator load
+    assert run(["jacobian-witness", "--dims", "2,4,5,2", "--seed", "3"]).stdout.split() == ["0", "True"]
+
+
+def test_verify_all_allocates_at_most_one_mib_at_its_peak(capsys):
+    # every array temporary is a grid of at most a few ten KB and the chains stream
+    import tracemalloc
+
+    from fadingdof import verify
+
+    verify.run_verify_all(10)  # first-call costs: lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert verify.run_verify_all(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
     assert "[FAIL]" not in capsys.readouterr().out
 
 

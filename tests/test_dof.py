@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from paper_facts import chi_const_max, chi_low_star_brute, virtual_simo_K
+from paper_facts import chi_const_max, chi_low_star_brute, chi_low_star_brute_scaled, virtual_simo_K
 
 from fadingdof import dof
 from fadingdof.dof import (
@@ -87,9 +87,27 @@ def test_scaled_forms_are_N_times_the_fraction_oracles():
             for T in range(1, 13):
                 for R in range(1, 13):
                     brute = chi_low_star_brute(T, R, N, Q)
-                    assert dof._chi_low_star_brute_scaled(T, R, N, Q) == N * brute, (T, R, N, Q)
+                    assert chi_low_star_brute_scaled(T, R, N, Q) == N * brute, (T, R, N, Q)
                     assert dof._chi_low_star_scaled(T, R, N, Q) == N * brute, (T, R, N, Q)
                     assert chi_low_star(T, R, N, Q) == brute
+
+
+def test_brute_grid_is_the_scalar_brute_force_on_every_cell():
+    # the grid verify-all checks, and beyond: T, R up to 20, so min(T, R) spans more T_eff
+    for axes in (np.ogrid[1:11, 1:4, 1:13, 1:13], np.ogrid[1:8, 1:8, 1:21, 1:21]):
+        grid = dof._chi_low_star_brute_grid(*axes)
+        assert grid.shape == tuple(len(a.ravel()) for a in axes) and grid.dtype == np.int64
+        for (n, q, t, r), value in np.ndenumerate(grid):
+            assert value == chi_low_star_brute_scaled(t + 1, r + 1, n + 1, q + 1), (t + 1, r + 1, n + 1, q + 1)
+
+
+def test_brute_grid_broadcasts_scalars_and_arrays_alike():
+    N, R = np.arange(1, 9)[:, None], np.arange(1, 9)
+    assert np.array_equal(
+        dof._chi_low_star_brute_grid(N, 2, 5, R),
+        [[chi_low_star_brute_scaled(5, r, n, 2) for r in range(1, 9)] for n in range(1, 9)],
+    )
+    assert dof._chi_low_star_brute_grid(7, 2, 5, 4) == dof._chi_low_star_scaled(5, 4, 7, 2)
 
 
 # Oracle: the paper's formulas in Fraction arithmetic, kept apart from the

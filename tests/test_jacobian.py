@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from paper_facts import assemble_jacobian_loop, full_svd_verdict, probe_draws, reduce_by_block
+from paper_facts import (
+    assemble_jacobian_loop,
+    full_svd_verdict,
+    probe_draws,
+    reduce_by_block,
+    witness_construct_loop,
+)
 
 import fadingdof.jacobian as jacobian_module
 from fadingdof.analysis import BATCH, LOG_FLOOR, LogDetEstimate, mc_logdet
@@ -39,10 +45,11 @@ from fadingdof.model import (
     constant_model,
     random_coloring,
     regime_cells,
+    regime_chains,
     standard_complex_gaussian,
 )
 from fadingdof.identify import forward_map, run_recovery_trials
-from fadingdof.pilots import build_pilot_sets
+from fadingdof.pilots import build_pilot_sets, pilot_chain
 
 DIMS = Dims.create(2, 3, 4, 1)
 PILOTS = build_pilot_sets(DIMS)
@@ -221,6 +228,43 @@ def test_witness_from_the_chain_equals_the_per_R_witness(cell, monkeypatch):
     )
     assert witness_bytes(exact) == witness_bytes(witness_construct(dims, pa, exact=True))
     assert witness_bytes(seeded) == witness_bytes(witness_construct(dims, pa, seed=5))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    list(regime_cells(6)) + [Dims.create(4, 8, 16, 2), Dims.create(4, 4, 16, 2, T_eff=3)],
+    ids=lambda d: f"{d.T}{d.R}{d.N}{d.Q}t{d.T_eff}",
+)
+def test_witness_fills_are_bitwise_the_block_by_block_loop(dims):
+    pa = build_pilot_sets(dims)
+    for kwargs in ({"exact": True}, {"seed": 11}):
+        assert witness_bytes(witness_construct(dims, pa, **kwargs)) == witness_bytes(
+            witness_construct_loop(dims, pa, **kwargs)
+        ), kwargs
+
+
+def test_a_cells_exact_witness_is_the_prefix_of_its_chain_tops():
+    # one build per chain serves every cell of it, as verify-all certifies them
+    tops = [top for top in regime_chains(7) if top.R > top.T_eff]
+    for top in tops:
+        chain = pilot_chain(top)
+        witness = witness_construct(top, chain[-1], exact=True)
+        Z, s, x = witness
+        for pa in chain:
+            R = pa.dims.R
+            own = witness_construct(pa.dims, pa, exact=True)
+            prefix = (ColoringMatrix(Z.blocks[:R]), s[: R * top.T_eff * top.Q], x)
+            assert witness_bytes(own) == witness_bytes(prefix), pa.dims
+            assert certify_witness_exact(pa.dims, pa, witness) == certify_witness_exact(pa.dims, pa) != 0
+    assert len(tops) == 35
+
+
+def test_the_exact_witness_makes_no_random_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator on the exact path")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert certify_witness_exact(DIMS, PILOTS) != 0
 
 
 def test_probe_generic_and_constant():

@@ -27,7 +27,6 @@ from .dof import (
 )
 from .pilots import PilotAssignment, build_pilot_sets, card_deal, mod_star, verify_pilot_properties
 from .jacobian import (
-    JacobianMatrix,
     assemble_jacobian,
     bezout_bound,
     genericity_probe,

@@ -217,12 +217,15 @@ def run_recovery_trials(dims: Dims, trials: int, seed: int, constant: bool = Fal
 
 
 def recovery_summary(results) -> dict:
-    """Trial count, success rate, and median residual and parameter error (None without trials)."""
+    """Trial count, success rate, and median residual and parameter error.
+
+    The last three are None without trials.
+    """
     residuals = sorted(r.residual for r in results)
     errors = sorted(r.param_error for r in results)
     return {
         "trials": len(results),
-        "success_rate": sum(r.success for r in results) / max(1, len(results)),
+        "success_rate": sum(r.success for r in results) / len(results) if results else None,
         "median_residual": residuals[len(residuals) // 2] if residuals else None,
         "median_param_error": errors[len(errors) // 2] if errors else None,
     }

@@ -29,20 +29,19 @@ fading columns are fewer than the m data columns, so S is n_b x n_b, and
 the antennas otherwise, so S is m x m. A stack of draws of at most
 STACK_BYTES costs one QR call and one SVD call per shape class of groups
 (the antennas are one class; faces fall into a few by their row and data
-column counts) and one SVD call for S. A single JacobianMatrix computes its
-singular values (one SVD) and the determinant's sign and log-magnitude (one
-slogdet) on first use and caches them, so recovery and the exact
-certificate, which read only the matrix, factorize nothing.
+column counts) and one SVD call for S. assemble_jacobian returns the matrix
+alone, so recovery and the exact certificate factorize nothing; witness_report
+takes one SVD of it for every float statistic it prints.
 
-Nonsingularity at finite precision: a JacobianMatrix is nonsingular when
-sigma_min > 1e-10 (NONSINGULAR_TOL) times its spectral norm; a probe or
-Monte-Carlo draw when every factor of its elimination, each R_g and S, has
-sigma_min > NONSINGULAR_TOL sigma_max. Both mean det J != 0 in exact
-arithmetic, but they are not the same test at finite precision. Determinant
-magnitude alone is scale-fragile; the probe reports its log, which cannot
-overflow. All computations
-are pure; each probe trial draws from its own derived seed, so the
-statistics do not depend on how the trials are grouped into stacks.
+Nonsingularity at finite precision: one Jacobian (witness_report) is
+nonsingular when sigma_min > 1e-10 (NONSINGULAR_TOL) times its spectral norm;
+a probe or Monte-Carlo draw when every factor of its elimination, each R_g
+and S, has sigma_min > NONSINGULAR_TOL sigma_max. Both mean det J != 0 in
+exact arithmetic, but they are not the same test at finite precision.
+Determinant magnitude alone is scale-fragile; the probe reports its log, which
+cannot overflow. All computations are pure; each probe trial draws from its
+own derived seed, so the statistics do not depend on how the trials are
+grouped into stacks.
 """
 
 from __future__ import annotations
@@ -70,10 +69,8 @@ from .pilots import PilotAssignment, build_pilot_sets, pilot_chain
 
 __all__ = [
     "NONSINGULAR_TOL",
-    "JacobianMatrix",
     "JacobianLayout",
     "assemble_jacobian",
-    "assemble_jacobians",
     "bezout_bound",
     "witness_construct",
     "certify_witness_exact",
@@ -87,63 +84,6 @@ __all__ = [
 NONSINGULAR_TOL = 1e-10
 # Largest stack of Jacobians factorized by one LAPACK call; a larger matrix is factorized alone.
 STACK_BYTES = 4 * 2**20
-
-
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """The square recovery Jacobian with lazily computed, cached spectral statistics.
-
-    Assembly builds only the matrix. The singular values (one SVD) and the
-    sign and log-magnitude of the determinant (one slogdet) are each computed
-    on first use and kept, so a caller that reads only .matrix pays for no
-    factorization and one that reads every statistic pays for each at most
-    once.
-    """
-
-    dims: Dims
-    pilots: PilotAssignment
-    matrix: np.ndarray
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """All singular values, largest first."""
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.singular_values[-1])
-
-    @property
-    def spectral_norm(self) -> float:
-        return float(self.singular_values[0])
-
-    @property
-    def nonsingular(self) -> bool:
-        return self.sigma_min > NONSINGULAR_TOL * self.spectral_norm
-
-    @cached_property
-    def _slogdet(self) -> tuple:
-        sign, logdet = np.linalg.slogdet(self.matrix)
-        return sign, float(logdet)
-
-    @property
-    def sign(self):
-        """Sign of the determinant: a unit complex number, or 0 when it is exactly singular."""
-        return self._slogdet[0]
-
-    @property
-    def log_abs_det(self) -> float:
-        """log |det|, finite where |det| itself would overflow or underflow a float."""
-        return self._slogdet[1]
-
-    @property
-    def det_abs(self) -> float:
-        """|det| as a float, derived from log_abs_det (inf past float range, 0.0 when singular)."""
-        return 0.0 if self.sign == 0 else float(np.exp(self.log_abs_det))
-
-    @property
-    def bezout_bound(self) -> int:
-        return bezout_bound(self.dims, self.pilots)
 
 
 def bezout_bound(dims: Dims, pilots: PilotAssignment) -> int:
@@ -206,7 +146,8 @@ class JacobianLayout:
         stack_entries = q_entries + self._schur_size**2
         self.per_stack = max(1, STACK_BYTES // (stack_entries * np.dtype(complex).itemsize))
 
-    def _require_conforming(self, Z_blocks, S, X):
+    def _entries(self, Z_blocks, S, X) -> tuple:
+        """x_t[i] Z_{r,t}[i,q] (k, R, T_eff, N, Q) and h_{r,t}[i] (k, R, T_eff, N), shapes checked."""
         dims = self.dims
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
         k = len(S)
@@ -218,6 +159,7 @@ class JacobianLayout:
             raise InvalidConfigurationError(
                 f"stack shapes Z {Z_blocks.shape}, s {S.shape}, x {X.shape} do not conform to {dims}"
             )
+        return X.reshape(k, 1, Teff, N, 1) * Z_blocks, channel_vectors(Z_blocks, S)
 
     def assemble(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The (k, n, n) Jacobians at the k points (S[j], X[j]).
@@ -225,12 +167,9 @@ class JacobianLayout:
         Z_blocks is one (R, T_eff, N, Q) coloring shared by every point, or a
         (k, R, T_eff, N, Q) stack of them; S is (k, R T_eff Q) and X is (k, T_eff N).
         """
-        self._require_conforming(Z_blocks, S, X)
-        dims = self.dims
+        products, diagonal = self._entries(Z_blocks, S, X)
         k, n = len(S), self.n
-        products = X.reshape(k, 1, dims.T_eff, dims.N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
-        diagonal = channel_vectors(Z_blocks, S)
-        J = np.zeros((k, dims.R * dims.N * n), dtype=complex)
+        J = np.zeros((k, self.dims.R * self.dims.N * n), dtype=complex)
         J[:, self._b_dst] = products.reshape(k, -1)
         J[:, self._a_dst] = diagonal.reshape(k, -1)[:, self._a_src]
         return J[:, : n * n].reshape(k, n, n)
@@ -299,11 +238,8 @@ class JacobianLayout:
         exactly when every factor is, which the callers judge as ratio >
         NONSINGULAR_TOL.
         """
-        self._require_conforming(Z_blocks, S, X)
-        dims = self.dims
+        products, channels = self._entries(Z_blocks, S, X)
         k, size = len(S), self._schur_size
-        products = X.reshape(k, 1, dims.T_eff, dims.N, 1) * Z_blocks  # x_t[i] Z_{r,t}[i, q]
-        channels = channel_vectors(Z_blocks, S)
         products[:, -1, :, self._last_rows :] = 0  # outside the useful rows
         channels[:, -1, :, self._last_rows :] = 0
         products, channels = products.reshape(k, -1), channels.reshape(k, -1)
@@ -335,21 +271,10 @@ class JacobianLayout:
         return logs.sum(axis=1), ratio.min(axis=1)
 
 
-def assemble_jacobians(
-    Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray, pilots: PilotAssignment
-) -> np.ndarray:
-    """The (k, n, n) stack of Jacobians [(B  [A]^D)]_I at the points (S[j], X[j]).
-
-    Z_blocks is one shared (R, T_eff, N, Q) coloring or a per-point
-    (k, R, T_eff, N, Q) stack; see JacobianLayout.assemble.
-    """
-    return JacobianLayout(pilots).assemble(Z_blocks, S, X)
-
-
 def assemble_jacobian(
     Z: ColoringMatrix, s: np.ndarray, x: np.ndarray, pilots: PilotAssignment
-) -> JacobianMatrix:
-    """Assemble the square Jacobian [(B  [A]^D)]_I at the point (s, x): a stack of one.
+) -> np.ndarray:
+    """The square Jacobian [(B  [A]^D)]_I at the point (s, x), an (n, n) complex array: a stack of one.
 
     Column order is the fading vector first (R T_eff Q columns), then the data
     entries of x in ascending flat index.
@@ -358,8 +283,7 @@ def assemble_jacobian(
     Z.require_conforms(dims)
     x = split_tx(np.asarray(x, dtype=complex), dims)
     s = split_fading(np.asarray(s, dtype=complex), dims)
-    M = assemble_jacobians(Z.blocks, s.reshape(1, -1), x.reshape(1, -1), pilots)[0]
-    return JacobianMatrix(dims=dims, pilots=pilots, matrix=M)
+    return JacobianLayout(pilots).assemble(Z.blocks, s.reshape(1, -1), x.reshape(1, -1))[0]
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -464,14 +388,16 @@ def certify_witness_exact(dims: Dims, pilots: PilotAssignment, witness=None) -> 
     Z, s, x = witness_construct(dims, pilots, exact=True) if witness is None else witness
     R = dims.R
     J = assemble_jacobian(ColoringMatrix(Z.blocks[:R]), s[: R * dims.T_eff * dims.Q], x, pilots)
-    return exact_integer_det(J.matrix)
+    return exact_integer_det(J)
 
 
 def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool = False) -> dict:
     """What `fadingdof jacobian-witness` prints: the witness Jacobian's dims and spectral statistics.
 
     The keys are dims, sigma_min, abs_det, spectral_norm, nonsingular and
-    bezout_bound (a decimal string); exact=True builds the 0/1 witness and
+    bezout_bound (a decimal string); the three floats and the verdict come
+    from one SVD, abs_det as exp of the summed log singular values (0.0 when
+    one is zero, inf past float range). exact=True builds the 0/1 witness and
     adds its exact_det ({"re", "im"} decimal strings) and certified_nonzero.
     With export the matrix, coloring and s follow as JSON [re, im] pairs;
     without, sparsity_pattern renders the matrix as one line per row, "#"
@@ -481,22 +407,25 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
     pilots = build_pilot_sets(dims)
     Z, s, x = witness_construct(dims, pilots, seed=seed, exact=exact)
     J = assemble_jacobian(Z, s, x, pilots)
+    sv = np.linalg.svd(J, compute_uv=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        abs_det = float(np.exp(np.log(sv).sum()))
     report = {
         "dims": dims_to_dict(dims),
-        "sigma_min": J.sigma_min,
-        "abs_det": J.det_abs,
-        "spectral_norm": J.spectral_norm,
-        "nonsingular": J.nonsingular,
-        "bezout_bound": str(J.bezout_bound),
+        "sigma_min": float(sv[-1]),
+        "abs_det": abs_det,
+        "spectral_norm": float(sv[0]),
+        "nonsingular": bool(sv[-1] > NONSINGULAR_TOL * sv[0]),
+        "bezout_bound": str(bezout_bound(dims, pilots)),
     }
     if exact:
-        det = exact_integer_det(J.matrix)
+        det = exact_integer_det(J)
         report["exact_det"] = {"re": str(det), "im": "0"}
         report["certified_nonzero"] = det != 0
     if export:
-        report.update(matrix=complex_to_pairs(J.matrix), coloring=coloring_to_dict(Z), s=complex_to_pairs(s))
+        report.update(matrix=complex_to_pairs(J), coloring=coloring_to_dict(Z), s=complex_to_pairs(s))
     else:
-        chars = np.where(J.matrix != 0, ord("#"), ord(".")).astype(np.uint8)
+        chars = np.where(J != 0, ord("#"), ord(".")).astype(np.uint8)
         lines = np.concatenate([chars, np.full((len(chars), 1), ord("\n"), np.uint8)], axis=1)
         report["sparsity_pattern"] = lines.tobytes().decode("ascii")[:-1]
     return report

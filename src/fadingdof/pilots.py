@@ -215,18 +215,13 @@ def pilot_chain(dims: Dims) -> list[PilotAssignment]:
     return [_assignment(dims.with_rx(r), cards) for r in range(T_eff, dims.R + 1)]
 
 
-def verify_pilot_properties(dims: Dims | None = None, assignment: PilotAssignment | None = None):
+def verify_pilot_properties(assignment: PilotAssignment):
     """Check the structural properties of a pilot assignment one by one.
 
     Returns {property: {"ok": bool, "detail": payload}}; the detail carries a
-    counterexample on failure and is built only then. Builds the assignment
-    from dims when one is not supplied, so corrupted assignments can be
-    checked directly.
+    counterexample on failure and is built only then. Any assignment is
+    checked as given, so corrupted ones can be checked directly.
     """
-    if assignment is None:
-        if dims is None:
-            raise InvalidConfigurationError("need dims or an assignment")
-        assignment = build_pilot_sets(dims)
     a = assignment
     d = a.dims
     T_eff, R, N, Q = d.T_eff, d.R, d.N, d.Q

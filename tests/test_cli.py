@@ -212,6 +212,15 @@ def test_identify_summary(capsys):
     assert payload["median_param_error"] < 1e-6
 
 
+def test_identify_without_trials_reports_no_rate(capsys):
+    # like genericity's fraction_nonsingular: no trials, no rate, not a rate of 0
+    code, out, _ = run_cli(capsys, "identify", "--dims", "2,3,4,1", "--trials", "0", "--seed", "11")
+    assert code == 0
+    assert json.loads(out) == {
+        "trials": 0, "success_rate": None, "median_residual": None, "median_param_error": None
+    }
+
+
 def test_mc_logdet_json(capsys):
     code, out, _ = run_cli(
         capsys, "mc-logdet", "--dims", "2,3,4,1", "--samples", "100", "--seed", "8"

@@ -27,15 +27,14 @@ from fadingdof.jacobian import (
     NONSINGULAR_TOL,
     STACK_BYTES,
     JacobianLayout,
-    JacobianMatrix,
     ProbeStats,
     assemble_jacobian,
-    assemble_jacobians,
     bezout_bound,
     certify_witness_exact,
     exact_integer_det,
     genericity_probe,
     witness_construct,
+    witness_report,
 )
 from fadingdof.jacobian import _integer_matrix, _multimodular_det, _peel
 from fadingdof.model import (
@@ -88,15 +87,14 @@ def generic_point(seed, dims=DIMS):
 def test_example_sparsity_pattern():
     Z, s, _ = generic_point(21)
     J = assemble_jacobian(Z, s, np.ones(8, dtype=complex), PILOTS)
-    assert J.matrix.shape == (12, 12)
-    assert np.array_equal(J.matrix != 0, expected_mask())
+    assert J.shape == (12, 12)
+    assert np.array_equal(J != 0, expected_mask())
 
 
 def test_zero_fading_kills_right_block():
     Z, _, x = generic_point(22)
     J = assemble_jacobian(Z, np.zeros(6, dtype=complex), x, PILOTS)
-    assert np.all(J.matrix[:, 6:] == 0)
-    assert J.det_abs == 0.0
+    assert np.all(J[:, 6:] == 0)
 
 
 def finite_difference_jacobian(Z, s, x, pilots, delta=1e-5):
@@ -125,14 +123,14 @@ def test_jacobian_matches_finite_differences(seed):
     Z, s, x = generic_point(seed + 100)
     J = assemble_jacobian(Z, s, x, PILOTS)
     fd = finite_difference_jacobian(Z, s, x, PILOTS)
-    err = np.linalg.norm(J.matrix - fd) / np.linalg.norm(J.matrix)
+    err = np.linalg.norm(J - fd) / np.linalg.norm(J)
     assert err < 1e-6
 
 
 def test_jacobian_entries_linear_in_each_fading_block():
     # every entry is either independent of s or linear in exactly one s_{r,t}
     Z, s, x = generic_point(31)
-    base = assemble_jacobian(Z, s, x, PILOTS).matrix
+    base = assemble_jacobian(Z, s, x, PILOTS)
     dims = DIMS
     n_b = dims.R * dims.T_eff * dims.Q
     data_faces = [(d - 1) // dims.N for d in PILOTS.data]  # antenna of each data column
@@ -140,7 +138,7 @@ def test_jacobian_entries_linear_in_each_fading_block():
         for t in range(dims.T_eff):
             s2 = s.copy()
             s2[(r * dims.T_eff + t) * dims.Q : (r * dims.T_eff + t + 1) * dims.Q] *= 2.0
-            scaled = assemble_jacobian(Z, s2, x, PILOTS).matrix
+            scaled = assemble_jacobian(Z, s2, x, PILOTS)
             diff = scaled - base
             assert np.all(diff[:, :n_b] == 0)  # left block never depends on s
             for c, antenna in enumerate(data_faces):
@@ -160,8 +158,8 @@ def test_witness_square_case():
     Z, s, x = witness_construct(dims, pa, seed=3)
     J = assemble_jacobian(Z, s, x, pa)
     assert np.array_equal(x, np.ones(8))
-    assert J.det_abs > 1e-8
-    assert J.nonsingular
+    assert abs(np.linalg.det(J)) > 1e-8
+    assert full_svd_verdict(J)
 
 
 def test_witness_example_zero_pattern():
@@ -172,16 +170,14 @@ def test_witness_example_zero_pattern():
     assert zb[2, 0, 1, 0] == 0  # antenna 1, face 2
     assert zb[2, 1, 2, 0] == 0  # antenna 2, face 3
     assert zb[2, 0, 3, 0] == 0  # antenna 1, face 4
-    J = assemble_jacobian(Z, s, x, PILOTS)
-    assert J.nonsingular
+    assert full_svd_verdict(assemble_jacobian(Z, s, x, PILOTS))
 
 
 def test_witness_small_sweep():
     for dims in (d for d in regime_cells(6) if d.Q <= 2):
         pa = build_pilot_sets(dims)
         Z, s, x = witness_construct(dims, pa, seed=17)
-        J = assemble_jacobian(Z, s, x, pa)
-        assert J.sigma_min > 1e-10 * J.spectral_norm, dims
+        assert full_svd_verdict(assemble_jacobian(Z, s, x, pa)), dims
 
 
 def test_witness_exact_certificates():
@@ -311,20 +307,21 @@ def test_diagonal_grid_is_bitwise_the_loop(dims):
     points = [generic_point(seed, dims) for seed in range(10)]
     S = np.stack([s for _, s, _ in points])
     X = np.stack([x for _, _, x in points])
-    per_point = assemble_jacobians(np.stack([Z.blocks for Z, _, _ in points]), S, X, pa)
+    layout = JacobianLayout(pa)
+    per_point = layout.assemble(np.stack([Z.blocks for Z, _, _ in points]), S, X)
     colorings = [Z for Z, _, _ in points]
     if dims.Q == 1:
         colorings.append(constant_model(dims))
     for Z in colorings:
-        shared = assemble_jacobians(Z.blocks, S, X, pa)
+        shared = layout.assemble(Z.blocks, S, X)
         for j, (_, s, x) in enumerate(points):
             assert shared[j].tobytes() == assemble_jacobian_loop(Z, s, x, pa).tobytes()
     for j, (Z, s, x) in enumerate(points):
         oracle = assemble_jacobian_loop(Z, s, x, pa).tobytes()
         assert per_point[j].tobytes() == oracle
-        assert assemble_jacobian(Z, s, x, pa).matrix.tobytes() == oracle
+        assert assemble_jacobian(Z, s, x, pa).tobytes() == oracle
     witness = witness_construct(dims, pa, exact=True)
-    assert assemble_jacobian(*witness, pa).matrix.tobytes() == assemble_jacobian_loop(*witness, pa).tobytes()
+    assert assemble_jacobian(*witness, pa).tobytes() == assemble_jacobian_loop(*witness, pa).tobytes()
 
 
 def test_assembly_keeps_its_shape_errors():
@@ -336,7 +333,7 @@ def test_assembly_keeps_its_shape_errors():
     with pytest.raises(InvalidConfigurationError, match="s must have length"):
         assemble_jacobian(Z, s[:-1], x, PILOTS)
     with pytest.raises(InvalidConfigurationError, match="do not conform"):
-        assemble_jacobians(Z.blocks, s[None], x[None, :-1], PILOTS)
+        JacobianLayout(PILOTS).assemble(Z.blocks, s[None], x[None, :-1])
     with pytest.raises(InvalidConfigurationError, match="do not conform"):
         JacobianLayout(PILOTS).eliminate(Z.blocks, s[None], x[None, :-1])
     one_more_row = dataclasses.replace(PILOTS, ell=PILOTS.ell - 1)
@@ -588,24 +585,49 @@ def test_stacks_stay_under_the_byte_cap(linalg_calls, dims, q_entries, schur, pe
     assert schur_stacks == [per_stack, 4] * 2
 
 
-def test_spectral_stats_are_computed_once(linalg_calls):
-    J = assemble_jacobian(*generic_point(8), PILOTS)
-    assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
-    first = [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det]
-    assert factorized(linalg_calls) == {"svd": 1, "qr": 0, "slogdet": 1}
-    assert [J.sigma_min, J.spectral_norm, J.nonsingular, J.det_abs, J.sign, J.log_abs_det] == first
-    assert factorized(linalg_calls) == {"svd": 1, "qr": 0, "slogdet": 1}
+@pytest.mark.parametrize("exact", [False, True], ids=["seeded", "exact"])
+def test_witness_report_takes_one_svd(linalg_calls, exact):
+    witness_report(DIMS, seed=8, exact=exact)
+    assert (linalg_calls["svd"], linalg_calls["slogdet"]) == (1, 0)
 
 
-def test_log_abs_det_is_finite_past_float_range():
-    J = assemble_jacobian(*generic_point(9), PILOTS)
-    big = JacobianMatrix(J.dims, J.pilots, 1e40 * J.matrix)  # |det| scales by 1e480
-    sign, logdet = np.linalg.slogdet(big.matrix)
-    assert big.log_abs_det == logdet and np.isfinite(logdet) and logdet > np.log(np.finfo(float).max)
-    assert big.sign == sign and abs(sign) == pytest.approx(1.0)
-    with np.errstate(over="ignore"):
-        assert big.det_abs == np.inf  # the float view overflows; log_abs_det does not
-    assert J.det_abs == float(np.exp(J.log_abs_det))
+WITNESS_CELLS = list(regime_cells(6))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["seeded", "exact"])
+def test_witness_abs_det_matches_slogdet(exact):
+    for dims in WITNESS_CELLS:
+        pa = build_pilot_sets(dims)
+        J = assemble_jacobian(*witness_construct(dims, pa, seed=3, exact=exact), pa)
+        oracle = math.exp(np.linalg.slogdet(J)[1])
+        report = witness_report(dims, seed=3, exact=exact)
+        assert report["abs_det"] == pytest.approx(oracle, rel=1e-12, abs=0), dims
+
+
+def test_exact_witness_abs_det_is_its_exact_det():
+    for dims in WITNESS_CELLS:
+        report = witness_report(dims, exact=True)
+        exact_det = abs(int(report["exact_det"]["re"]))
+        assert report["abs_det"] == pytest.approx(exact_det, rel=1e-12, abs=0), dims
+
+
+def test_witness_report_edge_values_without_warnings(monkeypatch):
+    # J scaled to zero, to |det| 1e480 past float range, and with one column
+    # scaled below the verdict's tolerance (sigma_min / sigma_max < 1e-10);
+    # the SVD resolves sigma_min ~ 1e-12 only to about eps sigma_max, hence rel=1e-3
+    base = witness_report(DIMS, seed=9)
+    tiny = np.ones(PILOTS.n_useful)
+    tiny[-1] = 1e-12
+    cases = [(0.0, 0.0, False), (1e40, math.inf, True), (tiny, 1e-12 * base["abs_det"], False)]
+    assemble = jacobian_module.assemble_jacobian
+    for scale, abs_det, nonsingular in cases:
+        monkeypatch.setattr(jacobian_module, "assemble_jacobian", lambda *a, c=scale: c * assemble(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = witness_report(DIMS, seed=9)
+        assert report["abs_det"] == pytest.approx(abs_det, rel=1e-3, abs=0)
+        assert report["nonsingular"] is nonsingular
+        assert math.isfinite(report["sigma_min"]) and math.isfinite(report["spectral_norm"])
 
 
 def test_reduce_block_triangular():
@@ -634,7 +656,7 @@ def test_reduce_reproduces_worked_reduction():
     # peeling the third receive antenna off the witness leaves exactly the
     # two-antenna witness Jacobian
     Z, s, x = witness_construct(DIMS, PILOTS, seed=2)
-    J3 = assemble_jacobian(Z, s, x, PILOTS).matrix
+    J3 = assemble_jacobian(Z, s, x, PILOTS)
     # rows of the third receive block; columns: its coloring pair plus the
     # replicated-row data columns (faces 3 and 4 -> flat 3 and 8)
     cols = [5, 6, 6 + PILOTS.data.index(3) + 1, 6 + PILOTS.data.index(8) + 1]
@@ -643,7 +665,7 @@ def test_reduce_reproduces_worked_reduction():
     dims2 = Dims.create(2, 2, 4, 1, T_eff=2)
     pa2 = build_pilot_sets(dims2)
     Z2 = ColoringMatrix(Z.blocks[:2])
-    J2 = assemble_jacobian(Z2, s[:4], x, pa2).matrix
+    J2 = assemble_jacobian(Z2, s[:4], x, pa2)
     assert np.allclose(reduced, J2, rtol=0, atol=1e-15)
     assert abs(np.linalg.det(J2)) > 0
 
@@ -729,7 +751,7 @@ def oracle_det(M) -> int:
 def exact_witness_matrix(dims):
     pa = build_pilot_sets(dims)
     Z, s, x = witness_construct(dims, pa, exact=True)
-    return assemble_jacobian(Z, s, x, pa).matrix
+    return assemble_jacobian(Z, s, x, pa)
 
 
 @pytest.mark.parametrize(

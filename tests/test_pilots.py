@@ -113,7 +113,7 @@ def test_regime_violation_raises():
 
 def test_properties_hold_on_regime_grid():
     for dims in regime_cells(8):
-        report = verify_pilot_properties(dims)
+        report = verify_pilot_properties(build_pilot_sets(dims))
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, (dims, bad)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ColoringMatrix, Dims, complex_gaussian_draws
+from .model import ColoringMatrix, complex_gaussian_draws
 from .jacobian import NONSINGULAR_TOL, JacobianLayout
 from .pilots import PilotAssignment
 
@@ -57,7 +57,6 @@ class LogDetEstimate:
 
 def mc_logdet(
     Z: ColoringMatrix,
-    dims: Dims,
     pilots: PilotAssignment,
     samples: int,
     seed: int | np.random.SeedSequence,
@@ -83,6 +82,7 @@ def mc_logdet(
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(n_batches)
     layout = JacobianLayout(pilots)
+    dims = pilots.dims
     sizes = (dims.R * dims.T_eff * dims.Q, dims.T_eff * dims.N)
     values = np.empty(samples, dtype=float)
     clipped = 0

@@ -217,7 +217,7 @@ def _cmd_genericity(args) -> int:
         cfg = SweepConfig.load(args.sweep)
 
         def probe(dims, seed, key):
-            stats = jacobian.genericity_probe(dims, pilots.build_pilot_sets(dims), cfg.trials, seed)
+            stats = jacobian.genericity_probe(pilots.build_pilot_sets(dims), cfg.trials, seed)
             return {**key, **asdict(stats)}
 
         return _run_sweep(cfg, probe, cfg.seeds)
@@ -225,9 +225,8 @@ def _cmd_genericity(args) -> int:
         raise UsageError("--seed is required")
     dims = _parse_dims(args.dims, args.teff)
     coloring = constant_model(dims) if args.constant_model else None
-    pa = pilots.build_pilot_sets(dims)
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    stats = jacobian.genericity_probe(dims, pa, trials, args.seed, coloring=coloring)
+    stats = jacobian.genericity_probe(pilots.build_pilot_sets(dims), trials, args.seed, coloring=coloring)
     _emit_json(asdict(stats), args.out)
     return EXIT_OK
 
@@ -246,7 +245,7 @@ def _cmd_mc_logdet(args) -> int:
     pa = pilots.build_pilot_sets(dims)
     coloring_seed, batch_seed = np.random.SeedSequence(args.seed).spawn(2)
     Z = constant_model(dims) if args.constant_model else random_coloring(dims, coloring_seed)
-    est = analysis.mc_logdet(Z, dims, pa, samples=args.samples, seed=batch_seed)
+    est = analysis.mc_logdet(Z, pa, samples=args.samples, seed=batch_seed)
     _emit_json(asdict(est), args.out)
     return EXIT_OK
 

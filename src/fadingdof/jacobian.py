@@ -65,7 +65,7 @@ from .model import (
     split_tx,
     standard_complex_gaussian,
 )
-from .pilots import PilotAssignment, build_pilot_sets, pilot_chain
+from .pilots import PilotAssignment, pilot_chain
 
 __all__ = [
     "NONSINGULAR_TOL",
@@ -86,13 +86,14 @@ NONSINGULAR_TOL = 1e-10
 STACK_BYTES = 4 * 2**20
 
 
-def bezout_bound(dims: Dims, pilots: PilotAssignment) -> int:
+def bezout_bound(pilots: PilotAssignment) -> int:
     """Cap on the number of isolated preimages: 2^(R T_eff Q + |data|).
 
     The recovery map has that many components, each a polynomial of degree 2;
     the exponent equals the size of the useful output set.
     """
-    return 2 ** (dims.R * dims.T_eff * dims.Q + len(pilots.data))
+    d = pilots.dims
+    return 2 ** (d.R * d.T_eff * d.Q + len(pilots.data))
 
 
 class JacobianLayout:
@@ -292,15 +293,15 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return U
 
 
-def witness_construct(
-    dims: Dims, pilots: PilotAssignment, seed: int = 0, exact: bool = False
-):
+def witness_construct(chain: list, seed: int = 0, exact: bool = False):
     """Build a triple (Z, s, x) whose recovery Jacobian has nonzero determinant.
 
-    x is the all-one vector. Receive rows 1..T_eff form the base: s_{r,t} = 0
-    for r != t, the pilot rows of (Z_{r,1} ... Z_{r,T_eff}) are filled with a
-    nonsingular square block, and the data rows of Z_{r,r} replicate s_{r,r}^H
-    so every diagonal derivative entry is nonzero. Each further receive row r
+    chain holds the cell's assignments for R' = T_eff..R in that order, as
+    pilot_chain(dims) returns them; nothing is dealt here. x is the all-one
+    vector. Receive rows 1..T_eff form the base: s_{r,t} = 0 for r != t, the
+    pilot rows of (Z_{r,1} ... Z_{r,T_eff}) are filled with a nonsingular
+    square block, and the data rows of Z_{r,r} replicate s_{r,r}^H so every
+    diagonal derivative entry is nonzero. Each further receive row r
     uses the partition of its own pilot assignment: the anchor block rows of
     Z_{r,t} get a nonsingular Q x Q fill, s_{r,t} is chosen orthogonal to all
     anchor rows except the one at the pilot face g_t, the dropped-pilot rows
@@ -318,12 +319,10 @@ def witness_construct(
     matrix well conditioned. The fills of all rows are then written at once
     from index arrays of the pilot, data, anchor and dropped faces.
     """
-    dims.require_regime()
-    if pilots.dims != dims:
-        raise InvalidConfigurationError("pilot assignment was built for different dims")
+    dims = chain[-1].dims if chain else None
+    if not chain or [pa.dims for pa in chain] != [dims.with_rx(r) for r in range(dims.T_eff, dims.R + 1)]:
+        raise InvalidConfigurationError("witness_construct needs the pilot chain R' = T_eff..R of one cell")
     Teff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
-    # the assignments for R' = T_eff..R; receive row R' uses the partition of its own
-    chain = [*pilot_chain(dims.with_rx(R - 1)), pilots] if R > Teff else [pilots]
     base, above = chain[0], chain[1:]
 
     # base_fill[r] fills the pilot rows of receive row r, s_base[r] is s_{r,r},
@@ -372,22 +371,20 @@ def witness_construct(
     return ColoringMatrix(Zb), sv.reshape(-1), x
 
 
-def certify_witness_exact(dims: Dims, pilots: PilotAssignment, witness=None) -> int:
+def certify_witness_exact(pilots: PilotAssignment, witness) -> int:
     """Exact-arithmetic certificate that the witness determinant is nonzero.
 
-    Builds the exact-mode witness, whose Jacobian has 0/1 entries, and
-    evaluates its determinant with exact_integer_det, whose peel expands the
-    block-triangular witness entry by entry. Returns the determinant as an
-    exact int; nonzero certifies nonsingularity with no floating-point error.
-
-    witness, when given, is the exact witness (Z, s, x) of a cell above dims
-    on its chain (same T_eff, N and Q, R at least dims.R), such as the
-    chain's top; dims is certified on its prefix, which is its own witness,
-    so one build serves every cell of a chain.
+    witness is the exact witness (Z, s, x) of the cell pilots.dims, or of a
+    cell above it on its chain (same T_eff, N and Q, R at least pilots.dims.R)
+    such as the chain's top; the cell is certified on the prefix, which is its
+    own witness, so one build serves every cell of a chain. The Jacobian has
+    0/1 entries, and exact_integer_det's peel expands the block-triangular
+    witness entry by entry. Returns the determinant as an exact int; nonzero
+    certifies nonsingularity with no floating-point error.
     """
-    Z, s, x = witness_construct(dims, pilots, exact=True) if witness is None else witness
-    R = dims.R
-    J = assemble_jacobian(ColoringMatrix(Z.blocks[:R]), s[: R * dims.T_eff * dims.Q], x, pilots)
+    Z, s, x = witness
+    d = pilots.dims
+    J = assemble_jacobian(ColoringMatrix(Z.blocks[: d.R]), s[: d.R * d.T_eff * d.Q], x, pilots)
     return exact_integer_det(J)
 
 
@@ -404,9 +401,9 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
     for a nonzero entry and "." for a zero, from one pass over its nonzero
     mask.
     """
-    pilots = build_pilot_sets(dims)
-    Z, s, x = witness_construct(dims, pilots, seed=seed, exact=exact)
-    J = assemble_jacobian(Z, s, x, pilots)
+    chain = pilot_chain(dims)
+    Z, s, x = witness_construct(chain, seed=seed, exact=exact)
+    J = assemble_jacobian(Z, s, x, chain[-1])
     sv = np.linalg.svd(J, compute_uv=False)
     with np.errstate(divide="ignore", over="ignore"):
         abs_det = float(np.exp(np.log(sv).sum()))
@@ -416,7 +413,7 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
         "abs_det": abs_det,
         "spectral_norm": float(sv[0]),
         "nonsingular": bool(sv[-1] > NONSINGULAR_TOL * sv[0]),
-        "bezout_bound": str(bezout_bound(dims, pilots)),
+        "bezout_bound": str(bezout_bound(chain[-1])),
     }
     if exact:
         det = exact_integer_det(J)
@@ -451,7 +448,6 @@ class ProbeStats:
 
 
 def genericity_probe(
-    dims: Dims,
     pilots: PilotAssignment,
     trials: int,
     seed: int,
@@ -460,13 +456,16 @@ def genericity_probe(
     """Draw (Z, s, x) i.i.d. CN(0,1) repeatedly and record singularity statistics.
 
     A fixed coloring (e.g. the constant model) can be supplied to probe a
-    specific correlation structure with random (s, x) only. trials = 0 yields
-    empty statistics. Each trial draws Z (unless fixed), s and x, in that
-    order, from its own child of SeedSequence(seed). The trials' Jacobians
-    are eliminated in stacks of JacobianLayout.per_stack, one QR and one SVD
-    call per shape class of groups and one SVD call for the Schur blocks per
-    stack.
+    specific correlation structure with random (s, x) only; it must conform
+    to pilots.dims, even when trials = 0, which yields empty statistics. Each
+    trial draws Z (unless fixed), s and x, in that order, from its own child
+    of SeedSequence(seed). The trials' Jacobians are eliminated in stacks of
+    JacobianLayout.per_stack, one QR and one SVD call per shape class of
+    groups and one SVD call for the Schur blocks per stack.
     """
+    dims = pilots.dims
+    if coloring is not None:
+        coloring.require_conforms(dims)
     if trials == 0:
         return ProbeStats(0, 0, None, None, None)
     layout = JacobianLayout(pilots)
@@ -474,8 +473,6 @@ def genericity_probe(
     sizes = (dims.R * dims.T_eff * dims.Q, dims.T_eff * dims.N)
     if coloring is None:
         sizes = (math.prod(shape), *sizes)
-    else:
-        coloring.require_conforms(dims)
     children = np.random.SeedSequence(seed).spawn(trials)
     n_nonsingular = 0
     min_log_det = math.inf

@@ -11,8 +11,8 @@ Independent realizations may be evaluated concurrently with distinct seeds.
 
 Vector stacking order is receive-major then transmit throughout: s =
 (s_{1,1}, ..., s_{1,T}, s_{2,1}, ...), y = (y_1, ..., y_R). This is the one
-canonical layout; index sets elsewhere in the package are 1-based and are
-converted to 0-based exactly once, at this module's array boundary.
+canonical layout. The pilot index sets are 1-based; jacobian and identify
+subtract 1 wherever they index an array with them.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ bijection: card j (1-based) shows face j mod* N and goes to player
 [1:b]. The offset term skips one player each time a full deal cycle would
 repeat, which keeps the faces dealt to any one player distinct.
 
-All index sets in this module are 1-based, matching the mod* convention. The
-conversion to 0-based array indices happens exactly once, at the array-model
-boundary. Everything is pure and safe for parallel sweeps.
+All index sets in this module are 1-based, matching the mod* convention;
+jacobian and identify subtract 1 wherever they index arrays with them.
+Everything is pure and safe for parallel sweeps.
 """
 
 from __future__ import annotations

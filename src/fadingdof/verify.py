@@ -88,8 +88,8 @@ def run_verify_all(n_max: int = 10) -> bool:
     for dims in regime_cells(4):
         if dims.R == dims.T_eff:  # a chain's first cell: deal the chain and build its top's witness
             chain = pilot_chain(dims.with_rx(dims.rx_needed))
-            witness = jacobian.witness_construct(chain[-1].dims, chain[-1], exact=True)
-        ok &= jacobian.certify_witness_exact(dims, chain[dims.R - dims.T_eff], witness) != 0
+            witness = jacobian.witness_construct(chain, exact=True)
+        ok &= jacobian.certify_witness_exact(chain[dims.R - dims.T_eff], witness) != 0
     check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)
 
     return ok_all

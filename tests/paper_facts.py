@@ -186,7 +186,10 @@ def assemble_jacobian_loop(Z, s, x, pilots):
 
 
 def probe_draws(dims, trials, seed, coloring=None):
-    """The (Z, s, x) of each trial of genericity_probe(dims, ..., trials, seed, coloring), one at a time."""
+    """The (Z, s, x) of each trial of genericity_probe(pilots, trials, seed, coloring), one at a time.
+
+    dims is pilots.dims; the draws depend on nothing else of the assignment.
+    """
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         if coloring is None:

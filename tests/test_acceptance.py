@@ -36,7 +36,7 @@ from fadingdof.model import (
     regime_cells,
     standard_complex_gaussian,
 )
-from fadingdof.pilots import build_pilot_sets, card_deal, verify_pilot_properties
+from fadingdof.pilots import build_pilot_sets, card_deal, pilot_chain, verify_pilot_properties
 
 DIMS_2341 = Dims.create(2, 3, 4, 1)
 
@@ -136,12 +136,11 @@ def test_criterion_5_witness_nonsingularity():
         cells = [d for d in regime_cells(8) if d.Q <= 2]
         assert len(cells) > 100
         for dims in cells:
-            pa = build_pilot_sets(dims)
-            Z, s, x = witness_construct(dims, pa, seed=23)
-            assert full_svd_verdict(assemble_jacobian(Z, s, x, pa)), dims
+            chain = pilot_chain(dims)
+            Z, s, x = witness_construct(chain, seed=23)
+            assert full_svd_verdict(assemble_jacobian(Z, s, x, chain[-1])), dims
 
-        pa = build_pilot_sets(DIMS_2341)
-        Z, _, _ = witness_construct(DIMS_2341, pa, seed=23)
+        Z, _, _ = witness_construct(pilot_chain(DIMS_2341), seed=23)
         zb = Z.blocks
         assert zb[2, 1, 0, 0] == 0 and zb[2, 0, 1, 0] == 0
         assert zb[2, 1, 2, 0] == 0 and zb[2, 0, 3, 0] == 0
@@ -150,11 +149,9 @@ def test_criterion_5_witness_nonsingularity():
 def test_criterion_6_genericity_probe():
     with criterion(6, "100/100 generic draws nonsingular, 0/100 constant-model"):
         pa = build_pilot_sets(DIMS_2341)
-        generic = genericity_probe(DIMS_2341, pa, trials=100, seed=606)
+        generic = genericity_probe(pa, trials=100, seed=606)
         assert generic.fraction_nonsingular == 1.0
-        degenerate = genericity_probe(
-            DIMS_2341, pa, trials=100, seed=606, coloring=constant_model(DIMS_2341)
-        )
+        degenerate = genericity_probe(pa, trials=100, seed=606, coloring=constant_model(DIMS_2341))
         assert degenerate.fraction_nonsingular == 0.0
 
 
@@ -209,7 +206,7 @@ def test_criterion_9_logdet_integrability_evidence():
         assert abs(est - gaussian_log_magnitude_mean()) < 1e-2
         Z = random_coloring(DIMS_2341, seed=910)
         pa = build_pilot_sets(DIMS_2341)
-        logdet = mc_logdet(Z, DIMS_2341, pa, samples=10_000, seed=911)
+        logdet = mc_logdet(Z, pa, samples=10_000, seed=911)
         assert math.isfinite(logdet.mean)
         assert logdet.clipped_fraction == 0.0
 

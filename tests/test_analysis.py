@@ -36,7 +36,7 @@ def test_log_magnitude_monte_carlo_matches():
 
 def test_mc_logdet_generic_is_finite_and_unclipped():
     Z = random_coloring(DIMS, seed=40)
-    est = mc_logdet(Z, DIMS, PILOTS, samples=2000, seed=41)
+    est = mc_logdet(Z, PILOTS, samples=2000, seed=41)
     assert math.isfinite(est.mean)
     assert est.clipped_fraction == 0.0
     assert est.stderr < 0.5
@@ -45,23 +45,23 @@ def test_mc_logdet_generic_is_finite_and_unclipped():
 def test_mc_logdet_constant_model_is_pinned_at_floor():
     # structurally singular draws: everything clips, the mean sits on the floor
     Z = constant_model(DIMS)
-    est = mc_logdet(Z, DIMS, PILOTS, samples=200, seed=42)
+    est = mc_logdet(Z, PILOTS, samples=200, seed=42)
     assert est.clipped_fraction == 1.0
     assert est.mean == LOG_FLOOR
 
 
 def test_mc_logdet_half_sample_stability():
     Z = random_coloring(DIMS, seed=40)
-    a = mc_logdet(Z, DIMS, PILOTS, samples=1500, seed=1)
-    b = mc_logdet(Z, DIMS, PILOTS, samples=1500, seed=2)
+    a = mc_logdet(Z, PILOTS, samples=1500, seed=1)
+    b = mc_logdet(Z, PILOTS, samples=1500, seed=2)
     combined = math.hypot(a.stderr, b.stderr)
     assert abs(a.mean - b.mean) < 3.0 * combined
 
 
 def test_mc_logdet_reproducible():
     Z = random_coloring(DIMS, seed=40)
-    a = mc_logdet(Z, DIMS, PILOTS, samples=300, seed=9)
-    b = mc_logdet(Z, DIMS, PILOTS, samples=300, seed=9)
+    a = mc_logdet(Z, PILOTS, samples=300, seed=9)
+    b = mc_logdet(Z, PILOTS, samples=300, seed=9)
     assert a == b
 
 
@@ -98,4 +98,4 @@ def test_entropy_bits_equal_useful_output_count():
         pa = build_pilot_sets(dims)
         bits = dims.R * dims.N - ell(dims.T_eff, dims.R, dims.N, dims.Q)
         assert bits == pa.n_useful
-        assert 2**bits == bezout_bound(dims, pa)
+        assert 2**bits == bezout_bound(pa)

@@ -295,6 +295,24 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_jacobian_witness_deals_one_chain(monkeypatch, capsys):
+    from fadingdof import jacobian, pilots
+
+    calls = collections.Counter()
+    for name in ("pilot_chain", "build_pilot_sets"):
+
+        def counted(*args, name=name, original=getattr(pilots, name)):
+            calls[name] += 1
+            return original(*args)
+
+        # jacobian need not import both builders; a call through either name is counted
+        monkeypatch.setattr(jacobian, name, counted, raising=False)
+    # R = 4 > T_eff = 2, so the witness needs the assignments for R' = 2, 3 and 4
+    code, out, _ = run_cli(capsys, "jacobian-witness", "--dims", "2,4,5,2", "--exact")
+    assert code == 0 and '"certified_nonzero": true' in out
+    assert (calls["pilot_chain"], calls["build_pilot_sets"]) == (1, 0)
+
+
 def failed_lines(capsys, n_max):
     """The [FAIL] lines of run_verify_all(n_max), which must also be the CLI's, with exit code 1."""
     from fadingdof.verify import run_verify_all
@@ -518,10 +536,10 @@ def test_sweep_turns_unexpected_cell_failures_into_error_rows(tmp_path, monkeypa
 
     probe = jacobian.genericity_probe
 
-    def failing_probe(dims, pilots, trials, seed, coloring=None):
-        if dims.R == 3:
+    def failing_probe(pilots, trials, seed, coloring=None):
+        if pilots.dims.R == 3:
             raise RuntimeError("probe blew up")
-        return probe(dims, pilots, trials, seed, coloring=coloring)
+        return probe(pilots, trials, seed, coloring=coloring)
 
     monkeypatch.setattr(jacobian, "genericity_probe", failing_probe)
     out = tmp_path / "rows.jsonl"

@@ -105,7 +105,7 @@ def test_genericity_matches_golden(name, capsys):
 
 def test_mc_logdet_matches_golden():
     dims = Dims.create(3, 4, 12, 1)
-    est = mc_logdet(random_coloring(dims, 7), dims, build_pilot_sets(dims), 256, seed=3)
+    est = mc_logdet(random_coloring(dims, 7), build_pilot_sets(dims), 256, seed=3)
     want = json.loads((GOLDEN / "mc_logdet_34121.json").read_text())
     assert_matches_numeric_golden(asdict(est), want, floats={"mean", "stderr"})
 

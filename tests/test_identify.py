@@ -146,7 +146,7 @@ def test_solution_multiplicity_stays_below_bezout():
             found.append(np.concatenate([res.s, res.x_data]))
     clusters = cluster_solutions(found, rel_tol=1e-6)
     assert len(clusters) >= 1
-    assert len(clusters) <= bezout_bound(DIMS, PILOTS)
+    assert len(clusters) <= bezout_bound(PILOTS)
     print(f"distinct converged solutions observed: {len(clusters)} (cap 4096)")
 
 

@@ -155,7 +155,7 @@ def test_jacobian_entries_linear_in_each_fading_block():
 def test_witness_square_case():
     dims = Dims.create(2, 2, 4, 1, T_eff=2)
     pa = build_pilot_sets(dims)
-    Z, s, x = witness_construct(dims, pa, seed=3)
+    Z, s, x = witness_construct([pa], seed=3)
     J = assemble_jacobian(Z, s, x, pa)
     assert np.array_equal(x, np.ones(8))
     assert abs(np.linalg.det(J)) > 1e-8
@@ -163,7 +163,7 @@ def test_witness_square_case():
 
 
 def test_witness_example_zero_pattern():
-    Z, s, x = witness_construct(DIMS, PILOTS, seed=5)
+    Z, s, x = witness_construct(pilot_chain(DIMS), seed=5)
     zb = Z.blocks
     # the extra receive antenna's blocks vanish at the crossed positions
     assert zb[2, 1, 0, 0] == 0  # antenna 2, face 1
@@ -175,15 +175,28 @@ def test_witness_example_zero_pattern():
 
 def test_witness_small_sweep():
     for dims in (d for d in regime_cells(6) if d.Q <= 2):
-        pa = build_pilot_sets(dims)
-        Z, s, x = witness_construct(dims, pa, seed=17)
-        assert full_svd_verdict(assemble_jacobian(Z, s, x, pa)), dims
+        chain = pilot_chain(dims)
+        Z, s, x = witness_construct(chain, seed=17)
+        assert full_svd_verdict(assemble_jacobian(Z, s, x, chain[-1])), dims
+
+
+def certified(dims) -> int:
+    """certify_witness_exact on the cell's own exact witness."""
+    chain = pilot_chain(dims)
+    return certify_witness_exact(chain[-1], witness_construct(chain, exact=True))
+
+
+def test_witness_construct_takes_only_a_cells_whole_chain():
+    chain = pilot_chain(DIMS)  # R' = 2, 3
+    other = pilot_chain(Dims.create(2, 3, 5, 1))
+    for bad in ([], [PILOTS], chain[::-1], chain[:1] + other[1:], [chain[0], chain[1], chain[1]]):
+        with pytest.raises(InvalidConfigurationError, match="pilot chain"):
+            witness_construct(bad, exact=True)
 
 
 def test_witness_exact_certificates():
     for dims in [DIMS, Dims.create(2, 3, 5, 1), Dims.create(1, 2, 3, 2, T_eff=1)]:
-        pa = build_pilot_sets(dims)
-        det = certify_witness_exact(dims, pa)
+        det = certified(dims)
         assert isinstance(det, int) and det != 0
 
 
@@ -204,26 +217,21 @@ def witness_bytes(witness):
 
 
 @pytest.mark.parametrize("cell", sorted(EXACT_WITNESS_SHA256))
-def test_witness_from_the_chain_equals_the_per_R_witness(cell, monkeypatch):
+def test_witness_from_the_chain_equals_the_per_R_witness(cell):
     import hashlib
 
     dims = Dims.create(*cell)
-    pa = build_pilot_sets(dims)
-    exact = witness_construct(dims, pa, exact=True)
+    exact = witness_construct(pilot_chain(dims), exact=True)
     Z, s, x = exact
     flat = np.concatenate([Z.blocks.ravel(), s, x])
     assert not flat.imag.any()
     digest = hashlib.sha256(flat.real.astype(np.int8).tobytes()).hexdigest()[:16]
     assert digest == EXACT_WITNESS_SHA256[cell]
-    seeded = witness_construct(dims, pa, seed=5)
-    # the same witnesses, bit for bit, with each R' < R partition built on its own
-    monkeypatch.setattr(
-        jacobian_module,
-        "pilot_chain",
-        lambda top: [build_pilot_sets(top.with_rx(r)) for r in range(top.T_eff, top.R + 1)],
-    )
-    assert witness_bytes(exact) == witness_bytes(witness_construct(dims, pa, exact=True))
-    assert witness_bytes(seeded) == witness_bytes(witness_construct(dims, pa, seed=5))
+    seeded = witness_construct(pilot_chain(dims), seed=5)
+    # the same witnesses, bit for bit, with each R' <= R partition built on its own
+    per_R = [build_pilot_sets(dims.with_rx(r)) for r in range(dims.T_eff, dims.R + 1)]
+    assert witness_bytes(exact) == witness_bytes(witness_construct(per_R, exact=True))
+    assert witness_bytes(seeded) == witness_bytes(witness_construct(per_R, seed=5))
 
 
 @pytest.mark.parametrize(
@@ -234,7 +242,7 @@ def test_witness_from_the_chain_equals_the_per_R_witness(cell, monkeypatch):
 def test_witness_fills_are_bitwise_the_block_by_block_loop(dims):
     pa = build_pilot_sets(dims)
     for kwargs in ({"exact": True}, {"seed": 11}):
-        assert witness_bytes(witness_construct(dims, pa, **kwargs)) == witness_bytes(
+        assert witness_bytes(witness_construct(pilot_chain(dims), **kwargs)) == witness_bytes(
             witness_construct_loop(dims, pa, **kwargs)
         ), kwargs
 
@@ -244,14 +252,14 @@ def test_a_cells_exact_witness_is_the_prefix_of_its_chain_tops():
     tops = [top for top in regime_chains(7) if top.R > top.T_eff]
     for top in tops:
         chain = pilot_chain(top)
-        witness = witness_construct(top, chain[-1], exact=True)
+        witness = witness_construct(chain, exact=True)
         Z, s, x = witness
         for pa in chain:
             R = pa.dims.R
-            own = witness_construct(pa.dims, pa, exact=True)
+            own = witness_construct(pilot_chain(pa.dims), exact=True)
             prefix = (ColoringMatrix(Z.blocks[:R]), s[: R * top.T_eff * top.Q], x)
             assert witness_bytes(own) == witness_bytes(prefix), pa.dims
-            assert certify_witness_exact(pa.dims, pa, witness) == certify_witness_exact(pa.dims, pa) != 0
+            assert certify_witness_exact(pa, witness) == certify_witness_exact(pa, own) != 0
     assert len(tops) == 35
 
 
@@ -260,36 +268,43 @@ def test_the_exact_witness_makes_no_random_generator(monkeypatch):
         raise AssertionError("a random generator on the exact path")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    assert certify_witness_exact(DIMS, PILOTS) != 0
+    assert certified(DIMS) != 0
 
 
 def test_probe_generic_and_constant():
-    stats = genericity_probe(DIMS, PILOTS, trials=50, seed=12)
+    stats = genericity_probe(PILOTS, trials=50, seed=12)
     assert stats.fraction_nonsingular == 1.0
-    degenerate = genericity_probe(DIMS, PILOTS, trials=50, seed=12, coloring=constant_model(DIMS))
+    degenerate = genericity_probe(PILOTS, trials=50, seed=12, coloring=constant_model(DIMS))
     assert degenerate.fraction_nonsingular == 0.0
 
 
 def test_probe_zero_trials():
-    stats = genericity_probe(DIMS, PILOTS, trials=0, seed=0)
+    stats = genericity_probe(PILOTS, trials=0, seed=0)
     assert stats.trials == 0 and stats.fraction_nonsingular is None
 
 
+def test_probe_checks_a_fixed_coloring_even_without_trials():
+    wrong = constant_model(Dims.create(2, 2, 4, 1))
+    for trials in (0, 1):
+        with pytest.raises(InvalidConfigurationError, match="does not conform"):
+            genericity_probe(PILOTS, trials=trials, seed=0, coloring=wrong)
+
+
 def test_probe_reproducible():
-    a = genericity_probe(DIMS, PILOTS, trials=10, seed=4)
-    b = genericity_probe(DIMS, PILOTS, trials=10, seed=4)
+    a = genericity_probe(PILOTS, trials=10, seed=4)
+    b = genericity_probe(PILOTS, trials=10, seed=4)
     assert a == b
 
 
 def test_bezout_bounds():
-    assert bezout_bound(DIMS, PILOTS) == 4096  # exponent 6 + 6
+    assert bezout_bound(PILOTS) == 4096  # exponent 6 + 6
     small = Dims.create(1, 1, 2, 1)
-    assert bezout_bound(small, build_pilot_sets(small)) == 4  # exponent 1 + 1
+    assert bezout_bound(build_pilot_sets(small)) == 4  # exponent 1 + 1
     for dims in [DIMS, small, Dims.create(2, 2, 5, 1, T_eff=2)]:
         pa = build_pilot_sets(dims)
         exponent = dims.R * dims.T_eff * dims.Q + len(pa.data)
         assert exponent == pa.n_useful
-        assert bezout_bound(dims, pa) == 2**exponent
+        assert bezout_bound(pa) == 2**exponent
 
 
 BITWISE_CELLS = [
@@ -320,7 +335,7 @@ def test_diagonal_grid_is_bitwise_the_loop(dims):
         oracle = assemble_jacobian_loop(Z, s, x, pa).tobytes()
         assert per_point[j].tobytes() == oracle
         assert assemble_jacobian(Z, s, x, pa).tobytes() == oracle
-    witness = witness_construct(dims, pa, exact=True)
+    witness = witness_construct(pilot_chain(dims), exact=True)
     assert assemble_jacobian(*witness, pa).tobytes() == assemble_jacobian_loop(*witness, pa).tobytes()
 
 
@@ -400,8 +415,8 @@ def one_draw_per_stack(monkeypatch):
 def test_probe_stacks_are_bitwise_one_draw_at_a_time(dims, count, constant, one_draw_per_stack):
     pa = build_pilot_sets(dims)
     coloring = constant_model(dims) if constant else None
-    stacked = genericity_probe(dims, pa, trials=count, seed=count + 11, coloring=coloring)
-    by_draw = one_draw_per_stack(genericity_probe, dims, pa, trials=count, seed=count + 11, coloring=coloring)
+    stacked = genericity_probe(pa, trials=count, seed=count + 11, coloring=coloring)
+    by_draw = one_draw_per_stack(genericity_probe, pa, trials=count, seed=count + 11, coloring=coloring)
     assert repr(stacked) == repr(by_draw)
 
 
@@ -411,17 +426,17 @@ def test_mc_logdet_stacks_are_bitwise_one_draw_at_a_time(dims, count, constant, 
     Z = constant_model(dims) if constant else random_coloring(dims, count)
     if count == 0:
         with pytest.raises(ValueError, match="samples must be positive"):
-            mc_logdet(Z, dims, pa, samples=0, seed=12)
+            mc_logdet(Z, pa, samples=0, seed=12)
         return
-    stacked = mc_logdet(Z, dims, pa, samples=count, seed=count + 12)
-    assert repr(stacked) == repr(one_draw_per_stack(mc_logdet, Z, dims, pa, samples=count, seed=count + 12))
+    stacked = mc_logdet(Z, pa, samples=count, seed=count + 12)
+    assert repr(stacked) == repr(one_draw_per_stack(mc_logdet, Z, pa, samples=count, seed=count + 12))
 
 
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
 def test_probe_agrees_with_the_full_svd_oracle(dims, count, constant):
     pa = build_pilot_sets(dims)
     coloring = constant_model(dims) if constant else None
-    stats = genericity_probe(dims, pa, trials=count, seed=count + 11, coloring=coloring)
+    stats = genericity_probe(pa, trials=count, seed=count + 11, coloring=coloring)
     verdicts, log_dets = probe_loop(dims, pa, count, count + 11, coloring)
     assert stats.trials == count
     assert stats.n_nonsingular == sum(verdicts)
@@ -437,7 +452,7 @@ def test_probe_agrees_with_the_full_svd_oracle(dims, count, constant):
 def test_mc_logdet_agrees_with_the_full_svd_oracle(dims, count, constant):
     pa = build_pilot_sets(dims)
     Z = constant_model(dims) if constant else random_coloring(dims, count)
-    est = mc_logdet(Z, dims, pa, samples=count, seed=count + 12)
+    est = mc_logdet(Z, pa, samples=count, seed=count + 12)
     oracle = mc_logdet_loop(Z, dims, pa, count, count + 12)
     assert (est.samples, est.clipped_fraction) == (oracle.samples, oracle.clipped_fraction)
     assert est.mean == pytest.approx(oracle.mean, rel=1e-10, abs=0)
@@ -540,7 +555,7 @@ def factorized(calls):
 def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
     results = run_recovery_trials(Dims.create(3, 4, 12, 1), trials=3, seed=4)
     assert all(r.success and r.iterations > 0 for r in results)
-    assert certify_witness_exact(DIMS, PILOTS) != 0
+    assert certified(DIMS) != 0
     assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
 
 
@@ -552,14 +567,14 @@ PER_DRAW = [(DIMS, 3, 3 + 1), (FACE_CELL, 12, 12 + 1)]
 
 @pytest.mark.parametrize("dims, qr, svd", PER_DRAW, ids=["antennas", "faces"])
 def test_mc_logdet_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, svd):
-    est = mc_logdet(random_coloring(dims, 1), dims, build_pilot_sets(dims), samples=7, seed=2)
+    est = mc_logdet(random_coloring(dims, 1), build_pilot_sets(dims), samples=7, seed=2)
     assert est.samples == 7
     assert factorized(linalg_calls) == {"svd": 7 * svd, "qr": 7 * qr, "slogdet": 0}
 
 
 @pytest.mark.parametrize("dims, qr, svd", PER_DRAW, ids=["antennas", "faces"])
 def test_probe_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, svd):
-    assert genericity_probe(dims, build_pilot_sets(dims), trials=5, seed=3).trials == 5
+    assert genericity_probe(build_pilot_sets(dims), trials=5, seed=3).trials == 5
     assert factorized(linalg_calls) == {"svd": 5 * svd, "qr": 5 * qr, "slogdet": 0}
 
 
@@ -578,8 +593,8 @@ def test_stacks_stay_under_the_byte_cap(linalg_calls, dims, q_entries, schur, pe
     pa = build_pilot_sets(dims)
     assert JacobianLayout(pa).per_stack == STACK_BYTES // ((q_entries + schur * schur) * 16) == per_stack
     draws = per_stack + 4  # two stacks for each caller
-    genericity_probe(dims, pa, trials=draws, seed=1)
-    mc_logdet(random_coloring(dims, 2), dims, pa, samples=draws, seed=3)
+    genericity_probe(pa, trials=draws, seed=1)
+    mc_logdet(random_coloring(dims, 2), pa, samples=draws, seed=3)
     assert factorized(linalg_calls) == {"svd": 2 * draws * (groups + 1), "qr": 2 * draws * groups, "slogdet": 0}
     schur_stacks = [count for name, count, shape, _ in linalg_calls["stacks"] if shape == (schur, schur)]
     assert schur_stacks == [per_stack, 4] * 2
@@ -597,8 +612,8 @@ WITNESS_CELLS = list(regime_cells(6))
 @pytest.mark.parametrize("exact", [False, True], ids=["seeded", "exact"])
 def test_witness_abs_det_matches_slogdet(exact):
     for dims in WITNESS_CELLS:
-        pa = build_pilot_sets(dims)
-        J = assemble_jacobian(*witness_construct(dims, pa, seed=3, exact=exact), pa)
+        chain = pilot_chain(dims)
+        J = assemble_jacobian(*witness_construct(chain, seed=3, exact=exact), chain[-1])
         oracle = math.exp(np.linalg.slogdet(J)[1])
         report = witness_report(dims, seed=3, exact=exact)
         assert report["abs_det"] == pytest.approx(oracle, rel=1e-12, abs=0), dims
@@ -655,7 +670,7 @@ def test_reduce_matches_determinant_product():
 def test_reduce_reproduces_worked_reduction():
     # peeling the third receive antenna off the witness leaves exactly the
     # two-antenna witness Jacobian
-    Z, s, x = witness_construct(DIMS, PILOTS, seed=2)
+    Z, s, x = witness_construct(pilot_chain(DIMS), seed=2)
     J3 = assemble_jacobian(Z, s, x, PILOTS)
     # rows of the third receive block; columns: its coloring pair plus the
     # replicated-row data columns (faces 3 and 4 -> flat 3 and 8)
@@ -749,9 +764,8 @@ def oracle_det(M) -> int:
 
 
 def exact_witness_matrix(dims):
-    pa = build_pilot_sets(dims)
-    Z, s, x = witness_construct(dims, pa, exact=True)
-    return assemble_jacobian(Z, s, x, pa)
+    chain = pilot_chain(dims)
+    return assemble_jacobian(*witness_construct(chain, exact=True), chain[-1])
 
 
 @pytest.mark.parametrize(
@@ -763,7 +777,7 @@ def test_exact_integer_det_matches_oracle_on_witnesses(dims):
     J = exact_witness_matrix(dims)
     det = exact_integer_det(J)
     assert det == oracle_det(J) != 0
-    assert certify_witness_exact(dims, build_pilot_sets(dims)) == det
+    assert certified(dims) == det
 
 
 def random_integer_matrix(seed, n=12, bound=1000):
@@ -976,7 +990,7 @@ def test_exact_certificate_at_n432_matches_slogdet_sign():
     dims = Dims.create(6, 11, 40, 3)
     J = exact_witness_matrix(dims)
     assert J.shape == (432, 432)
-    det = certify_witness_exact(dims, build_pilot_sets(dims))
+    det = certified(dims)
     sign, _ = np.linalg.slogdet(J)
     assert det in (1, -1)
     assert det == sign.real

@@ -25,7 +25,14 @@ from .dof import (
     ell,
     figure1_curves,
 )
-from .pilots import PilotAssignment, build_pilot_sets, card_deal, mod_star, verify_pilot_properties
+from .pilots import (
+    PilotAssignment,
+    build_pilot_sets,
+    card_deal,
+    mod_star,
+    pilot_chain,
+    verify_pilot_properties,
+)
 from .jacobian import (
     assemble_jacobian,
     bezout_bound,

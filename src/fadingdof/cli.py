@@ -232,10 +232,8 @@ def _cmd_genericity(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    dims = _parse_dims(args.dims, args.teff)
-    results = identify.run_recovery_trials(
-        dims, trials=args.trials, seed=args.seed, constant=args.constant_model
-    )
+    pa = pilots.build_pilot_sets(_parse_dims(args.dims, args.teff))
+    results = identify.run_recovery_trials(pa, trials=args.trials, seed=args.seed, constant=args.constant_model)
     _emit_json(identify.recovery_summary(results), args.out)
     return EXIT_OK
 

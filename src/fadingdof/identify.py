@@ -1,9 +1,12 @@
 """Empirical identifiability: recover (s, x_data) from noiseless outputs.
 
-Given the pilot entries of x, the useful outputs are a square polynomial
-system of degree 2 in the remaining unknowns. The system is holomorphic in
-the unknowns (conjugates never appear), so a complex Gauss-Newton step is
-well defined and the linearization is exactly the recovery Jacobian.
+The pilot entries of the input vector x are fixed and known to the receiver;
+given them, the useful outputs are a square polynomial system of degree 2 in
+the unknowns (s, x_data). The system is holomorphic in the unknowns
+(conjugates never appear), so a complex Gauss-Newton step is well defined
+and the linearization is exactly the recovery Jacobian. Functions here take
+the whole x and the cell's PilotAssignment; recover and run_recovery_trials
+convert the 1-based data positions to array indices once per call.
 Recovery here is noiseless only: the identifiability argument lives at
 infinite SNR. Independent trials are deterministic under their seeds and
 may run in parallel.
@@ -17,15 +20,16 @@ import numpy as np
 
 from .model import (
     ColoringMatrix,
-    Dims,
+    InvalidConfigurationError,
     channel_vectors,
     constant_model,
     random_coloring,
     split_fading,
+    split_tx,
     standard_complex_gaussian,
 )
 from .jacobian import JacobianLayout
-from .pilots import PilotAssignment, build_pilot_sets
+from .pilots import PilotAssignment
 
 __all__ = [
     "RecoveryResult",
@@ -48,12 +52,14 @@ class RecoveryResult:
     """Outcome of one recovery attempt.
 
     residual is relative: ||phi(s_hat, x_hat) - y_target|| / ||y_target||.
-    param_error is the relative distance to the supplied ground truth (NaN if
-    none was given). success implies residual <= 1e-9. stop_reason says why
-    the iteration ended: "converged", "max_iterations" or "no_descent" (no
-    halving of the last step lowered the residual). lstsq_fallbacks counts
-    the steps taken by least squares because the linearization was singular,
-    and halvings the step halvings over all iterations.
+    param_error is the relative distance of (s, x_data) to the supplied
+    ground truth (NaN if none was given). x is the whole input vector, its
+    pilot entries those of the start. success implies residual <= 1e-9.
+    stop_reason says why the iteration ended: "converged", "max_iterations"
+    or "no_descent" (no halving of the last step lowered the residual).
+    lstsq_fallbacks counts the steps taken by least squares because the
+    linearization was singular, and halvings the step halvings over all
+    iterations.
     """
 
     success: bool
@@ -61,80 +67,63 @@ class RecoveryResult:
     param_error: float
     iterations: int
     s: np.ndarray
-    x_data: np.ndarray
+    x: np.ndarray
     stop_reason: str
     lstsq_fallbacks: int
     halvings: int
 
 
-def _assemble_x(x_data: np.ndarray, x_pilot: np.ndarray, pilots: PilotAssignment) -> np.ndarray:
-    dims = pilots.dims
-    x = np.zeros(dims.T_eff * dims.N, dtype=complex)
-    x[np.asarray(pilots.pilots, dtype=int) - 1] = x_pilot
-    x[np.asarray(pilots.data, dtype=int) - 1] = x_data
-    return x
+def forward_map(s: np.ndarray, x: np.ndarray, pilots: PilotAssignment, Z: ColoringMatrix) -> np.ndarray:
+    """Noiseless useful outputs at the fading vector s and the whole input x.
 
-
-def forward_map(
-    s: np.ndarray,
-    x_data: np.ndarray,
-    x_pilot: np.ndarray,
-    pilots: PilotAssignment,
-    Z: ColoringMatrix,
-) -> np.ndarray:
-    """Noiseless useful outputs as a function of the unknowns (s, x_data).
-
-    Each component is a degree-2 polynomial in the unknowns: output i of
-    receive antenna r is sum_t x_t[i] h_{r,t}[i], the channel vectors h
+    Each component is a degree-2 polynomial in the unknowns (s, x_data): output
+    i of receive antenna r is sum_t x_t[i] h_{r,t}[i], the channel vectors h
     coming from one batched matmul, so the block-diagonal B is never formed.
     """
     dims = pilots.dims
     Z.require_conforms(dims)
     s = split_fading(np.asarray(s, dtype=complex), dims)
-    x = _assemble_x(np.asarray(x_data, dtype=complex), np.asarray(x_pilot, dtype=complex), pilots)
+    x = split_tx(np.asarray(x, dtype=complex), dims)
     h = channel_vectors(Z.blocks, s.ravel())
-    y_bar = (x.reshape(dims.T_eff, dims.N) * h).sum(axis=1)
-    return y_bar.ravel()[: pilots.n_useful]
+    return (x * h).sum(axis=1).ravel()[: pilots.n_useful]
 
 
 def recover(
-    y_target: np.ndarray,
-    x_pilot: np.ndarray,
-    pilots: PilotAssignment,
-    Z: ColoringMatrix,
-    init,
-    truth=None,
+    y_target: np.ndarray, pilots: PilotAssignment, Z: ColoringMatrix, init, truth=None
 ) -> RecoveryResult:
     """Gauss-Newton iteration on the square system phi(s, x_data) = y_target.
 
-    init is the starting point (s0, x_data0). Steps solve the complex
+    init is the starting point (s0, x0) with the whole input vector: the
+    pilot entries of x0 are the known pilots, and no step changes them; each
+    step moves s and the data entries of x. Steps solve the complex
     linearization directly; a singular linearization falls back to a
     least-squares step, and each step is damped by halving until the residual
     decreases (at most GN_MAX_HALVINGS times). Convergence is declared at
     relative residual < GN_TOL; exceeding GN_MAX_ITERATIONS, or a step that
     no halving makes descend, returns success=False, with the stop_reason and
     the counts of fallbacks and halvings on the result. truth, when given as
-    (s, x_data), is only used to report param_error.
+    (s, x), is only used to report param_error over (s, x_data).
     """
     dims = pilots.dims
     n_s = dims.R * dims.T_eff * dims.Q
-    s = np.asarray(init[0], dtype=complex).copy()
-    x_data = np.asarray(init[1], dtype=complex).copy()
+    data0 = np.asarray(pilots.data) - 1
     y_target = np.asarray(y_target, dtype=complex)
+    if y_target.shape != (pilots.n_useful,):
+        raise InvalidConfigurationError(
+            f"y_target must have shape ({pilots.n_useful},), the useful outputs, got {y_target.shape}"
+        )
+    s = np.asarray(init[0], dtype=complex).copy()
+    x = np.asarray(init[1], dtype=complex).copy()
     scale = np.linalg.norm(y_target)
     if scale == 0.0:
         scale = 1.0
 
-    def residual_vec(s_cur, x_cur):
-        return forward_map(s_cur, x_cur, x_pilot, pilots, Z) - y_target
-
     layout = JacobianLayout(pilots)
-    res = residual_vec(s, x_data)
+    res = forward_map(s, x, pilots, Z) - y_target
     res_norm = np.linalg.norm(res)
     iterations = lstsq_fallbacks = halvings = 0
     stop_reason = "max_iterations"
     while res_norm / scale >= GN_TOL and iterations < GN_MAX_ITERATIONS:
-        x = _assemble_x(x_data, x_pilot, pilots)
         J = layout.assemble(Z.blocks, s[None], x[None])[0]
         try:
             step = np.linalg.solve(J, -res)
@@ -144,8 +133,9 @@ def recover(
         factor = 1.0
         for _ in range(GN_MAX_HALVINGS + 1):
             s_new = s + factor * step[:n_s]
-            x_new = x_data + factor * step[n_s:]
-            res_new = residual_vec(s_new, x_new)
+            x_new = x.copy()
+            x_new[data0] += factor * step[n_s:]
+            res_new = forward_map(s_new, x_new, pilots, Z) - y_target
             new_norm = np.linalg.norm(res_new)
             if new_norm < res_norm:
                 break
@@ -154,15 +144,17 @@ def recover(
         else:
             stop_reason = "no_descent"  # stop at the current iterate
             break
-        s, x_data, res, res_norm = s_new, x_new, res_new, new_norm
+        s, x, res, res_norm = s_new, x_new, res_new, new_norm
         iterations += 1
 
     rel_res = float(res_norm / scale)
     if rel_res < GN_TOL:
         stop_reason = "converged"
     if truth is not None:
-        truth_vec = np.concatenate([np.ravel(truth[0]), np.ravel(truth[1])])
-        got = np.concatenate([s, x_data])
+        truth_s = split_fading(np.asarray(truth[0], dtype=complex), dims).ravel()
+        truth_x = split_tx(np.asarray(truth[1], dtype=complex), dims).ravel()
+        truth_vec = np.concatenate([truth_s, truth_x[data0]])
+        got = np.concatenate([s, x[data0]])
         param_error = float(np.linalg.norm(got - truth_vec) / np.linalg.norm(truth_vec))
     else:
         param_error = float("nan")
@@ -172,25 +164,25 @@ def recover(
         param_error=param_error,
         iterations=iterations,
         s=s,
-        x_data=x_data,
+        x=x,
         stop_reason=stop_reason,
         lstsq_fallbacks=lstsq_fallbacks,
         halvings=halvings,
     )
 
 
-def run_recovery_trials(dims: Dims, trials: int, seed: int, constant: bool = False):
-    """Truth-perturbed recovery trials, as run by `fadingdof identify`.
+def run_recovery_trials(pilots: PilotAssignment, trials: int, seed: int, constant: bool = False):
+    """Truth-perturbed recovery trials on one cell, as run by `fadingdof identify`.
 
     Each trial draws a coloring (or uses the constant model), a ground truth
-    (s, x), forms the noiseless useful outputs, perturbs the truth by
-    PERTURBATION relative to its norm, and runs the recovery iteration with
-    the truth available for error reporting. Every draw of a trial comes from
-    that trial's child of SeedSequence(seed), so no two (seed, trial) pairs
-    share a coloring.
+    (s, x), forms the noiseless useful outputs, perturbs (s, x_data) by
+    PERTURBATION relative to its norm, keeping the pilot entries of x, and
+    runs the recovery iteration with the truth available for error
+    reporting. Every draw of a trial comes from that trial's child of
+    SeedSequence(seed), so no two (seed, trial) pairs share a coloring.
     """
-    dims.require_regime()
-    pa = build_pilot_sets(dims)
+    dims = pilots.dims
+    data0 = np.asarray(pilots.data) - 1
     results = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         coloring_seed, point_seed = child.spawn(2)
@@ -198,21 +190,13 @@ def run_recovery_trials(dims: Dims, trials: int, seed: int, constant: bool = Fal
         Z = constant_model(dims) if constant else random_coloring(dims, coloring_seed)
         s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
         x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-        x_pilot = x[np.asarray(pa.pilots, dtype=int) - 1]
-        x_data = x[np.asarray(pa.data, dtype=int) - 1]
-        y_target = forward_map(s, x_data, x_pilot, pa, Z)
-        truth = np.concatenate([s, x_data])
+        y_target = forward_map(s, x, pilots, Z)
+        truth = np.concatenate([s, x[data0]])
         noise = standard_complex_gaussian(rng, truth.size)
-        init_vec = truth + PERTURBATION * np.linalg.norm(truth) * noise / np.linalg.norm(noise)
-        res = recover(
-            y_target,
-            x_pilot,
-            pa,
-            Z,
-            init=(init_vec[: s.size], init_vec[s.size :]),
-            truth=(s, x_data),
-        )
-        results.append(res)
+        start = truth + PERTURBATION * np.linalg.norm(truth) * noise / np.linalg.norm(noise)
+        x0 = x.copy()
+        x0[data0] = start[s.size :]
+        results.append(recover(y_target, pilots, Z, init=(start[: s.size], x0), truth=(s, x)))
     return results
 
 

@@ -11,8 +11,9 @@ Independent realizations may be evaluated concurrently with distinct seeds.
 
 Vector stacking order is receive-major then transmit throughout: s =
 (s_{1,1}, ..., s_{1,T}, s_{2,1}, ...), y = (y_1, ..., y_R). This is the one
-canonical layout. The pilot index sets are 1-based; jacobian and identify
-subtract 1 wherever they index an array with them.
+canonical layout. The input x is always the whole vector, pilots included.
+The pilot index sets are 1-based; jacobian subtracts 1 where it indexes an
+array with them, and identify once per recovery call.
 """
 
 from __future__ import annotations

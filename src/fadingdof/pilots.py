@@ -8,7 +8,8 @@ bijection: card j (1-based) shows face j mod* N and goes to player
 repeat, which keeps the faces dealt to any one player distinct.
 
 All index sets in this module are 1-based, matching the mod* convention;
-jacobian and identify subtract 1 wherever they index arrays with them.
+jacobian subtracts 1 where it indexes arrays with them, and identify once
+per recovery call.
 Everything is pure and safe for parallel sweeps.
 """
 

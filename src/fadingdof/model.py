@@ -106,7 +106,7 @@ class Dims:
             raise InvalidConfigurationError(f"dims {self} outside valid regime: {reason}")
 
     def with_rx(self, R: int) -> "Dims":
-        return Dims(T=self.T, R=R, N=self.N, Q=self.Q, T_eff=self.T_eff)
+        return Dims(self.T, R, self.N, self.Q, self.T_eff)
 
 
 def regime_chains(n_max: int):

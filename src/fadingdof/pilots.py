@@ -5,7 +5,11 @@ pinned as pilots, spread over the T_eff active antennas by a card-dealing
 bijection: card j (1-based) shows face j mod* N and goes to player
 (j + floor((j-1)/lcm(T_eff, N))) mod* T_eff, where a mod* b is the residue in
 [1:b]. The offset term skips one player each time a full deal cycle would
-repeat, which keeps the faces dealt to any one player distinct.
+repeat, which keeps the faces dealt to any one player distinct. The cards are
+dealt once into a card-index table (per player, face -> card number or none),
+and each assignment is one threshold pass per player over it: card <= theta_R
+is a pilot face, any other a data face, theta_R < card <= theta_{R-1} a face
+of L_t. All of a pilot chain's assignments read one table.
 
 All index sets in this module are 1-based, matching the mod* convention;
 jacobian subtracts 1 where it indexes arrays with them, and identify once
@@ -16,6 +20,7 @@ Everything is pure and safe for parallel sweeps.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 from .model import Dims, InvalidConfigurationError, dims_to_dict
@@ -48,10 +53,8 @@ def card_deal(j: int, T_eff: int, N: int) -> tuple[int, int]:
     """
     if not 1 <= j <= T_eff * N:
         raise InvalidConfigurationError(f"card index {j} outside [1:{T_eff * N}]")
-    cycle = math.lcm(T_eff, N)
-    t = mod_star(j + (j - 1) // cycle, T_eff)
-    i = mod_star(j, N)
-    return t, i
+    # a mod* b = (a - 1) % b + 1 for a >= 1
+    return (j - 1 + (j - 1) // math.lcm(T_eff, N)) % T_eff + 1, (j - 1) % N + 1
 
 
 def pilot_count(T_eff: int, R: int, N: int, Q: int) -> int:
@@ -95,16 +98,8 @@ class PilotAssignment:
         return self.dims.R * self.dims.N - self.ell
 
 
-def _faces_by_player(cards, T_eff: int) -> tuple[tuple[int, ...], ...]:
-    """Faces of the dealt (player, face) cards, grouped by player and sorted."""
-    sets: list[list[int]] = [[] for _ in range(T_eff)]
-    for t, i in cards:
-        sets[t - 1].append(i)
-    return tuple([tuple(sorted(s)) for s in sets])
-
-
-def _witness_anchors(cards, T_eff: int, N: int, theta: int) -> dict[int, int]:
-    """One pilot face per player taken from the tail of the deal ``cards``.
+def _witness_anchors(cards, T_eff: int, N: int, theta: int) -> tuple[int, ...]:
+    """One pilot face per player taken from the tail of the deal ``cards``, in player order.
 
     The window is [theta - T_eff + 1 : theta] unless a multiple n*cycle of the
     deal cycle falls strictly inside it, in which case the second half is
@@ -114,76 +109,93 @@ def _witness_anchors(cards, T_eff: int, N: int, theta: int) -> dict[int, int]:
     lo = theta - T_eff + 1
     n = (theta - 1) // cycle
     if n >= 1 and n * cycle >= lo:
-        window = list(range(lo, n * cycle + 1)) + list(
-            range((n - 1) * cycle + 1, theta - cycle + 1)
-        )
+        window = [*range(lo, n * cycle + 1), *range((n - 1) * cycle + 1, theta - cycle + 1)]
     else:
-        window = list(range(lo, theta + 1))
-    anchors: dict[int, int] = {}
+        window = range(lo, theta + 1)
+    anchors = [0] * T_eff
     for j in window:
         t, i = cards[j - 1]
-        if t in anchors:
+        if anchors[t - 1]:
             raise AssertionError(f"anchor window dealt player {t} twice (theta={theta})")
-        anchors[t] = i
-    if len(anchors) != T_eff:
+        anchors[t - 1] = i
+    if 0 in anchors:
         raise AssertionError(f"anchor window missed a player (theta={theta})")
-    return anchors
+    return tuple(anchors)
 
 
-def _deal(n_cards: int, T_eff: int, N: int) -> list[tuple[int, int]]:
-    """Cards 1..n_cards of the deal to T_eff players, as (player, face) pairs."""
-    return [card_deal(j, T_eff, N) for j in range(1, n_cards + 1)]
+def _deal(n_cards: int, T_eff: int, N: int):
+    """Cards 1..n_cards of the deal to T_eff players: (cards, table).
 
-
-def _assignment(dims: Dims, cards) -> PilotAssignment:
-    """The assignment for dims (in the regime) from a deal prefix of at least theta_{R-1} cards.
-
-    P_t comes from the first theta_R cards. When R > T_eff the partition data
-    for the inductive step comes from the (R-1)-antenna deal of theta_{R-1} >=
-    theta_R cards, which extends this one: L_t collects the faces of the extra
-    cards dealt to antenna t (those dropped from P_t), the anchors g_t come
-    from the tail window of the deal, and each G_t is the anchor plus Q-1
-    filler faces taken in ascending order from the remaining pool.
+    cards lists the (player, face) pairs in card order. table is the card-index
+    table: table[t-1][i-1] is (i, i + (t-1)N, j), face i of player t, its flat
+    embedding and the number j of the card that dealt it, or n_cards + 1 if no
+    card did, which is above every theta the deal serves.
     """
+    cards = [card_deal(j, T_eff, N) for j in range(1, n_cards + 1)]
+    numbers = [[n_cards + 1] * N for _ in range(T_eff)]
+    for j, (t, i) in enumerate(cards, start=1):
+        numbers[t - 1][i - 1] = j
+    offsets = range(0, T_eff * N, N)
+    return cards, [[(i, i + off, j) for i, j in enumerate(row, 1)] for off, row in zip(offsets, numbers)]
+
+
+def _assignment(dims: Dims, deal) -> PilotAssignment:
+    """The assignment for dims (in the regime) from a _deal of at least theta_{R-1} cards.
+
+    One threshold pass per player over its row of the card-index table splits
+    the faces in ascending order: card <= theta_R makes a pilot (P_t), any other
+    a data face, and theta_R < card <= theta_{R-1} a face dropped from P_t going
+    from R-1 to R receive antennas (L_t, when R > T_eff); the flat embeddings
+    are read in the same pass. The anchors g_t come from the tail window of
+    the deal, and each G_t is the anchor plus Q-1 filler faces taken in
+    ascending order from the remaining pool.
+    """
+    cards, table = deal
     T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
     theta = pilot_count(T_eff, R, N, Q)
+    theta_prev = pilot_count(T_eff, R - 1, N, Q) if R > T_eff else theta
     # Tuples are built from lists: tuple() of a generator grows by reallocs, and
     # in a process that builds many assignments that fragments the heap for good.
-    pilot_sets = _faces_by_player(cards[:theta], T_eff)
-    data_sets = tuple(
-        [tuple([i for i in range(1, N + 1) if i not in taken]) for taken in map(set, pilot_sets)]
-    )
-    # player t's faces embed into [(t-1)N + 1 : tN], so the flat sets come out sorted
-    pilots = tuple([i + t * N for t, p in enumerate(pilot_sets) for i in p])
-    data = tuple([i + t * N for t, d in enumerate(data_sets) for i in d])
+    pilot_sets, data_sets, L_sets, pilots, data = [], [], [], [], []
+    for row in table:
+        p, d, lost = [], [], []
+        for i, flat, j in row:
+            if j <= theta:
+                p.append(i)
+                pilots.append(flat)
+            else:
+                d.append(i)
+                data.append(flat)
+                if j <= theta_prev:
+                    lost.append(i)
+        pilot_sets.append(tuple(p))
+        data_sets.append(tuple(d))
+        L_sets.append(tuple(lost))
     l = ell(T_eff, R, N, Q)
 
-    L_sets = G_sets = G_pool = anchors = None
+    G_sets = G_pool = anchors = None
     if R > T_eff:
-        theta_prev = pilot_count(T_eff, R - 1, N, Q)
-        L_sets = _faces_by_player(cards[theta:theta_prev], T_eff)
-        dropped = {i for faces in L_sets for i in faces}
+        dropped = set().union(*L_sets)
         G_pool = tuple([g for g in range(1, N - l + 1) if g not in dropped])
-        anchor_map = _witness_anchors(cards, T_eff, N, theta)
-        anchors = tuple([anchor_map[t] for t in range(1, T_eff + 1)])
-        anchor_set = set(anchors)
-        filler = [g for g in G_pool if g not in anchor_set]
-        G_sets = tuple(
-            [
-                tuple(sorted([anchors[t], *filler[t * (Q - 1) : (t + 1) * (Q - 1)]]))
-                for t in range(T_eff)
-            ]
-        )
+        anchors = _witness_anchors(cards, T_eff, N, theta)
+        taken = set(anchors)
+        filler = [g for g in G_pool if g not in taken] if Q > 1 else []  # Q = 1 takes none
+        groups, k = [], Q - 1
+        for t, g in enumerate(anchors):
+            faces = filler[t * k : t * k + k]
+            insort(faces, g)
+            groups.append(tuple(faces))
+        G_sets = tuple(groups)
 
     return PilotAssignment(
         dims=dims,
         theta_R=theta,
-        pilot_sets=pilot_sets,
-        data_sets=data_sets,
-        pilots=pilots,
-        data=data,
+        pilot_sets=tuple(pilot_sets),
+        data_sets=tuple(data_sets),
+        pilots=tuple(pilots),
+        data=tuple(data),
         ell=l,
-        L_sets=L_sets,
+        L_sets=tuple(L_sets) if R > T_eff else None,
         G_sets=G_sets,
         G_pool=G_pool,
         anchors=anchors,
@@ -204,11 +216,13 @@ def build_pilot_sets(dims: Dims) -> PilotAssignment:
 
 
 def pilot_chain(dims: Dims) -> list[PilotAssignment]:
-    """The assignments for R' = T_eff..R, in that order, from one deal.
+    """The assignments for R' = T_eff..R, in that order, from one card-index table.
 
     theta_{R'} falls as R' grows, so every assignment on the chain deals a
-    prefix of the theta_{T_eff} = T_eff^2 Q cards of the square case; they
-    are dealt once. Element k equals build_pilot_sets(dims.with_rx(T_eff + k)).
+    prefix of the theta_{T_eff} = T_eff^2 Q cards of the square case. They
+    are dealt once into the table, and each R' is a threshold pass over it at
+    theta_{R'} (and theta_{R'-1} for L_t). Element k equals
+    build_pilot_sets(dims.with_rx(T_eff + k)).
     """
     dims.require_regime()
     T_eff, N = dims.T_eff, dims.N
@@ -216,108 +230,88 @@ def pilot_chain(dims: Dims) -> list[PilotAssignment]:
     return [_assignment(dims.with_rx(r), cards) for r in range(T_eff, dims.R + 1)]
 
 
+def _last_clash(sets):
+    """The last face found in two sets, with the 1-based indices of both, or None."""
+    seen: dict[int, int] = {}
+    clash = None
+    for t, faces in enumerate(sets, start=1):
+        for i in faces:
+            if i in seen:
+                clash = {"face": i, "antennas": (seen[i], t)}
+            seen[i] = t
+    return clash
+
+
+def _expected_flat(a: PilotAssignment) -> list[int]:
+    """The flat embeddings i + (t-1)N of the faces in a.pilot_sets, sorted."""
+    offsets = range(0, len(a.pilot_sets) * a.dims.N, a.dims.N)
+    return sorted([i + off for off, p in zip(offsets, a.pilot_sets) for i in p])
+
+
+def _expected_useful(a: PilotAssignment) -> int:
+    return a.dims.R * a.dims.T_eff * a.dims.Q + len(a.data)
+
+
+# The failure payload of each property, built from the assignment only when it fails
+_COUNTEREXAMPLES = {
+    "pilot_total": lambda a: {"total": sum(map(len, a.pilot_sets)), "theta_R": a.theta_R},
+    "pilot_size_cap": lambda a: {
+        "oversized": [(t, len(p)) for t, p in enumerate(a.pilot_sets, 1) if len(p) > a.dims.T_eff * a.dims.Q],
+        "cap": a.dims.T_eff * a.dims.Q,
+    },
+    "flat_embedding": lambda a: {"pilots": list(a.pilots), "expected": _expected_flat(a)},
+    "useful_output_size": lambda a: {"useful": len(a.useful_outputs), "expected": _expected_useful(a)},
+    "L_disjoint": lambda a: _last_clash(a.L_sets),
+    "L_in_range": lambda a: {
+        "outside": [(t, i) for t, ls in enumerate(a.L_sets, 1) for i in ls if not 1 <= i <= a.dims.N - a.ell],
+        "range": (1, a.dims.N - a.ell),
+    },
+    "G_size": lambda a: {
+        "bad": [(t, len(g)) for t, g in enumerate(a.G_sets, 1) if len(g) != a.dims.Q],
+        "expected": a.dims.Q,
+    },
+    "G_disjoint": lambda a: _last_clash(a.G_sets),
+    "G_meets_pilots": lambda a: {
+        "antennas": [t for t, (g, p) in enumerate(zip(a.G_sets, a.pilot_sets), 1) if set(g).isdisjoint(p)]
+    },
+    "G_covers": lambda a: {
+        "union": sorted(set().union(*a.G_sets)),
+        "expected": sorted(set(range(1, a.dims.N - a.ell + 1)).difference(*a.L_sets)),
+    },
+}
+
+
 def verify_pilot_properties(assignment: PilotAssignment):
     """Check the structural properties of a pilot assignment one by one.
 
     Returns {property: {"ok": bool, "detail": payload}}; the detail carries a
     counterexample on failure and is built only then. Any assignment is
-    checked as given, so corrupted ones can be checked directly.
+    checked as given, so corrupted ones can be checked directly. Each verdict
+    comes from sizes, one min and max, or set arithmetic: a family of sets is
+    disjoint when its sizes sum to the size of its union.
     """
     a = assignment
-    d = a.dims
-    T_eff, R, N, Q = d.T_eff, d.R, d.N, d.Q
-    cap = T_eff * Q
-    report: dict[str, dict] = {}
-
-    def record(name, ok, detail):
-        """detail() builds the failure payload; it is not called when ok."""
-        report[name] = {"ok": True, "detail": None} if ok else {"ok": False, "detail": detail()}
-
-    total = sum(len(p) for p in a.pilot_sets)
-    record("pilot_total", total == a.theta_R, lambda: {"total": total, "theta_R": a.theta_R})
-
-    record(
-        "pilot_size_cap",
-        all(len(p) <= cap for p in a.pilot_sets),
-        lambda: {
-            "oversized": [(t + 1, len(p)) for t, p in enumerate(a.pilot_sets) if len(p) > cap],
-            "cap": cap,
-        },
-    )
-
-    expected_flat = sorted(i + t * N for t, p in enumerate(a.pilot_sets) for i in p)
-    record(
-        "flat_embedding",
-        list(a.pilots) == expected_flat,
-        lambda: {"pilots": list(a.pilots), "expected": expected_flat},
-    )
-
-    n_useful = len(a.useful_outputs)
-    expected_useful = R * T_eff * Q + len(a.data)
-    record(
-        "useful_output_size",
-        n_useful == expected_useful,
-        lambda: {"useful": n_useful, "expected": expected_useful},
-    )
-
-    if R == T_eff:
-        return report
-
-    def last_clash(sets):
-        """The last face found in two sets, with the 1-based indices of both, or None."""
-        seen: dict[int, int] = {}
-        clash = None
-        for t, faces in enumerate(sets, start=1):
-            for i in faces:
-                if i in seen:
-                    clash = {"face": i, "antennas": (seen[i], t)}
-                seen[i] = t
-        return clash
-
-    clash = last_clash(a.L_sets)
-    record("L_disjoint", clash is None, lambda: clash)
-
-    top = N - a.ell
-    record(
-        "L_in_range",
-        all(1 <= i <= top for ls in a.L_sets for i in ls),
-        lambda: {
-            "outside": [
-                (t + 1, i) for t, ls in enumerate(a.L_sets) for i in ls if not 1 <= i <= top
-            ],
-            "range": (1, top),
-        },
-    )
-
-    record(
-        "G_size",
-        all(len(g) == Q for g in a.G_sets),
-        lambda: {
-            "bad": [(t + 1, len(g)) for t, g in enumerate(a.G_sets) if len(g) != Q],
-            "expected": Q,
-        },
-    )
-
-    g_clash = last_clash(a.G_sets)
-    record("G_disjoint", g_clash is None, lambda: g_clash)
-
-    missing = [
-        t + 1
-        for t, (g, p) in enumerate(zip(a.G_sets, a.pilot_sets))
-        if set(g).isdisjoint(p)
-    ]
-    record("G_meets_pilots", not missing, lambda: {"antennas": missing})
-
-    union = {i for g in a.G_sets for i in g}
-    dropped = {i for ls in a.L_sets for i in ls}
-    expected_pool = {i for i in range(1, top + 1) if i not in dropped}
-    record(
-        "G_covers",
-        union == expected_pool,
-        lambda: {"union": sorted(union), "expected": sorted(expected_pool)},
-    )
-
-    return report
+    T_eff, R, N, Q = a.dims.T_eff, a.dims.R, a.dims.N, a.dims.Q
+    sizes = list(map(len, a.pilot_sets))
+    verdicts = {
+        "pilot_total": sum(sizes) == a.theta_R,
+        "pilot_size_cap": max(sizes, default=0) <= T_eff * Q,
+        "flat_embedding": list(a.pilots) == _expected_flat(a),
+        "useful_output_size": len(a.useful_outputs) == _expected_useful(a),
+    }
+    if R > T_eff:
+        dropped, union = set().union(*a.L_sets), set().union(*a.G_sets)
+        top = N - a.ell
+        verdicts["L_disjoint"] = sum(map(len, a.L_sets)) == len(dropped)
+        verdicts["L_in_range"] = not dropped or 1 <= min(dropped) and max(dropped) <= top
+        verdicts["G_size"] = set(map(len, a.G_sets)) <= {Q}
+        verdicts["G_disjoint"] = sum(map(len, a.G_sets)) == len(union)
+        verdicts["G_meets_pilots"] = not any(map(set.isdisjoint, map(set, a.G_sets), a.pilot_sets))
+        verdicts["G_covers"] = union == set(range(1, top + 1)) - dropped
+    return {
+        name: {"ok": True, "detail": None} if ok else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
+        for name, ok in verdicts.items()
+    }
 
 
 def assignment_to_dict(a: PilotAssignment) -> dict:

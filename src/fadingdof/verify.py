@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,10 +34,14 @@ def run_verify_all(n_max: int = 10) -> bool:
 
     ok = True
     bad = None
+    witness_chains = {}  # the chains with N <= 4, by top, for the witness line below
     for top in regime_chains(n_max):
-        for pa in pilot_chain(top):
+        chain = pilot_chain(top)
+        if top.N <= 4:
+            witness_chains[top] = chain
+        for pa in chain:
             report = verify_pilot_properties(assignment=pa)
-            if not all(v["ok"] for v in report.values()):
+            if not all(map(itemgetter("ok"), report.values())):
                 ok, bad = False, (pa.dims, report)
     check(f"pilot-set properties on every regime cell with N <= {n_max}", ok, str(bad))
 
@@ -86,8 +91,9 @@ def run_verify_all(n_max: int = 10) -> bool:
 
     ok = True
     for dims in regime_cells(4):
-        if dims.R == dims.T_eff:  # a chain's first cell: deal the chain and build its top's witness
-            chain = pilot_chain(dims.with_rx(dims.rx_needed))
+        if dims.R == dims.T_eff:  # a chain's first cell: the top's witness, on the pilot line's chain if dealt
+            top = dims.with_rx(dims.rx_needed)
+            chain = witness_chains.get(top) or pilot_chain(top)
             witness = jacobian.witness_construct(chain, exact=True)
         ok &= jacobian.certify_witness_exact(chain[dims.R - dims.T_eff], witness) != 0
     check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)

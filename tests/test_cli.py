@@ -283,15 +283,29 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
         # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
         "mod_star": 24 * 5,
         "_chi_low_star_scaled": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
-        # one deal per (N, Q, T_eff) chain: the pilot grid, then the witness grid N <= 4
-        "pilot_chain": len(list(regime_chains(n_max))) + len(list(regime_chains(4))),
+        # one deal per (N, Q, T_eff) chain of the pilot grid; the witness grid N <= 4 reuses its chains
+        "pilot_chain": len(list(regime_chains(n_max))),
         # the witness grid N <= 4: one build per chain, at its top, and a determinant per cell
         "witness_construct": len(list(regime_chains(4))),
         "exact_integer_det": len(list(regime_cells(4))),
     }
     assert [grid.shape for grid in grids] == [(n_max, 3, 12, 12)]  # the brute-force oracle's grid
     assert (calls["mod_star"], calls["witness_construct"], calls["exact_integer_det"]) == (120, 9, 22)
-    assert (len(cells), calls["pilot_chain"]) == (732, 100 + 9)
+    assert (len(cells), calls["pilot_chain"]) == (732, 100)
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 4, 6])
+def test_verify_all_deals_each_chain_once(monkeypatch, capsys, n_max):
+    # the witness line (N <= 4) reuses the pilot line's chains and deals only those above n_max
+    from fadingdof import verify
+    from fadingdof.model import regime_chains
+
+    dealt = []
+    original = verify.pilot_chain
+    monkeypatch.setattr(verify, "pilot_chain", lambda top: dealt.append(top) or original(top))
+    assert verify.run_verify_all(n_max)
+    assert dealt == list(regime_chains(max(n_max, 4)))
     assert "[FAIL]" not in capsys.readouterr().out
 
 

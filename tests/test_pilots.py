@@ -182,6 +182,21 @@ def test_one_deal_chain_equals_per_R_builds_on_random_cells(dims):
     assert_chain_matches_per_R_builds(dims)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(regime_cell())
+def test_chain_properties_on_random_cells(dims):
+    chain = pilot_chain(dims)
+    for pa in chain:
+        assert all(v["ok"] for v in verify_pilot_properties(pa).values()), pa.dims
+    # P_t(R'-1) is the disjoint union of P_t(R') and L_t(R')
+    for prev, pa in zip(chain, chain[1:]):
+        for below, p, lost in zip(prev.pilot_sets, pa.pilot_sets, pa.L_sets):
+            assert set(below) == set(p) | set(lost) and len(below) == len(p) + len(lost), pa.dims
+    T_eff, N = dims.T_eff, dims.N
+    image = [card_deal(j, T_eff, N) for j in range(1, T_eff * N + 1)]
+    assert sorted(image) == list(itertools.product(range(1, T_eff + 1), range(1, N + 1)))
+
+
 def test_chain_rejects_cells_outside_the_regime():
     with pytest.raises(InvalidConfigurationError):
         pilot_chain(Dims(T=2, R=12, N=4, Q=1, T_eff=2))
@@ -205,6 +220,78 @@ def test_corrupted_assignment_fails_checks():
     )
     report = verify_pilot_properties(assignment=moved)
     assert not report["pilot_size_cap"]["ok"]
+
+
+PROPERTIES = [
+    "pilot_total",
+    "pilot_size_cap",
+    "flat_embedding",
+    "useful_output_size",
+    "L_disjoint",
+    "L_in_range",
+    "G_size",
+    "G_disjoint",
+    "G_meets_pilots",
+    "G_covers",
+]
+
+# (3,5,8,2): theta_R = 14, cap T_eff Q = 6, faces up to N - ell = 8, G_pool = [1:6]
+#   P = (1,2,4,5,7), (2,3,5,6,8), (1,3,4,6); L = (8,), (), (7,); G = (1,5), (2,6), (3,4)
+CORRUPTIONS = {
+    "pilot_total": ({"theta_R": 15}, {"pilot_total": {"total": 14, "theta_R": 15}}),
+    "pilot_size_cap": (
+        # faces 3 and 6 move from antenna 2 to antenna 1; the flat set follows
+        {
+            "pilot_sets": ((1, 2, 3, 4, 5, 6, 7), (2, 5, 8), (1, 3, 4, 6)),
+            "pilots": (1, 2, 3, 4, 5, 6, 7, 10, 13, 16, 17, 19, 20, 22),
+        },
+        {"pilot_size_cap": {"oversized": [(1, 7)], "cap": 6}},
+    ),
+    "flat_embedding": (
+        {"pilots": (1, 2, 4, 5, 7, 10, 11, 13, 14, 16, 17, 19, 20, 23)},
+        {
+            "flat_embedding": {
+                "pilots": [1, 2, 4, 5, 7, 10, 11, 13, 14, 16, 17, 19, 20, 23],
+                "expected": [1, 2, 4, 5, 7, 10, 11, 13, 14, 16, 17, 19, 20, 22],
+            }
+        },
+    ),
+    "useful_output_size": (
+        {"data": (3, 6, 8, 9, 12, 15, 18, 21, 23)},
+        {"useful_output_size": {"useful": 40, "expected": 39}},
+    ),
+    # face 7 is in L_1 and L_2, then face 8 in L_1 and L_3: the last clash is reported
+    "L_disjoint": ({"L_sets": ((7, 8), (7,), (8,))}, {"L_disjoint": {"face": 8, "antennas": (1, 3)}}),
+    "L_in_range": (
+        {"L_sets": ((0, 8), (), (7, 9))},
+        {"L_in_range": {"outside": [(1, 0), (3, 9)], "range": (1, 8)}},
+    ),
+    "G_size": ({"G_sets": ((1, 5, 6), (2,), (3, 4))}, {"G_size": {"bad": [(1, 3), (2, 1)], "expected": 2}}),
+    # two Q-sets that share a face cannot cover the T_eff Q faces of the pool
+    "G_disjoint": (
+        {"G_sets": ((1, 5), (2, 6), (4, 5))},
+        {
+            "G_disjoint": {"face": 5, "antennas": (1, 3)},
+            "G_covers": {"union": [1, 2, 4, 5, 6], "expected": [1, 2, 3, 4, 5, 6]},
+        },
+    ),
+    "G_meets_pilots": ({"G_sets": ((3, 6), (2, 4), (1, 5))}, {"G_meets_pilots": {"antennas": [1]}}),
+    "G_covers": (
+        {"G_sets": ((1, 7), (2, 6), (3, 4))},
+        {"G_covers": {"union": [1, 2, 3, 4, 6, 7], "expected": [1, 2, 3, 4, 5, 6]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_each_pilot_property_fails_on_its_corruption(prop):
+    pa = build_pilot_sets(Dims(T=3, R=5, N=8, Q=2, T_eff=3))
+    assert verify_pilot_properties(pa) == {name: {"ok": True, "detail": None} for name in PROPERTIES}
+    changes, failures = CORRUPTIONS[prop]
+    report = verify_pilot_properties(dataclasses.replace(pa, **changes))
+    assert list(report) == PROPERTIES
+    assert {name: r["detail"] for name, r in report.items() if not r["ok"]} == failures
+    assert all(r["detail"] is None for r in report.values() if r["ok"])
 
 
 def test_assignment_json_dump_is_sorted():

@@ -1,9 +1,18 @@
 """Monte-Carlo evidence for the log-determinant side of the lower bound.
 
 The entropy argument needs E[log |det J|^2] over Gaussian (s, x) to be finite
-for a generic coloring matrix. That expectation has no closed form, so this
-module estimates it by Monte Carlo and reports stability diagnostics instead;
-a shrinking standard error is the computable evidence of integrability.
+for a generic coloring matrix. That is certified, not estimated. For a fixed
+coloring Z, |det J(Z; s, x)|^2 is a real polynomial of degree at most 2n in
+the real and imaginary parts of (s, x), and the Gaussian is log-concave, so
+the Carbery-Wright inequality (A. Carbery and J. Wright, Math. Res. Lett. 8,
+2001) gives P(|p| <= eps ||p||_2) <= C deg eps^(1/deg), and E log |det J|^2 >
+-inf whenever det J(Z; .) is not identically zero. The exact witness
+(jacobian.certify_witness_exact) certifies that for the witness coloring, and
+so for almost every coloring. What has no closed form is the value of the
+expectation: mc_logdet estimates only that, by Monte Carlo, with its standard
+error and the fraction of clipped draws. A shrinking standard error is no
+evidence of integrability on its own; it can shrink on a heavy-tailed
+integrand.
 
 The expectation is taken over the Gaussian density rather than as the raw
 Lebesgue integral against exp(-||.||^2); the two differ by the density
@@ -71,9 +80,9 @@ def mc_logdet(
     precision (some factor with sigma_min not above the package
     nonsingularity threshold times its sigma_max) and draws whose value falls
     below the floor both contribute the floor value and are counted in
-    clipped_fraction. For an integrable integrand the standard error shrinks
-    like samples^(-1/2). seed may be a SeedSequence, e.g. one child of a
-    spawn tree that also seeds the coloring.
+    clipped_fraction. When log |det J|^2 has finite variance the standard
+    error shrinks like samples^(-1/2). seed may be a SeedSequence, e.g. one
+    child of a spawn tree that also seeds the coloring.
     """
     if samples < 1:
         raise ValueError("samples must be positive")

@@ -7,14 +7,14 @@ derivatives are never taken with respect to pilot entries. This module
 assembles that matrix, constructs an explicit triple (Z, s, x) whose Jacobian
 determinant is provably nonzero, and probes nonsingularity for random draws.
 
-The exact certificate is exact_integer_det: the witness Jacobian has 0/1
-entries. Rows and columns with a single nonzero are peeled off first, each a
-one-term Laplace expansion, in time linear in the nonzeros; the witness is
-block triangular and peels to an empty core. What core is left, or the whole
-of a matrix with no singleton row or column, has its determinant computed
-modulo as many word-size primes as the core's Hadamard bound requires and
-rebuilt by the Chinese remainder theorem. The tests keep a fraction-free
-(Bareiss) elimination as an independent oracle.
+The exact certificate is the peel of the exact witness Jacobian, whose
+entries are 0 and 1: a row or column with a single nonzero is a one-term
+Laplace expansion, so it is removed with its pivot, in time linear in the
+nonzeros. The witness is block triangular and peels to nothing, which leaves
+the determinant as the sign of the pivot permutation. A matrix with another
+nonzero value, or one that leaves a core with no singleton row or column, is
+refused rather than guessed at. The tests keep a fraction-free (Bareiss)
+elimination and a multi-modular (CRT) determinant as independent oracles.
 
 Assembly builds only matrices. JacobianLayout assembles the Jacobians of many
 draws as one (k, n, n) stack, for recovery and the exact certificate. The
@@ -77,8 +77,6 @@ __all__ = [
     "witness_report",
     "genericity_probe",
     "ProbeStats",
-    "DET_PRIMES",
-    "exact_integer_det",
 ]
 
 NONSINGULAR_TOL = 1e-10
@@ -371,6 +369,79 @@ def witness_construct(chain: list, seed: int = 0, exact: bool = False):
     return ColoringMatrix(Zb), sv.reshape(-1), x
 
 
+def _witness_det(J: np.ndarray) -> int:
+    """Exact determinant of a square 0/1 matrix that peels to nothing: 1, -1 or 0.
+
+    A row with one nonzero among the remaining columns, or a column with one
+    nonzero among the remaining rows, is a one-term Laplace expansion: it is
+    removed with its pivot, repeatedly. Every entry is 1, so a matrix that
+    peels whole has as determinant the sign of the permutation sending each
+    row to its pivot column, and 0 as soon as a row or column empties. Raises
+    InvalidConfigurationError for a non-square matrix, for a nonzero entry
+    other than 1, and for a core with no singleton row or column: there is no
+    other path to fall back on. O(nnz) on row and column sets.
+    """
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
+        raise InvalidConfigurationError(f"determinant of a non-square matrix of shape {J.shape}")
+    n = len(J)
+    at = np.flatnonzero(J != 0)  # from the mask: flatnonzero of a complex array is slower
+    if not np.all(J.ravel()[at] == 1):
+        raise InvalidConfigurationError("matrix has entries other than 0 and 1; expected an exact witness")
+    row_cols = [set() for _ in range(n)]
+    col_rows = [set() for _ in range(n)]
+    for i, j in zip(*(axis.tolist() for axis in np.divmod(at, n))):
+        row_cols[i].add(j)
+        col_rows[j].add(i)
+    if not (all(row_cols) and all(col_rows)):
+        return 0  # a zero row or column
+    rows_todo = [i for i in range(n) if len(row_cols[i]) == 1]
+    cols_todo = [j for j in range(n) if len(col_rows[j]) == 1]
+    perm = [-1] * n  # peeled row -> its pivot column
+    while rows_todo or cols_todo:
+        if rows_todo:
+            i = rows_todo.pop()
+            if perm[i] >= 0:
+                continue
+            (j,) = row_cols[i]
+        else:
+            j = cols_todo.pop()
+            if col_rows[j] is None:
+                continue
+            (i,) = col_rows[j]
+        perm[i] = j
+        for c in row_cols[i]:
+            if c != j:
+                rest = col_rows[c]
+                rest.discard(i)
+                if not rest:
+                    return 0
+                if len(rest) == 1:
+                    cols_todo.append(c)
+        for r in col_rows[j]:
+            if r != i:
+                rest = row_cols[r]
+                rest.discard(j)
+                if not rest:
+                    return 0
+                if len(rest) == 1:
+                    rows_todo.append(r)
+        col_rows[j] = None
+    if -1 in perm:
+        raise InvalidConfigurationError(
+            f"{perm.count(-1)} rows are left in a core with no singleton row or column; not certified"
+        )
+    # the sign of the permutation is (-1)^(n - number of cycles)
+    parity, seen = n, bytearray(n)
+    for start in range(n):
+        if not seen[start]:
+            parity -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = 1
+                k = perm[k]
+    return -1 if parity % 2 else 1
+
+
 def certify_witness_exact(pilots: PilotAssignment, witness) -> int:
     """Exact-arithmetic certificate that the witness determinant is nonzero.
 
@@ -378,14 +449,16 @@ def certify_witness_exact(pilots: PilotAssignment, witness) -> int:
     cell above it on its chain (same T_eff, N and Q, R at least pilots.dims.R)
     such as the chain's top; the cell is certified on the prefix, which is its
     own witness, so one build serves every cell of a chain. The Jacobian has
-    0/1 entries, and exact_integer_det's peel expands the block-triangular
-    witness entry by entry. Returns the determinant as an exact int; nonzero
-    certifies nonsingularity with no floating-point error.
+    0/1 entries and is block triangular, one receive antenna per step, so it
+    peels to nothing (see _witness_det). Returns the determinant as an exact
+    int, 1, -1 or 0; nonzero certifies nonsingularity with no floating-point
+    error. Any other matrix, a seeded float witness among them, raises
+    InvalidConfigurationError.
     """
     Z, s, x = witness
     d = pilots.dims
     J = assemble_jacobian(ColoringMatrix(Z.blocks[: d.R]), s[: d.R * d.T_eff * d.Q], x, pilots)
-    return exact_integer_det(J)
+    return _witness_det(J)
 
 
 def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool = False) -> dict:
@@ -416,7 +489,7 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
         "bezout_bound": str(bezout_bound(chain[-1])),
     }
     if exact:
-        det = exact_integer_det(J)
+        det = _witness_det(J)
         report["exact_det"] = {"re": str(det), "im": "0"}
         report["certified_nonzero"] = det != 0
     if export:
@@ -493,203 +566,3 @@ def genericity_probe(
         min_log_abs_det=None if min_log_det == -math.inf else min_log_det,
         min_factor_sigma_ratio=min_ratio,
     )
-
-
-# Word-size primes below 2^31, largest first. Residues stay below 2^31, so
-# every product of two stays below 2^62 and int64 elimination cannot
-# overflow. exact_integer_det takes as many as the Hadamard bound of its core
-# needs; all 32 together cover |det| up to about 2^990.
-DET_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
-    2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
-    2147483237, 2147483179, 2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943, 2147482937, 2147482921,
-)
-
-
-def _integer_matrix(M: np.ndarray) -> tuple:
-    """M as a square int64 array and the ascending flat positions of its nonzeros.
-
-    Raises unless every entry is a real integer below 2^62. One pass finds the
-    nonzero entries (nan and inf among them), and only those are checked and
-    copied: a witness is mostly zeros.
-    """
-    A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidConfigurationError(f"determinant of a non-square matrix of shape {A.shape}")
-    if A.dtype.kind not in "biufc":
-        raise InvalidConfigurationError(f"matrix of dtype {A.dtype} is not numeric")
-    at = np.flatnonzero(A != 0)
-    values = A.ravel()[at]
-    if values.dtype.kind == "c":
-        if np.any(values.imag != 0):
-            raise InvalidConfigurationError("matrix has complex entries; expected real integers")
-        values = values.real
-    in_range = (values > -(2**62)) & (values < 2**62)  # False for nan and inf
-    if not (np.all(in_range) and np.array_equal(values, np.floor(values))):
-        raise InvalidConfigurationError("matrix entries are not exact integers below 2^62")
-    out = np.zeros(A.shape, dtype=np.int64)
-    out.ravel()[at] = values
-    return out, at
-
-
-def _det_mod_primes(A: np.ndarray, primes) -> np.ndarray:
-    """det(A) mod p for every p in primes, by int64 Gaussian elimination of all residues at once.
-
-    Each step updates only the rows with a nonzero in the pivot column and the
-    columns with a nonzero in the pivot row, so sparse matrices stay cheap. A
-    residue with no pivot left in some column has determinant 0 mod its prime.
-    """
-    p = np.asarray(primes, dtype=np.int64)
-    M = A[None, :, :] % p[:, None, None]
-    det = np.ones(len(primes), dtype=np.int64)
-    batch = np.arange(len(primes))
-    n = A.shape[0]
-    for k in range(n):
-        piv = np.argmax(M[:, k:, k] != 0, axis=1) + k
-        swap = piv != k
-        if swap.any():
-            row_k = M[batch, k].copy()
-            M[batch, k] = M[batch, piv]
-            M[batch, piv] = row_k
-        d = M[batch, k, k]
-        det = det * np.where(swap, p - d, d) % p
-        rows = np.flatnonzero(M[:, k + 1 :, k].any(axis=0)) + k + 1
-        cols = np.flatnonzero(M[:, k, k + 1 :].any(axis=0)) + k + 1
-        if rows.size == 0 or cols.size == 0:
-            continue
-        inv = np.array([pow(int(v), -1, int(q)) if v else 0 for v, q in zip(d, p)], dtype=np.int64)
-        factor = M[:, rows, k] * inv[:, None] % p[:, None]
-        block = (slice(None), rows[:, None], cols[None, :])
-        M[block] = (M[block] - factor[:, :, None] * M[:, k, cols][:, None, :]) % p[:, None, None]
-    return det
-
-
-def _peel(A: np.ndarray, at: np.ndarray) -> tuple:
-    """Strip the singleton rows and columns of the integer matrix A by one-term Laplace expansions.
-
-    at holds the flat positions of A's nonzeros, as _integer_matrix returns
-    them, so A is not scanned again. A row with one nonzero among the
-    remaining columns, or a column with one nonzero among the remaining rows,
-    is expanded along and removed, which multiplies the determinant by that
-    entry; removals repeat until none is left. Returns (factor, rows, cols)
-    with det A = factor * det A[rows][:, cols], where rows and cols are the
-    ascending indices of the leftover core.
-    factor carries the sign of the permutation that sends each peeled row to
-    its pivot column and the core rows to the core columns in order; it is 0
-    when a row or column empties. O(nnz) on row dicts and column sets.
-    """
-    n = len(A)
-    r_idx, c_idx = np.divmod(at, n)
-    row_entries = [{} for _ in range(n)]
-    col_rows = [set() for _ in range(n)]
-    for i, j, v in zip(r_idx.tolist(), c_idx.tolist(), A.ravel()[at].tolist()):
-        row_entries[i][j] = v
-        col_rows[j].add(i)
-    rows_todo = [i for i in range(n) if len(row_entries[i]) == 1]
-    cols_todo = [j for j in range(n) if len(col_rows[j]) == 1]
-    perm = [-1] * n  # peeled row -> its pivot column
-    factor = 1
-    while rows_todo or cols_todo:
-        if rows_todo:
-            i = rows_todo.pop()
-            if perm[i] >= 0:
-                continue
-            (j,) = row_entries[i]
-        else:
-            j = cols_todo.pop()
-            if col_rows[j] is None:
-                continue
-            (i,) = col_rows[j]
-        perm[i] = j
-        factor *= row_entries[i][j]
-        for c in row_entries[i]:
-            if c != j:
-                rest = col_rows[c]
-                rest.discard(i)
-                if not rest:
-                    return 0, [], []
-                if len(rest) == 1:
-                    cols_todo.append(c)
-        for r in col_rows[j]:
-            if r != i:
-                rest = row_entries[r]
-                del rest[j]
-                if not rest:
-                    return 0, [], []
-                if len(rest) == 1:
-                    rows_todo.append(r)
-        col_rows[j] = None
-    rows = [i for i in range(n) if perm[i] < 0]
-    cols = [j for j in range(n) if col_rows[j] is not None]
-    for i, j in zip(rows, cols):
-        perm[i] = j
-    # the sign of the permutation is (-1)^(n - number of cycles)
-    parity, seen = n, bytearray(n)
-    for start in range(n):
-        if not seen[start]:
-            parity -= 1
-            k = start
-            while not seen[k]:
-                seen[k] = 1
-                k = perm[k]
-    return (-factor if parity % 2 else factor), rows, cols
-
-
-def exact_integer_det(M: np.ndarray) -> int:
-    """Exact determinant of a square matrix with real integer entries, as a Python int.
-
-    First the peel: a row or column with a single nonzero is a Laplace
-    expansion with a single term, so such pivots are removed one after another
-    and their entries multiplied exactly, leaving a core with no singleton (see
-    _peel). The witness Jacobians are block triangular and peel to an empty
-    core. A matrix with no singleton row or column, found by counting the
-    nonzero positions _integer_matrix returns per row and per column, is the
-    core as it stands and builds no index bookkeeping.
-
-    Then the core, multi-modular: the Hadamard bound H = prod of the core's row
-    norms fixes how many primes of DET_PRIMES are needed, (prod p)^2 > 4 H^2
-    checked in integer arithmetic; det is computed mod each of them and rebuilt
-    by the Chinese remainder theorem as the residue of least magnitude. Since
-    |det| <= H < (prod p) / 2 the result is exact, with no probabilistic step.
-    A core whose bound needs more primes than the table holds raises instead
-    of guessing; peeled pivots count against no bound.
-    """
-    A, at = _integer_matrix(M)
-    n = len(A)
-    if n == 0:
-        return 1
-    per_line = np.bincount(at // n, minlength=n), np.bincount(at % n, minlength=n)
-    fewest = min(count.min() for count in per_line)  # nonzeros in the sparsest line
-    if fewest == 0:
-        return 0  # a zero row or column
-    if fewest > 1:
-        return _multimodular_det(A)
-    factor, rows, cols = _peel(A, at)
-    if factor == 0 or not rows:
-        return factor
-    return factor * _multimodular_det(A[np.ix_(rows, cols)])
-
-
-def _multimodular_det(A: np.ndarray) -> int:
-    """det A of a square int64 array: residues mod the primes its Hadamard bound needs, joined by CRT."""
-    if A.shape[0] * int(np.abs(A).max(initial=0)) ** 2 < 2**63:
-        norms = (A * A).sum(axis=1).tolist()
-    else:  # the int64 sums could overflow
-        norms = [sum(v * v for v in row) for row in A.tolist()]
-    h2 = math.prod(norms)
-    if h2 == 0:
-        return 0  # a zero row
-    count, P = 0, 1
-    while P * P <= 4 * h2:
-        if count == len(DET_PRIMES):
-            raise InvalidConfigurationError(
-                f"Hadamard bound 2^{h2.bit_length() / 2:.0f} needs more than {count} primes"
-            )
-        P *= DET_PRIMES[count]
-        count += 1
-    det, P = 0, 1
-    for r, q in zip(_det_mod_primes(A, DET_PRIMES[:count]).tolist(), DET_PRIMES):
-        det += P * ((r - det) * pow(P, -1, q) % q)
-        P *= q
-    return det - P if 2 * det > P else det

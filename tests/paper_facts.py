@@ -12,9 +12,12 @@ The brute-force maximum of the lower bound and the constant model's peak are
 the Fraction oracles of the library's N-scaled closed forms; the scalar
 N-scaled brute force is the oracle of the library's grid of it. The
 per-(r, t) witness fill loop is the oracle that the library's vectorised
-witness must match bit for bit, in both modes.
+witness must match bit for bit, in both modes. The multi-modular determinant
+(int64 elimination modulo word-size primes, joined by the Chinese remainder
+theorem) is the fast exact oracle beside the tests' Bareiss elimination.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +26,7 @@ from fadingdof.dof import _chi_low_scaled, chi_const, chi_low
 from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
     ColoringMatrix,
+    InvalidConfigurationError,
     constant_model,
     random_coloring,
     split_fading,
@@ -247,3 +251,78 @@ def witness_construct_loop(dims, pilots, seed: int = 0, exact: bool = False):
             sv[rr - 1, t] = srt
             Zb[rr - 1, t][np.asarray(pa.L_sets[t], dtype=int) - 1, :] = np.conj(srt)[None, :]
     return ColoringMatrix(Zb), sv.reshape(-1), np.ones(Teff * N, dtype=complex)
+
+
+# Word-size primes below 2^31, largest first. Residues stay below 2^31, so
+# every product of two stays below 2^62 and int64 elimination cannot
+# overflow. multimodular_det takes as many as the Hadamard bound of its matrix
+# needs; all 32 together cover |det| up to about 2^990.
+DET_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
+    2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
+    2147483237, 2147483179, 2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943, 2147482937, 2147482921,
+)
+
+
+def det_mod_primes(A: np.ndarray, primes) -> np.ndarray:
+    """det(A) mod p for every p in primes, by int64 Gaussian elimination of all residues at once.
+
+    Each step updates only the rows with a nonzero in the pivot column and the
+    columns with a nonzero in the pivot row, so sparse matrices stay cheap. A
+    residue with no pivot left in some column has determinant 0 mod its prime.
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    M = A[None, :, :] % p[:, None, None]
+    det = np.ones(len(primes), dtype=np.int64)
+    batch = np.arange(len(primes))
+    n = A.shape[0]
+    for k in range(n):
+        piv = np.argmax(M[:, k:, k] != 0, axis=1) + k
+        swap = piv != k
+        if swap.any():
+            row_k = M[batch, k].copy()
+            M[batch, k] = M[batch, piv]
+            M[batch, piv] = row_k
+        d = M[batch, k, k]
+        det = det * np.where(swap, p - d, d) % p
+        rows = np.flatnonzero(M[:, k + 1 :, k].any(axis=0)) + k + 1
+        cols = np.flatnonzero(M[:, k, k + 1 :].any(axis=0)) + k + 1
+        if rows.size == 0 or cols.size == 0:
+            continue
+        inv = np.array([pow(int(v), -1, int(q)) if v else 0 for v, q in zip(d, p)], dtype=np.int64)
+        factor = M[:, rows, k] * inv[:, None] % p[:, None]
+        block = (slice(None), rows[:, None], cols[None, :])
+        M[block] = (M[block] - factor[:, :, None] * M[:, k, cols][:, None, :]) % p[:, None, None]
+    return det
+
+
+def multimodular_det(A: np.ndarray) -> int:
+    """Oracle: det A of a square int64 array, residues mod the primes its Hadamard bound needs, joined by CRT.
+
+    The Hadamard bound H = prod of the row norms fixes how many primes of
+    DET_PRIMES are needed, (prod p)^2 > 4 H^2 checked in integer arithmetic;
+    det is rebuilt as the residue of least magnitude, exact since |det| <= H <
+    (prod p) / 2. A matrix whose bound needs more primes than the table holds
+    raises instead of guessing.
+    """
+    if A.shape[0] * int(np.abs(A).max(initial=0)) ** 2 < 2**63:
+        norms = (A * A).sum(axis=1).tolist()
+    else:  # the int64 sums could overflow
+        norms = [sum(v * v for v in row) for row in A.tolist()]
+    h2 = math.prod(norms)
+    if h2 == 0:
+        return 0  # a zero row
+    count, P = 0, 1
+    while P * P <= 4 * h2:
+        if count == len(DET_PRIMES):
+            raise InvalidConfigurationError(
+                f"Hadamard bound 2^{h2.bit_length() / 2:.0f} needs more than {count} primes"
+            )
+        P *= DET_PRIMES[count]
+        count += 1
+    det, P = 0, 1
+    for r, q in zip(det_mod_primes(A, DET_PRIMES[:count]).tolist(), DET_PRIMES):
+        det += P * ((r - det) * pow(P, -1, q) % q)
+        P *= q
+    return det - P if 2 * det > P else det

@@ -9,8 +9,9 @@ from paper_facts import gaussian_log_magnitude_mean, mc_log_magnitude
 
 from fadingdof.analysis import LOG_FLOOR, mc_logdet
 from fadingdof.dof import chi_low, ell
+from fadingdof.jacobian import certify_witness_exact, witness_construct
 from fadingdof.model import Dims, constant_model, random_coloring
-from fadingdof.pilots import build_pilot_sets
+from fadingdof.pilots import build_pilot_sets, pilot_chain
 
 DIMS = Dims.create(2, 3, 4, 1)
 PILOTS = build_pilot_sets(DIMS)
@@ -48,6 +49,19 @@ def test_mc_logdet_constant_model_is_pinned_at_floor():
     est = mc_logdet(Z, PILOTS, samples=200, seed=42)
     assert est.clipped_fraction == 1.0
     assert est.mean == LOG_FLOOR
+
+
+@pytest.mark.parametrize("dims", [DIMS, Dims.create(3, 4, 12, 1)], ids=["2341", "34121"])
+def test_mc_logdet_on_the_certified_witness_coloring_clips_nothing(dims):
+    # det J(Z; .) is certified not identically zero on the exact witness's 0/1 coloring,
+    # so E log |det J|^2 is finite there (Carbery-Wright); no draw may clip
+    chain = pilot_chain(dims)
+    witness = witness_construct(chain, exact=True)
+    assert certify_witness_exact(chain[-1], witness) != 0
+    est = mc_logdet(witness[0], chain[-1], samples=256, seed=43)
+    assert est.clipped_fraction == 0.0
+    assert math.isfinite(est.mean) and est.mean > LOG_FLOOR
+    assert mc_logdet(constant_model(dims), chain[-1], samples=256, seed=43).clipped_fraction == 1.0
 
 
 def test_mc_logdet_half_sample_stability():

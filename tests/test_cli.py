@@ -265,7 +265,7 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
         count(verify, name)
     count(dof, "_chi_low_star_scaled")
     count(jacobian, "witness_construct")
-    count(jacobian, "exact_integer_det")
+    count(jacobian, "_witness_det")
     brute_grid = dof._chi_low_star_brute_grid
 
     def recorded_grid(*axes):
@@ -287,10 +287,10 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
         "pilot_chain": len(list(regime_chains(n_max))),
         # the witness grid N <= 4: one build per chain, at its top, and a determinant per cell
         "witness_construct": len(list(regime_chains(4))),
-        "exact_integer_det": len(list(regime_cells(4))),
+        "_witness_det": len(list(regime_cells(4))),
     }
     assert [grid.shape for grid in grids] == [(n_max, 3, 12, 12)]  # the brute-force oracle's grid
-    assert (calls["mod_star"], calls["witness_construct"], calls["exact_integer_det"]) == (120, 9, 22)
+    assert (calls["mod_star"], calls["witness_construct"], calls["_witness_det"]) == (120, 9, 22)
     assert (len(cells), calls["pilot_chain"]) == (732, 100)
     assert "[FAIL]" not in capsys.readouterr().out
 
@@ -362,8 +362,8 @@ def test_verify_all_fails_on_one_zero_witness_determinant(monkeypatch, capsys):
     # of the cells with N <= 4 only (T_eff, R, N, Q) = (2, 3, 3, 1), below its chain's top, has n = 9
     from fadingdof import jacobian
 
-    original = jacobian.exact_integer_det
-    monkeypatch.setattr(jacobian, "exact_integer_det", lambda M: 0 if len(M) == 9 else original(M))
+    original = jacobian._witness_det
+    monkeypatch.setattr(jacobian, "_witness_det", lambda M: 0 if len(M) == 9 else original(M))
     failed = failed_lines(capsys, 5)
     assert failed == ["[FAIL] witness determinant certified nonzero in exact arithmetic (N <= 4)"]
 

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from paper_facts import (
+    DET_PRIMES,
     assemble_jacobian_loop,
     full_svd_verdict,
+    multimodular_det,
     probe_draws,
     reduce_by_block,
     witness_construct_loop,
@@ -23,7 +25,6 @@ from paper_facts import (
 import fadingdof.jacobian as jacobian_module
 from fadingdof.analysis import BATCH, LOG_FLOOR, LogDetEstimate, mc_logdet
 from fadingdof.jacobian import (
-    DET_PRIMES,
     NONSINGULAR_TOL,
     STACK_BYTES,
     JacobianLayout,
@@ -31,12 +32,11 @@ from fadingdof.jacobian import (
     assemble_jacobian,
     bezout_bound,
     certify_witness_exact,
-    exact_integer_det,
     genericity_probe,
     witness_construct,
     witness_report,
 )
-from fadingdof.jacobian import _integer_matrix, _multimodular_det, _peel
+from fadingdof.jacobian import _witness_det
 from fadingdof.model import (
     ColoringMatrix,
     Dims,
@@ -124,6 +124,16 @@ def test_jacobian_matches_finite_differences(seed):
     fd = finite_difference_jacobian(Z, s, x, PILOTS)
     err = np.linalg.norm(J - fd) / np.linalg.norm(J)
     assert err < 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(list(regime_cells(6))), st.integers(0, 2**16))
+def test_jacobian_matches_finite_differences_on_regime_cells(dims, seed):
+    pilots = build_pilot_sets(dims)
+    Z, s, x = generic_point(seed, dims)
+    J = assemble_jacobian(Z, s, x, pilots)
+    fd = finite_difference_jacobian(Z, s, x, pilots)
+    assert np.linalg.norm(J - fd) / np.linalg.norm(J) < 1e-6, dims
 
 
 def test_jacobian_entries_linear_in_each_fading_block():
@@ -772,9 +782,9 @@ def exact_witness_matrix(dims):
     list(regime_cells(5)) + [Dims.create(4, 8, 16, 2)],
     ids=lambda d: f"{d.T}{d.R}{d.N}{d.Q}",
 )
-def test_exact_integer_det_matches_oracle_on_witnesses(dims):
+def test_witness_det_matches_oracle_on_witnesses(dims):
     J = exact_witness_matrix(dims)
-    det = exact_integer_det(J)
+    det = _witness_det(J)
     assert det == oracle_det(J) != 0
     assert certified(dims) == det
 
@@ -783,55 +793,68 @@ def random_integer_matrix(seed, n=12, bound=1000):
     return np.random.default_rng(seed).integers(-bound, bound + 1, (n, n))
 
 
-def test_exact_integer_det_combines_several_primes():
+def test_multimodular_det_combines_several_primes():
     for seed in range(3):
         M = random_integer_matrix(seed)
-        det = exact_integer_det(M)
+        det = multimodular_det(M)
         assert abs(det) > 2**62  # beyond int64, so several residues were combined
         assert det == oracle_det(M.astype(complex))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(arrays(np.int64, (12, 12), elements=st.integers(-1000, 1000)))
-def test_exact_integer_det_matches_oracle_on_random_matrices(M):
-    assert exact_integer_det(M) == oracle_det(M.astype(complex))
+def test_multimodular_det_matches_oracle_on_random_matrices(M):
+    assert multimodular_det(M) == oracle_det(M.astype(complex))
 
 
-def test_exact_integer_det_entries_beyond_float_precision():
+def test_multimodular_det_entries_beyond_float_precision():
     # entries of 2^40 make the squared row norms overflow int64
     rng = np.random.default_rng(3)
     M = rng.integers(-(2**40), 2**40, (6, 6))
-    assert exact_integer_det(M) == oracle_det(M.tolist())
+    assert multimodular_det(M) == oracle_det(M.tolist())
 
 
-def test_exact_integer_det_singular_and_prime_multiple():
+def test_multimodular_det_singular_and_prime_multiple():
     M = random_integer_matrix(4, n=6)
     repeated = M.copy()
     repeated[4] = repeated[1]
-    assert exact_integer_det(repeated) == 0
+    assert multimodular_det(repeated) == 0
     zero_row = M.copy()
     zero_row[2] = 0
-    assert exact_integer_det(zero_row) == 0
+    assert multimodular_det(zero_row) == 0
     # det = 3 * p for the first table prime p: its residue is 0, the others are not
     p = DET_PRIMES[0]
     upper = np.triu(random_integer_matrix(5, n=6, bound=3), k=1) + np.diag([p, 3, 1, 1, 1, 1])
     mixed = np.tril(random_integer_matrix(6, n=6, bound=3), k=-1) + np.eye(6, dtype=np.int64)
     M = mixed @ upper  # unit lower triangular times upper triangular
-    assert exact_integer_det(M) == oracle_det(M.tolist()) == 3 * p
-    assert exact_integer_det(-M[::-1]) == oracle_det((-M[::-1]).tolist())
+    assert multimodular_det(M) == oracle_det(M.tolist()) == 3 * p
+    assert multimodular_det(-M[::-1]) == oracle_det((-M[::-1]).tolist())
 
 
-def test_exact_integer_det_at_the_hadamard_bound():
+def test_multimodular_det_at_the_hadamard_bound():
     # |det| = H exactly; with H between p/2 and p for the first table prime p,
     # one residue cannot tell det from det + p, so a second prime is needed
     a = 30000
     assert DET_PRIMES[0] / 2 < 2 * a * a < DET_PRIMES[0]
-    assert exact_integer_det(np.array([[a, a], [a, -a]])) == -2 * a * a
+    assert multimodular_det(np.array([[a, a], [a, -a]])) == -2 * a * a
     H = np.array([[1]])
     for _ in range(4):
         H = np.block([[H, H], [H, -H]])  # Sylvester Hadamard matrix of order 16
-    assert exact_integer_det(H) == oracle_det(H.tolist())
-    assert abs(exact_integer_det(H)) == 16**8
+    assert multimodular_det(H) == oracle_det(H.tolist())
+    assert abs(multimodular_det(H)) == 16**8
+
+
+def test_multimodular_det_refuses_to_guess_past_the_prime_table():
+    M = np.full((40, 40), 2**61, dtype=np.int64) + np.eye(40, dtype=np.int64)
+    with pytest.raises(InvalidConfigurationError, match="primes"):
+        multimodular_det(M)
+
+
+def test_det_primes_are_distinct_primes_below_2_31():
+    assert len(set(DET_PRIMES)) == len(DET_PRIMES)
+    for p in DET_PRIMES:
+        assert 2 < p < 2**31
+        assert all(p % d for d in range(2, isqrt(p) + 1)), p
 
 
 @pytest.mark.parametrize(
@@ -839,60 +862,40 @@ def test_exact_integer_det_at_the_hadamard_bound():
     [
         np.array([[1.0, 0.5], [0.0, 1.0]]),
         np.array([[1, 1j], [0, 1]]),
+        np.array([[1, 0], [0, 1 + 1e-300j]]),
         np.array([[np.nan, 0.0], [0.0, 1.0]]),
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
-        np.array([[2.0**63, 0.0], [0.0, 1.0]]),
-        np.array([["1", "0"], ["0", "1"]]),
-        np.ones((2, 3)),
+        np.array([[-1, 0], [0, 1]]),
+        np.array([[2, 0], [0, 1]]),
     ],
-    ids=["fraction", "complex", "nan", "inf", "huge", "strings", "non-square"],
+    ids=["fraction", "imaginary", "tiny-imaginary", "nan", "inf", "minus-one", "two"],
 )
-def test_exact_integer_det_rejects_non_integer_input(bad):
-    with pytest.raises(InvalidConfigurationError):
-        exact_integer_det(bad)
+def test_witness_det_rejects_entries_other_than_0_and_1(bad):
+    with pytest.raises(InvalidConfigurationError, match="other than 0 and 1"):
+        _witness_det(bad)
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (np.array([[1, 0], [0, 1 + 1e-300j]]), "complex entries"),
-        (np.array([[1.0, 0.0], [0.0, np.nan]]), "exact integers"),
-        (np.array([[1.0, -np.inf], [0.0, 1.0]]), "exact integers"),
-        (np.array([[1.0, 0.0], [2.0**62, 1.0]]), "exact integers"),
-        (np.array([[1, 0], [0, -(2**62)]], dtype=np.int64), "exact integers"),
-        (np.array([[1, 2**63], [0, 1]], dtype=np.uint64), "exact integers"),
-        (np.array([[1.0, 0.0], [0.0, 1.5]]), "exact integers"),
-        (np.ones((2, 3)), "non-square"),
-        (np.ones(4), "non-square"),
-        (np.array([["1", "0"], ["0", "1"]]), "not numeric"),
-        (np.array([[1, 0], [0, 1]], dtype=object), "not numeric"),
-    ],
-    ids=["imaginary", "nan", "inf", "2^62", "-2^62", "uint64", "non-integer", "non-square", "vector", "strings", "object"],
-)
-def test_integer_matrix_rejects_each_bad_entry(bad, message):
-    with pytest.raises(InvalidConfigurationError, match=message):
-        _integer_matrix(bad)
+@pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4)], ids=["2x3", "vector"])
+def test_witness_det_rejects_a_non_square_matrix(bad):
+    with pytest.raises(InvalidConfigurationError, match="non-square"):
+        _witness_det(bad)
 
 
-def test_integer_matrix_keeps_every_exact_integer():
-    for big, dtypes in [(2**62 - 1, [np.int64]), (2**61, [np.int64, np.float64, complex])]:
-        want = np.array([[big, 0, -big], [0, 0, 1], [3, 0, 0]], dtype=np.int64)
-        for dtype in dtypes:
-            got, at = _integer_matrix(want.astype(dtype))
-            assert got.dtype == np.int64 and np.array_equal(got, want), (big, dtype)
-            assert at.tolist() == [0, 2, 5, 6], (big, dtype)
-        got, at = _integer_matrix(want.T)  # a non-contiguous view
-        assert np.array_equal(got, want.T) and at.tolist() == [0, 2, 6, 7]
-    got, at = _integer_matrix(np.eye(3, dtype=bool))
-    assert np.array_equal(got, np.eye(3, dtype=np.int64)) and at.tolist() == [0, 4, 8]
-    got, at = _integer_matrix(np.array([[-0.0, 2 + 0j], [1, 0]]))
-    assert np.array_equal(got, [[0, 2], [1, 0]]) and at.tolist() == [1, 2]
+def test_witness_det_rejects_a_witness_with_one_entry_of_2():
+    J = exact_witness_matrix(DIMS)
+    i, j = np.argwhere(J != 0)[3]
+    J[i, j] = 2
+    with pytest.raises(InvalidConfigurationError, match="other than 0 and 1"):
+        _witness_det(J)
 
 
-def test_exact_integer_det_refuses_to_guess_past_the_prime_table():
-    M = np.full((40, 40), 2**61, dtype=np.int64) + np.eye(40, dtype=np.int64)
-    with pytest.raises(InvalidConfigurationError, match="primes"):
-        exact_integer_det(M)
+def test_float_witness_is_not_certified():
+    # the seeded witness is nonsingular but its entries are not 0/1, so the exact certificate refuses it
+    chain = pilot_chain(DIMS)
+    witness = witness_construct(chain, seed=0)
+    assert full_svd_verdict(assemble_jacobian(*witness, chain[-1]))
+    with pytest.raises(InvalidConfigurationError, match="other than 0 and 1"):
+        certify_witness_exact(chain[-1], witness)
 
 
 def permuted(M, seed):
@@ -902,10 +905,10 @@ def permuted(M, seed):
 
 
 @st.composite
-def sparse_integer_matrices(draw):
+def sparse_integer_matrices(draw, elements=st.integers(-1000, 1000)):
     """Mostly zeros: the diagonal, part of the upper triangle and stray entries, rows and columns permuted."""
     n = draw(st.integers(1, 10))
-    values = draw(arrays(np.int64, (n, n), elements=st.integers(-1000, 1000)))
+    values = draw(arrays(np.int64, (n, n), elements=elements))
     triangle = np.triu(draw(arrays(np.bool_, (n, n), elements=st.booleans()))) | np.eye(n, dtype=bool)
     stray = draw(arrays(np.bool_, (n, n), elements=st.sampled_from([False] * 3 + [True])))
     M = np.where(triangle | stray, values, 0)
@@ -916,73 +919,76 @@ def sparse_integer_matrices(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(sparse_integer_matrices())
-def test_exact_integer_det_matches_oracle_on_sparse_permuted_matrices(M):
-    assert exact_integer_det(M) == oracle_det(M.tolist())
+def test_multimodular_det_matches_oracle_on_sparse_permuted_matrices(M):
+    assert multimodular_det(M) == oracle_det(M.tolist())
 
 
-def test_peel_takes_a_permuted_triangular_matrix_whole():
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_integer_matrices(st.sampled_from([1, 1, 1, 0])))
+def test_witness_det_equals_the_oracle_or_raises(M):
+    # never a wrong value: a 0/1 matrix either peels to the oracle's determinant or is refused at its
+    # core; entries lean to 1 so that 1, -1, 0 and a refusal each come up often
+    try:
+        det = _witness_det(M)
+    except InvalidConfigurationError as exc:
+        assert "core" in str(exc)
+    else:
+        assert det == oracle_det(M.tolist())
+
+
+def test_witness_det_takes_a_permuted_unit_triangular_matrix_whole():
     rng = np.random.default_rng(7)
-    diagonal = rng.choice([-3, -2, -1, 1, 2, 3], 30)
-    M = permuted(np.triu(rng.integers(-1000, 1001, (30, 30)), k=1) + np.diag(diagonal), seed=8)
-    factor, rows, cols = _peel(*_integer_matrix(M))
-    assert rows == cols == []
-    assert abs(factor) == abs(math.prod(diagonal.tolist()))
-    assert exact_integer_det(M) == factor == oracle_det(M.tolist())
+    M = permuted(np.triu(rng.integers(0, 2, (30, 30)), k=1) + np.eye(30, dtype=np.int64), seed=8)
+    sign = oracle_det(permuted(np.eye(30, dtype=np.int64), seed=8).tolist())  # of the two permutations
+    assert _witness_det(M) == sign == oracle_det(M.tolist())
 
 
-def test_peel_leaves_a_dense_core_that_needs_several_primes():
-    rng = np.random.default_rng(9)
-    core = random_integer_matrix(0)  # |det| > 2^62: several residues are combined
-    M = np.zeros((20, 20), dtype=np.int64)
-    M[:8, :8] = np.triu(rng.integers(-5, 6, (8, 8)), k=1) + np.diag(rng.choice([-2, 1, 2], 8))
-    M[:8, 8:] = rng.integers(-1000, 1001, (8, 12))
-    M[8:, 8:] = core
+@pytest.mark.parametrize(
+    "core",
+    [np.ones((2, 2), dtype=np.int64), np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])],
+    ids=["singular-2x2", "det-2-3x3"],
+)
+def test_witness_det_refuses_a_core_with_no_singleton(core):
+    # a permuted unit triangular matrix with a dense block on its diagonal peels down to that block and stops
+    k = len(core)
+    M = np.triu(np.random.default_rng(9).integers(0, 2, (12, 12)), k=1) + np.eye(12, dtype=np.int64)
+    M[4 : 4 + k, 4 : 4 + k] = core
     M = permuted(M, seed=10)
-    _, rows, cols = _peel(*_integer_matrix(M))
-    assert len(rows) == len(cols) == 12
-    det = exact_integer_det(M)
-    assert abs(det) > 2**62
-    assert det == oracle_det(M.tolist())
+    with pytest.raises(InvalidConfigurationError, match=f"{k} rows are left in a core with no singleton"):
+        _witness_det(M)
+    assert multimodular_det(M) == oracle_det(M.tolist()) == round(np.linalg.det(core))
 
 
-def test_peel_finds_a_row_emptied_midway():
+def test_witness_det_finds_a_row_emptied_midway():
     # no zero row or column, but removing the pivot of either row 0 or row 1
     # leaves the other one empty
-    M = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 1]])
-    assert _peel(*_integer_matrix(M))[0] == 0
-    assert exact_integer_det(M) == 0 == oracle_det(M.tolist())
-    assert exact_integer_det(M.T) == 0
+    M = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
+    assert _witness_det(M) == 0 == oracle_det(M.tolist())
+    assert _witness_det(M.T) == 0
 
 
-def test_exact_integer_det_of_the_smallest_matrices():
-    assert exact_integer_det(np.zeros((0, 0))) == 1
-    assert exact_integer_det(np.array([[-7]])) == -7
-    assert exact_integer_det(np.array([[0]])) == 0
+def test_witness_det_of_the_smallest_matrices():
+    assert _witness_det(np.zeros((0, 0))) == 1
+    assert _witness_det(np.array([[1]])) == 1
+    assert _witness_det(np.array([[0]])) == 0
+    assert _witness_det(np.zeros((3, 3), dtype=complex)) == 0
 
 
-def test_exact_integer_det_of_a_diagonal_past_the_prime_table():
-    # the Hadamard bound applies to the core only, and a diagonal peels whole
-    M = permuted(np.diag(np.full(40, 2**61, dtype=np.int64)), seed=11)
-    sign = oracle_det(permuted(np.eye(40, dtype=np.int64), seed=11).tolist())
-    assert exact_integer_det(M) == sign * 2 ** (61 * 40)
-
-
-def test_every_witness_peels_to_an_empty_core():
+def test_every_witness_peels_whole():
     # the witness Jacobian is block triangular, one receive antenna per
-    # step: the peel expands it entry by entry, with nothing left over
+    # step: the peel takes it entry by entry, with nothing left over
     for dims in regime_cells(8):
-        A, at = _integer_matrix(exact_witness_matrix(dims))
-        factor, rows, cols = _peel(A, at)
-        assert rows == cols == [] and factor in (1, -1), dims
+        J = exact_witness_matrix(dims)
+        det = _witness_det(J)
+        assert det in (1, -1) and _witness_det(J.T) == det, dims  # the transpose peels by the other steps
         if dims.N <= 6:  # the whole matrix, multi-modular, is the peel's oracle
-            assert _multimodular_det(A) == factor, dims
+            assert multimodular_det(J.real.astype(np.int64)) == det, dims
 
 
-def test_det_primes_are_distinct_primes_below_2_31():
-    assert len(set(DET_PRIMES)) == len(DET_PRIMES)
-    for p in DET_PRIMES:
-        assert 2 < p < 2**31
-        assert all(p % d for d in range(2, isqrt(p) + 1)), p
+def test_the_general_integer_determinant_is_gone():
+    # the certificate handles only what a witness is; the CRT determinant is a test oracle in paper_facts
+    removed = ("exact_integer_det", "_integer_matrix", "_peel", "_multimodular_det", "_det_mod_primes", "DET_PRIMES")
+    assert [name for name in removed if hasattr(jacobian_module, name)] == []
 
 
 def test_exact_certificate_at_n432_matches_slogdet_sign():

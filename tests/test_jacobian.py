@@ -867,12 +867,32 @@ def test_det_primes_are_distinct_primes_below_2_31():
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
         np.array([[-1, 0], [0, 1]]),
         np.array([[2, 0], [0, 1]]),
+        np.array([[1.0, 0.0], [0.0, 1.0 + 1e-15]]),
+        np.array([[1, 0], [0, 2**63]], dtype=np.uint64),
+        np.array([["1", "0"], ["0", "1"]]),
     ],
-    ids=["fraction", "imaginary", "tiny-imaginary", "nan", "inf", "minus-one", "two"],
+    ids=["fraction", "imaginary", "tiny-imaginary", "nan", "inf", "minus-one", "two", "nearly-one", "uint64", "strings"],
 )
 def test_witness_det_rejects_entries_other_than_0_and_1(bad):
     with pytest.raises(InvalidConfigurationError, match="other than 0 and 1"):
         _witness_det(bad)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64, complex, object])
+def test_witness_det_reads_the_witness_in_any_dtype_and_layout(dtype):
+    # the certificate compares entries with 0 and 1 only, so the storage of an exact witness does not matter
+    J = exact_witness_matrix(DIMS)
+    det = _witness_det(J)
+    A = J.real.astype(dtype)
+    assert det in (1, -1)
+    assert _witness_det(A) == _witness_det(np.asfortranarray(A)) == det
+    assert _witness_det(A.T) == det  # a non-contiguous view
+    assert _witness_det(A[::-1]) == _witness_det(J[::-1]) == oracle_det(J[::-1])
+
+
+def test_witness_det_takes_negative_zero_as_zero():
+    assert _witness_det(np.array([[-0.0, 1.0], [1.0, -0.0]])) == -1
+    assert _witness_det(np.array([[1.0, -0.0], [-0.0 - 0.0j, 1.0]])) == 1
 
 
 @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(4)], ids=["2x3", "vector"])

@@ -27,6 +27,8 @@ from .dof import (
 )
 from .pilots import (
     PilotAssignment,
+    PilotCells,
+    PilotChain,
     build_pilot_sets,
     card_deal,
     mod_star,

@@ -6,7 +6,7 @@ the unknowns (s, x_data). The system is holomorphic in the unknowns
 (conjugates never appear), so a complex Gauss-Newton step is well defined
 and the linearization is exactly the recovery Jacobian. Functions here take
 the whole x and the cell's PilotAssignment; recover and run_recovery_trials
-convert the 1-based data positions to array indices once per call.
+read its 0-based data positions (data_index) once per call.
 Recovery here is noiseless only: the identifiability argument lives at
 infinite SNR. Independent trials are deterministic under their seeds and
 may run in parallel.
@@ -106,7 +106,7 @@ def recover(
     """
     dims = pilots.dims
     n_s = dims.R * dims.T_eff * dims.Q
-    data0 = np.asarray(pilots.data) - 1
+    data0 = pilots.data_index
     y_target = np.asarray(y_target, dtype=complex)
     if y_target.shape != (pilots.n_useful,):
         raise InvalidConfigurationError(
@@ -182,7 +182,7 @@ def run_recovery_trials(pilots: PilotAssignment, trials: int, seed: int, constan
     SeedSequence(seed), so no two (seed, trial) pairs share a coloring.
     """
     dims = pilots.dims
-    data0 = np.asarray(pilots.data) - 1
+    data0 = pilots.data_index
     results = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         coloring_seed, point_seed = child.spawn(2)

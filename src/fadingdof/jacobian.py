@@ -16,6 +16,10 @@ nonzero value, or one that leaves a core with no singleton row or column, is
 refused rather than guessed at. The tests keep a fraction-free (Bareiss)
 elimination and a multi-modular (CRT) determinant as independent oracles.
 
+Pilot sets are read as masks: the data columns are the 0-based positions
+PilotAssignment.data_index, and the witness fills rows at the nonzero
+positions of its chain's stacked P, L and G masks and at its anchor faces.
+
 Assembly builds only matrices. JacobianLayout assembles the Jacobians of many
 draws as one (k, n, n) stack, for recovery and the exact certificate. The
 Monte-Carlo callers (the probe here, analysis.mc_logdet) never assemble.
@@ -65,7 +69,7 @@ from .model import (
     split_tx,
     standard_complex_gaussian,
 )
-from .pilots import PilotAssignment, pilot_chain
+from .pilots import PilotAssignment, PilotChain, pilot_chain
 
 __all__ = [
     "NONSINGULAR_TOL",
@@ -91,7 +95,7 @@ def bezout_bound(pilots: PilotAssignment) -> int:
     the exponent equals the size of the useful output set.
     """
     d = pilots.dims
-    return 2 ** (d.R * d.T_eff * d.Q + len(pilots.data))
+    return 2 ** (d.R * d.T_eff * d.Q + pilots.data_index.size)
 
 
 class JacobianLayout:
@@ -118,7 +122,8 @@ class JacobianLayout:
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
         n_b = R * Teff * Q
         n = pilots.n_useful
-        m = len(pilots.data)
+        self._data0 = pilots.data_index
+        m = len(self._data0)
         if n != n_b + m:
             raise InvalidConfigurationError(
                 f"Jacobian is {(n, n_b + m)}, not square; dims outside the valid regime?"
@@ -130,7 +135,6 @@ class JacobianLayout:
         self._b_dst = (row_start + np.arange(n_b).reshape(R, Teff, 1, Q)).ravel()
         # diagonal entry (r, t, i) sits at row r N + i and, when t N + i is a
         # data position, in that position's column after the n_b of B
-        self._data0 = np.asarray(pilots.data) - 1
         r = np.arange(R)[:, None]
         self._a_src = (r * (Teff * N) + self._data0).ravel()
         self._a_dst = ((r * N + self._data0 % N) * n + n_b + np.arange(m)).ravel()
@@ -291,16 +295,16 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return U
 
 
-def witness_construct(chain: list, seed: int = 0, exact: bool = False):
+def witness_construct(chain: PilotChain, seed: int = 0, exact: bool = False):
     """Build a triple (Z, s, x) whose recovery Jacobian has nonzero determinant.
 
-    chain holds the cell's assignments for R' = T_eff..R in that order, as
-    pilot_chain(dims) returns them; nothing is dealt here. x is the all-one
-    vector. Receive rows 1..T_eff form the base: s_{r,t} = 0 for r != t, the
-    pilot rows of (Z_{r,1} ... Z_{r,T_eff}) are filled with a nonsingular
-    square block, and the data rows of Z_{r,r} replicate s_{r,r}^H so every
-    diagonal derivative entry is nonzero. Each further receive row r
-    uses the partition of its own pilot assignment: the anchor block rows of
+    chain is the cell's PilotChain, R' = T_eff..R, as pilot_chain(dims)
+    returns it; its stacked masks are read and nothing is dealt here. x is
+    the all-one vector. Receive rows 1..T_eff form the base: s_{r,t} = 0 for
+    r != t, the pilot rows of (Z_{r,1} ... Z_{r,T_eff}) are filled with a
+    nonsingular square block, and the data rows of Z_{r,r} replicate
+    s_{r,r}^H so every diagonal derivative entry is nonzero. Each further
+    receive row r uses the partition of its own pilot assignment: the anchor block rows of
     Z_{r,t} get a nonsingular Q x Q fill, s_{r,t} is chosen orthogonal to all
     anchor rows except the one at the pilot face g_t, the dropped-pilot rows
     replicate s_{r,t}^H, and everything else in the pool is zero. Each choice
@@ -315,13 +319,14 @@ def witness_construct(chain: list, seed: int = 0, exact: bool = False):
     s[:R T_eff Q], x of the witness of any cell above it on its chain. The
     default draws seeded random unitary fills, row by row, which keeps the
     matrix well conditioned. The fills of all rows are then written at once
-    from index arrays of the pilot, data, anchor and dropped faces.
+    from the 0-based positions of the pilot, data, anchor and dropped faces
+    in the chain's masks.
     """
-    dims = chain[-1].dims if chain else None
-    if not chain or [pa.dims for pa in chain] != [dims.with_rx(r) for r in range(dims.T_eff, dims.R + 1)]:
+    if not isinstance(chain, PilotChain):
         raise InvalidConfigurationError("witness_construct needs the pilot chain R' = T_eff..R of one cell")
+    dims = chain.dims
     Teff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
-    base, above = chain[0], chain[1:]
+    above = len(chain) - 1  # receive rows past T_eff
 
     # base_fill[r] fills the pilot rows of receive row r, s_base[r] is s_{r,r},
     # and anchor_fill[k, t] fills the anchor rows of Z_{T_eff+k+1, t}
@@ -329,7 +334,7 @@ def witness_construct(chain: list, seed: int = 0, exact: bool = False):
         base_fill = np.broadcast_to(np.eye(Teff * Q, dtype=complex), (Teff, Teff * Q, Teff * Q))
         s_base = np.zeros((Teff, Q), dtype=complex)
         s_base[:, 0] = 1.0
-        anchor_fill = np.broadcast_to(np.eye(Q, dtype=complex), (len(above), Teff, Q, Q))
+        anchor_fill = np.broadcast_to(np.eye(Q, dtype=complex), (above, Teff, Q, Q))
     else:
         rng = np.random.default_rng(seed)
         base_fill = np.empty((Teff, Teff * Q, Teff * Q), dtype=complex)
@@ -338,8 +343,8 @@ def witness_construct(chain: list, seed: int = 0, exact: bool = False):
             base_fill[r] = _random_unitary(rng, Teff * Q)
             g = standard_complex_gaussian(rng, Q)
             s_base[r] = g / np.linalg.norm(g)
-        anchor_fill = np.empty((len(above), Teff, Q, Q), dtype=complex)
-        for k in range(len(above)):
+        anchor_fill = np.empty((above, Teff, Q, Q), dtype=complex)
+        for k in range(above):
             for t in range(Teff):
                 anchor_fill[k, t] = _random_unitary(rng, Q)
 
@@ -347,23 +352,22 @@ def witness_construct(chain: list, seed: int = 0, exact: bool = False):
     sv = np.zeros((R, Teff, Q), dtype=complex)
     r = np.arange(Teff)
     # pilot face k of antenna r, column c = t Q + q of (Z_{r,1} ... Z_{r,T_eff})
-    pilot_rows = np.asarray(base.pilot_sets) - 1
+    pilot_rows = np.nonzero(chain.P[0])[1].reshape(Teff, Teff * Q)
     c = np.arange(Teff * Q)
     Zb[r[:, None, None], c // Q, pilot_rows[:, :, None], c % Q] = base_fill
     sv[r, r] = s_base
-    Zb[r[:, None], r[:, None], np.asarray(base.data_sets) - 1] = np.conj(s_base)[:, None, :]
+    t, i = np.nonzero(~chain.P[0])  # data face i of antenna t
+    Zb[t, t, i] = np.conj(s_base)[t]
 
     if above:
-        k = np.arange(len(above))[:, None]  # receive row T_eff + k
-        g_rows = np.asarray([pa.G_sets for pa in above]) - 1  # [k, t, j]: face j of G_t
+        k = np.arange(above)[:, None]  # receive row T_eff + k
+        g_rows = np.nonzero(chain.G[1:])[2].reshape(above, Teff, Q)  # [k, t, j]: face j of G_t
         Zb[Teff + k[..., None, None], r[:, None, None], g_rows[..., None], np.arange(Q)] = anchor_fill
-        anchors = np.asarray([pa.anchors for pa in above]) - 1
-        k0 = (g_rows == anchors[..., None]).argmax(axis=-1)  # the anchor's place in G_t
+        k0 = (g_rows == chain.anchors[1:, :, None]).argmax(axis=-1)  # the anchor's place in G_t
         sv[Teff:] = np.conj(anchor_fill[k, r, k0])
         # (receive row, antenna, face) of every dropped face, in L_t
-        dropped = [(Teff + k, t, i - 1) for k, pa in enumerate(above) for t, L in enumerate(pa.L_sets) for i in L]
-        rows, t, i = np.asarray(dropped, dtype=int).reshape(-1, 3).T
-        Zb[rows, t, i] = np.conj(sv[rows, t])
+        k, t, i = np.nonzero(chain.L[1:])
+        Zb[Teff + k, t, i] = np.conj(sv[Teff + k, t])
 
     x = np.ones(Teff * N, dtype=complex)
     return ColoringMatrix(Zb), sv.reshape(-1), x
@@ -475,8 +479,9 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
     mask.
     """
     chain = pilot_chain(dims)
+    pilots = chain[-1]
     Z, s, x = witness_construct(chain, seed=seed, exact=exact)
-    J = assemble_jacobian(Z, s, x, chain[-1])
+    J = assemble_jacobian(Z, s, x, pilots)
     sv = np.linalg.svd(J, compute_uv=False)
     with np.errstate(divide="ignore", over="ignore"):
         abs_det = float(np.exp(np.log(sv).sum()))
@@ -486,7 +491,7 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
         "abs_det": abs_det,
         "spectral_norm": float(sv[0]),
         "nonsingular": bool(sv[-1] > NONSINGULAR_TOL * sv[0]),
-        "bezout_bound": str(bezout_bound(chain[-1])),
+        "bezout_bound": str(bezout_bound(pilots)),
     }
     if exact:
         det = _witness_det(J)

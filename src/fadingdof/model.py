@@ -12,8 +12,9 @@ Independent realizations may be evaluated concurrently with distinct seeds.
 Vector stacking order is receive-major then transmit throughout: s =
 (s_{1,1}, ..., s_{1,T}, s_{2,1}, ...), y = (y_1, ..., y_R). This is the one
 canonical layout. The input x is always the whole vector, pilots included.
-The pilot index sets are 1-based; jacobian subtracts 1 where it indexes an
-array with them, and identify once per recovery call.
+A cell's pilots are boolean masks over its (antenna, face) grid, and jacobian
+and identify index x and its derivative columns with the 0-based flat
+positions t N + i read off them; 1-based sets appear only in printed output.
 """
 
 from __future__ import annotations

@@ -5,23 +5,28 @@ pinned as pilots, spread over the T_eff active antennas by a card-dealing
 bijection: card j (1-based) shows face j mod* N and goes to player
 (j + floor((j-1)/lcm(T_eff, N))) mod* T_eff, where a mod* b is the residue in
 [1:b]. The offset term skips one player each time a full deal cycle would
-repeat, which keeps the faces dealt to any one player distinct. The cards are
-dealt once into a card-index table (per player, face -> card number or none),
-and each assignment is one threshold pass per player over it: card <= theta_R
-is a pilot face, any other a data face, theta_R < card <= theta_{R-1} a face
-of L_t. All of a pilot chain's assignments read one table.
+repeat, which keeps the faces dealt to any one player distinct.
 
-All index sets in this module are 1-based, matching the mod* convention;
-jacobian subtracts 1 where it indexes arrays with them, and identify once
-per recovery call.
-Everything is pure and safe for parallel sweeps.
+A pilot chain, the cells R' = T_eff..R of one (N, Q, T_eff), is one
+card-number array: cards[t, i] is the number of the card that deals face i to
+antenna t. theta_R' falls as R' grows, so every cell deals a prefix of the
+same cards and is a set of boolean masks over the array, derived for the
+whole chain in one pass: P (card <= theta_R'), L (theta_R' < card <=
+theta_{R'-1}) and G (the anchor plus Q - 1 pool fillers). Code that indexes
+arrays reads 0-based positions off the masks; 1-based sets exist only in
+output: the pilots table, its JSON form and the checker's failure payloads.
+verify_pilot_properties checks a batch of cells, given as flat 0-based index
+triples (PilotCells), in one array pass. Everything is pure.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
+
+import numpy as np
 
 from .model import Dims, InvalidConfigurationError, dims_to_dict
 from .dof import ell
@@ -31,6 +36,9 @@ __all__ = [
     "card_deal",
     "pilot_count",
     "PilotAssignment",
+    "PilotChain",
+    "PilotCells",
+    "PROPERTIES",
     "build_pilot_sets",
     "pilot_chain",
     "verify_pilot_properties",
@@ -46,15 +54,19 @@ def mod_star(a: int, b: int) -> int:
     return a - b * ((a - 1) // b)
 
 
-def card_deal(j: int, T_eff: int, N: int) -> tuple[int, int]:
+def card_deal(j, T_eff: int, N: int):
     """Deal card j: returns (player t in [1:T_eff], face i in [1:N]).
 
-    Bijective from [1:T_eff*N] onto [1:T_eff] x [1:N].
+    Bijective from [1:T_eff*N] onto [1:T_eff] x [1:N]. j may also be an int
+    array of card numbers, dealt elementwise into two arrays of its shape.
     """
-    if not 1 <= j <= T_eff * N:
+    if isinstance(j, np.ndarray):
+        if j.size and (j.min() < 1 or j.max() > T_eff * N):
+            raise InvalidConfigurationError(f"card indices outside [1:{T_eff * N}]")
+    elif not 1 <= j <= T_eff * N:
         raise InvalidConfigurationError(f"card index {j} outside [1:{T_eff * N}]")
-    # a mod* b = (a - 1) % b + 1 for a >= 1
-    return (j - 1 + (j - 1) // math.lcm(T_eff, N)) % T_eff + 1, (j - 1) % N + 1
+    j = j - 1  # a mod* b = (a - 1) % b + 1 for a >= 1
+    return (j + j // math.lcm(T_eff, N)) % T_eff + 1, j % N + 1
 
 
 def pilot_count(T_eff: int, R: int, N: int, Q: int) -> int:
@@ -62,172 +74,204 @@ def pilot_count(T_eff: int, R: int, N: int, Q: int) -> int:
     return max(T_eff, R * T_eff * Q - (R - T_eff) * N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotAssignment:
-    """Pilot/data split of the input vector plus the induction partition.
+    """One cell's pilot/data split of the input vector and its induction partition, as masks.
 
-    ``pilot_sets[t-1]`` is P_t, the pilot faces of antenna t; ``data_sets`` the
-    complements. ``pilots``/``data`` are their flat embeddings i + (t-1)N in
-    [1:T_eff*N]. The useful output set I is [1:RN - ell]. When R > T_eff the
-    fields ``L_sets`` (faces whose pilot role is dropped going from R-1 to R
-    receive antennas), ``G_sets`` (disjoint Q-element anchor blocks), ``G_pool``
-    (their union) and ``anchors`` (the element of G_t that lies in P_t) carry
-    the partition used by the inductive witness construction; they are None at
-    R = T_eff.
+    P[t, i] says whether face i of antenna t (0-based) is a pilot, in P_t;
+    pilot_index and data_index are the flat positions t N + i of the pilot
+    and data faces, ascending, and the useful outputs are the first n_useful
+    = RN - ell. Where R > T_eff, L marks the faces dropped from P_t going
+    from R - 1 to R receive antennas (L_t), G the disjoint Q-face anchor
+    blocks (G_t) and anchors[t] the face g_t of G_t in P_t; else the three
+    are None. The arrays are read-only rows of a PilotChain's. Assignments
+    with equal fields compare equal.
     """
 
     dims: Dims
     theta_R: int
-    pilot_sets: tuple
-    data_sets: tuple
-    pilots: tuple
-    data: tuple
     ell: int
-    L_sets: tuple | None = None
-    G_sets: tuple | None = None
-    G_pool: tuple | None = None
-    anchors: tuple | None = None
+    P: np.ndarray
+    L: np.ndarray | None = None
+    G: np.ndarray | None = None
+    anchors: np.ndarray | None = None
 
     @property
-    def useful_outputs(self) -> range:
-        """I = [1 : RN - ell], 1-based."""
-        return range(1, self.dims.R * self.dims.N - self.ell + 1)
+    def pilot_index(self) -> np.ndarray:
+        return np.flatnonzero(self.P)
+
+    @property
+    def data_index(self) -> np.ndarray:
+        return np.flatnonzero(~self.P)
 
     @property
     def n_useful(self) -> int:
         return self.dims.R * self.dims.N - self.ell
 
+    def __eq__(self, other):
+        if not isinstance(other, PilotAssignment):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-def _witness_anchors(cards, T_eff: int, N: int, theta: int) -> tuple[int, ...]:
-    """One pilot face per player taken from the tail of the deal ``cards``, in player order.
 
-    The window is [theta - T_eff + 1 : theta] unless a multiple n*cycle of the
-    deal cycle falls strictly inside it, in which case the second half is
-    shifted back one cycle; either way each player appears exactly once.
+@dataclass(frozen=True, eq=False)
+class PilotChain(Sequence):
+    """The cells R' = T_eff..R of one (N, Q, T_eff): one card-number array and the masks derived from it.
+
+    dims is the top cell; cards[t, i] in [1 : T_eff N] deals face i to
+    antenna t, and the cards past theta_{T_eff} = T_eff^2 Q are pilots of no
+    cell. Row k of the stacked theta and ell (K,), masks P, L and G (K,
+    T_eff, N) and anchors (K, T_eff) belongs to R' = T_eff + k; row 0 has no
+    partition (L and G empty, anchors -1). chain[k] is the PilotAssignment of
+    R' = T_eff + k, on views of row k; a slice is a list, and a chain equals
+    any sequence of equal assignments. All are read-only.
     """
-    cycle = math.lcm(T_eff, N)
-    lo = theta - T_eff + 1
-    n = (theta - 1) // cycle
-    if n >= 1 and n * cycle >= lo:
-        window = [*range(lo, n * cycle + 1), *range((n - 1) * cycle + 1, theta - cycle + 1)]
-    else:
-        window = range(lo, theta + 1)
-    anchors = [0] * T_eff
-    for j in window:
-        t, i = cards[j - 1]
-        if anchors[t - 1]:
-            raise AssertionError(f"anchor window dealt player {t} twice (theta={theta})")
-        anchors[t - 1] = i
-    if 0 in anchors:
-        raise AssertionError(f"anchor window missed a player (theta={theta})")
-    return tuple(anchors)
+
+    dims: Dims
+    cards: np.ndarray
+    theta: np.ndarray
+    ell: np.ndarray
+    P: np.ndarray
+    L: np.ndarray
+    G: np.ndarray
+    anchors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __eq__(self, other):  # as a sequence of assignments, equal to a list of the same
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]  # negative and out-of-range indices as for a list
+        dims = self.dims if k == len(self) - 1 else self.dims.with_rx(self.dims.T_eff + k)
+        partition = (self.L[k], self.G[k], self.anchors[k]) if k else ()
+        return PilotAssignment(dims, int(self.theta[k]), int(self.ell[k]), self.P[k], *partition)
 
 
-def _deal(n_cards: int, T_eff: int, N: int):
-    """Cards 1..n_cards of the deal to T_eff players: (cards, table).
+def pilot_chain(dims: Dims) -> PilotChain:
+    """The cells R' = T_eff..R of dims' chain, from one deal of all T_eff N cards.
 
-    cards lists the (player, face) pairs in card order. table is the card-index
-    table: table[t-1][i-1] is (i, i + (t-1)N, j), face i of player t, its flat
-    embedding and the number j of the card that dealt it, or n_cards + 1 if no
-    card did, which is above every theta the deal serves.
-    """
-    cards = [card_deal(j, T_eff, N) for j in range(1, n_cards + 1)]
-    numbers = [[n_cards + 1] * N for _ in range(T_eff)]
-    for j, (t, i) in enumerate(cards, start=1):
-        numbers[t - 1][i - 1] = j
-    offsets = range(0, T_eff * N, N)
-    return cards, [[(i, i + off, j) for i, j in enumerate(row, 1)] for off, row in zip(offsets, numbers)]
-
-
-def _assignment(dims: Dims, deal) -> PilotAssignment:
-    """The assignment for dims (in the regime) from a _deal of at least theta_{R-1} cards.
-
-    One threshold pass per player over its row of the card-index table splits
-    the faces in ascending order: card <= theta_R makes a pilot (P_t), any other
-    a data face, and theta_R < card <= theta_{R-1} a face dropped from P_t going
-    from R-1 to R receive antennas (L_t, when R > T_eff); the flat embeddings
-    are read in the same pass. The anchors g_t come from the tail window of
-    the deal, and each G_t is the anchor plus Q-1 filler faces taken in
-    ascending order from the remaining pool.
-    """
-    cards, table = deal
-    T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
-    theta = pilot_count(T_eff, R, N, Q)
-    theta_prev = pilot_count(T_eff, R - 1, N, Q) if R > T_eff else theta
-    # Tuples are built from lists: tuple() of a generator grows by reallocs, and
-    # in a process that builds many assignments that fragments the heap for good.
-    pilot_sets, data_sets, L_sets, pilots, data = [], [], [], [], []
-    for row in table:
-        p, d, lost = [], [], []
-        for i, flat, j in row:
-            if j <= theta:
-                p.append(i)
-                pilots.append(flat)
-            else:
-                d.append(i)
-                data.append(flat)
-                if j <= theta_prev:
-                    lost.append(i)
-        pilot_sets.append(tuple(p))
-        data_sets.append(tuple(d))
-        L_sets.append(tuple(lost))
-    l = ell(T_eff, R, N, Q)
-
-    G_sets = G_pool = anchors = None
-    if R > T_eff:
-        dropped = set().union(*L_sets)
-        G_pool = tuple([g for g in range(1, N - l + 1) if g not in dropped])
-        anchors = _witness_anchors(cards, T_eff, N, theta)
-        taken = set(anchors)
-        filler = [g for g in G_pool if g not in taken] if Q > 1 else []  # Q = 1 takes none
-        groups, k = [], Q - 1
-        for t, g in enumerate(anchors):
-            faces = filler[t * k : t * k + k]
-            insort(faces, g)
-            groups.append(tuple(faces))
-        G_sets = tuple(groups)
-
-    return PilotAssignment(
-        dims=dims,
-        theta_R=theta,
-        pilot_sets=tuple(pilot_sets),
-        data_sets=tuple(data_sets),
-        pilots=tuple(pilots),
-        data=tuple(data),
-        ell=l,
-        L_sets=tuple(L_sets) if R > T_eff else None,
-        G_sets=G_sets,
-        G_pool=G_pool,
-        anchors=anchors,
-    )
-
-
-def build_pilot_sets(dims: Dims) -> PilotAssignment:
-    """Construct the pilot assignment for dims in the valid regime.
-
-    Pilot faces are dealt with card_deal over [1:theta_R]; when R > T_eff the
-    deal runs on to theta_{R-1} cards for the induction partition (see
-    PilotAssignment).
-    """
-    dims.require_regime()
-    T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
-    n_cards = pilot_count(T_eff, R - 1 if R > T_eff else R, N, Q)
-    return _assignment(dims, _deal(n_cards, T_eff, N))
-
-
-def pilot_chain(dims: Dims) -> list[PilotAssignment]:
-    """The assignments for R' = T_eff..R, in that order, from one card-index table.
-
-    theta_{R'} falls as R' grows, so every assignment on the chain deals a
-    prefix of the theta_{T_eff} = T_eff^2 Q cards of the square case. They
-    are dealt once into the table, and each R' is a threshold pass over it at
-    theta_{R'} (and theta_{R'-1} for L_t). Element k equals
+    Each mask is a comparison of the card numbers with the cells' thresholds,
+    for all rows at once. The anchors are the last T_eff cards up to
+    theta_R', the part of that window past a multiple of the deal cycle
+    lcm(T_eff, N) taken one cycle earlier, one per antenna; G_t is g_t plus
+    Q - 1 fillers taken in ascending order from the pool, the faces below
+    N - ell less the dropped faces and the anchors. Element k equals
     build_pilot_sets(dims.with_rx(T_eff + k)).
     """
     dims.require_regime()
-    T_eff, N = dims.T_eff, dims.N
-    cards = _deal(pilot_count(T_eff, T_eff, N, dims.Q), T_eff, N)
-    return [_assignment(dims.with_rx(r), cards) for r in range(T_eff, dims.R + 1)]
+    T_eff, N, Q = dims.T_eff, dims.N, dims.Q
+    R = range(T_eff, dims.R + 1)
+    theta = [pilot_count(T_eff, r, N, Q) for r in R]
+    thresholds = np.array(theta[:1] + theta)  # theta_{R'-1}, none below R' = T_eff, then theta_R'
+    ells = np.array([ell(T_eff, r, N, Q) for r in R])
+    numbers, cycle = np.arange(1, T_eff * N + 1), math.lcm(T_eff, N)
+    players, faces = card_deal(numbers, T_eff, N)
+    players -= 1
+    faces -= 1
+    cards = np.empty((T_eff, N), dtype=int)
+    cards[players, faces] = numbers
+    below = cards <= thresholds[:, None, None]
+    P = below[1:]
+    L = below[:-1] ^ P
+    G = np.zeros(P.shape, dtype=bool)
+    anchors = np.empty((len(R), T_eff), dtype=int)
+    anchors.fill(-1)
+    if len(R) > 1:
+        above = np.arange(1, len(R))[:, None]
+        # cards theta - T_eff + 1 .. theta, 0-based, from the first multiple m of the cycle past the
+        # window's start back one cycle (the window is shorter than the cycle, so it holds one at most)
+        window = []
+        for th in theta[1:]:
+            m = ((th - T_eff) // cycle + 1) * cycle
+            window.append([*range(th - T_eff, min(m, th)), *range(m - cycle, th - cycle)])
+        window = np.array(window)
+        anchors[above, players[window]] = faces[window]
+        G[above, np.arange(T_eff), anchors[1:]] = True
+        if Q > 1:
+            pool = np.greater.outer(N - ells[1:], np.arange(N)) > np.logical_or.reduce(L[1:] | G[1:], axis=1)
+            owner = (pool.cumsum(axis=1) - 1) // (Q - 1)  # the antenna of each filler, by rank
+            G[1:] |= pool[:, None] & (owner[:, None] == np.arange(T_eff)[:, None])
+    arrays = (cards, thresholds[1:], ells, P, L, G, anchors)
+    for a in arrays:
+        a.flags.writeable = False
+    return PilotChain(dims, *arrays)
+
+
+def build_pilot_sets(dims: Dims) -> PilotAssignment:
+    """The pilot assignment of dims in the valid regime: the top of its pilot_chain."""
+    return pilot_chain(dims)[-1]
+
+
+@dataclass(frozen=True)
+class PilotCells:
+    """A batch of cells as flat 0-based index arrays: the form verify_pilot_properties checks.
+
+    dims is a (k, 5) int array of the cells' (T, R, N, Q, T_eff), and
+    theta_R, ell and n_data (their data face counts) are (k,) arrays. P, L
+    and G are (3, m) int arrays of (cell, antenna, face) triples, one per
+    member of P_t, L_t and G_t, so a face listed twice or outside [0, N),
+    which no mask holds, can be stated; pilots is a (2, m) array of (cell,
+    flat position) pairs, each cell's in its given order. L and G count only
+    where R > T_eff.
+    """
+
+    dims: np.ndarray
+    theta_R: np.ndarray
+    ell: np.ndarray
+    n_data: np.ndarray
+    P: np.ndarray
+    pilots: np.ndarray
+    L: np.ndarray
+    G: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+    @classmethod
+    def of(cls, chains) -> "PilotCells":
+        """Every cell of the chains, in order, from one pass over the nonzero positions of their joined masks.
+
+        The flat pilots are the positions pilot_index reads off each row of
+        P. Only the masks of each chain are kept, so a generator of chains
+        is never held whole.
+        """
+        tops, theta, ells, masks = [], [], [], ([], [], [])
+        for chain in chains:
+            d = chain.dims
+            tops.append([d.T, d.R, d.N, d.Q, d.T_eff])
+            theta.append(chain.theta)
+            ells.append(chain.ell)
+            for parts, m in zip(masks, (chain.P, chain.L, chain.G)):
+                parts.append(m.ravel())
+        sizes = [len(t) for t in theta]
+        dims = np.repeat(np.array(tops, dtype=int).reshape(-1, 5), sizes, axis=0)
+        dims[:, 1] = dims[:, 4] + np.arange(len(dims)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # R'
+        area = dims[:, 4] * dims[:, 2]  # the T_eff N positions of each cell's masks
+        end = np.cumsum(area)
+
+        def positions(parts):  # (cell, antenna, face, flat position) of each True of the joined masks
+            at = np.flatnonzero(np.concatenate([np.zeros(0, bool), *parts]))
+            parts.clear()
+            rows = np.empty((4, len(at)), dtype=np.int32)
+            rows[0] = np.searchsorted(end, at, side="right")
+            at -= (end - area)[rows[0]]
+            rows[3] = at
+            np.divmod(at, dims[rows[0], 2], out=(rows[1], rows[2]))
+            return rows
+
+        P, L, G = (positions(parts) for parts in masks)
+        theta, ells = (np.concatenate([np.zeros(0, int), *parts]) for parts in (theta, ells))
+        n_data = area - np.bincount(P[0], minlength=len(dims))
+        return cls(dims, theta, ells, n_data, P[:3], P[::3], L[:3], G[:3])
+
+
+# the last six concern the induction partition, so they are checked only where R > T_eff
+PROPERTIES = ("pilot_total", "pilot_size_cap", "flat_embedding", "useful_output_size",
+              "L_disjoint", "L_in_range", "G_size", "G_disjoint", "G_meets_pilots", "G_covers")
 
 
 def _last_clash(sets):
@@ -242,76 +286,131 @@ def _last_clash(sets):
     return clash
 
 
-def _expected_flat(a: PilotAssignment) -> list[int]:
-    """The flat embeddings i + (t-1)N of the faces in a.pilot_sets, sorted."""
-    offsets = range(0, len(a.pilot_sets) * a.dims.N, a.dims.N)
-    return sorted([i + off for off, p in zip(offsets, a.pilot_sets) for i in p])
-
-
-def _expected_useful(a: PilotAssignment) -> int:
-    return a.dims.R * a.dims.T_eff * a.dims.Q + len(a.data)
-
-
-# The failure payload of each property, built from the assignment only when it fails
+# The failure payload of each property, from one cell's 1-based sets (see _cell), built only when it fails
 _COUNTEREXAMPLES = {
-    "pilot_total": lambda a: {"total": sum(map(len, a.pilot_sets)), "theta_R": a.theta_R},
+    "pilot_total": lambda a: {"total": sum(map(len, a.P)), "theta_R": a.theta_R},
     "pilot_size_cap": lambda a: {
-        "oversized": [(t, len(p)) for t, p in enumerate(a.pilot_sets, 1) if len(p) > a.dims.T_eff * a.dims.Q],
-        "cap": a.dims.T_eff * a.dims.Q,
+        "oversized": [(t, len(p)) for t, p in enumerate(a.P, 1) if len(p) > a.T_eff * a.Q],
+        "cap": a.T_eff * a.Q,
     },
-    "flat_embedding": lambda a: {"pilots": list(a.pilots), "expected": _expected_flat(a)},
-    "useful_output_size": lambda a: {"useful": len(a.useful_outputs), "expected": _expected_useful(a)},
-    "L_disjoint": lambda a: _last_clash(a.L_sets),
+    "flat_embedding": lambda a: {
+        "pilots": a.pilots,
+        "expected": sorted([i + (t - 1) * a.N for t, p in enumerate(a.P, 1) for i in p]),
+    },
+    "useful_output_size": lambda a: {"useful": a.R * a.N - a.ell, "expected": a.R * a.T_eff * a.Q + a.n_data},
+    "L_disjoint": lambda a: _last_clash(a.L),
     "L_in_range": lambda a: {
-        "outside": [(t, i) for t, ls in enumerate(a.L_sets, 1) for i in ls if not 1 <= i <= a.dims.N - a.ell],
-        "range": (1, a.dims.N - a.ell),
+        "outside": [(t, i) for t, ls in enumerate(a.L, 1) for i in ls if not 1 <= i <= a.N - a.ell],
+        "range": (1, a.N - a.ell),
     },
-    "G_size": lambda a: {
-        "bad": [(t, len(g)) for t, g in enumerate(a.G_sets, 1) if len(g) != a.dims.Q],
-        "expected": a.dims.Q,
-    },
-    "G_disjoint": lambda a: _last_clash(a.G_sets),
-    "G_meets_pilots": lambda a: {
-        "antennas": [t for t, (g, p) in enumerate(zip(a.G_sets, a.pilot_sets), 1) if set(g).isdisjoint(p)]
-    },
+    "G_size": lambda a: {"bad": [(t, len(g)) for t, g in enumerate(a.G, 1) if len(g) != a.Q], "expected": a.Q},
+    "G_disjoint": lambda a: _last_clash(a.G),
+    "G_meets_pilots": lambda a: {"antennas": [t for t, (g, p) in enumerate(zip(a.G, a.P), 1) if set(g).isdisjoint(p)]},
     "G_covers": lambda a: {
-        "union": sorted(set().union(*a.G_sets)),
-        "expected": sorted(set(range(1, a.dims.N - a.ell + 1)).difference(*a.L_sets)),
+        "union": sorted(set().union(*a.G)),
+        "expected": sorted(set(range(1, a.N - a.ell + 1)).difference(*a.L)),
     },
 }
 
 
-def verify_pilot_properties(assignment: PilotAssignment):
-    """Check the structural properties of a pilot assignment one by one.
+def _cell(cells: PilotCells, c: int) -> SimpleNamespace:
+    """Cell c of the batch: its counts, and its sets and pilots 1-based, per antenna in the given order."""
+    T, R, N, Q, T_eff = cells.dims[c].tolist()
+    sets = {}
+    for name in ("P", "L", "G"):
+        cell, t, i = np.asarray(getattr(cells, name))
+        sets[name] = [[] for _ in range(T_eff)]
+        for t, i in zip(t[cell == c].tolist(), i[cell == c].tolist()):
+            sets[name][t].append(i + 1)
+    cell, flat = np.asarray(cells.pilots)
+    counts = {f: getattr(cells, f)[c].item() for f in ("theta_R", "ell", "n_data")}
+    return SimpleNamespace(R=R, N=N, Q=Q, T_eff=T_eff, pilots=(flat[cell == c] + 1).tolist(), **sets, **counts)
 
-    Returns {property: {"ok": bool, "detail": payload}}; the detail carries a
-    counterexample on failure and is built only then. Any assignment is
-    checked as given, so corrupted ones can be checked directly. Each verdict
-    comes from sizes, one min and max, or set arithmetic: a family of sets is
-    disjoint when its sizes sum to the size of its union.
+
+def verify_pilot_properties(cells: PilotCells) -> list:
+    """Check the PROPERTIES on every cell of a batch in one array pass: the (dims, report) of each failing cell.
+
+    The failures come in cell order, [] when all hold. report maps each
+    property checked on the cell (the last six only where R > T_eff) to
+    {"ok": bool, "detail": payload}, the detail a 1-based counterexample
+    built only on failure. The verdicts come from counts: set sizes per
+    (cell, antenna), and face multiplicities per cell over a range holding
+    every face given, so a family of sets is disjoint when no face is counted
+    twice. Each cell's pilots, in their order, must equal the sorted t N + i
+    of its P triples. Raises InvalidConfigurationError for a cell or antenna
+    the batch lacks.
     """
-    a = assignment
-    T_eff, R, N, Q = a.dims.T_eff, a.dims.R, a.dims.N, a.dims.Q
-    sizes = list(map(len, a.pilot_sets))
+    k = len(cells)
+    _, R, N, Q, T_eff = cells.dims.T
+    P, L, G, pilots = (np.asarray(a) for a in (cells.P, cells.L, cells.G, cells.pilots))
+    for cell, t in [(P[0], P[1]), (L[0], L[1]), (G[0], G[1]), (pilots[0], 0)]:
+        if np.any(cell < 0) or np.any(cell >= k) or np.any(t < 0) or np.any(t >= T_eff[cell]):
+            raise InvalidConfigurationError("a triple or pair names a cell or antenna outside the batch")
+    t_max, n_max = int(T_eff.max(initial=1)), int(N.max(initial=1))
+    lo = int(min(i.min(initial=0) for i in (P[2], L[2], G[2])))
+    width = int(max(n_max, *(i.max(initial=0) + 1 for i in (P[2], L[2], G[2])))) - lo
+    # the flat positions t N + i of P and the given ones lie in [low, low + span)
+    low = min(lo, int(pilots[1].min(initial=0)))
+    span = max((t_max - 1) * n_max + lo + width, int(pilots[1].max(initial=0)) + 1) - low
+    dtype = np.int32 if k * max(t_max * width, span) < 2**31 else np.int64  # bounds every index below
+    (p_cell, p_t, p_i), (l_cell, _, l_i), (g_cell, g_t, g_i), (given_cell, given) = (
+        [a.astype(dtype, copy=False) for a in family] for family in (P, L, G, pilots)
+    )
+
+    def per_antenna(cell, t, weights=None):
+        return np.bincount(cell * t_max + t, weights, minlength=k * t_max).reshape(k, t_max)
+
+    def per_face(cell, i):
+        return np.bincount(cell * width + (i - lo), minlength=k * width).reshape(k, width)
+
+    # the expected flat pilots sorted, and the given ones in their order, as keys cell * span + flat - low
+    expected = p_cell * span + (p_t * N.astype(dtype)[p_cell] + p_i - low)
+    expected.sort()
+    given = given_cell * span + (given - low)
+    if np.any(given_cell[1:] < given_cell[:-1]):  # group the cells, each keeping its order
+        given = given[np.argsort(given_cell, kind="stable")]
+    same_count = np.bincount(p_cell, minlength=k) == np.bincount(given_cell, minlength=k)
+    if not same_count.all():  # only the cells whose lists have equal lengths line up entry by entry
+        expected, given = expected[same_count[expected // span]], given[same_count[given // span]]
+    mismatched = np.bincount(expected[expected != given] // span, minlength=k)
+    del expected, given
+
+    sizes = per_antenna(p_cell, p_t)
+    absent = np.arange(t_max) >= T_eff[:, None]  # antennas past a cell's T_eff
+    top = N - cells.ell
+    dropped, union = per_face(l_cell, l_i), per_face(g_cell, g_i)
+    pilot_grid = np.zeros(k * t_max * width, dtype=bool)
+    pilot_grid[(p_cell * t_max + p_t) * width + (p_i - lo)] = True
+    met = per_antenna(g_cell, g_t, pilot_grid[(g_cell * t_max + g_t) * width + (g_i - lo)]) > 0
+    face = np.arange(lo, lo + width)
     verdicts = {
-        "pilot_total": sum(sizes) == a.theta_R,
-        "pilot_size_cap": max(sizes, default=0) <= T_eff * Q,
-        "flat_embedding": list(a.pilots) == _expected_flat(a),
-        "useful_output_size": len(a.useful_outputs) == _expected_useful(a),
+        "pilot_total": sizes.sum(axis=1) == cells.theta_R,
+        "pilot_size_cap": sizes.max(axis=1) <= T_eff * Q,
+        "flat_embedding": same_count & (mismatched == 0),
+        "useful_output_size": R * N - cells.ell == R * T_eff * Q + cells.n_data,
+        "L_disjoint": dropped.max(axis=1) <= 1,
+        "L_in_range": np.bincount(l_cell, (l_i < 0) | (l_i >= top[l_cell]), minlength=k) == 0,
+        "G_size": ((per_antenna(g_cell, g_t) == Q[:, None]) | absent).all(axis=1),
+        "G_disjoint": union.max(axis=1) <= 1,
+        "G_meets_pilots": (met | absent).all(axis=1),
+        "G_covers": ((union > 0) == ((face >= 0) & (face < top[:, None]) & (dropped == 0))).all(axis=1),
     }
-    if R > T_eff:
-        dropped, union = set().union(*a.L_sets), set().union(*a.G_sets)
-        top = N - a.ell
-        verdicts["L_disjoint"] = sum(map(len, a.L_sets)) == len(dropped)
-        verdicts["L_in_range"] = not dropped or 1 <= min(dropped) and max(dropped) <= top
-        verdicts["G_size"] = set(map(len, a.G_sets)) <= {Q}
-        verdicts["G_disjoint"] = sum(map(len, a.G_sets)) == len(union)
-        verdicts["G_meets_pilots"] = not any(map(set.isdisjoint, map(set, a.G_sets), a.pilot_sets))
-        verdicts["G_covers"] = union == set(range(1, top + 1)) - dropped
-    return {
-        name: {"ok": True, "detail": None} if ok else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
-        for name, ok in verdicts.items()
-    }
+    ok = np.logical_and.reduce([verdicts[name] for name in PROPERTIES[:4]])
+    ok &= np.logical_and.reduce([verdicts[name] for name in PROPERTIES[4:]]) | (R <= T_eff)
+    failures = []
+    for c in np.flatnonzero(~ok).tolist():
+        a = _cell(cells, c)
+        report = {
+            name: {"ok": True, "detail": None} if verdicts[name][c] else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
+            for name in PROPERTIES[: 10 if R[c] > T_eff[c] else 4]
+        }
+        failures.append((Dims(*cells.dims[c].tolist()), report))
+    return failures
+
+
+def _faces(masks) -> list:
+    """The 1-based faces of each row of masks, ascending."""
+    return [(np.flatnonzero(row) + 1).tolist() for row in masks]
 
 
 def assignment_to_dict(a: PilotAssignment) -> dict:
@@ -319,18 +418,18 @@ def assignment_to_dict(a: PilotAssignment) -> dict:
     out = {
         "dims": dims_to_dict(a.dims),
         "theta_R": a.theta_R,
-        "pilot_sets": [list(p) for p in a.pilot_sets],
-        "data_sets": [list(ds) for ds in a.data_sets],
-        "pilots": list(a.pilots),
-        "data": list(a.data),
+        "pilot_sets": _faces(a.P),
+        "data_sets": _faces(~a.P),
+        "pilots": (a.pilot_index + 1).tolist(),
+        "data": (a.data_index + 1).tolist(),
         "ell": a.ell,
-        "useful_outputs": [a.useful_outputs.start, a.useful_outputs.stop - 1],
+        "useful_outputs": [1, a.n_useful],
     }
-    if a.L_sets is not None:
-        out["L_sets"] = [list(s) for s in a.L_sets]
-        out["G_sets"] = [list(s) for s in a.G_sets]
-        out["G_pool"] = list(a.G_pool)
-        out["anchors"] = list(a.anchors)
+    if a.L is not None:
+        out["L_sets"] = _faces(a.L)
+        out["G_sets"] = _faces(a.G)
+        (out["G_pool"],) = _faces([~a.L.any(axis=0)[: a.dims.N - a.ell]])
+        out["anchors"] = (a.anchors + 1).tolist()
     return out
 
 
@@ -344,7 +443,7 @@ def assignment_table(a: PilotAssignment) -> str:
     for j in range(1, a.theta_R + 1):
         t, i = card_deal(j, dims.T_eff, dims.N)
         lines.append(f"  card {j:>3}: face {i:>3} -> antenna {t}")
-    for t, p in enumerate(a.pilot_sets, start=1):
+    for t, p in enumerate(_faces(a.P), start=1):
         lines.append(f"  P_{t} = {set(p)}")
-    lines.append(f"  flat pilot set = {set(a.pilots)}  (ell = {a.ell})")
+    lines.append(f"  flat pilot set = {set((a.pilot_index + 1).tolist())}  (ell = {a.ell})")
     return "\n".join(lines) + "\n"

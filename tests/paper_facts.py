@@ -12,20 +12,27 @@ The brute-force maximum of the lower bound and the constant model's peak are
 the Fraction oracles of the library's N-scaled closed forms; the scalar
 N-scaled brute force is the oracle of the library's grid of it. The
 per-(r, t) witness fill loop is the oracle that the library's vectorised
-witness must match bit for bit, in both modes. The multi-modular determinant
-(int64 elimination modulo word-size primes, joined by the Chinese remainder
-theorem) is the fast exact oracle beside the tests' Bareiss elimination.
+witness must match bit for bit, in both modes; it reads its sets from the
+tuple construction of the pilot assignments, a deal into a card-index table
+of (face, flat position, card number) and one threshold pass per antenna over
+it, which is the oracle of every view the library derives from its
+card-number masks. The multi-modular determinant (int64 elimination modulo
+word-size primes, joined by the Chinese remainder theorem) is the fast exact
+oracle beside the tests' Bareiss elimination.
 """
 
 import math
+from bisect import insort
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from fadingdof.dof import _chi_low_scaled, chi_const, chi_low
+from fadingdof.dof import _chi_low_scaled, chi_const, chi_low, ell
 from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
     ColoringMatrix,
+    Dims,
     InvalidConfigurationError,
     constant_model,
     random_coloring,
@@ -33,6 +40,7 @@ from fadingdof.model import (
     split_tx,
     standard_complex_gaussian,
 )
+from fadingdof.pilots import card_deal, pilot_count
 
 
 def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
@@ -185,8 +193,7 @@ def assemble_jacobian_loop(Z, s, x, pilots):
     dims = pilots.dims
     B = build_B(Z, x, dims)
     A = diagonal_grid_loop(Z, s, dims)
-    data0 = np.asarray(pilots.data, dtype=int) - 1
-    return np.hstack([B, A[:, data0]])[: pilots.n_useful, :]
+    return np.hstack([B, A[:, pilots.data_index]])[: pilots.n_useful, :]
 
 
 def probe_draws(dims, trials, seed, coloring=None):
@@ -211,21 +218,21 @@ def full_svd_verdict(M) -> bool:
     return bool(sv[-1] > NONSINGULAR_TOL * sv[0])
 
 
-def witness_construct_loop(dims, pilots, seed: int = 0, exact: bool = False):
+def witness_construct_loop(dims, seed: int = 0, exact: bool = False):
     """Oracle: the witness (Z, s, x) filled block by block, one (r, t) at a time.
 
-    The random fills are drawn in the same order as the library's: per base
-    row a unitary T_eff Q fill then s_{r,r}, then per further row and antenna
-    a unitary Q x Q fill.
+    The sets come from the tuple construction (tuple_chain). The random fills
+    are drawn in the same order as the library's: per base row a unitary
+    T_eff Q fill then s_{r,r}, then per further row and antenna a unitary
+    Q x Q fill.
     """
     from fadingdof.jacobian import _random_unitary
-    from fadingdof.pilots import pilot_chain
 
     Teff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
     rng = None if exact else np.random.default_rng(seed)
     Zb = np.zeros((R, Teff, N, Q), dtype=complex)
     sv = np.zeros((R, Teff, Q), dtype=complex)
-    chain = pilot_chain(dims.with_rx(R - 1)) if R > Teff else [pilots]
+    chain = tuple_chain(dims)
     base = chain[0]
     for r in range(Teff):
         pilot_rows = np.asarray(base.pilot_sets[r], dtype=int) - 1
@@ -242,7 +249,7 @@ def witness_construct_loop(dims, pilots, seed: int = 0, exact: bool = False):
         sv[r, r] = srr
         Zb[r, r][data_rows, :] = np.conj(srr)[None, :]
     for rr in range(Teff + 1, R + 1):
-        pa = pilots if rr == R else chain[rr - Teff]
+        pa = chain[rr - Teff]
         for t in range(Teff):
             g_rows = np.asarray(pa.G_sets[t], dtype=int) - 1
             fill = np.eye(Q, dtype=complex) if exact else _random_unitary(rng, Q)
@@ -251,6 +258,140 @@ def witness_construct_loop(dims, pilots, seed: int = 0, exact: bool = False):
             sv[rr - 1, t] = srt
             Zb[rr - 1, t][np.asarray(pa.L_sets[t], dtype=int) - 1, :] = np.conj(srt)[None, :]
     return ColoringMatrix(Zb), sv.reshape(-1), np.ones(Teff * N, dtype=complex)
+
+
+@dataclass(frozen=True)
+class TupleAssignment:
+    """The tuple construction's assignment: every set 1-based, in ascending order.
+
+    pilot_sets[t-1] is P_t and data_sets the complements; pilots/data are
+    their flat embeddings i + (t-1)N. L_sets, G_sets, G_pool and anchors are
+    None at R = T_eff.
+    """
+
+    dims: Dims
+    theta_R: int
+    pilot_sets: tuple
+    data_sets: tuple
+    pilots: tuple
+    data: tuple
+    ell: int
+    L_sets: tuple | None = None
+    G_sets: tuple | None = None
+    G_pool: tuple | None = None
+    anchors: tuple | None = None
+
+
+def witness_anchors(cards, T_eff: int, N: int, theta: int) -> tuple[int, ...]:
+    """One pilot face per player taken from the tail of the deal ``cards``, in player order.
+
+    The window is [theta - T_eff + 1 : theta] unless a multiple n*cycle of the
+    deal cycle falls strictly inside it, in which case the second half is
+    shifted back one cycle; either way each player appears exactly once.
+    """
+    cycle = math.lcm(T_eff, N)
+    lo = theta - T_eff + 1
+    n = (theta - 1) // cycle
+    if n >= 1 and n * cycle >= lo:
+        window = [*range(lo, n * cycle + 1), *range((n - 1) * cycle + 1, theta - cycle + 1)]
+    else:
+        window = range(lo, theta + 1)
+    anchors = [0] * T_eff
+    for j in window:
+        t, i = cards[j - 1]
+        if anchors[t - 1]:
+            raise AssertionError(f"anchor window dealt player {t} twice (theta={theta})")
+        anchors[t - 1] = i
+    if 0 in anchors:
+        raise AssertionError(f"anchor window missed a player (theta={theta})")
+    return tuple(anchors)
+
+
+def deal(n_cards: int, T_eff: int, N: int):
+    """Cards 1..n_cards of the deal to T_eff players: (cards, table).
+
+    cards lists the (player, face) pairs in card order. table is the card-index
+    table: table[t-1][i-1] is (i, i + (t-1)N, j), face i of player t, its flat
+    embedding and the number j of the card that dealt it, or n_cards + 1 if no
+    card did, which is above every theta the deal serves.
+    """
+    cards = [card_deal(j, T_eff, N) for j in range(1, n_cards + 1)]
+    numbers = [[n_cards + 1] * N for _ in range(T_eff)]
+    for j, (t, i) in enumerate(cards, start=1):
+        numbers[t - 1][i - 1] = j
+    offsets = range(0, T_eff * N, N)
+    return cards, [[(i, i + off, j) for i, j in enumerate(row, 1)] for off, row in zip(offsets, numbers)]
+
+
+def tuple_assignment(dims: Dims, deal) -> TupleAssignment:
+    """The assignment for dims (in the regime) from a deal of at least theta_{R-1} cards.
+
+    One threshold pass per player over its row of the card-index table splits
+    the faces in ascending order: card <= theta_R makes a pilot (P_t), any other
+    a data face, and theta_R < card <= theta_{R-1} a face dropped from P_t going
+    from R-1 to R receive antennas (L_t, when R > T_eff); the flat embeddings
+    are read in the same pass. The anchors g_t come from the tail window of
+    the deal, and each G_t is the anchor plus Q-1 filler faces taken in
+    ascending order from the remaining pool.
+    """
+    cards, table = deal
+    T_eff, R, N, Q = dims.T_eff, dims.R, dims.N, dims.Q
+    theta = pilot_count(T_eff, R, N, Q)
+    theta_prev = pilot_count(T_eff, R - 1, N, Q) if R > T_eff else theta
+    # Tuples are built from lists: tuple() of a generator grows by reallocs, and
+    # in a process that builds many assignments that fragments the heap for good.
+    pilot_sets, data_sets, L_sets, pilots, data = [], [], [], [], []
+    for row in table:
+        p, d, lost = [], [], []
+        for i, flat, j in row:
+            if j <= theta:
+                p.append(i)
+                pilots.append(flat)
+            else:
+                d.append(i)
+                data.append(flat)
+                if j <= theta_prev:
+                    lost.append(i)
+        pilot_sets.append(tuple(p))
+        data_sets.append(tuple(d))
+        L_sets.append(tuple(lost))
+    l = ell(T_eff, R, N, Q)
+
+    G_sets = G_pool = anchors = None
+    if R > T_eff:
+        dropped = set().union(*L_sets)
+        G_pool = tuple([g for g in range(1, N - l + 1) if g not in dropped])
+        anchors = witness_anchors(cards, T_eff, N, theta)
+        taken = set(anchors)
+        filler = [g for g in G_pool if g not in taken] if Q > 1 else []  # Q = 1 takes none
+        groups, k = [], Q - 1
+        for t, g in enumerate(anchors):
+            faces = filler[t * k : t * k + k]
+            insort(faces, g)
+            groups.append(tuple(faces))
+        G_sets = tuple(groups)
+
+    return TupleAssignment(
+        dims=dims,
+        theta_R=theta,
+        pilot_sets=tuple(pilot_sets),
+        data_sets=tuple(data_sets),
+        pilots=tuple(pilots),
+        data=tuple(data),
+        ell=l,
+        L_sets=tuple(L_sets) if R > T_eff else None,
+        G_sets=G_sets,
+        G_pool=G_pool,
+        anchors=anchors,
+    )
+
+
+def tuple_chain(dims: Dims) -> list:
+    """Oracle: the tuple assignments for R' = T_eff..R, from one deal of the T_eff^2 Q cards."""
+    dims.require_regime()
+    T_eff, N = dims.T_eff, dims.N
+    cards = deal(pilot_count(T_eff, T_eff, N, dims.Q), T_eff, N)
+    return [tuple_assignment(dims.with_rx(r), cards) for r in range(T_eff, dims.R + 1)]
 
 
 # Word-size primes below 2^31, largest first. Residues stay below 2^31, so

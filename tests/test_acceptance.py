@@ -34,9 +34,17 @@ from fadingdof.model import (
     constant_model,
     random_coloring,
     regime_cells,
+    regime_chains,
     standard_complex_gaussian,
 )
-from fadingdof.pilots import build_pilot_sets, card_deal, pilot_chain, verify_pilot_properties
+from fadingdof.pilots import (
+    PilotCells,
+    assignment_to_dict,
+    build_pilot_sets,
+    card_deal,
+    pilot_chain,
+    verify_pilot_properties,
+)
 
 DIMS_2341 = Dims.create(2, 3, 4, 1)
 
@@ -113,17 +121,14 @@ def test_criterion_4_pilot_combinatorics():
                 image = {card_deal(j, T_eff, N) for j in range(1, T_eff * N + 1)}
                 assert len(image) == T_eff * N
 
-        failures = []
-        for dims in regime_cells(12):
-            report = verify_pilot_properties(build_pilot_sets(dims))
-            bad = {k for k, v in report.items() if not v["ok"]}
-            if bad:
-                failures.append((dims, bad))
+        cells = PilotCells.of(pilot_chain(top) for top in regime_chains(12))
+        assert len(cells) == len(list(regime_cells(12)))
+        failures = [(dims, {k for k, v in report.items() if not v["ok"]}) for dims, report in verify_pilot_properties(cells)]
         assert not failures, failures
 
         pa = build_pilot_sets(Dims(T=4, R=5, N=6, Q=1, T_eff=4))
         assert pa.theta_R == 14
-        assert [set(p) for p in pa.pilot_sets] == [
+        assert [set(p) for p in assignment_to_dict(pa)["pilot_sets"]] == [
             {1, 5, 3},
             {2, 6, 4, 1},
             {3, 1, 5, 2},
@@ -167,7 +172,7 @@ def test_criterion_7_identifiability():
 def finite_difference(Z, s, x, pilots, delta=1e-5):
     from fadingdof.identify import forward_map
 
-    data0 = np.asarray(pilots.data) - 1
+    data0 = pilots.data_index
     u = np.concatenate([s, x[data0]])
     n_s = s.size
 

@@ -4,6 +4,7 @@ import argparse
 import collections
 import json
 
+import numpy as np
 import pytest
 
 from fadingdof import cli
@@ -251,12 +252,15 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
 
     calls = collections.Counter()
     grids = []
+    checked = []  # the cells of each batch the pilot-property check saw
 
     def count(module, name):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "verify_pilot_properties":
+                checked.append(len(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -277,8 +281,8 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert verify.run_verify_all(n_max)
     cells = list(regime_cells(n_max))
     assert calls == {
-        "card_deal": sum(range(1, n_max + 1)) ** 2,  # T_eff * N cards for T_eff, N <= n_max
-        "verify_pilot_properties": len(cells),
+        "card_deal": n_max**2,  # one array of T_eff * N cards for each T_eff, N <= n_max
+        "verify_pilot_properties": 1,  # one batch: every cell of the grid
         "pilot_count": len(cells),  # theta_R of every cell, R = T_eff..top along each chain
         # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
         "mod_star": 24 * 5,
@@ -292,6 +296,7 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert [grid.shape for grid in grids] == [(n_max, 3, 12, 12)]  # the brute-force oracle's grid
     assert (calls["mod_star"], calls["witness_construct"], calls["_witness_det"]) == (120, 9, 22)
     assert (len(cells), calls["pilot_chain"]) == (732, 100)
+    assert checked == [len(cells)]
     assert "[FAIL]" not in capsys.readouterr().out
 
 
@@ -409,7 +414,8 @@ def test_exact_calls_load_no_random_generator(argv):
 
 
 def test_verify_all_allocates_at_most_one_mib_at_its_peak(capsys):
-    # every array temporary is a grid of at most a few ten KB and the chains stream
+    # the chains stream into one batch of int32 index triples (about 0.35 MB at N <= 10), and the
+    # check's temporaries are index arrays of the same length
     import tracemalloc
 
     from fadingdof import verify
@@ -436,8 +442,13 @@ def test_verify_all_fails_on_one_corrupted_chain_cell(monkeypatch, capsys):
     original = verify.pilot_chain
 
     def corrupted(top):
-        shrunk = lambda pa: dataclasses.replace(pa, G_sets=(pa.G_sets[0][1:], *pa.G_sets[1:]))
-        return [shrunk(pa) if pa.dims == target else pa for pa in original(top)]
+        chain = original(top)
+        if (top.T_eff, top.N, top.Q) != (target.T_eff, target.N, target.Q):
+            return chain
+        G = chain.G.copy()
+        k = target.R - target.T_eff
+        G[k, 0, np.flatnonzero(G[k, 0])[0]] = False  # G_1 loses its first face
+        return dataclasses.replace(chain, G=G)
 
     monkeypatch.setattr(verify, "pilot_chain", corrupted)
     assert not verify.run_verify_all(8)

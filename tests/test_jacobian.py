@@ -100,7 +100,7 @@ def test_zero_fading_kills_right_block():
 def finite_difference_jacobian(Z, s, x, pilots, delta=1e-5):
     """Central differences of the forward map; the map is holomorphic and
     quadratic, so the truncation error is zero."""
-    data0 = np.asarray(pilots.data, dtype=int) - 1
+    data0 = pilots.data_index
     u = np.concatenate([s, x[data0]])
     n_s = s.size
 
@@ -142,7 +142,7 @@ def test_jacobian_entries_linear_in_each_fading_block():
     base = assemble_jacobian(Z, s, x, PILOTS)
     dims = DIMS
     n_b = dims.R * dims.T_eff * dims.Q
-    data_faces = [(d - 1) // dims.N for d in PILOTS.data]  # antenna of each data column
+    data_faces = PILOTS.data_index // dims.N  # antenna of each data column
     for r in range(dims.R):
         for t in range(dims.T_eff):
             s2 = s.copy()
@@ -163,9 +163,9 @@ def test_jacobian_entries_linear_in_each_fading_block():
 
 def test_witness_square_case():
     dims = Dims.create(2, 2, 4, 1, T_eff=2)
-    pa = build_pilot_sets(dims)
-    Z, s, x = witness_construct([pa], seed=3)
-    J = assemble_jacobian(Z, s, x, pa)
+    chain = pilot_chain(dims)  # R = T_eff: a chain of one cell
+    Z, s, x = witness_construct(chain, seed=3)
+    J = assemble_jacobian(Z, s, x, chain[-1])
     assert np.array_equal(x, np.ones(8))
     assert abs(np.linalg.det(J)) > 1e-8
     assert full_svd_verdict(J)
@@ -198,7 +198,7 @@ def certified(dims) -> int:
 def test_witness_construct_takes_only_a_cells_whole_chain():
     chain = pilot_chain(DIMS)  # R' = 2, 3
     other = pilot_chain(Dims.create(2, 3, 5, 1))
-    for bad in ([], [PILOTS], chain[::-1], chain[:1] + other[1:], [chain[0], chain[1], chain[1]]):
+    for bad in ([], [PILOTS], list(chain), chain[::-1], chain[:1] + other[1:], [chain[0], chain[1], chain[1]]):
         with pytest.raises(InvalidConfigurationError, match="pilot chain"):
             witness_construct(bad, exact=True)
 
@@ -226,7 +226,7 @@ def witness_bytes(witness):
 
 
 @pytest.mark.parametrize("cell", sorted(EXACT_WITNESS_SHA256))
-def test_witness_from_the_chain_equals_the_per_R_witness(cell):
+def test_witness_from_the_chain_matches_its_hash_and_the_loop_oracle(cell):
     import hashlib
 
     dims = Dims.create(*cell)
@@ -237,10 +237,9 @@ def test_witness_from_the_chain_equals_the_per_R_witness(cell):
     digest = hashlib.sha256(flat.real.astype(np.int8).tobytes()).hexdigest()[:16]
     assert digest == EXACT_WITNESS_SHA256[cell]
     seeded = witness_construct(pilot_chain(dims), seed=5)
-    # the same witnesses, bit for bit, with each R' <= R partition built on its own
-    per_R = [build_pilot_sets(dims.with_rx(r)) for r in range(dims.T_eff, dims.R + 1)]
-    assert witness_bytes(exact) == witness_bytes(witness_construct(per_R, exact=True))
-    assert witness_bytes(seeded) == witness_bytes(witness_construct(per_R, seed=5))
+    # the same witnesses, bit for bit, filled block by block from the tuple construction's sets
+    assert witness_bytes(exact) == witness_bytes(witness_construct_loop(dims, exact=True))
+    assert witness_bytes(seeded) == witness_bytes(witness_construct_loop(dims, seed=5))
 
 
 @pytest.mark.parametrize(
@@ -249,10 +248,9 @@ def test_witness_from_the_chain_equals_the_per_R_witness(cell):
     ids=lambda d: f"{d.T}{d.R}{d.N}{d.Q}t{d.T_eff}",
 )
 def test_witness_fills_are_bitwise_the_block_by_block_loop(dims):
-    pa = build_pilot_sets(dims)
     for kwargs in ({"exact": True}, {"seed": 11}):
         assert witness_bytes(witness_construct(pilot_chain(dims), **kwargs)) == witness_bytes(
-            witness_construct_loop(dims, pa, **kwargs)
+            witness_construct_loop(dims, **kwargs)
         ), kwargs
 
 
@@ -311,7 +309,7 @@ def test_bezout_bounds():
     assert bezout_bound(build_pilot_sets(small)) == 4  # exponent 1 + 1
     for dims in [DIMS, small, Dims.create(2, 2, 5, 1, T_eff=2)]:
         pa = build_pilot_sets(dims)
-        exponent = dims.R * dims.T_eff * dims.Q + len(pa.data)
+        exponent = dims.R * dims.T_eff * dims.Q + pa.data_index.size
         assert exponent == pa.n_useful
         assert bezout_bound(pa) == 2**exponent
 
@@ -502,7 +500,7 @@ def test_the_smaller_schur_block_picks_the_side():
     counts = collections.Counter()
     for dims in regime_cells(6):
         pa = build_pilot_sets(dims)
-        n_b, m = dims.R * dims.T_eff * dims.Q, len(pa.data)
+        n_b, m = dims.R * dims.T_eff * dims.Q, pa.data_index.size
         side = JacobianLayout(pa).side
         assert side == ("faces" if n_b < m else "antennas"), dims
         if dims.Q == 1:
@@ -682,8 +680,9 @@ def test_reduce_reproduces_worked_reduction():
     Z, s, x = witness_construct(pilot_chain(DIMS), seed=2)
     J3 = assemble_jacobian(Z, s, x, PILOTS)
     # rows of the third receive block; columns: its coloring pair plus the
-    # replicated-row data columns (faces 3 and 4 -> flat 3 and 8)
-    cols = [5, 6, 6 + PILOTS.data.index(3) + 1, 6 + PILOTS.data.index(8) + 1]
+    # replicated-row data columns (faces 3 and 4 -> 0-based flat 2 and 7)
+    data = PILOTS.data_index.tolist()
+    cols = [5, 6, 6 + data.index(2) + 1, 6 + data.index(7) + 1]
     reduced = reduce_by_block(J3, rows=[9, 10, 11, 12], cols=cols)
 
     dims2 = Dims.create(2, 2, 4, 1, T_eff=2)

@@ -2,13 +2,18 @@
 
 import dataclasses
 import itertools
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_facts import tuple_chain
 
 from fadingdof.model import Dims, InvalidConfigurationError, regime_cells, regime_chains
 from fadingdof.pilots import (
+    PROPERTIES,
+    PilotCells,
     assignment_to_dict,
     build_pilot_sets,
     card_deal,
@@ -17,6 +22,29 @@ from fadingdof.pilots import (
     pilot_count,
     verify_pilot_properties,
 )
+
+
+def faces(masks):
+    """The 1-based faces of each row of masks, as sets."""
+    return [set((np.flatnonzero(row) + 1).tolist()) for row in masks]
+
+
+def cells_of(dims, view):
+    """A batch of one cell from its 1-based view (assignment_to_dict's keys), sets in the given order."""
+
+    def triples(sets):
+        return np.array([(0, t, i - 1) for t, row in enumerate(sets) for i in row], dtype=int).reshape(-1, 3).T
+
+    return PilotCells(
+        dims=np.array([[dims.T, dims.R, dims.N, dims.Q, dims.T_eff]]),
+        theta_R=np.array([view["theta_R"]]),
+        ell=np.array([view["ell"]]),
+        n_data=np.array([len(view["data"])]),
+        P=triples(view["pilot_sets"]),
+        pilots=np.array([(0, j - 1) for j in view["pilots"]], dtype=int).reshape(-1, 2).T,
+        L=triples(view.get("L_sets", ())),
+        G=triples(view.get("G_sets", ())),
+    )
 
 
 def test_mod_star_values():
@@ -31,6 +59,17 @@ def test_card_deal_values():
     assert card_deal(13, 4, 6) == (2, 1)
     for T_eff, N in [(1, 1), (3, 5), (4, 6)]:
         assert card_deal(1, T_eff, N) == (1, 1)
+
+
+def test_card_deal_deals_an_array_of_cards_as_the_scalar_calls_do():
+    for T_eff, N in [(1, 1), (3, 5), (4, 6), (5, 16)]:
+        cards = np.arange(1, T_eff * N + 1)
+        players, faces = card_deal(cards, T_eff, N)
+        assert list(zip(players.tolist(), faces.tolist())) == [card_deal(j, T_eff, N) for j in cards.tolist()]
+    assert [a.shape for a in card_deal(np.arange(1, 7).reshape(2, 3), 2, 3)] == [(2, 3), (2, 3)]
+    for bad in ([0, 1], [1, 7]):
+        with pytest.raises(InvalidConfigurationError, match="outside"):
+            card_deal(np.array(bad), 2, 3)
 
 
 def test_card_deal_small_image_is_full():
@@ -84,24 +123,24 @@ def test_worked_dealing_instance():
     dims = Dims(T=4, R=5, N=6, Q=1, T_eff=4)
     assert pilot_count(4, 5, 6, 1) == 14
     pa = build_pilot_sets(dims)
-    assert pa.pilot_sets == ((1, 3, 5), (1, 2, 4, 6), (1, 2, 3, 5), (2, 4, 6))
+    assert assignment_to_dict(pa)["pilot_sets"] == [[1, 3, 5], [1, 2, 4, 6], [1, 2, 3, 5], [2, 4, 6]]
 
 
 def test_small_example_pilot_positions():
     pa = build_pilot_sets(Dims.create(2, 3, 4, 1))
     assert pa.theta_R == max(2, 6 - 4) == 2
-    assert all(len(p) == 1 for p in pa.pilot_sets)
-    assert pa.pilots == (1, 6)
-    assert pa.data == (2, 3, 4, 5, 7, 8)
-    assert pa.ell == 0 and len(pa.useful_outputs) == 12
+    assert pa.P.sum(axis=1).tolist() == [1, 1]
+    assert pa.pilot_index.tolist() == [0, 5]  # 0-based flat positions t N + i
+    assert pa.data_index.tolist() == [1, 2, 3, 4, 6, 7]
+    assert pa.ell == 0 and pa.n_useful == 12
 
 
 def test_square_case_pilot_sets_are_maximal():
     # R = T_eff forces |P_t| = T_eff*Q for every antenna
     for dims in [Dims.create(2, 2, 5, 1, T_eff=2), Dims.create(3, 3, 7, 2, T_eff=3)]:
         pa = build_pilot_sets(dims)
-        assert all(len(p) == dims.T_eff * dims.Q for p in pa.pilot_sets)
-        assert pa.L_sets is None
+        assert (pa.P.sum(axis=1) == dims.T_eff * dims.Q).all()
+        assert pa.L is None and pa.G is None and pa.anchors is None
 
 
 def test_regime_violation_raises():
@@ -112,10 +151,10 @@ def test_regime_violation_raises():
 
 
 def test_properties_hold_on_regime_grid():
-    for dims in regime_cells(8):
-        report = verify_pilot_properties(build_pilot_sets(dims))
-        bad = {k: v for k, v in report.items() if not v["ok"]}
-        assert not bad, (dims, bad)
+    cells = PilotCells.of(pilot_chain(top) for top in regime_chains(8))
+    assert len(cells) == len(list(regime_cells(8))) == 320
+    assert cells.dims.tolist() == [[d.T, d.R, d.N, d.Q, d.T_eff] for d in regime_cells(8)]
+    assert verify_pilot_properties(cells) == []
 
 
 def test_pilot_count_drop_identity():
@@ -133,7 +172,7 @@ def test_pilot_count_drop_identity():
 def test_one_deal_matches_two_deal_oracle():
     # the (R-1)-antenna deal extends the R-antenna one; the oracle deals both
     # and takes L_t as the set difference of the two pilot sets
-    def faces(d, R):
+    def dealt(d, R):
         sets = [set() for _ in range(d.T_eff)]
         for j in range(1, pilot_count(d.T_eff, R, d.N, d.Q) + 1):
             t, i = card_deal(j, d.T_eff, d.N)
@@ -144,9 +183,9 @@ def test_one_deal_matches_two_deal_oracle():
     assert len(cells) == 632
     for d in cells:
         pa = build_pilot_sets(d)
-        cur, prev = faces(d, d.R), faces(d, d.R - 1)
-        assert pa.pilot_sets == tuple(tuple(sorted(c)) for c in cur), d
-        assert pa.L_sets == tuple(tuple(sorted(p - c)) for p, c in zip(prev, cur)), d
+        cur, prev = dealt(d, d.R), dealt(d, d.R - 1)
+        assert faces(pa.P) == cur, d
+        assert faces(pa.L) == [p - c for p, c in zip(prev, cur)], d
 
 
 def assert_chain_matches_per_R_builds(top):
@@ -186,12 +225,10 @@ def test_one_deal_chain_equals_per_R_builds_on_random_cells(dims):
 @given(regime_cell())
 def test_chain_properties_on_random_cells(dims):
     chain = pilot_chain(dims)
-    for pa in chain:
-        assert all(v["ok"] for v in verify_pilot_properties(pa).values()), pa.dims
+    assert verify_pilot_properties(PilotCells.of([chain])) == []
     # P_t(R'-1) is the disjoint union of P_t(R') and L_t(R')
     for prev, pa in zip(chain, chain[1:]):
-        for below, p, lost in zip(prev.pilot_sets, pa.pilot_sets, pa.L_sets):
-            assert set(below) == set(p) | set(lost) and len(below) == len(p) + len(lost), pa.dims
+        assert np.array_equal(prev.P, pa.P | pa.L) and not (pa.P & pa.L).any(), pa.dims
     T_eff, N = dims.T_eff, dims.N
     image = [card_deal(j, T_eff, N) for j in range(1, T_eff * N + 1)]
     assert sorted(image) == list(itertools.product(range(1, T_eff + 1), range(1, N + 1)))
@@ -204,36 +241,18 @@ def test_chain_rejects_cells_outside_the_regime():
 
 def test_corrupted_assignment_fails_checks():
     dims = Dims.create(2, 2, 5, 1, T_eff=2)
-    pa = build_pilot_sets(dims)
+    view = assignment_to_dict(build_pilot_sets(dims))
+    P = view["pilot_sets"]
     # drop one pilot index: the total-count property must fail
-    smaller = dataclasses.replace(pa, pilot_sets=(pa.pilot_sets[0][1:], pa.pilot_sets[1]))
-    report = verify_pilot_properties(assignment=smaller)
+    [(failed, report)] = verify_pilot_properties(cells_of(dims, {**view, "pilot_sets": [P[0][1:], P[1]]}))
+    assert failed == dims and list(report) == list(PROPERTIES[:4])  # R = T_eff: no partition to check
     assert not report["pilot_total"]["ok"]
-    assert report["pilot_total"]["detail"]["total"] == pa.theta_R - 1
+    assert report["pilot_total"]["detail"]["total"] == view["theta_R"] - 1
     # move an index across antennas: the per-antenna cap must fail
-    moved = dataclasses.replace(
-        pa,
-        pilot_sets=(
-            pa.pilot_sets[0][1:],
-            tuple(sorted(pa.pilot_sets[1] + (pa.pilot_sets[0][0],))),
-        ),
-    )
-    report = verify_pilot_properties(assignment=moved)
+    moved = [P[0][1:], sorted(P[1] + P[0][:1])]
+    [(_, report)] = verify_pilot_properties(cells_of(dims, {**view, "pilot_sets": moved}))
     assert not report["pilot_size_cap"]["ok"]
 
-
-PROPERTIES = [
-    "pilot_total",
-    "pilot_size_cap",
-    "flat_embedding",
-    "useful_output_size",
-    "L_disjoint",
-    "L_in_range",
-    "G_size",
-    "G_disjoint",
-    "G_meets_pilots",
-    "G_covers",
-]
 
 # (3,5,8,2): theta_R = 14, cap T_eff Q = 6, faces up to N - ell = 8, G_pool = [1:6]
 #   P = (1,2,4,5,7), (2,3,5,6,8), (1,3,4,6); L = (8,), (), (7,); G = (1,5), (2,6), (3,4)
@@ -285,13 +304,98 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("prop", PROPERTIES)
 def test_each_pilot_property_fails_on_its_corruption(prop):
-    pa = build_pilot_sets(Dims(T=3, R=5, N=8, Q=2, T_eff=3))
-    assert verify_pilot_properties(pa) == {name: {"ok": True, "detail": None} for name in PROPERTIES}
+    dims = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
+    view = assignment_to_dict(build_pilot_sets(dims))
+    assert verify_pilot_properties(cells_of(dims, view)) == []
     changes, failures = CORRUPTIONS[prop]
-    report = verify_pilot_properties(dataclasses.replace(pa, **changes))
-    assert list(report) == PROPERTIES
+    [(failed, report)] = verify_pilot_properties(cells_of(dims, {**view, **changes}))
+    assert failed == dims and list(report) == list(PROPERTIES)
     assert {name: r["detail"] for name, r in report.items() if not r["ok"]} == failures
     assert all(r["detail"] is None for r in report.values() if r["ok"])
+
+
+def test_a_face_listed_twice_counts_twice():
+    # P_1 = (1, 1, 2, 4, 5, 7): six faces on five positions, so the total and the flat list both fail
+    dims = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
+    view = assignment_to_dict(build_pilot_sets(dims))
+    P = [[1, *view["pilot_sets"][0]], *view["pilot_sets"][1:]]
+    [(_, report)] = verify_pilot_properties(cells_of(dims, {**view, "pilot_sets": P}))
+    assert {name for name, r in report.items() if not r["ok"]} == {"pilot_total", "flat_embedding"}
+    assert report["pilot_total"]["detail"] == {"total": 15, "theta_R": 14}
+    assert report["flat_embedding"]["detail"]["expected"][:2] == [1, 1]
+
+
+def test_a_dropped_face_past_the_useful_range_fails_only_L_in_range():
+    # L_3 = (9,), one face past N - ell = 8; with L_1 = (7, 8) the pool G covers is unchanged
+    dims = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
+    view = assignment_to_dict(build_pilot_sets(dims))
+    [(_, report)] = verify_pilot_properties(cells_of(dims, {**view, "L_sets": [[7, 8], [], [9]]}))
+    assert {name: r["detail"] for name, r in report.items() if not r["ok"]} == {
+        "L_in_range": {"outside": [(3, 9)], "range": (1, 8)}
+    }
+
+
+def test_the_batch_reports_each_failing_cell_in_order():
+    top = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
+    chain = pilot_chain(top)  # R' = 3, 4, 5
+    cells = PilotCells.of([chain, chain])
+    theta = cells.theta_R.copy()
+    theta[[1, 5]] += 1  # R' = 4 of the first copy and R' = 5 of the second
+    failures = verify_pilot_properties(dataclasses.replace(cells, theta_R=theta))
+    assert [dims for dims, _ in failures] == [top.with_rx(4), top]
+    for _, report in failures:
+        assert [name for name, r in report.items() if not r["ok"]] == ["pilot_total"]
+
+
+def test_pilots_interleaved_across_cells_are_read_cell_by_cell_in_their_order():
+    cells = PilotCells.of([pilot_chain(Dims(T=3, R=5, N=8, Q=2, T_eff=3))])
+    cell = cells.pilots[0]
+    rank = np.arange(cell.size) - np.searchsorted(cell, cell)  # place within its cell
+    order = np.lexsort((cell, rank))  # round robin over the cells, each in its order
+    assert verify_pilot_properties(dataclasses.replace(cells, pilots=cells.pilots[:, order])) == []
+    swapped = cells.pilots.copy()
+    swapped[1, [0, 1]] = swapped[1, [1, 0]]  # the first cell's first two pilots out of order
+    [(failed, report)] = verify_pilot_properties(dataclasses.replace(cells, pilots=swapped[:, order]))
+    assert failed.R == 3 and [name for name, r in report.items() if not r["ok"]] == ["flat_embedding"]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("P", (1, 0, 0)), ("P", (0, 3, 0)), ("P", (0, -1, 0)), ("L", (-1, 0, 0)), ("G", (0, 3, 0)), ("pilots", (2, 0))],
+)
+def test_the_checker_refuses_a_cell_or_antenna_the_batch_lacks(field, bad):
+    dims = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
+    cells = cells_of(dims, assignment_to_dict(build_pilot_sets(dims)))
+    given = np.concatenate([getattr(cells, field), np.array(bad)[:, None]], axis=1)
+    with pytest.raises(InvalidConfigurationError, match="outside the batch"):
+        verify_pilot_properties(dataclasses.replace(cells, **{field: given}))
+
+
+def test_every_view_equals_the_tuple_construction_up_to_N_16():
+    # P_t, the data sets, flat pilots and data, ell, L_t, G_t, G_pool and anchors, 1-based as printed,
+    # from the masks of one card-number array per chain against the oracle's deal and threshold passes
+    cells = 0
+    for top in regime_chains(16):
+        for pa, oracle in zip(pilot_chain(top), tuple_chain(top), strict=True):
+            view = assignment_to_dict(pa)
+            want = {k: v for k, v in dataclasses.asdict(oracle).items() if v is not None and k != "dims"}
+            assert set(view) - {"dims", "useful_outputs"} == set(want), pa.dims
+            assert json.dumps({k: view[k] for k in want}) == json.dumps(want), pa.dims
+            cells += 1
+    assert cells == 3870
+
+
+def test_a_chain_is_read_only_and_indexes_as_a_list():
+    chain = pilot_chain(Dims(T=3, R=5, N=8, Q=2, T_eff=3))
+    assert len(chain) == 3 and chain[-1] == chain[2] == build_pilot_sets(chain.dims)
+    assert isinstance(chain[1:], list) and [pa.dims.R for pa in chain[::-1]] == [5, 4, 3]
+    with pytest.raises(IndexError):
+        chain[3]
+    for a in (chain.cards, chain.theta, chain.ell, chain.P, chain.L, chain.G, chain.anchors, chain[2].P):
+        assert not a.flags.writeable
+    # the full deal: each card number once, those past theta_{T_eff} = T_eff^2 Q pilots of no cell
+    assert sorted(chain.cards.ravel().tolist()) == list(range(1, 25)) and chain.theta.tolist() == [18, 16, 14]
+    assert chain[0].L is None and not chain.L[0].any() and not chain.G[0].any() and (chain.anchors[0] == -1).all()
 
 
 def test_assignment_json_dump_is_sorted():

@@ -27,7 +27,6 @@ from .dof import (
 )
 from .pilots import (
     PilotAssignment,
-    PilotCells,
     PilotChain,
     build_pilot_sets,
     card_deal,

@@ -28,7 +28,6 @@ __all__ = [
     "InvalidConfigurationError",
     "Dims",
     "regime_chains",
-    "regime_cells",
     "ColoringMatrix",
     "standard_complex_gaussian",
     "complex_gaussian_draws",
@@ -123,16 +122,6 @@ def regime_chains(n_max: int):
                     continue
                 probe = Dims(T=T_eff, R=T_eff, N=N, Q=Q, T_eff=T_eff)
                 yield probe.with_rx(probe.rx_needed)
-
-
-def regime_cells(n_max: int):
-    """All (T_eff, R, N, Q) in the constructive regime with N <= n_max, T = T_eff.
-
-    Cells come in the order N, Q, T_eff, R, each ascending.
-    """
-    for top in regime_chains(n_max):
-        for R in range(top.T_eff, top.R + 1):
-            yield top.with_rx(R)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ whole chain in one pass: P (card <= theta_R'), L (theta_R' < card <=
 theta_{R'-1}) and G (the anchor plus Q - 1 pool fillers). Code that indexes
 arrays reads 0-based positions off the masks; 1-based sets exist only in
 output: the pilots table, its JSON form and the checker's failure payloads.
-verify_pilot_properties checks a batch of cells, given as flat 0-based index
-triples (PilotCells), in one array pass. Everything is pure.
+verify_pilot_properties checks every cell of any number of chains in one
+array pass over their masks, copied into one padded grid. Everything is pure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "pilot_count",
     "PilotAssignment",
     "PilotChain",
-    "PilotCells",
     "PROPERTIES",
     "build_pilot_sets",
     "pilot_chain",
@@ -206,69 +205,6 @@ def build_pilot_sets(dims: Dims) -> PilotAssignment:
     return pilot_chain(dims)[-1]
 
 
-@dataclass(frozen=True)
-class PilotCells:
-    """A batch of cells as flat 0-based index arrays: the form verify_pilot_properties checks.
-
-    dims is a (k, 5) int array of the cells' (T, R, N, Q, T_eff), and
-    theta_R, ell and n_data (their data face counts) are (k,) arrays. P, L
-    and G are (3, m) int arrays of (cell, antenna, face) triples, one per
-    member of P_t, L_t and G_t, so a face listed twice or outside [0, N),
-    which no mask holds, can be stated; pilots is a (2, m) array of (cell,
-    flat position) pairs, each cell's in its given order. L and G count only
-    where R > T_eff.
-    """
-
-    dims: np.ndarray
-    theta_R: np.ndarray
-    ell: np.ndarray
-    n_data: np.ndarray
-    P: np.ndarray
-    pilots: np.ndarray
-    L: np.ndarray
-    G: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    @classmethod
-    def of(cls, chains) -> "PilotCells":
-        """Every cell of the chains, in order, from one pass over the nonzero positions of their joined masks.
-
-        The flat pilots are the positions pilot_index reads off each row of
-        P. Only the masks of each chain are kept, so a generator of chains
-        is never held whole.
-        """
-        tops, theta, ells, masks = [], [], [], ([], [], [])
-        for chain in chains:
-            d = chain.dims
-            tops.append([d.T, d.R, d.N, d.Q, d.T_eff])
-            theta.append(chain.theta)
-            ells.append(chain.ell)
-            for parts, m in zip(masks, (chain.P, chain.L, chain.G)):
-                parts.append(m.ravel())
-        sizes = [len(t) for t in theta]
-        dims = np.repeat(np.array(tops, dtype=int).reshape(-1, 5), sizes, axis=0)
-        dims[:, 1] = dims[:, 4] + np.arange(len(dims)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # R'
-        area = dims[:, 4] * dims[:, 2]  # the T_eff N positions of each cell's masks
-        end = np.cumsum(area)
-
-        def positions(parts):  # (cell, antenna, face, flat position) of each True of the joined masks
-            at = np.flatnonzero(np.concatenate([np.zeros(0, bool), *parts]))
-            parts.clear()
-            rows = np.empty((4, len(at)), dtype=np.int32)
-            rows[0] = np.searchsorted(end, at, side="right")
-            at -= (end - area)[rows[0]]
-            rows[3] = at
-            np.divmod(at, dims[rows[0], 2], out=(rows[1], rows[2]))
-            return rows
-
-        P, L, G = (positions(parts) for parts in masks)
-        theta, ells = (np.concatenate([np.zeros(0, int), *parts]) for parts in (theta, ells))
-        n_data = area - np.bincount(P[0], minlength=len(dims))
-        return cls(dims, theta, ells, n_data, P[:3], P[::3], L[:3], G[:3])
-
-
 # the last six concern the induction partition, so they are checked only where R > T_eff
 PROPERTIES = ("pilot_total", "pilot_size_cap", "flat_embedding", "useful_output_size",
               "L_disjoint", "L_in_range", "G_size", "G_disjoint", "G_meets_pilots", "G_covers")
@@ -286,17 +222,14 @@ def _last_clash(sets):
     return clash
 
 
-# The failure payload of each property, from one cell's 1-based sets (see _cell), built only when it fails
+# The failure payload of each property, from one cell's 1-based sets, built only when it fails
 _COUNTEREXAMPLES = {
     "pilot_total": lambda a: {"total": sum(map(len, a.P)), "theta_R": a.theta_R},
     "pilot_size_cap": lambda a: {
         "oversized": [(t, len(p)) for t, p in enumerate(a.P, 1) if len(p) > a.T_eff * a.Q],
         "cap": a.T_eff * a.Q,
     },
-    "flat_embedding": lambda a: {
-        "pilots": a.pilots,
-        "expected": sorted([i + (t - 1) * a.N for t, p in enumerate(a.P, 1) for i in p]),
-    },
+    "flat_embedding": lambda a: {"pilots": a.pilots, "expected": a.expected},
     "useful_output_size": lambda a: {"useful": a.R * a.N - a.ell, "expected": a.R * a.T_eff * a.Q + a.n_data},
     "L_disjoint": lambda a: _last_clash(a.L),
     "L_in_range": lambda a: {
@@ -313,98 +246,69 @@ _COUNTEREXAMPLES = {
 }
 
 
-def _cell(cells: PilotCells, c: int) -> SimpleNamespace:
-    """Cell c of the batch: its counts, and its sets and pilots 1-based, per antenna in the given order."""
-    T, R, N, Q, T_eff = cells.dims[c].tolist()
-    sets = {}
-    for name in ("P", "L", "G"):
-        cell, t, i = np.asarray(getattr(cells, name))
-        sets[name] = [[] for _ in range(T_eff)]
-        for t, i in zip(t[cell == c].tolist(), i[cell == c].tolist()):
-            sets[name][t].append(i + 1)
-    cell, flat = np.asarray(cells.pilots)
-    counts = {f: getattr(cells, f)[c].item() for f in ("theta_R", "ell", "n_data")}
-    return SimpleNamespace(R=R, N=N, Q=Q, T_eff=T_eff, pilots=(flat[cell == c] + 1).tolist(), **sets, **counts)
-
-
-def verify_pilot_properties(cells: PilotCells) -> list:
-    """Check the PROPERTIES on every cell of a batch in one array pass: the (dims, report) of each failing cell.
+def verify_pilot_properties(chains) -> list:
+    """Check the PROPERTIES on every cell of the chains in one array pass: the (dims, report) of each failing cell.
 
     The failures come in cell order, [] when all hold. report maps each
     property checked on the cell (the last six only where R > T_eff) to
     {"ok": bool, "detail": payload}, the detail a 1-based counterexample
-    built only on failure. The verdicts come from counts: set sizes per
-    (cell, antenna), and face multiplicities per cell over a range holding
-    every face given, so a family of sets is disjoint when no face is counted
-    twice. Each cell's pilots, in their order, must equal the sorted t N + i
-    of its P triples. Raises InvalidConfigurationError for a cell or antenna
-    the batch lacks.
+    built only on failure. Each cell's P, L and G, and the pilots its deal
+    gives (cards up to theta_R'), are copied into one boolean grid of shape
+    (cells, max T_eff, max N), padded with False, and each verdict is a
+    reduction over it: set sizes are sums over the face axis, and a family
+    of sets is disjoint when no column sum over the antenna axis exceeds 1.
     """
-    k = len(cells)
-    _, R, N, Q, T_eff = cells.dims.T
-    P, L, G, pilots = (np.asarray(a) for a in (cells.P, cells.L, cells.G, cells.pilots))
-    for cell, t in [(P[0], P[1]), (L[0], L[1]), (G[0], G[1]), (pilots[0], 0)]:
-        if np.any(cell < 0) or np.any(cell >= k) or np.any(t < 0) or np.any(t >= T_eff[cell]):
-            raise InvalidConfigurationError("a triple or pair names a cell or antenna outside the batch")
-    t_max, n_max = int(T_eff.max(initial=1)), int(N.max(initial=1))
-    lo = int(min(i.min(initial=0) for i in (P[2], L[2], G[2])))
-    width = int(max(n_max, *(i.max(initial=0) + 1 for i in (P[2], L[2], G[2])))) - lo
-    # the flat positions t N + i of P and the given ones lie in [low, low + span)
-    low = min(lo, int(pilots[1].min(initial=0)))
-    span = max((t_max - 1) * n_max + lo + width, int(pilots[1].max(initial=0)) + 1) - low
-    dtype = np.int32 if k * max(t_max * width, span) < 2**31 else np.int64  # bounds every index below
-    (p_cell, p_t, p_i), (l_cell, _, l_i), (g_cell, g_t, g_i), (given_cell, given) = (
-        [a.astype(dtype, copy=False) for a in family] for family in (P, L, G, pilots)
-    )
+    chains = list(chains)
+    sizes = [len(chain) for chain in chains]
+    tops = np.array([(c.dims.T_eff, c.dims.N, c.dims.Q) for c in chains], dtype=int).reshape(-1, 3)
+    T_eff, N, Q = np.repeat(tops, sizes, axis=0).T
+    k, t_max, n_max = len(T_eff), tops[:, 0].max(initial=1), tops[:, 1].max(initial=1)
+    grid = np.zeros((4, k, t_max, n_max), dtype=bool)
+    P, L, G, dealt = grid
+    start = 0
+    for chain, size in zip(chains, sizes):
+        cells = np.s_[start : start + size, : chain.dims.T_eff, : chain.dims.N]
+        P[cells], L[cells], G[cells] = chain.P, chain.L, chain.G
+        dealt[cells] = chain.cards <= chain.theta[:, None, None]
+        start += size
+    R = T_eff + np.arange(k) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    theta, ells = (np.concatenate([np.zeros(0, int), *(getattr(c, f) for c in chains)]) for f in ("theta", "ell"))
 
-    def per_antenna(cell, t, weights=None):
-        return np.bincount(cell * t_max + t, weights, minlength=k * t_max).reshape(k, t_max)
-
-    def per_face(cell, i):
-        return np.bincount(cell * width + (i - lo), minlength=k * width).reshape(k, width)
-
-    # the expected flat pilots sorted, and the given ones in their order, as keys cell * span + flat - low
-    expected = p_cell * span + (p_t * N.astype(dtype)[p_cell] + p_i - low)
-    expected.sort()
-    given = given_cell * span + (given - low)
-    if np.any(given_cell[1:] < given_cell[:-1]):  # group the cells, each keeping its order
-        given = given[np.argsort(given_cell, kind="stable")]
-    same_count = np.bincount(p_cell, minlength=k) == np.bincount(given_cell, minlength=k)
-    if not same_count.all():  # only the cells whose lists have equal lengths line up entry by entry
-        expected, given = expected[same_count[expected // span]], given[same_count[given // span]]
-    mismatched = np.bincount(expected[expected != given] // span, minlength=k)
-    del expected, given
-
-    sizes = per_antenna(p_cell, p_t)
+    counts = P.sum(axis=2)  # |P_t| per (cell, antenna)
+    n_data = T_eff * N - counts.sum(axis=1)
     absent = np.arange(t_max) >= T_eff[:, None]  # antennas past a cell's T_eff
-    top = N - cells.ell
-    dropped, union = per_face(l_cell, l_i), per_face(g_cell, g_i)
-    pilot_grid = np.zeros(k * t_max * width, dtype=bool)
-    pilot_grid[(p_cell * t_max + p_t) * width + (p_i - lo)] = True
-    met = per_antenna(g_cell, g_t, pilot_grid[(g_cell * t_max + g_t) * width + (g_i - lo)]) > 0
-    face = np.arange(lo, lo + width)
+    top = (N - ells)[:, None]
+    dropped, union = L.sum(axis=1), G.sum(axis=1)  # how many antennas hold each face
+    face = np.arange(n_max)
     verdicts = {
-        "pilot_total": sizes.sum(axis=1) == cells.theta_R,
-        "pilot_size_cap": sizes.max(axis=1) <= T_eff * Q,
-        "flat_embedding": same_count & (mismatched == 0),
-        "useful_output_size": R * N - cells.ell == R * T_eff * Q + cells.n_data,
+        "pilot_total": counts.sum(axis=1) == theta,
+        "pilot_size_cap": counts.max(axis=1) <= T_eff * Q,
+        "flat_embedding": ~(P ^ dealt).any(axis=(1, 2)),
+        "useful_output_size": R * N - ells == R * T_eff * Q + n_data,
         "L_disjoint": dropped.max(axis=1) <= 1,
-        "L_in_range": np.bincount(l_cell, (l_i < 0) | (l_i >= top[l_cell]), minlength=k) == 0,
-        "G_size": ((per_antenna(g_cell, g_t) == Q[:, None]) | absent).all(axis=1),
+        "L_in_range": ~((dropped > 0) & (face >= top)).any(axis=1),
+        "G_size": ((G.sum(axis=2) == Q[:, None]) | absent).all(axis=1),
         "G_disjoint": union.max(axis=1) <= 1,
-        "G_meets_pilots": (met | absent).all(axis=1),
-        "G_covers": ((union > 0) == ((face >= 0) & (face < top[:, None]) & (dropped == 0))).all(axis=1),
+        "G_meets_pilots": ((G & P).any(axis=2) | absent).all(axis=1),
+        "G_covers": ((union > 0) == ((face < top) & (dropped == 0))).all(axis=1),
     }
     ok = np.logical_and.reduce([verdicts[name] for name in PROPERTIES[:4]])
     ok &= np.logical_and.reduce([verdicts[name] for name in PROPERTIES[4:]]) | (R <= T_eff)
+    owner = np.repeat(np.arange(len(chains)), sizes)
     failures = []
     for c in np.flatnonzero(~ok).tolist():
-        a = _cell(cells, c)
+        r, n, t = R[c].item(), N[c].item(), T_eff[c].item()
+        P_c, L_c, G_c, dealt_c = grid[:, c, :t, :n]
+        a = SimpleNamespace(
+            R=r, N=n, Q=Q[c].item(), T_eff=t, theta_R=theta[c].item(), ell=ells[c].item(), n_data=n_data[c].item(),
+            P=_faces(P_c), L=_faces(L_c), G=_faces(G_c),
+            pilots=(np.flatnonzero(P_c) + 1).tolist(), expected=(np.flatnonzero(dealt_c) + 1).tolist(),
+        )
         report = {
             name: {"ok": True, "detail": None} if verdicts[name][c] else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
-            for name in PROPERTIES[: 10 if R[c] > T_eff[c] else 4]
+            for name in PROPERTIES[: 10 if r > t else 4]
         }
-        failures.append((Dims(*cells.dims[c].tolist()), report))
+        failures.append((chains[owner[c]].dims.with_rx(r), report))
     return failures
 
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dof, jacobian
-from .model import regime_cells, regime_chains
-from .pilots import PilotCells, card_deal, mod_star, pilot_chain, pilot_count, verify_pilot_properties
+from .model import regime_chains
+from .pilots import card_deal, mod_star, pilot_chain, verify_pilot_properties
 
 __all__ = ["run_verify_all"]
 
@@ -32,26 +32,16 @@ def run_verify_all(n_max: int = 10) -> bool:
             ok &= np.array_equal(np.sort((players - 1) * N + faces - 1), np.arange(T_eff * N))
     check(f"card dealing bijective for all T_eff, N <= {n_max}", ok)
 
-    witness_chains = {}  # the chains with N <= 4, by top, for the witness line below
-
-    def chains():
-        for top in regime_chains(n_max):
-            chain = pilot_chain(top)
-            if top.N <= 4:
-                witness_chains[top] = chain
-            yield chain
-
-    failures = verify_pilot_properties(PilotCells.of(chains()))  # every cell of the grid in one pass
+    chains = [pilot_chain(top) for top in regime_chains(n_max)]
+    failures = verify_pilot_properties(chains)  # every cell of the grid in one pass
     bad = str(failures[-1]) if failures else ""  # the last failing cell, with its report
     check(f"pilot-set properties on every regime cell with N <= {n_max}", not failures, bad)
 
     ok = True
-    for top in regime_chains(n_max):
-        T_eff, N, Q = top.T_eff, top.N, top.Q
-        thetas = [pilot_count(T_eff, R, N, Q) for R in range(T_eff, top.R + 1)]
-        for R in range(T_eff + 1, top.R + 1):
-            drop, l = thetas[R - 1 - T_eff] - thetas[R - T_eff], dof.ell(T_eff, R, N, Q)
-            ok &= drop == N - T_eff * Q - l and l < N - T_eff * Q
+    for chain in chains:
+        gap = chain.dims.N - chain.dims.T_eff * chain.dims.Q
+        drop, l = chain.theta[:-1] - chain.theta[1:], chain.ell[1:]
+        ok &= bool(((drop == gap - l) & (l < gap)).all())
     check("pilot-count drop identity and redundancy bound on the regime grid", ok)
 
     ok = True
@@ -90,12 +80,12 @@ def run_verify_all(n_max: int = 10) -> bool:
     check("unconstrained figure ratio: exact value at N=1000, monotone toward 4", ok)
 
     ok = True
-    for dims in regime_cells(4):
-        if dims.R == dims.T_eff:  # a chain's first cell: the top's witness, on the pilot line's chain if dealt
-            top = dims.with_rx(dims.rx_needed)
-            chain = witness_chains.get(top) or pilot_chain(top)
-            witness = jacobian.witness_construct(chain, exact=True)
-        ok &= jacobian.certify_witness_exact(chain[dims.R - dims.T_eff], witness) != 0
+    # the chains with N <= 4: the pilot line's, then a deal of those past n_max
+    small = [chain for chain in chains if chain.dims.N <= 4]
+    for chain in small + [pilot_chain(top) for top in regime_chains(4) if top.N > n_max]:
+        witness = jacobian.witness_construct(chain, exact=True)  # one per chain, at its top
+        for pa in chain:
+            ok &= jacobian.certify_witness_exact(pa, witness) != 0
     check("witness determinant certified nonzero in exact arithmetic (N <= 4)", ok)
 
     return ok_all

@@ -16,9 +16,11 @@ witness must match bit for bit, in both modes; it reads its sets from the
 tuple construction of the pilot assignments, a deal into a card-index table
 of (face, flat position, card number) and one threshold pass per antenna over
 it, which is the oracle of every view the library derives from its
-card-number masks. The multi-modular determinant (int64 elimination modulo
-word-size primes, joined by the Chinese remainder theorem) is the fast exact
-oracle beside the tests' Bareiss elimination.
+card-number masks. The pilot-property oracle checks each cell of a chain by
+set arithmetic on its 1-based view, against the flat pilots of that deal. The
+multi-modular determinant (int64 elimination modulo word-size primes, joined
+by the Chinese remainder theorem) is the fast exact oracle beside the tests'
+Bareiss elimination.
 """
 
 import math
@@ -36,11 +38,12 @@ from fadingdof.model import (
     InvalidConfigurationError,
     constant_model,
     random_coloring,
+    regime_chains,
     split_fading,
     split_tx,
     standard_complex_gaussian,
 )
-from fadingdof.pilots import card_deal, pilot_count
+from fadingdof.pilots import assignment_to_dict, card_deal, pilot_count
 
 
 def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
@@ -386,12 +389,104 @@ def tuple_assignment(dims: Dims, deal) -> TupleAssignment:
     )
 
 
+def regime_cells(n_max: int):
+    """All (T_eff, R, N, Q) in the constructive regime with N <= n_max, T = T_eff: the cells of every regime chain.
+
+    Cells come in the order N, Q, T_eff, R, each ascending.
+    """
+    for top in regime_chains(n_max):
+        for R in range(top.T_eff, top.R + 1):
+            yield top.with_rx(R)
+
+
 def tuple_chain(dims: Dims) -> list:
     """Oracle: the tuple assignments for R' = T_eff..R, from one deal of the T_eff^2 Q cards."""
     dims.require_regime()
     T_eff, N = dims.T_eff, dims.N
     cards = deal(pilot_count(T_eff, T_eff, N, dims.Q), T_eff, N)
     return [tuple_assignment(dims.with_rx(r), cards) for r in range(T_eff, dims.R + 1)]
+
+
+def _last_clash(sets):
+    """The last face found in two sets, with the 1-based indices of both, or None."""
+    seen: dict[int, int] = {}
+    clash = None
+    for t, faces in enumerate(sets, start=1):
+        for i in faces:
+            if i in seen:
+                clash = {"face": i, "antennas": (seen[i], t)}
+            seen[i] = t
+    return clash
+
+
+# The failure payload of each pilot property, from one cell's 1-based view, built only when it fails
+_COUNTEREXAMPLES = {
+    "pilot_total": lambda a: {"total": sum(map(len, a["pilot_sets"])), "theta_R": a["theta_R"]},
+    "pilot_size_cap": lambda a: {
+        "oversized": [(t, len(p)) for t, p in enumerate(a["pilot_sets"], 1) if len(p) > a["cap"]],
+        "cap": a["cap"],
+    },
+    "flat_embedding": lambda a: {"pilots": a["pilots"], "expected": a["expected"]},
+    "useful_output_size": lambda a: {"useful": a["useful_outputs"][1], "expected": a["expected_useful"]},
+    "L_disjoint": lambda a: _last_clash(a["L_sets"]),
+    "L_in_range": lambda a: {
+        "outside": [(t, i) for t, ls in enumerate(a["L_sets"], 1) for i in ls if not 1 <= i <= a["top"]],
+        "range": (1, a["top"]),
+    },
+    "G_size": lambda a: {
+        "bad": [(t, len(g)) for t, g in enumerate(a["G_sets"], 1) if len(g) != a["dims"]["Q"]],
+        "expected": a["dims"]["Q"],
+    },
+    "G_disjoint": lambda a: _last_clash(a["G_sets"]),
+    "G_meets_pilots": lambda a: {
+        "antennas": [t for t, (g, p) in enumerate(zip(a["G_sets"], a["pilot_sets"]), 1) if set(g).isdisjoint(p)]
+    },
+    "G_covers": lambda a: {
+        "union": sorted(set().union(*a["G_sets"])),
+        "expected": sorted(set(range(1, a["top"] + 1)).difference(*a["L_sets"])),
+    },
+}
+
+
+def pilot_property_oracle(chains) -> list:
+    """Oracle of verify_pilot_properties: the same failures, by set arithmetic on each cell's 1-based view.
+
+    Each cell is read as assignment_to_dict prints it and checked property by
+    property; a family of sets is disjoint when its sizes sum to the size of
+    its union. The expected flat pilots are the embeddings i + (t-1)N of the
+    first theta_R cards of the tuple construction's deal.
+    """
+    failures = []
+    for chain in chains:
+        T_eff, N, Q = chain.dims.T_eff, chain.dims.N, chain.dims.Q
+        cards, _ = deal(T_eff * N, T_eff, N)
+        for pa in chain:
+            a = assignment_to_dict(pa)
+            a["expected"] = sorted([i + (t - 1) * N for t, i in cards[: a["theta_R"]]])
+            a["expected_useful"] = pa.dims.R * T_eff * Q + len(a["data"])
+            a["cap"], a["top"] = T_eff * Q, N - a["ell"]
+            sizes = list(map(len, a["pilot_sets"]))
+            verdicts = {
+                "pilot_total": sum(sizes) == a["theta_R"],
+                "pilot_size_cap": max(sizes, default=0) <= a["cap"],
+                "flat_embedding": a["pilots"] == a["expected"],
+                "useful_output_size": a["useful_outputs"][1] == a["expected_useful"],
+            }
+            if pa.dims.R > T_eff:
+                dropped, union = set().union(*a["L_sets"]), set().union(*a["G_sets"])
+                verdicts["L_disjoint"] = sum(map(len, a["L_sets"])) == len(dropped)
+                verdicts["L_in_range"] = not dropped or 1 <= min(dropped) and max(dropped) <= a["top"]
+                verdicts["G_size"] = set(map(len, a["G_sets"])) <= {Q}
+                verdicts["G_disjoint"] = sum(map(len, a["G_sets"])) == len(union)
+                verdicts["G_meets_pilots"] = not any(map(set.isdisjoint, map(set, a["G_sets"]), a["pilot_sets"]))
+                verdicts["G_covers"] = union == set(range(1, a["top"] + 1)) - dropped
+            if not all(verdicts.values()):
+                report = {
+                    name: {"ok": True, "detail": None} if ok else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
+                    for name, ok in verdicts.items()
+                }
+                failures.append((pa.dims, report))
+    return failures
 
 
 # Word-size primes below 2^31, largest first. Residues stay below 2^31, so

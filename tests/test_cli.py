@@ -247,12 +247,14 @@ def test_verify_all_exit_zero(capsys):
 
 def test_verify_all_covers_its_grids(monkeypatch, capsys):
     # each check's call count and grid shape is fixed by its loop bounds, so no grid can shrink unseen
+    from paper_facts import regime_cells
+
     from fadingdof import dof, jacobian, verify
-    from fadingdof.model import regime_cells, regime_chains
+    from fadingdof.model import regime_chains
 
     calls = collections.Counter()
     grids = []
-    checked = []  # the cells of each batch the pilot-property check saw
+    checked = []  # the cells of the chains each pilot-property check saw
 
     def count(module, name):
         original = getattr(module, name)
@@ -260,12 +262,12 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
         def counted(*args, **kwargs):
             calls[name] += 1
             if name == "verify_pilot_properties":
-                checked.append(len(args[0]))
+                checked.append(sum(map(len, args[0])))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("card_deal", "pilot_count", "verify_pilot_properties", "mod_star", "pilot_chain"):
+    for name in ("card_deal", "verify_pilot_properties", "mod_star", "pilot_chain"):
         count(verify, name)
     count(dof, "_chi_low_star_scaled")
     count(jacobian, "witness_construct")
@@ -283,7 +285,6 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert calls == {
         "card_deal": n_max**2,  # one array of T_eff * N cards for each T_eff, N <= n_max
         "verify_pilot_properties": 1,  # one batch: every cell of the grid
-        "pilot_count": len(cells),  # theta_R of every cell, R = T_eff..top along each chain
         # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
         "mod_star": 24 * 5,
         "_chi_low_star_scaled": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
@@ -354,13 +355,16 @@ def test_verify_all_fails_on_a_wrong_residue_table(monkeypatch, capsys):
 
 
 def test_verify_all_fails_on_a_redundancy_count_off_by_one(monkeypatch, capsys):
-    from fadingdof import dof
+    # the chains carry ell, so the useful-output count of the same cell fails beside the drop identity
+    from fadingdof import pilots
 
-    original = dof.ell
+    original = pilots.ell
     off_by_one = lambda T_eff, R, N, Q: original(T_eff, R, N, Q) + ((T_eff, R, N, Q) == (3, 5, 8, 2))
-    monkeypatch.setattr(dof, "ell", off_by_one)
-    failed = failed_lines(capsys, 8)
-    assert failed == ["[FAIL] pilot-count drop identity and redundancy bound on the regime grid"]
+    monkeypatch.setattr(pilots, "ell", off_by_one)
+    properties, drop = failed_lines(capsys, 8)
+    assert properties.startswith("[FAIL] pilot-set properties on every regime cell with N <= 8 (Dims(T=3, R=5, N=8,")
+    assert "'useful_output_size': {'ok': False, 'detail': {'useful': 39, 'expected': 40}}" in properties
+    assert drop == "[FAIL] pilot-count drop identity and redundancy bound on the regime grid"
 
 
 def test_verify_all_fails_on_one_zero_witness_determinant(monkeypatch, capsys):
@@ -428,6 +432,35 @@ def test_verify_all_allocates_at_most_one_mib_at_its_peak(capsys):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20, peak
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_verify_all_deals_the_witness_chains_past_its_grid(monkeypatch, capsys):
+    # with --nmax 3 the witness line still covers N <= 4: the chains with N = 4 are dealt for it alone
+    from paper_facts import regime_cells
+
+    from fadingdof import jacobian, verify
+    from fadingdof.model import regime_chains
+
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(verify, "pilot_chain")
+    count(jacobian, "witness_construct")
+    count(jacobian, "_witness_det")
+    assert verify.run_verify_all(3)
+    tops = list(regime_chains(4))
+    cells = len(list(regime_cells(4)))
+    assert calls == {"pilot_chain": len(tops), "witness_construct": len(tops), "_witness_det": cells}
+    assert (len(list(regime_chains(3))), len(tops)) == (4, 9)
     assert "[FAIL]" not in capsys.readouterr().out
 
 

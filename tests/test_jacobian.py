@@ -19,6 +19,7 @@ from paper_facts import (
     multimodular_det,
     probe_draws,
     reduce_by_block,
+    regime_cells,
     witness_construct_loop,
 )
 
@@ -43,7 +44,6 @@ from fadingdof.model import (
     InvalidConfigurationError,
     constant_model,
     random_coloring,
-    regime_cells,
     regime_chains,
     standard_complex_gaussian,
 )

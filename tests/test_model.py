@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from paper_facts import build_B
+from paper_facts import build_B, regime_cells
 
 from fadingdof.model import (
     ColoringMatrix,
@@ -16,7 +16,6 @@ from fadingdof.model import (
     constant_model,
     dims_to_dict,
     random_coloring,
-    regime_cells,
     split_fading,
     split_tx,
     standard_complex_gaussian,

@@ -8,7 +8,6 @@ experiments (identify), and Monte-Carlo log-determinant evidence (analysis).
 """
 
 from .model import (
-    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     constant_model,

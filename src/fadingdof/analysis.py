@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ColoringMatrix, complex_gaussian_draws
+from .model import complex_gaussian_draws, require_coloring
 from .jacobian import NONSINGULAR_TOL, JacobianLayout
 from .pilots import PilotAssignment
 
@@ -65,12 +65,12 @@ class LogDetEstimate:
 
 
 def mc_logdet(
-    Z: ColoringMatrix,
+    Z: np.ndarray,
     pilots: PilotAssignment,
     samples: int,
     seed: int | np.random.SeedSequence,
 ) -> LogDetEstimate:
-    """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x).
+    """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x) at the coloring Z of pilots.dims.
 
     log |det J|^2 is twice the sum of the log singular values of the factors
     of the grouped elimination (JacobianLayout.eliminate), which factors a
@@ -86,6 +86,7 @@ def mc_logdet(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    require_coloring(Z, pilots.dims)
     n_batches = -(-samples // BATCH)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -102,7 +103,7 @@ def mc_logdet(
         while pos < batch_end:
             count = min(layout.per_stack, batch_end - pos)
             S, X = complex_gaussian_draws(rng, count, *sizes)
-            log_abs_det, ratio = layout.eliminate(Z.blocks, S, X)
+            log_abs_det, ratio = layout.eliminate(Z, S, X)
             vals = np.where(ratio > NONSINGULAR_TOL, 2.0 * log_abs_det, -math.inf)
             low = vals < LOG_FLOOR
             vals[low] = LOG_FLOOR

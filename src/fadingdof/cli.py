@@ -232,8 +232,9 @@ def _cmd_genericity(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    pa = pilots.build_pilot_sets(_parse_dims(args.dims, args.teff))
-    results = identify.run_recovery_trials(pa, trials=args.trials, seed=args.seed, constant=args.constant_model)
+    dims = _parse_dims(args.dims, args.teff)
+    coloring = constant_model(dims) if args.constant_model else None
+    results = identify.run_recovery_trials(pilots.build_pilot_sets(dims), args.trials, args.seed, coloring=coloring)
     _emit_json(identify.recovery_summary(results), args.out)
     return EXIT_OK
 

@@ -88,11 +88,17 @@ def optimal_active_tx(R: int, N: int, Q: int) -> Fraction:
     return Fraction(*_t_opt_terms(R, N, Q))
 
 
-def _rounded_lower_scaled(R: int, N: int, Q: int) -> int:
-    """N times the best lower bound at the integer neighbors of T_opt."""
+def _pick(cond, a, b):
+    """a where cond holds, else b: exact on ints, elementwise (np.where) on arrays that broadcast together."""
+    return np.where(cond, a, b) if np.ndim(cond) else (a if cond else b)
+
+
+def _rounded_lower_scaled(R, N, Q):
+    """N times the best lower bound at the integer neighbors of T_opt, on ints or integer arrays."""
     num, den = _t_opt_terms(R, N, Q)
     t_ceil, t_floor = -(-num // den), num // den
-    return max(R * (N - t_ceil * Q), t_floor * (N - 1))
+    low, high = R * (N - t_ceil * Q), t_floor * (N - 1)
+    return _pick(low >= high, low, high)
 
 
 def rounded_lower(R: int, N: int, Q: int) -> Fraction:
@@ -100,12 +106,10 @@ def rounded_lower(R: int, N: int, Q: int) -> Fraction:
     return Fraction(_rounded_lower_scaled(R, N, Q), N)
 
 
-def _chi_low_star_scaled(T: int, R: int, N: int, Q: int) -> int:
-    """N chi_low_star(T, R, N, Q): T (N - 1) when T <= T_opt, else N times the rounded optimum."""
+def _chi_low_star_scaled(T, R, N, Q):
+    """N chi_low_star(T, R, N, Q) on ints or an integer grid: T (N - 1) when T <= T_opt, else N eta."""
     num, den = _t_opt_terms(R, N, Q)
-    if T * den <= num:
-        return T * (N - 1)
-    return _rounded_lower_scaled(R, N, Q)
+    return _pick(T * den <= num, T * (N - 1), _rounded_lower_scaled(R, N, Q))
 
 
 def chi_low_star(T: int, R: int, N: int, Q: int) -> Fraction:

@@ -5,8 +5,8 @@ given them, the useful outputs are a square polynomial system of degree 2 in
 the unknowns (s, x_data). The system is holomorphic in the unknowns
 (conjugates never appear), so a complex Gauss-Newton step is well defined
 and the linearization is exactly the recovery Jacobian. Functions here take
-the whole x and the cell's PilotAssignment; recover and run_recovery_trials
-read its 0-based data positions (data_index) once per call.
+the whole x, the cell's PilotAssignment and an (R, T_eff, N, Q) coloring
+array; recover and run_recovery_trials read its data_index once per call.
 Recovery here is noiseless only: the identifiability argument lives at
 infinite SNR. Independent trials are deterministic under their seeds and
 may run in parallel.
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ColoringMatrix,
     InvalidConfigurationError,
     channel_vectors,
-    constant_model,
     random_coloring,
+    require_coloring,
     split_fading,
     split_tx,
     standard_complex_gaussian,
@@ -73,7 +72,7 @@ class RecoveryResult:
     halvings: int
 
 
-def forward_map(s: np.ndarray, x: np.ndarray, pilots: PilotAssignment, Z: ColoringMatrix) -> np.ndarray:
+def forward_map(s: np.ndarray, x: np.ndarray, pilots: PilotAssignment, Z: np.ndarray) -> np.ndarray:
     """Noiseless useful outputs at the fading vector s and the whole input x.
 
     Each component is a degree-2 polynomial in the unknowns (s, x_data): output
@@ -81,15 +80,15 @@ def forward_map(s: np.ndarray, x: np.ndarray, pilots: PilotAssignment, Z: Colori
     coming from one batched matmul, so the block-diagonal B is never formed.
     """
     dims = pilots.dims
-    Z.require_conforms(dims)
+    require_coloring(Z, dims)
     s = split_fading(np.asarray(s, dtype=complex), dims)
     x = split_tx(np.asarray(x, dtype=complex), dims)
-    h = channel_vectors(Z.blocks, s.ravel())
+    h = channel_vectors(Z, s.ravel())
     return (x * h).sum(axis=1).ravel()[: pilots.n_useful]
 
 
 def recover(
-    y_target: np.ndarray, pilots: PilotAssignment, Z: ColoringMatrix, init, truth=None
+    y_target: np.ndarray, pilots: PilotAssignment, Z: np.ndarray, init, truth=None
 ) -> RecoveryResult:
     """Gauss-Newton iteration on the square system phi(s, x_data) = y_target.
 
@@ -124,7 +123,7 @@ def recover(
     iterations = lstsq_fallbacks = halvings = 0
     stop_reason = "max_iterations"
     while res_norm / scale >= GN_TOL and iterations < GN_MAX_ITERATIONS:
-        J = layout.assemble(Z.blocks, s[None], x[None])[0]
+        J = layout.assemble(Z, s[None], x[None])[0]
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
@@ -171,23 +170,27 @@ def recover(
     )
 
 
-def run_recovery_trials(pilots: PilotAssignment, trials: int, seed: int, constant: bool = False):
+def run_recovery_trials(pilots: PilotAssignment, trials: int, seed: int, coloring: np.ndarray | None = None):
     """Truth-perturbed recovery trials on one cell, as run by `fadingdof identify`.
 
-    Each trial draws a coloring (or uses the constant model), a ground truth
-    (s, x), forms the noiseless useful outputs, perturbs (s, x_data) by
-    PERTURBATION relative to its norm, keeping the pilot entries of x, and
-    runs the recovery iteration with the truth available for error
-    reporting. Every draw of a trial comes from that trial's child of
-    SeedSequence(seed), so no two (seed, trial) pairs share a coloring.
+    Each trial draws a coloring unless one is fixed (e.g. the constant model;
+    it must conform to pilots.dims, even when trials = 0), as genericity_probe
+    does. It draws a ground truth (s, x), forms the noiseless useful outputs,
+    perturbs (s, x_data) by PERTURBATION relative to its norm, keeping the
+    pilot entries of x, and runs the recovery with the truth for error
+    reporting. Each trial's child of SeedSequence(seed) spawns a coloring
+    seed, unused for a fixed coloring, and a point seed, so no two (seed,
+    trial) pairs share a drawn coloring and fixing one changes no point.
     """
     dims = pilots.dims
+    if coloring is not None:
+        require_coloring(coloring, dims)
     data0 = pilots.data_index
     results = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         coloring_seed, point_seed = child.spawn(2)
         rng = np.random.default_rng(point_seed)
-        Z = constant_model(dims) if constant else random_coloring(dims, coloring_seed)
+        Z = random_coloring(dims, coloring_seed) if coloring is None else coloring
         s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
         x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
         y_target = forward_map(s, x, pilots, Z)

@@ -57,7 +57,6 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
-    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     channel_vectors,
@@ -65,6 +64,7 @@ from .model import (
     complex_gaussian_draws,
     complex_to_pairs,
     dims_to_dict,
+    require_coloring,
     split_fading,
     split_tx,
     standard_complex_gaussian,
@@ -149,7 +149,7 @@ class JacobianLayout:
         stack_entries = q_entries + self._schur_size**2
         self.per_stack = max(1, STACK_BYTES // (stack_entries * np.dtype(complex).itemsize))
 
-    def _entries(self, Z_blocks, S, X) -> tuple:
+    def _entries(self, Z, S, X) -> tuple:
         """x_t[i] Z_{r,t}[i,q] (k, R, T_eff, N, Q) and h_{r,t}[i] (k, R, T_eff, N), shapes checked."""
         dims = self.dims
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
@@ -157,20 +157,20 @@ class JacobianLayout:
         if (
             S.shape != (k, R * Teff * Q)
             or X.shape != (k, Teff * N)
-            or Z_blocks.shape not in ((R, Teff, N, Q), (k, R, Teff, N, Q))
+            or Z.shape not in ((R, Teff, N, Q), (k, R, Teff, N, Q))
         ):
             raise InvalidConfigurationError(
-                f"stack shapes Z {Z_blocks.shape}, s {S.shape}, x {X.shape} do not conform to {dims}"
+                f"stack shapes Z {Z.shape}, s {S.shape}, x {X.shape} do not conform to {dims}"
             )
-        return X.reshape(k, 1, Teff, N, 1) * Z_blocks, channel_vectors(Z_blocks, S)
+        return X.reshape(k, 1, Teff, N, 1) * Z, channel_vectors(Z, S)
 
-    def assemble(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def assemble(self, Z: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The (k, n, n) Jacobians at the k points (S[j], X[j]).
 
-        Z_blocks is one (R, T_eff, N, Q) coloring shared by every point, or a
+        Z is one (R, T_eff, N, Q) coloring shared by every point, or a
         (k, R, T_eff, N, Q) stack of them; S is (k, R T_eff Q) and X is (k, T_eff N).
         """
-        products, diagonal = self._entries(Z_blocks, S, X)
+        products, diagonal = self._entries(Z, S, X)
         k, n = len(S), self.n
         J = np.zeros((k, self.dims.R * self.dims.N * n), dtype=complex)
         J[:, self._b_dst] = products.reshape(k, -1)
@@ -214,7 +214,7 @@ class JacobianLayout:
             groups.append((block, at, ((col // Q) * N + f[:, None]) * Q + col % Q))
         return groups
 
-    def eliminate(self, Z_blocks: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple:
+    def eliminate(self, Z: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple:
         """log |det J| and the smallest factor sigma ratio of each of the k Jacobians at (S[j], X[j]).
 
         Arguments as for assemble; no n x n matrix is formed. J = [B | [A]^D]
@@ -241,7 +241,7 @@ class JacobianLayout:
         exactly when every factor is, which the callers judge as ratio >
         NONSINGULAR_TOL.
         """
-        products, channels = self._entries(Z_blocks, S, X)
+        products, channels = self._entries(Z, S, X)
         k, size = len(S), self._schur_size
         products[:, -1, :, self._last_rows :] = 0  # outside the useful rows
         channels[:, -1, :, self._last_rows :] = 0
@@ -274,19 +274,17 @@ class JacobianLayout:
         return logs.sum(axis=1), ratio.min(axis=1)
 
 
-def assemble_jacobian(
-    Z: ColoringMatrix, s: np.ndarray, x: np.ndarray, pilots: PilotAssignment
-) -> np.ndarray:
+def assemble_jacobian(Z: np.ndarray, s: np.ndarray, x: np.ndarray, pilots: PilotAssignment) -> np.ndarray:
     """The square Jacobian [(B  [A]^D)]_I at the point (s, x), an (n, n) complex array: a stack of one.
 
     Column order is the fading vector first (R T_eff Q columns), then the data
     entries of x in ascending flat index.
     """
     dims = pilots.dims
-    Z.require_conforms(dims)
+    require_coloring(Z, dims)
     x = split_tx(np.asarray(x, dtype=complex), dims)
     s = split_fading(np.asarray(s, dtype=complex), dims)
-    return JacobianLayout(pilots).assemble(Z.blocks, s.reshape(1, -1), x.reshape(1, -1))[0]
+    return JacobianLayout(pilots).assemble(Z, s.reshape(1, -1), x.reshape(1, -1))[0]
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -370,7 +368,8 @@ def witness_construct(chain: PilotChain, seed: int = 0, exact: bool = False):
         Zb[Teff + k, t, i] = np.conj(sv[Teff + k, t])
 
     x = np.ones(Teff * N, dtype=complex)
-    return ColoringMatrix(Zb), sv.reshape(-1), x
+    Zb.setflags(write=False)
+    return Zb, sv.reshape(-1), x
 
 
 def _witness_det(J: np.ndarray) -> int:
@@ -461,7 +460,7 @@ def certify_witness_exact(pilots: PilotAssignment, witness) -> int:
     """
     Z, s, x = witness
     d = pilots.dims
-    J = assemble_jacobian(ColoringMatrix(Z.blocks[: d.R]), s[: d.R * d.T_eff * d.Q], x, pilots)
+    J = assemble_jacobian(Z[: d.R], s[: d.R * d.T_eff * d.Q], x, pilots)
     return _witness_det(J)
 
 
@@ -529,7 +528,7 @@ def genericity_probe(
     pilots: PilotAssignment,
     trials: int,
     seed: int,
-    coloring: ColoringMatrix | None = None,
+    coloring: np.ndarray | None = None,
 ) -> ProbeStats:
     """Draw (Z, s, x) i.i.d. CN(0,1) repeatedly and record singularity statistics.
 
@@ -543,7 +542,7 @@ def genericity_probe(
     """
     dims = pilots.dims
     if coloring is not None:
-        coloring.require_conforms(dims)
+        require_coloring(coloring, dims)
     if trials == 0:
         return ProbeStats(0, 0, None, None, None)
     layout = JacobianLayout(pilots)
@@ -558,9 +557,9 @@ def genericity_probe(
     for start in range(0, trials, layout.per_stack):
         chunk = children[start : start + layout.per_stack]
         draws = [complex_gaussian_draws(np.random.default_rng(child), 1, *sizes) for child in chunk]
-        *Z, S, X = (np.concatenate(column) for column in zip(*draws))  # Z is [] for a fixed coloring
-        Z_blocks = Z[0].reshape(len(chunk), *shape) if Z else coloring.blocks
-        log_abs_det, ratio = layout.eliminate(Z_blocks, S, X)
+        *drawn, S, X = (np.concatenate(column) for column in zip(*draws))  # drawn is [] for a fixed coloring
+        Z = drawn[0].reshape(len(chunk), *shape) if drawn else coloring
+        log_abs_det, ratio = layout.eliminate(Z, S, X)
         n_nonsingular += int(np.count_nonzero(ratio > NONSINGULAR_TOL))
         min_log_det = min(min_log_det, float(log_abs_det.min()))
         min_ratio = min(min_ratio, float(ratio.min()))

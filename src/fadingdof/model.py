@@ -4,9 +4,12 @@ The channel between transmit antenna t and receive antenna r is h_{r,t} =
 Z_{r,t} s_{r,t}, where Z_{r,t} is a deterministic N x Q coloring block and
 s_{r,t} ~ CN(0, I_Q). The noiseless output stacks as y_bar = B s with B
 block-diagonal over receive antennas and B_r = (diag(x_1) Z_{r,1} ...
-diag(x_T) Z_{r,T}); entrywise, y_r[i] = sum_t x_t[i] h_{r,t}[i]. Everything
-here is a pure function of (inputs, seed); values are immutable after
-construction and safe to share across threads.
+diag(x_T) Z_{r,T}); entrywise, y_r[i] = sum_t x_t[i] h_{r,t}[i]. A coloring
+is a complex (R, T_eff, N, Q) array, Z[r, t] = Z_{r+1,t+1}, shape-checked by
+require_coloring; generic and constant block fading differ only in it.
+Everything here is a pure function of (inputs, seed); values, the colorings
+made here included, are read-only after construction and safe to share
+across threads.
 Independent realizations may be evaluated concurrently with distinct seeds.
 
 Vector stacking order is receive-major then transmit throughout: s =
@@ -28,7 +31,7 @@ __all__ = [
     "InvalidConfigurationError",
     "Dims",
     "regime_chains",
-    "ColoringMatrix",
+    "require_coloring",
     "standard_complex_gaussian",
     "complex_gaussian_draws",
     "random_coloring",
@@ -124,46 +127,13 @@ def regime_chains(n_max: int):
                 yield probe.with_rx(probe.rx_needed)
 
 
-@dataclass(frozen=True)
-class ColoringMatrix:
-    """Deterministic correlation structure: an R x T grid of N x Q blocks.
-
-    ``blocks`` has shape (R, n_tx, N, Q): blocks[r, t] is Z_{r+1,t+1}, which
-    the stacked (R N) x (T Q) matrix holds at rows r*N:(r+1)*N and columns
-    t*Q:(t+1)*Q, receive-major.
-    """
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        if self.blocks.ndim != 4:
-            raise InvalidConfigurationError(
-                f"blocks must be a (R, T, N, Q) array, got shape {self.blocks.shape}"
-            )
-        self.blocks.setflags(write=False)
-
-    @property
-    def n_rx(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def block_len(self) -> int:
-        return self.blocks.shape[2]
-
-    @property
-    def rank(self) -> int:
-        return self.blocks.shape[3]
-
-    def require_conforms(self, dims: Dims):
-        if self.blocks.shape != (dims.R, dims.T_eff, dims.N, dims.Q):
-            raise InvalidConfigurationError(
-                f"coloring grid {self.blocks.shape} does not conform to "
-                f"(R, T_eff, N, Q) = ({dims.R}, {dims.T_eff}, {dims.N}, {dims.Q})"
-            )
+def require_coloring(Z, dims: Dims):
+    """Raise InvalidConfigurationError unless Z is a coloring of dims, of shape (R, T_eff, N, Q)."""
+    if np.shape(Z) != (dims.R, dims.T_eff, dims.N, dims.Q):
+        raise InvalidConfigurationError(
+            f"coloring grid {np.shape(Z)} does not conform to "
+            f"(R, T_eff, N, Q) = ({dims.R}, {dims.T_eff}, {dims.N}, {dims.Q})"
+        )
 
 
 def standard_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -186,22 +156,24 @@ def complex_gaussian_draws(rng: np.random.Generator, count: int, *sizes: int) ->
     return out
 
 
-def random_coloring(dims: Dims, seed: int | np.random.SeedSequence) -> ColoringMatrix:
-    """Generic coloring draw: i.i.d. CN(0,1) entries over dims.T_eff antennas."""
+def random_coloring(dims: Dims, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Generic coloring draw: i.i.d. CN(0,1) entries over dims.T_eff antennas, read-only."""
     rng = np.random.default_rng(seed)
-    blocks = standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q))
-    return ColoringMatrix(blocks)
+    Z = standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q))
+    Z.setflags(write=False)
+    return Z
 
 
-def constant_model(dims: Dims) -> ColoringMatrix:
-    """Coloring of the constant block-fading model: every block the all-one N-vector.
+def constant_model(dims: Dims) -> np.ndarray:
+    """Read-only coloring of the constant block-fading model: every block the all-one N-vector.
 
     Only defined for Q = 1 (one fading variable per antenna pair).
     """
     if dims.Q != 1:
         raise InvalidConfigurationError(f"constant model requires Q=1, got Q={dims.Q}")
-    blocks = np.ones((dims.R, dims.T_eff, dims.N, 1), dtype=complex)
-    return ColoringMatrix(blocks)
+    Z = np.ones((dims.R, dims.T_eff, dims.N, 1), dtype=complex)
+    Z.setflags(write=False)
+    return Z
 
 
 def split_tx(x: np.ndarray, dims: Dims) -> np.ndarray:
@@ -222,15 +194,15 @@ def split_fading(s: np.ndarray, dims: Dims) -> np.ndarray:
     return s.reshape(dims.R, dims.T_eff, dims.Q)
 
 
-def channel_vectors(Z_blocks: np.ndarray, S: np.ndarray) -> np.ndarray:
+def channel_vectors(Z: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The channel vectors h_{r,t} = Z_{r,t} s_{r,t}, from one batched matmul.
 
-    Z_blocks is an (R, T_eff, N, Q) coloring, or a stack of them with the
-    leading axes of S; S holds stacked fading vectors, shape (..., R T_eff Q).
+    Z is an (R, T_eff, N, Q) coloring, or a stack of them with the leading
+    axes of S; S holds stacked fading vectors, shape (..., R T_eff Q).
     Returns (..., R, T_eff, N).
     """
-    R, Teff, _, Q = Z_blocks.shape[-4:]
-    return np.matmul(Z_blocks, S.reshape(*S.shape[:-1], R, Teff, Q, 1))[..., 0]
+    R, Teff, _, Q = Z.shape[-4:]
+    return np.matmul(Z, S.reshape(*S.shape[:-1], R, Teff, Q, 1))[..., 0]
 
 
 def complex_to_pairs(a: np.ndarray):
@@ -242,12 +214,7 @@ def dims_to_dict(dims: Dims) -> dict:
     return {"T": dims.T, "R": dims.R, "N": dims.N, "Q": dims.Q, "T_eff": dims.T_eff}
 
 
-def coloring_to_dict(Z: ColoringMatrix) -> dict:
+def coloring_to_dict(Z: np.ndarray) -> dict:
     """JSON form: complex entries as [re, im] pairs, blocks indexed [r][t][i][q]."""
-    return {
-        "n_rx": Z.n_rx,
-        "n_tx": Z.n_tx,
-        "block_len": Z.block_len,
-        "rank": Z.rank,
-        "blocks": complex_to_pairs(Z.blocks),
-    }
+    n_rx, n_tx, block_len, rank = Z.shape
+    return {"n_rx": n_rx, "n_tx": n_tx, "block_len": block_len, "rank": rank, "blocks": complex_to_pairs(Z)}

@@ -274,20 +274,21 @@ def verify_pilot_properties(chains) -> list:
     R = T_eff + np.arange(k) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     theta, ells = (np.concatenate([np.zeros(0, int), *(getattr(c, f) for c in chains)]) for f in ("theta", "ell"))
 
-    counts = P.sum(axis=2)  # |P_t| per (cell, antenna)
-    n_data = T_eff * N - counts.sum(axis=1)
+    small = np.min_scalar_type(max(t_max, n_max))  # holds any per-face or per-antenna count
+    counts = P.sum(axis=2, dtype=small)  # |P_t| per (cell, antenna)
+    n_data = T_eff * N - counts.sum(axis=1, dtype=int)
     absent = np.arange(t_max) >= T_eff[:, None]  # antennas past a cell's T_eff
     top = (N - ells)[:, None]
-    dropped, union = L.sum(axis=1), G.sum(axis=1)  # how many antennas hold each face
+    dropped, union = L.sum(axis=1, dtype=small), G.sum(axis=1, dtype=small)  # how many antennas hold each face
     face = np.arange(n_max)
     verdicts = {
-        "pilot_total": counts.sum(axis=1) == theta,
+        "pilot_total": counts.sum(axis=1, dtype=int) == theta,
         "pilot_size_cap": counts.max(axis=1) <= T_eff * Q,
         "flat_embedding": ~(P ^ dealt).any(axis=(1, 2)),
         "useful_output_size": R * N - ells == R * T_eff * Q + n_data,
         "L_disjoint": dropped.max(axis=1) <= 1,
         "L_in_range": ~((dropped > 0) & (face >= top)).any(axis=1),
-        "G_size": ((G.sum(axis=2) == Q[:, None]) | absent).all(axis=1),
+        "G_size": ((G.sum(axis=2, dtype=small) == Q[:, None]) | absent).all(axis=1),
         "G_disjoint": union.max(axis=1) <= 1,
         "G_meets_pilots": ((G & P).any(axis=2) | absent).all(axis=1),
         "G_covers": ((union > 0) == ((face < top) & (dropped == 0))).all(axis=1),

@@ -3,7 +3,6 @@ arithmetic and combinatorics only, so it needs no seed."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -60,9 +59,7 @@ def run_verify_all(n_max: int = 10) -> bool:
 
     # N, Q, T and R, each from 1, on the axes of an (n_max, 3, 12, 12) grid; bounds scaled by N
     N, Q, T, R = np.ogrid[1 : n_max + 1, 1:4, 1:13, 1:13]
-    cells = itertools.product(range(1, n_max + 1), range(1, 4), range(1, 13), range(1, 13))
-    closed = np.array([dof._chi_low_star_scaled(t, r, n, q) for n, q, t, r in cells], dtype=np.int64)
-    closed = closed.reshape(n_max, 3, 12, 12)
+    closed = dof._chi_low_star_scaled(T, R, N, Q)
     upper = T * (N - 1)  # N chi_upper(T, N)
     # the equality region R >= T (N - 1) / (N - T Q), with N - T Q > 0, checked for N >= 2
     in_region = (T * Q < N) & (R * (N - T * Q) >= upper)

@@ -33,12 +33,12 @@ import numpy as np
 from fadingdof.dof import _chi_low_scaled, chi_const, chi_low, ell
 from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
-    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     constant_model,
     random_coloring,
     regime_chains,
+    require_coloring,
     split_fading,
     split_tx,
     standard_complex_gaussian,
@@ -138,7 +138,7 @@ def virtual_simo_K(Z) -> float:
     K = (1 + 1e-6) max_{r,i} sum_{t,q} |[Z_{r,t}]_i^q|^2; the strict margin
     keeps every residual noise variance 1 - sum |Z|^2 / (K T) positive.
     """
-    row_power = np.sum(np.abs(Z.blocks) ** 2, axis=(1, 3))  # (R, N)
+    row_power = np.sum(np.abs(Z) ** 2, axis=(1, 3))  # (R, N)
     return (1 + 1e-6) * float(row_power.max())
 
 
@@ -165,13 +165,13 @@ def build_B(Z, x, dims) -> np.ndarray:
 
     Block r is the horizontal concatenation over t of diag(x_t) Z_{r,t}.
     """
-    Z.require_conforms(dims)
+    require_coloring(Z, dims)
     xt = split_tx(np.asarray(x, dtype=complex), dims)
     R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
     B = np.zeros((R * N, R * Teff * Q), dtype=complex)
     for r in range(R):
         # block[t] = diag(x_t) Z_{r,t}
-        block = xt[:, :, None] * Z.blocks[r]
+        block = xt[:, :, None] * Z[r]
         B[r * N : (r + 1) * N, r * Teff * Q : (r + 1) * Teff * Q] = (
             block.transpose(1, 0, 2).reshape(N, Teff * Q)
         )
@@ -185,7 +185,7 @@ def diagonal_grid_loop(Z, s, dims):
     A = np.zeros((R * N, Teff * N), dtype=complex)
     for r in range(R):
         for t in range(Teff):
-            a = Z.blocks[r, t] @ sv[r, t]
+            a = Z[r, t] @ sv[r, t]
             idx = np.arange(N)
             A[r * N + idx, t * N + idx] = a
     return A
@@ -206,10 +206,7 @@ def probe_draws(dims, trials, seed, coloring=None):
     """
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        if coloring is None:
-            Z = ColoringMatrix(standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q)))
-        else:
-            Z = coloring
+        Z = standard_complex_gaussian(rng, (dims.R, dims.T_eff, dims.N, dims.Q)) if coloring is None else coloring
         s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
         x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
         yield Z, s, x
@@ -260,7 +257,7 @@ def witness_construct_loop(dims, seed: int = 0, exact: bool = False):
             srt = np.conj(fill[pa.G_sets[t].index(pa.anchors[t])])
             sv[rr - 1, t] = srt
             Zb[rr - 1, t][np.asarray(pa.L_sets[t], dtype=int) - 1, :] = np.conj(srt)[None, :]
-    return ColoringMatrix(Zb), sv.reshape(-1), np.ones(Teff * N, dtype=complex)
+    return Zb, sv.reshape(-1), np.ones(Teff * N, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,8 @@ def test_criterion_5_witness_nonsingularity():
             assert full_svd_verdict(assemble_jacobian(Z, s, x, chain[-1])), dims
 
         Z, _, _ = witness_construct(pilot_chain(DIMS_2341), seed=23)
-        zb = Z.blocks
-        assert zb[2, 1, 0, 0] == 0 and zb[2, 0, 1, 0] == 0
-        assert zb[2, 1, 2, 0] == 0 and zb[2, 0, 3, 0] == 0
+        assert Z[2, 1, 0, 0] == 0 and Z[2, 0, 1, 0] == 0
+        assert Z[2, 1, 2, 0] == 0 and Z[2, 0, 3, 0] == 0
 
 
 def test_criterion_6_genericity_probe():

@@ -213,6 +213,13 @@ def test_identify_summary(capsys):
     assert payload["median_param_error"] < 1e-6
 
 
+@pytest.mark.parametrize("command", [["genericity", "--trials", "0"], ["identify", "--trials", "0"], ["mc-logdet", "--samples", "2"]])
+def test_constant_model_is_refused_at_rank_two_before_any_trial(capsys, command):
+    # each experiment builds the fixed coloring first, so even zero trials refuse Q = 2
+    code, out, err = run_cli(capsys, *command, "--dims", "4,8,16,2", "--seed", "1", "--constant-model")
+    assert (code, out, err) == (3, "", "invalid configuration: constant model requires Q=1, got Q=2\n")
+
+
 def test_identify_without_trials_reports_no_rate(capsys):
     # like genericity's fraction_nonsingular: no trials, no rate, not a rate of 0
     code, out, _ = run_cli(capsys, "identify", "--dims", "2,3,4,1", "--trials", "0", "--seed", "11")
@@ -287,7 +294,7 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
         "verify_pilot_properties": 1,  # one batch: every cell of the grid
         # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
         "mod_star": 24 * 5,
-        "_chi_low_star_scaled": n_max * 3 * 12 * 12,  # N <= n_max, Q <= 3, T, R <= 12
+        "_chi_low_star_scaled": 1,  # one call on the grid N <= n_max, Q <= 3, T, R <= 12
         # one deal per (N, Q, T_eff) chain of the pilot grid; the witness grid N <= 4 reuses its chains
         "pilot_chain": len(list(regime_chains(n_max))),
         # the witness grid N <= 4: one build per chain, at its top, and a determinant per cell
@@ -499,7 +506,7 @@ def test_verify_all_fails_on_a_closed_form_off_by_one(monkeypatch, capsys):
     original = dof._chi_low_star_scaled
 
     def off_by_one(T, R, N, Q):
-        return original(T, R, N, Q) + ((T, R, N, Q) == (3, 5, 7, 2))
+        return original(T, R, N, Q) + ((T == 3) & (R == 5) & (N == 7) & (Q == 2))
 
     monkeypatch.setattr(dof, "_chi_low_star_scaled", off_by_one)
     assert not verify.run_verify_all(7)

@@ -110,6 +110,22 @@ def test_brute_grid_broadcasts_scalars_and_arrays_alike():
     assert dof._chi_low_star_brute_grid(7, 2, 5, 4) == dof._chi_low_star_scaled(5, 4, 7, 2)
 
 
+def test_closed_form_grid_is_the_scalar_closed_form_and_stays_exact_on_ints():
+    # verify-all evaluates the closed form on its whole grid in one call
+    N, Q, T, R = np.ogrid[1:11, 1:4, 1:13, 1:13]
+    grid = dof._chi_low_star_scaled(T, R, N, Q)
+    assert grid.shape == (10, 3, 12, 12) and grid.dtype == np.int64
+    for (n, q, t, r), value in np.ndenumerate(grid):
+        assert value == dof._chi_low_star_scaled(t + 1, r + 1, n + 1, q + 1), (t + 1, r + 1, n + 1, q + 1)
+    # ints stay Python ints, so the Fractions are exact past the int64 range
+    big = 10**12
+    values = [chi_low_star(big, big, 10**20, 1), rounded_lower(big, 10**20, 1)]
+    values += list(figure1_curves([12], antenna_cap=5)[0][1:])
+    assert all(type(v.numerator) is int and type(v.denominator) is int for v in values)
+    t_opt = optimal_active_tx(big, 10**20, 1)  # below T = big: the rounded optimum
+    assert values[0] == values[1] == max(chi_low(t, big, 10**20, 1) for t in (math.floor(t_opt), math.ceil(t_opt)))
+
+
 # Oracle: the paper's formulas in Fraction arithmetic, kept apart from the
 # library's N-scaled integers (its brute force shares them with chi_low).
 def oracle_chi_gen(T, N):

@@ -17,7 +17,6 @@ import fadingdof.identify as identify_module
 from fadingdof.identify import GN_MAX_HALVINGS, forward_map, recover, run_recovery_trials
 from fadingdof.jacobian import assemble_jacobian, bezout_bound
 from fadingdof.model import (
-    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     constant_model,
@@ -145,7 +144,7 @@ def test_recover_says_why_it_stopped(monkeypatch):
     # least-squares step, zero, cannot lower the residual at any halving
     Z, s, x = truth_instance(3)
     y = forward_map(s, x, PILOTS, Z)
-    stuck = recover(y, PILOTS, ColoringMatrix(np.zeros_like(Z.blocks)), init=(s, x))
+    stuck = recover(y, PILOTS, np.zeros_like(Z), init=(s, x))
     assert (stuck.success, stuck.stop_reason, stuck.iterations) == (False, "no_descent", 0)
     assert (stuck.lstsq_fallbacks, stuck.halvings) == (1, GN_MAX_HALVINGS + 1)
     # one Gauss-Newton step from a start 1e-2 off the truth does not reach 1e-12
@@ -181,7 +180,7 @@ def test_recovery_trials_take_the_cell_as_built(monkeypatch):
 
 def test_recover_constant_model_leaves_parameter_error():
     # the linearization at truth is singular; the parameters stay unidentified
-    results = run_recovery_trials(PILOTS, trials=20, seed=52, constant=True)
+    results = run_recovery_trials(PILOTS, trials=20, seed=52, coloring=constant_model(DIMS))
     errors = sorted(r.param_error for r in results)
     assert errors[len(errors) // 2] > 1e-4
     assert not any(r.residual < 1e-9 and r.param_error < 1e-6 for r in results)
@@ -270,7 +269,7 @@ def test_neighbouring_seeds_draw_distinct_colorings(monkeypatch):
 
     def recording_coloring(dims, seed):
         Z = random_coloring(dims, seed)
-        drawn.append(Z.blocks)
+        drawn.append(Z)
         return Z
 
     monkeypatch.setattr(identify, "random_coloring", recording_coloring)
@@ -295,7 +294,7 @@ def test_rank_gap_demo_neighbouring_seeds_share_no_stream(monkeypatch):
 
     def recording_coloring(dims, seed):
         Z = random_coloring(dims, seed)
-        colorings.append(Z.blocks)
+        colorings.append(Z)
         return Z
 
     monkeypatch.setattr(paper_facts, "standard_complex_gaussian", recording_gaussian)

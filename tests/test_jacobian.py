@@ -39,7 +39,6 @@ from fadingdof.jacobian import (
 )
 from fadingdof.jacobian import _witness_det
 from fadingdof.model import (
-    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     constant_model,
@@ -173,12 +172,11 @@ def test_witness_square_case():
 
 def test_witness_example_zero_pattern():
     Z, s, x = witness_construct(pilot_chain(DIMS), seed=5)
-    zb = Z.blocks
     # the extra receive antenna's blocks vanish at the crossed positions
-    assert zb[2, 1, 0, 0] == 0  # antenna 2, face 1
-    assert zb[2, 0, 1, 0] == 0  # antenna 1, face 2
-    assert zb[2, 1, 2, 0] == 0  # antenna 2, face 3
-    assert zb[2, 0, 3, 0] == 0  # antenna 1, face 4
+    assert Z[2, 1, 0, 0] == 0  # antenna 2, face 1
+    assert Z[2, 0, 1, 0] == 0  # antenna 1, face 2
+    assert Z[2, 1, 2, 0] == 0  # antenna 2, face 3
+    assert Z[2, 0, 3, 0] == 0  # antenna 1, face 4
     assert full_svd_verdict(assemble_jacobian(Z, s, x, PILOTS))
 
 
@@ -222,7 +220,7 @@ EXACT_WITNESS_SHA256 = {
 
 def witness_bytes(witness):
     Z, s, x = witness
-    return Z.blocks.tobytes(), s.tobytes(), x.tobytes()
+    return Z.tobytes(), s.tobytes(), x.tobytes()
 
 
 @pytest.mark.parametrize("cell", sorted(EXACT_WITNESS_SHA256))
@@ -232,7 +230,7 @@ def test_witness_from_the_chain_matches_its_hash_and_the_loop_oracle(cell):
     dims = Dims.create(*cell)
     exact = witness_construct(pilot_chain(dims), exact=True)
     Z, s, x = exact
-    flat = np.concatenate([Z.blocks.ravel(), s, x])
+    flat = np.concatenate([Z.ravel(), s, x])
     assert not flat.imag.any()
     digest = hashlib.sha256(flat.real.astype(np.int8).tobytes()).hexdigest()[:16]
     assert digest == EXACT_WITNESS_SHA256[cell]
@@ -264,7 +262,7 @@ def test_a_cells_exact_witness_is_the_prefix_of_its_chain_tops():
         for pa in chain:
             R = pa.dims.R
             own = witness_construct(pilot_chain(pa.dims), exact=True)
-            prefix = (ColoringMatrix(Z.blocks[:R]), s[: R * top.T_eff * top.Q], x)
+            prefix = (Z[:R], s[: R * top.T_eff * top.Q], x)
             assert witness_bytes(own) == witness_bytes(prefix), pa.dims
             assert certify_witness_exact(pa, witness) == certify_witness_exact(pa, own) != 0
     assert len(tops) == 35
@@ -330,12 +328,12 @@ def test_diagonal_grid_is_bitwise_the_loop(dims):
     S = np.stack([s for _, s, _ in points])
     X = np.stack([x for _, _, x in points])
     layout = JacobianLayout(pa)
-    per_point = layout.assemble(np.stack([Z.blocks for Z, _, _ in points]), S, X)
     colorings = [Z for Z, _, _ in points]
+    per_point = layout.assemble(np.stack(colorings), S, X)
     if dims.Q == 1:
         colorings.append(constant_model(dims))
     for Z in colorings:
-        shared = layout.assemble(Z.blocks, S, X)
+        shared = layout.assemble(Z, S, X)
         for j, (_, s, x) in enumerate(points):
             assert shared[j].tobytes() == assemble_jacobian_loop(Z, s, x, pa).tobytes()
     for j, (Z, s, x) in enumerate(points):
@@ -355,9 +353,9 @@ def test_assembly_keeps_its_shape_errors():
     with pytest.raises(InvalidConfigurationError, match="s must have length"):
         assemble_jacobian(Z, s[:-1], x, PILOTS)
     with pytest.raises(InvalidConfigurationError, match="do not conform"):
-        JacobianLayout(PILOTS).assemble(Z.blocks, s[None], x[None, :-1])
+        JacobianLayout(PILOTS).assemble(Z, s[None], x[None, :-1])
     with pytest.raises(InvalidConfigurationError, match="do not conform"):
-        JacobianLayout(PILOTS).eliminate(Z.blocks, s[None], x[None, :-1])
+        JacobianLayout(PILOTS).eliminate(Z, s[None], x[None, :-1])
     one_more_row = dataclasses.replace(PILOTS, ell=PILOTS.ell - 1)
     with pytest.raises(InvalidConfigurationError, match=r"Jacobian is \(13, 12\), not square"):
         assemble_jacobian(Z, s, x, one_more_row)
@@ -482,7 +480,7 @@ def test_elimination_matches_slogdet_and_the_full_svd_verdict(side, data, seed, 
     coloring = constant_model(dims) if constant and dims.Q == 1 else None
     draws = list(probe_draws(dims, 2, seed, coloring))
     log_abs_det, ratio = layout.eliminate(
-        np.stack([Z.blocks for Z, _, _ in draws]),
+        np.stack([Z for Z, _, _ in draws]),
         np.stack([s for _, s, _ in draws]),
         np.stack([x for _, _, x in draws]),
     )
@@ -514,9 +512,9 @@ def test_the_smaller_schur_block_picks_the_side():
 def test_a_layout_that_only_assembles_builds_no_elimination_indices():
     layout = JacobianLayout(build_pilot_sets(FACE_CELL))
     Z, s, x = generic_point(4, FACE_CELL)
-    layout.assemble(Z.blocks, s[None], x[None])
+    layout.assemble(Z, s[None], x[None])
     assert "_groups" not in vars(layout)
-    layout.eliminate(Z.blocks, s[None], x[None])
+    layout.eliminate(Z, s[None], x[None])
     assert "_groups" in vars(layout)
 
 
@@ -528,7 +526,7 @@ def test_elimination_of_an_exactly_singular_jacobian_is_quiet(dims):
     zero = np.zeros((1, dims.R * dims.T_eff * dims.Q), complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        log_abs_det, ratio = JacobianLayout(build_pilot_sets(dims)).eliminate(Z.blocks, zero, x[None])
+        log_abs_det, ratio = JacobianLayout(build_pilot_sets(dims)).eliminate(Z, zero, x[None])
     assert log_abs_det.tolist() == [-math.inf] and ratio.tolist() == [0.0]
 
 
@@ -687,7 +685,7 @@ def test_reduce_reproduces_worked_reduction():
 
     dims2 = Dims.create(2, 2, 4, 1, T_eff=2)
     pa2 = build_pilot_sets(dims2)
-    Z2 = ColoringMatrix(Z.blocks[:2])
+    Z2 = Z[:2]
     J2 = assemble_jacobian(Z2, s[:4], x, pa2)
     assert np.allclose(reduced, J2, rtol=0, atol=1e-15)
     assert abs(np.linalg.det(J2)) > 0

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from paper_facts import build_B, regime_cells
 
+from fadingdof.analysis import mc_logdet
+from fadingdof.identify import forward_map, recover, run_recovery_trials
+from fadingdof.jacobian import assemble_jacobian, genericity_probe, witness_construct
 from fadingdof.model import (
-    ColoringMatrix,
     Dims,
     InvalidConfigurationError,
     channel_vectors,
@@ -20,6 +22,7 @@ from fadingdof.model import (
     split_tx,
     standard_complex_gaussian,
 )
+from fadingdof.pilots import build_pilot_sets, pilot_chain
 
 DIMS_2341 = Dims.create(2, 3, 4, 1)
 
@@ -34,7 +37,7 @@ def entrywise_output(Z, s, x, dims):
             acc = 0j
             for t in range(dims.T_eff):
                 for q in range(dims.Q):
-                    acc += Z.blocks[r, t][i, q] * sv[r, t][q] * xv[t][i]
+                    acc += Z[r, t][i, q] * sv[r, t][q] * xv[t][i]
             out[r * dims.N + i] = acc
     return out
 
@@ -43,7 +46,7 @@ def test_build_B_identity_diag_collapses_to_z():
     # Q=1, T_eff=1, R=1, all-one x: B is the single coloring column itself
     dims = Dims.create(1, 1, 3, 1)
     z = np.array([[1.0 + 2j], [3.0 - 1j], [0.5j]])
-    Z = ColoringMatrix(z.reshape(1, 1, 3, 1))
+    Z = z.reshape(1, 1, 3, 1)
     B = build_B(Z, np.ones(3, dtype=complex), dims)
     assert B.shape == (3, 1)
     assert np.array_equal(B[:, 0], z[:, 0])
@@ -81,12 +84,12 @@ def test_channel_vectors_give_the_entrywise_outputs():
     Z = random_coloring(DIMS_2341, seed=4)
     S = standard_complex_gaussian(rng, (3, 6))
     X = standard_complex_gaussian(rng, (3, 8))
-    h = channel_vectors(Z.blocks, S)
+    h = channel_vectors(Z, S)
     assert h.shape == (3, 3, 2, 4)  # (draws, R, T_eff, N)
     for j in range(3):
         y = (X[j].reshape(2, 4) * h[j]).sum(axis=1).ravel()  # y_r[i] = sum_t x_t[i] h_{r,t}[i]
         assert np.allclose(y, entrywise_output(Z, S[j], X[j], DIMS_2341), rtol=1e-12, atol=0)
-    per_draw = channel_vectors(np.stack([Z.blocks] * 3), S)
+    per_draw = channel_vectors(np.stack([Z] * 3), S)
     assert np.array_equal(per_draw, h)
 
 
@@ -108,6 +111,46 @@ def test_build_B_shape_errors():
     other = random_coloring(Dims.create(2, 2, 4, 1), seed=0)
     with pytest.raises(InvalidConfigurationError):
         build_B(other, np.ones(8), DIMS_2341)
+
+
+# every public function that takes a coloring, called at the point (s, x) of the cell pa
+COLORING_ENTRY_POINTS = {
+    "assemble_jacobian": lambda Z, pa, s, x: assemble_jacobian(Z, s, x, pa),
+    "forward_map": lambda Z, pa, s, x: forward_map(s, x, pa, Z),
+    "recover": lambda Z, pa, s, x: recover(np.ones(pa.n_useful), pa, Z, init=(s, x)),
+    "genericity_probe": lambda Z, pa, s, x: genericity_probe(pa, 1, 0, coloring=Z),
+    "genericity_probe without trials": lambda Z, pa, s, x: genericity_probe(pa, 0, 0, coloring=Z),
+    "run_recovery_trials": lambda Z, pa, s, x: run_recovery_trials(pa, 1, 0, coloring=Z),
+    "run_recovery_trials without trials": lambda Z, pa, s, x: run_recovery_trials(pa, 0, 0, coloring=Z),
+    "mc_logdet": lambda Z, pa, s, x: mc_logdet(Z, pa, 1, 0),
+}
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["other cell", "stack of one"])
+@pytest.mark.parametrize("entry", sorted(COLORING_ENTRY_POINTS))
+def test_every_coloring_entry_point_refuses_another_shape(entry, stack):
+    # a stack of one matches the depth of every stack these calls factorize or evaluate
+    Z = random_coloring(DIMS_2341, seed=0)
+    wrong = Z[None] if stack else random_coloring(Dims.create(2, 2, 4, 1), seed=0)
+    s, x = np.ones(DIMS_2341.R * DIMS_2341.T_eff), np.ones(DIMS_2341.T_eff * DIMS_2341.N)
+    with pytest.raises(InvalidConfigurationError, match=r"coloring grid \(.*\) does not conform"):
+        COLORING_ENTRY_POINTS[entry](wrong, build_pilot_sets(DIMS_2341), s, x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_coloring(DIMS_2341, seed=0),
+        lambda: constant_model(DIMS_2341),
+        lambda: witness_construct(pilot_chain(DIMS_2341), seed=0)[0],
+        lambda: witness_construct(pilot_chain(DIMS_2341), exact=True)[0],
+    ],
+    ids=["random_coloring", "constant_model", "witness_construct", "exact witness_construct"],
+)
+def test_colorings_are_read_only(make):
+    Z = make()
+    with pytest.raises(ValueError, match="read-only"):
+        Z[0, 0, 0, 0] = 2
 
 
 def test_fading_unit_variance_law_of_large_numbers():
@@ -138,8 +181,8 @@ def test_input_power_meets_average_constraint():
 
 def test_constant_model_is_all_ones_and_rejects_high_rank():
     Z = constant_model(DIMS_2341)
-    assert Z.blocks.shape == (3, 2, 4, 1)
-    assert np.array_equal(Z.blocks, np.ones((3, 2, 4, 1)))
+    assert Z.shape == (3, 2, 4, 1)
+    assert np.array_equal(Z, np.ones((3, 2, 4, 1)))
     with pytest.raises(InvalidConfigurationError):
         constant_model(Dims.create(2, 3, 4, 2, T_eff=1))
 
@@ -224,6 +267,6 @@ def test_json_round_trips():
     assert dims_to_dict(DIMS_2341) == {"T": 2, "R": 3, "N": 4, "Q": 1, "T_eff": 2}
     Z = random_coloring(DIMS_2341, seed=6)
     d = json.loads(json.dumps(coloring_to_dict(Z)))
-    assert (d["n_rx"], d["n_tx"], d["block_len"], d["rank"]) == Z.blocks.shape
+    assert (d["n_rx"], d["n_tx"], d["block_len"], d["rank"]) == Z.shape
     pairs = np.asarray(d["blocks"])
-    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], Z.blocks)
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], Z)

@@ -31,6 +31,7 @@ from .pilots import (
     card_deal,
     mod_star,
     pilot_chain,
+    pilot_chains,
     verify_pilot_properties,
 )
 from .jacobian import (

@@ -10,11 +10,13 @@ repeat, which keeps the faces dealt to any one player distinct.
 A pilot chain, the cells R' = T_eff..R of one (N, Q, T_eff), is one
 card-number array: cards[t, i] is the number of the card that deals face i to
 antenna t. theta_R' falls as R' grows, so every cell deals a prefix of the
-same cards and is a set of boolean masks over the array, derived for the
-whole chain in one pass: P (card <= theta_R'), L (theta_R' < card <=
-theta_{R'-1}) and G (the anchor plus Q - 1 pool fillers). Code that indexes
-arrays reads 0-based positions off the masks; 1-based sets exist only in
-output: the pilots table, its JSON form and the checker's failure payloads.
+same cards and is a set of boolean masks over the array: P (card <=
+theta_R'), L (theta_R' < card <= theta_{R'-1}) and G (the anchor plus Q - 1
+pool fillers). pilot_chains deals any list of chains in one pass over grids
+padded to their largest T_eff and N, and each chain is a set of read-only
+views into it; pilot_chain is the batch of one. Code that indexes arrays reads
+0-based positions off the masks; 1-based sets exist only in output: the
+pilots table, its JSON form and the checker's failure payloads.
 verify_pilot_properties checks every cell of any number of chains in one
 array pass over their masks, copied into one padded grid. Everything is pure.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "PROPERTIES",
     "build_pilot_sets",
     "pilot_chain",
+    "pilot_chains",
     "verify_pilot_properties",
     "assignment_to_dict",
     "assignment_table",
@@ -53,19 +56,28 @@ def mod_star(a: int, b: int) -> int:
     return a - b * ((a - 1) // b)
 
 
-def card_deal(j, T_eff: int, N: int):
+def card_deal(j, T_eff, N):
     """Deal card j: returns (player t in [1:T_eff], face i in [1:N]).
 
-    Bijective from [1:T_eff*N] onto [1:T_eff] x [1:N]. j may also be an int
-    array of card numbers, dealt elementwise into two arrays of its shape.
+    Bijective from [1:T_eff*N] onto [1:T_eff] x [1:N]. j, T_eff and N may
+    also be int arrays that broadcast together: each card is dealt in the deal
+    of its own T_eff and N, into two arrays of the broadcast shape.
     """
-    if isinstance(j, np.ndarray):
-        if j.size and (j.min() < 1 or j.max() > T_eff * N):
-            raise InvalidConfigurationError(f"card indices outside [1:{T_eff * N}]")
-    elif not 1 <= j <= T_eff * N:
+    if any(isinstance(a, np.ndarray) for a in (j, T_eff, N)):
+        if ((j < 1) | (j > T_eff * N)).any():
+            raise InvalidConfigurationError("card indices outside [1 : T_eff N] of their deal")
+        cycle = np.lcm(T_eff, N)
+    elif 1 <= j <= T_eff * N:
+        cycle = math.lcm(T_eff, N)
+    else:
         raise InvalidConfigurationError(f"card index {j} outside [1:{T_eff * N}]")
-    j = j - 1  # a mod* b = (a - 1) % b + 1 for a >= 1
-    return (j + j // math.lcm(T_eff, N)) % T_eff + 1, j % N + 1
+    player, face = _deal(j - 1, cycle, T_eff, N)
+    return player + 1, face + 1
+
+
+def _deal(c, cycle, T_eff, N):
+    """The 0-based (player, face) of the 0-based card c, in a deal of cycle lcm(T_eff, N)."""
+    return (c + c // cycle) % T_eff, c % N  # a mod* b = (a - 1) % b + 1 for a >= 1
 
 
 def pilot_count(T_eff: int, R: int, N: int, Q: int) -> int:
@@ -123,7 +135,8 @@ class PilotChain(Sequence):
     T_eff, N) and anchors (K, T_eff) belongs to R' = T_eff + k; row 0 has no
     partition (L and G empty, anchors -1). chain[k] is the PilotAssignment of
     R' = T_eff + k, on views of row k; a slice is a list, and a chain equals
-    any sequence of equal assignments. All are read-only.
+    any sequence of equal assignments. All are read-only, and a dealt chain's
+    arrays are views into the padded grids of the pilot_chains call.
     """
 
     dims: Dims
@@ -150,54 +163,89 @@ class PilotChain(Sequence):
         return PilotAssignment(dims, int(self.theta[k]), int(self.ell[k]), self.P[k], *partition)
 
 
-def pilot_chain(dims: Dims) -> PilotChain:
-    """The cells R' = T_eff..R of dims' chain, from one deal of all T_eff N cards.
+def pilot_chains(tops) -> list[PilotChain]:
+    """The chains R' = T_eff..R of the cells tops, in their order, dealt together in one padded pass.
 
-    Each mask is a comparison of the card numbers with the cells' thresholds,
-    for all rows at once. The anchors are the last T_eff cards up to
-    theta_R', the part of that window past a multiple of the deal cycle
-    lcm(T_eff, N) taken one cycle earlier, one per antenna; G_t is g_t plus
-    Q - 1 fillers taken in ascending order from the pool, the faces below
-    N - ell less the dropped faces and the anchors. Element k equals
-    build_pilot_sets(dims.with_rx(T_eff + k)).
+    The card numbers of each chain's deal of all its T_eff N cards fill its
+    rows of one (chains, max T_eff, max N) grid, padded with a number past
+    every threshold. Each mask is a comparison of the card numbers with the
+    cells' thresholds over one (cells, max T_eff, max N) grid: P (card <=
+    theta_R') and L (theta_R' < card <= theta_{R'-1}). The anchors are the last
+    T_eff cards up to theta_R', the part of that window past a multiple of the
+    deal cycle lcm(T_eff, N) taken one cycle earlier, one per antenna; G_t is
+    g_t plus Q - 1 fillers taken in ascending order from the pool, the faces
+    below N - ell less the dropped faces and the anchors. Each chain's fields
+    are read-only views of its rows, cut to its own T_eff and N.
     """
-    dims.require_regime()
-    T_eff, N, Q = dims.T_eff, dims.N, dims.Q
-    R = range(T_eff, dims.R + 1)
-    theta = [pilot_count(T_eff, r, N, Q) for r in R]
-    thresholds = np.array(theta[:1] + theta)  # theta_{R'-1}, none below R' = T_eff, then theta_R'
-    ells = np.array([ell(T_eff, r, N, Q) for r in R])
-    numbers, cycle = np.arange(1, T_eff * N + 1), math.lcm(T_eff, N)
-    players, faces = card_deal(numbers, T_eff, N)
-    players -= 1
-    faces -= 1
-    cards = np.empty((T_eff, N), dtype=int)
-    cards[players, faces] = numbers
-    below = cards <= thresholds[:, None, None]
-    P = below[1:]
-    L = below[:-1] ^ P
-    G = np.zeros(P.shape, dtype=bool)
-    anchors = np.empty((len(R), T_eff), dtype=int)
+    tops = list(tops)
+    if not tops:
+        return []
+    t_max, n_max = max(top.T_eff for top in tops), max(top.N for top in tops)
+    size = t_max * n_max
+    # per chain: T_eff, N, T_eff N, the cycle and its place in the flat card grid; per cell: theta_R',
+    # theta_{R'-1}, ell_R', the end of the filler pool and the fillers per antenna (no drop at R' = T_eff, no
+    # pool there or at Q = 1); per cell past its chain's first: its place in the flat anchors and its anchor
+    # window, the cards base + (r + u) % cycle for u < T_eff in the flat card grid
+    deals, cells, window, sizes, pooled = [], [[], [], [], [], []], [], [], False
+    theta, prev, ells, pool_end, fillers = cells
+    for c, top in enumerate(tops):
+        top.require_regime()
+        T_eff, N, Q = top.T_eff, top.N, top.Q
+        R = range(T_eff, top.R + 1)
+        th, ls, cycle = [pilot_count(T_eff, r, N, Q) for r in R], [ell(T_eff, r, N, Q) for r in R], math.lcm(T_eff, N)
+        deals.append((T_eff, N, T_eff * N, cycle, c * size))
+        for k, t in enumerate(th[1:], len(theta) + 1):
+            window.append((k * t_max, c * size + (t - T_eff) // cycle * cycle, (t - T_eff) % cycle, cycle, T_eff - 1))
+        theta += th
+        prev += th[:1] + th[:-1]
+        ells += ls
+        pool_end += [0] + [(N - l) * (Q > 1) for l in ls[1:]]
+        fillers += [Q - 1 or 1] * len(R)
+        sizes.append(len(R))
+        pooled |= Q > 1 and len(R) > 1
+    # the deal's integers take the narrowest type with room for twice its places: every cell copies its cards
+    dtype = np.min_scalar_type(-2 * len(tops) * size)
+    T, N, deck, cycle, offset = np.array(deals, dtype=dtype).T[:, :, None]
+    card = np.arange(size, dtype=dtype) % deck  # chain c deals its cards, and those past its T_eff N once more
+    players, faces = _deal(card, cycle, T, N)
+    card += 1
+    cards = np.empty(len(tops) * size, dtype=dtype)
+    cards.fill(size + 1)
+    cards[players * n_max + faces + offset] = card
+    cards = cards.reshape(len(tops), t_max, n_max)
+    anchors = np.empty((len(theta), t_max), dtype=dtype)
     anchors.fill(-1)
-    if len(R) > 1:
-        above = np.arange(1, len(R))[:, None]
-        # cards theta - T_eff + 1 .. theta, 0-based, from the first multiple m of the cycle past the
-        # window's start back one cycle (the window is shorter than the cycle, so it holds one at most)
-        window = []
-        for th in theta[1:]:
-            m = ((th - T_eff) // cycle + 1) * cycle
-            window.append([*range(th - T_eff, min(m, th)), *range(m - cycle, th - cycle)])
-        window = np.array(window)
-        anchors[above, players[window]] = faces[window]
-        G[above, np.arange(T_eff), anchors[1:]] = True
-        if Q > 1:
-            pool = np.greater.outer(N - ells[1:], np.arange(N)) > np.logical_or.reduce(L[1:] | G[1:], axis=1)
-            owner = (pool.cumsum(axis=1) - 1) // (Q - 1)  # the antenna of each filler, by rank
-            G[1:] |= pool[:, None] & (owner[:, None] == np.arange(T_eff)[:, None])
-    arrays = (cards, thresholds[1:], ells, P, L, G, anchors)
-    for a in arrays:
+    if window:  # the antennas past a cell's T_eff repeat its last card
+        at, base, r, cycle, last = np.array(window).T[:, :, None]
+        dealt = (r + np.minimum(np.arange(t_max), last)) % cycle + base
+        anchors.reshape(-1)[at + players.take(dealt)] = faces.take(dealt)
+    cells = np.array(cells)
+    masks = np.empty((3, *anchors.shape, n_max), dtype=bool)  # P, L and G
+    np.less_equal(cards.repeat(sizes, axis=0), cells[:2, :, None, None], out=masks[:2])
+    masks[1] ^= masks[0]
+    G, face = masks[2], np.arange(n_max)
+    np.equal(anchors[:, :, None], face, out=G)
+    if pooled:
+        pool = (face < cells[3, :, None]) > np.logical_or.reduce(masks[1] | G, axis=1)
+        owner = (np.add.accumulate(pool, axis=1, dtype=dtype) - 1) // cells[4, :, None]  # each filler's antenna by rank
+        G |= pool[:, None] & (owner[:, None] == np.arange(t_max)[:, None])
+    for a in (cards, anchors, cells, masks):
         a.flags.writeable = False
-    return PilotChain(dims, *arrays)
+    chains, k = [], 0
+    for c, (top, K) in enumerate(zip(tops, sizes)):
+        t, n, cell = top.T_eff, top.N, slice(k, k + K)
+        chains.append(PilotChain(top, cards[c, :t, :n], cells[0, cell], cells[2, cell], masks[0, cell, :t, :n],
+                                 masks[1, cell, :t, :n], masks[2, cell, :t, :n], anchors[cell, :t]))
+        k += K
+    return chains
+
+
+def pilot_chain(dims: Dims) -> PilotChain:
+    """The chain R' = T_eff..R of dims, pilot_chains([dims])[0].
+
+    Element k equals build_pilot_sets(dims.with_rx(T_eff + k)).
+    """
+    return pilot_chains([dims])[0]
 
 
 def build_pilot_sets(dims: Dims) -> PilotAssignment:

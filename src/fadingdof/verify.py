@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dof, jacobian
 from .model import regime_chains
-from .pilots import card_deal, mod_star, pilot_chain, verify_pilot_properties
+from .pilots import card_deal, mod_star, pilot_chains, verify_pilot_properties
 
 __all__ = ["run_verify_all"]
 
@@ -23,24 +23,27 @@ def run_verify_all(n_max: int = 10) -> bool:
         ok_all &= bool(ok)
         print(f"[{'PASS' if ok else 'FAIL'}] {name}{(' ' + detail) if detail and not ok else ''}")
 
-    ok = True
-    for T_eff in range(1, n_max + 1):
-        for N in range(1, n_max + 1):
-            players, faces = card_deal(np.arange(1, T_eff * N + 1), T_eff, N)
-            # np.sort, not np.unique: np.unique imports numpy.ma, a megabyte this process needs nowhere else
-            ok &= np.array_equal(np.sort((players - 1) * N + faces - 1), np.arange(T_eff * N))
-    check(f"card dealing bijective for all T_eff, N <= {n_max}", ok)
+    # every deal T_eff, N <= n_max in one call, one row each: its T_eff N cards, then its last card repeated;
+    # a row is a bijection when its cards' slots (t - 1) N + i - 1, and the repeats' own places, sort to 0, 1, ...
+    T_eff, N = np.indices((n_max, n_max)).reshape(2, -1, 1) + 1
+    places = np.arange(n_max**2)
+    players, faces = card_deal(np.minimum(places + 1, T_eff * N), T_eff, N)
+    slots = np.where(places < T_eff * N, (players - 1) * N + faces - 1, places)
+    # np.sort, not np.unique: np.unique imports numpy.ma, a megabyte this process needs nowhere else
+    check(f"card dealing bijective for all T_eff, N <= {n_max}", (np.sort(slots) == places).all())
+    del players, faces, slots  # 0.2 MB at N <= 10, not to be held beside the chains
 
-    chains = [pilot_chain(top) for top in regime_chains(n_max)]
+    chains = pilot_chains(regime_chains(n_max))
     failures = verify_pilot_properties(chains)  # every cell of the grid in one pass
     bad = str(failures[-1]) if failures else ""  # the last failing cell, with its report
     check(f"pilot-set properties on every regime cell with N <= {n_max}", not failures, bad)
 
-    ok = True
-    for chain in chains:
-        gap = chain.dims.N - chain.dims.T_eff * chain.dims.Q
-        drop, l = chain.theta[:-1] - chain.theta[1:], chain.ell[1:]
-        ok &= bool(((drop == gap - l) & (l < gap)).all())
+    # theta_{R'-1} - theta_R' = N - T_eff Q - ell_R' > 0 on each cell past its chain's first, R' > T_eff
+    theta, ells = (np.concatenate([np.zeros(0, int), *(getattr(c, f) for c in chains)]) for f in ("theta", "ell"))
+    sizes = [len(chain) for chain in chains]
+    rest = np.repeat([c.dims.N - c.dims.T_eff * c.dims.Q for c in chains], sizes) - ells
+    later = np.arange(len(theta)) != np.repeat(np.cumsum([0] + sizes)[:-1], sizes)
+    ok = (((theta[:-1] - theta[1:] == rest[1:]) & (rest[1:] > 0)) | ~later[1:]).all()
     check("pilot-count drop identity and redundancy bound on the regime grid", ok)
 
     ok = True
@@ -79,7 +82,7 @@ def run_verify_all(n_max: int = 10) -> bool:
     ok = True
     # the chains with N <= 4: the pilot line's, then a deal of those past n_max
     small = [chain for chain in chains if chain.dims.N <= 4]
-    for chain in small + [pilot_chain(top) for top in regime_chains(4) if top.N > n_max]:
+    for chain in small + pilot_chains(top for top in regime_chains(4) if top.N > n_max):
         witness = jacobian.witness_construct(chain, exact=True)  # one per chain, at its top
         for pa in chain:
             ok &= jacobian.certify_witness_exact(pa, witness) != 0

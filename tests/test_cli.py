@@ -262,6 +262,8 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     calls = collections.Counter()
     grids = []
     checked = []  # the cells of the chains each pilot-property check saw
+    dealt = []  # the chains each deal call dealt
+    deals = []  # the broadcast shape of each card_deal call
 
     def count(module, name):
         original = getattr(module, name)
@@ -270,11 +272,16 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
             calls[name] += 1
             if name == "verify_pilot_properties":
                 checked.append(sum(map(len, args[0])))
+            elif name == "pilot_chains":
+                args = (list(args[0]),)
+                dealt.append(len(args[0]))
+            elif name == "card_deal":
+                deals.append(np.broadcast_shapes(*map(np.shape, args)))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("card_deal", "verify_pilot_properties", "mod_star", "pilot_chain"):
+    for name in ("card_deal", "verify_pilot_properties", "mod_star", "pilot_chains"):
         count(verify, name)
     count(dof, "_chi_low_star_scaled")
     count(jacobian, "witness_construct")
@@ -290,20 +297,22 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert verify.run_verify_all(n_max)
     cells = list(regime_cells(n_max))
     assert calls == {
-        "card_deal": n_max**2,  # one array of T_eff * N cards for each T_eff, N <= n_max
+        "card_deal": 1,  # one broadcast call: a row of cards for each T_eff, N <= n_max
         "verify_pilot_properties": 1,  # one batch: every cell of the grid
         # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
         "mod_star": 24 * 5,
         "_chi_low_star_scaled": 1,  # one call on the grid N <= n_max, Q <= 3, T, R <= 12
-        # one deal per (N, Q, T_eff) chain of the pilot grid; the witness grid N <= 4 reuses its chains
-        "pilot_chain": len(list(regime_chains(n_max))),
+        # one deal of every (N, Q, T_eff) chain of the pilot grid, and one of the witness chains past it (none)
+        "pilot_chains": 2,
         # the witness grid N <= 4: one build per chain, at its top, and a determinant per cell
         "witness_construct": len(list(regime_chains(4))),
         "_witness_det": len(list(regime_cells(4))),
     }
+    assert deals == [(n_max**2, n_max**2)]  # T_eff N <= n_max^2 cards in each row
+    assert dealt == [len(list(regime_chains(n_max))), 0]
     assert [grid.shape for grid in grids] == [(n_max, 3, 12, 12)]  # the brute-force oracle's grid
     assert (calls["mod_star"], calls["witness_construct"], calls["_witness_det"]) == (120, 9, 22)
-    assert (len(cells), calls["pilot_chain"]) == (732, 100)
+    assert (len(cells), dealt[0]) == (732, 100)
     assert checked == [len(cells)]
     assert "[FAIL]" not in capsys.readouterr().out
 
@@ -315,10 +324,16 @@ def test_verify_all_deals_each_chain_once(monkeypatch, capsys, n_max):
     from fadingdof.model import regime_chains
 
     dealt = []
-    original = verify.pilot_chain
-    monkeypatch.setattr(verify, "pilot_chain", lambda top: dealt.append(top) or original(top))
+    original = verify.pilot_chains
+
+    def recorded(tops):
+        dealt.append(list(tops))
+        return original(dealt[-1])
+
+    monkeypatch.setattr(verify, "pilot_chains", recorded)
     assert verify.run_verify_all(n_max)
-    assert dealt == list(regime_chains(max(n_max, 4)))
+    assert [top for tops in dealt for top in tops] == list(regime_chains(max(n_max, 4)))
+    assert len(dealt) == 2
     assert "[FAIL]" not in capsys.readouterr().out
 
 
@@ -359,6 +374,24 @@ def test_verify_all_fails_on_a_wrong_residue_table(monkeypatch, capsys):
     monkeypatch.setattr(verify, "mod_star", lambda a, b: 1 if b == 3 and a % 3 == 0 else original(a, b))
     failed = failed_lines(capsys, 5)
     assert failed == ["[FAIL] window counting bound (exhaustive small grid)"]
+
+
+def test_verify_all_fails_on_a_deal_that_repeats_a_slot(monkeypatch, capsys):
+    # the row of (T_eff, N) = (3, 4) in the one broadcast call: card 1 shows card 2's face to player 1,
+    # a slot that another of its cards fills
+    from fadingdof import verify
+
+    original = verify.card_deal
+
+    def repeated(j, T_eff, N):
+        players, faces = original(j, T_eff, N)
+        row = np.flatnonzero((T_eff == 3) & (N == 4))[0]
+        faces[row, 0] = faces[row, 1]
+        return players, faces
+
+    monkeypatch.setattr(verify, "card_deal", repeated)
+    failed = failed_lines(capsys, 5)
+    assert failed == ["[FAIL] card dealing bijective for all T_eff, N <= 5"]
 
 
 def test_verify_all_fails_on_a_redundancy_count_off_by_one(monkeypatch, capsys):
@@ -425,8 +458,9 @@ def test_exact_calls_load_no_random_generator(argv):
 
 
 def test_verify_all_allocates_at_most_one_mib_at_its_peak(capsys):
-    # the chains stream into one batch of int32 index triples (about 0.35 MB at N <= 10), and the
-    # check's temporaries are index arrays of the same length
+    # the peak is the pilot grid: the padded deal the chains' views hold (three boolean masks over
+    # (cells, max T_eff, max N), about 0.2 MB at N <= 10), plus the checker's (4, cells, max T_eff, max N)
+    # boolean grid and its sums; the card numbers copied to every cell take the narrowest integer type
     import tracemalloc
 
     from fadingdof import verify
@@ -456,17 +490,21 @@ def test_verify_all_deals_the_witness_chains_past_its_grid(monkeypatch, capsys):
 
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "pilot_chains":
+                args = (list(args[0]),)
+                calls["chains"] += len(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    count(verify, "pilot_chain")
+    count(verify, "pilot_chains")
     count(jacobian, "witness_construct")
     count(jacobian, "_witness_det")
     assert verify.run_verify_all(3)
     tops = list(regime_chains(4))
     cells = len(list(regime_cells(4)))
-    assert calls == {"pilot_chain": len(tops), "witness_construct": len(tops), "_witness_det": cells}
+    # one deal call for the grid N <= 3 and one for the chains with N = 4: 9 chains in 2 calls
+    assert calls == {"pilot_chains": 2, "chains": len(tops), "witness_construct": len(tops), "_witness_det": cells}
     assert (len(list(regime_chains(3))), len(tops)) == (4, 9)
     assert "[FAIL]" not in capsys.readouterr().out
 
@@ -479,18 +517,17 @@ def test_verify_all_fails_on_one_corrupted_chain_cell(monkeypatch, capsys):
     from fadingdof.model import Dims
 
     target = Dims(T=3, R=5, N=8, Q=2, T_eff=3)
-    original = verify.pilot_chain
+    original = verify.pilot_chains
 
-    def corrupted(top):
-        chain = original(top)
-        if (top.T_eff, top.N, top.Q) != (target.T_eff, target.N, target.Q):
+    def corrupt(chain):
+        if (chain.dims.T_eff, chain.dims.N, chain.dims.Q) != (target.T_eff, target.N, target.Q):
             return chain
         G = chain.G.copy()
         k = target.R - target.T_eff
         G[k, 0, np.flatnonzero(G[k, 0])[0]] = False  # G_1 loses its first face
         return dataclasses.replace(chain, G=G)
 
-    monkeypatch.setattr(verify, "pilot_chain", corrupted)
+    monkeypatch.setattr(verify, "pilot_chains", lambda tops: [corrupt(chain) for chain in original(tops)])
     assert not verify.run_verify_all(8)
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("[FAIL]")]

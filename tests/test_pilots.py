@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from paper_facts import pilot_property_oracle, regime_cells, tuple_chain
 
@@ -18,6 +18,7 @@ from fadingdof.pilots import (
     card_deal,
     mod_star,
     pilot_chain,
+    pilot_chains,
     pilot_count,
     verify_pilot_properties,
 )
@@ -66,6 +67,29 @@ def test_card_deal_deals_an_array_of_cards_as_the_scalar_calls_do():
     for bad in ([0, 1], [1, 7]):
         with pytest.raises(InvalidConfigurationError, match="outside"):
             card_deal(np.array(bad), 2, 3)
+
+
+def test_card_deal_broadcast_over_deals_equals_the_scalar_calls():
+    # a row for each T_eff, N <= 12: its cards 1..T_eff N, then T_eff N repeated
+    T_eff, N = np.indices((12, 12)).reshape(2, -1, 1) + 1
+    players, faces = card_deal(np.minimum(np.arange(1, 145), T_eff * N), T_eff, N)
+    assert players.shape == faces.shape == (144, 144)
+    for row, (t, n) in enumerate(zip(T_eff.ravel().tolist(), N.ravel().tolist())):
+        scalar = [card_deal(j, t, n) for j in range(1, t * n + 1)]
+        assert list(zip(players[row, : t * n].tolist(), faces[row, : t * n].tolist())) == scalar, (t, n)
+    # T_eff and N alone may be arrays too, and a scalar deal still gives Python ints
+    assert card_deal(13, np.array([4, 5]), 6)[0].tolist() == [2, 3]
+    assert all(type(a) is int for a in card_deal(13, 4, 6))
+
+
+@pytest.mark.parametrize("row, card", [(0, 7), (0, 0), (1, 10), (1, -1)])
+def test_card_deal_broadcast_refuses_a_card_outside_its_own_deal(row, card):
+    # (T_eff, N) = (2, 3) in row 0 and (3, 3) in row 1: card 7 is in the second deal but not the first
+    T_eff, N, cards = np.array([[2], [3]]), np.array([[3], [3]]), np.array([[1, 2, 3, 4, 5, 6], [1, 2, 3, 7, 8, 9]])
+    card_deal(cards, T_eff, N)
+    cards[row, 2] = card
+    with pytest.raises(InvalidConfigurationError, match="outside"):
+        card_deal(cards, T_eff, N)
 
 
 def test_card_deal_small_image_is_full():
@@ -407,18 +431,71 @@ def test_the_checker_agrees_with_the_set_oracle_on_one_flipped_bit(chain, other)
     assert verify_pilot_properties(chains) == pilot_property_oracle(chains)
 
 
-def test_every_view_equals_the_tuple_construction_up_to_N_16():
-    # P_t, the data sets, flat pilots and data, ell, L_t, G_t, G_pool and anchors, 1-based as printed,
-    # from the masks of one card-number array per chain against the oracle's deal and threshold passes
+def assert_views_equal_the_tuple_construction(tops, chains):
+    """Each chain's cells against the oracle's, 1-based as printed; returns the number of cells."""
     cells = 0
-    for top in regime_chains(16):
-        for pa, oracle in zip(pilot_chain(top), tuple_chain(top), strict=True):
+    for top, chain in zip(tops, chains, strict=True):
+        assert chain.dims == top
+        for pa, oracle in zip(chain, tuple_chain(top), strict=True):
             view = assignment_to_dict(pa)
             want = {k: v for k, v in dataclasses.asdict(oracle).items() if v is not None and k != "dims"}
             assert set(view) - {"dims", "useful_outputs"} == set(want), pa.dims
             assert json.dumps({k: view[k] for k in want}) == json.dumps(want), pa.dims
             cells += 1
-    assert cells == 3870
+    return cells
+
+
+def test_every_view_equals_the_tuple_construction_up_to_N_16():
+    # P_t, the data sets, flat pilots and data, ell, L_t, G_t, G_pool and anchors, 1-based as printed,
+    # from the masks of one card-number array per chain against the oracle's deal and threshold passes
+    tops = list(regime_chains(16))
+    assert assert_views_equal_the_tuple_construction(tops, [pilot_chain(top) for top in tops]) == 3870
+
+
+def test_one_deal_of_every_chain_up_to_N_16_equals_the_tuple_construction():
+    # the 314 chains in one padded pass, to 15 antennas and 16 faces
+    tops = list(regime_chains(16))
+    assert assert_views_equal_the_tuple_construction(tops, pilot_chains(tops)) == 3870
+
+
+CHAIN_FIELDS = ("cards", "theta", "ell", "P", "L", "G", "anchors")
+
+
+def chain_shapes(dims):
+    """The shape of each field of the chain of dims: no padding of a batch shows."""
+    K, T_eff, N = dims.R - dims.T_eff + 1, dims.T_eff, dims.N
+    return [(T_eff, N), (K,), (K,), (K, T_eff, N), (K, T_eff, N), (K, T_eff, N), (K, T_eff)]
+
+
+@st.composite
+def regime_cells_with_repeats(draw):
+    """Regime cells of mixed N, Q and T_eff, some at R = T_eff, below rx_needed or with T > T_eff, some repeated."""
+    cells = draw(st.lists(regime_cell(n_max=12), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.integers(0, len(cells) - 1), max_size=3))
+    return draw(st.permutations(cells + [cells[i] for i in repeats]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(regime_cells_with_repeats())
+@example([Dims(T=1, R=1, N=2, Q=1, T_eff=1), Dims(T=6, R=11, N=40, Q=3, T_eff=6), Dims(T=4, R=3, N=8, Q=2, T_eff=3),
+          Dims(T=1, R=1, N=2, Q=1, T_eff=1), Dims(T=9, R=9, N=10, Q=1, T_eff=9), Dims(T=3, R=5, N=8, Q=2, T_eff=3)])
+def test_chains_dealt_together_equal_each_chain_dealt_alone(tops):
+    chains = pilot_chains(tops)
+    assert [chain.dims for chain in chains] == tops
+    for top, chain in zip(tops, chains, strict=True):
+        alone = pilot_chain(top)
+        assert [getattr(chain, f).shape for f in CHAIN_FIELDS] == chain_shapes(top), top
+        for name in CHAIN_FIELDS:
+            assert np.array_equal(getattr(chain, name), getattr(alone, name)), (top, name)
+            assert not getattr(chain, name).flags.writeable, (top, name)
+        assert chain == alone, top
+
+
+def test_a_batch_deals_nothing_for_no_cells_and_refuses_any_cell_outside_the_regime():
+    assert pilot_chains([]) == [] and pilot_chains(iter([])) == []
+    cells = [CELL, Dims(T=2, R=12, N=4, Q=1, T_eff=2), CELL_WITH_ELL]  # the second needs R <= 3
+    with pytest.raises(InvalidConfigurationError, match="outside valid regime"):
+        pilot_chains(cells)
 
 
 def test_a_chain_is_read_only_and_indexes_as_a_list():

@@ -25,9 +25,7 @@ from .dof import (
     figure1_curves,
 )
 from .pilots import (
-    PilotAssignment,
     PilotChain,
-    build_pilot_sets,
     card_deal,
     mod_star,
     pilot_chain,

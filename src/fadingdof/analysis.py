@@ -18,13 +18,14 @@ The expectation is taken over the Gaussian density rather than as the raw
 Lebesgue integral against exp(-||.||^2); the two differ by the density
 normalization, a factor pi per complex dimension.
 
-Draws come in batches of BATCH, each batch from its own derived seed. Within
-a batch they are factorized in stacks of at most jacobian.STACK_BYTES by the
-grouped elimination, which never forms a Jacobian: a QR of each antenna's
-fading block, or of each face's block of data columns when those leave the
-smaller Schur block, and an SVD of each R factor and of the Schur block
-give log |det J|.
-The reduction order is fixed, so estimates are reproducible and do not depend
+mc_logdet takes the cell as its PilotChain, as every numeric function does,
+and reads the data positions off the chain's top row. Draws come in batches
+of BATCH, each batch from its own derived seed. Within a batch they are
+factorized in stacks of at most jacobian.STACK_BYTES by the grouped
+elimination, which never forms a Jacobian: a QR of each antenna's fading
+block, or of each face's block of data columns when those leave the smaller
+Schur block, and an SVD of each R factor and of the Schur block give
+log |det J|. The reduction order is fixed, so estimates are reproducible and do not depend
 on the stack depth.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .model import complex_gaussian_draws, require_coloring
 from .jacobian import NONSINGULAR_TOL, JacobianLayout
-from .pilots import PilotAssignment
+from .pilots import PilotChain
 
 __all__ = [
     "LOG_FLOOR",
@@ -66,11 +67,11 @@ class LogDetEstimate:
 
 def mc_logdet(
     Z: np.ndarray,
-    pilots: PilotAssignment,
+    chain: PilotChain,
     samples: int,
     seed: int | np.random.SeedSequence,
 ) -> LogDetEstimate:
-    """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x) at the coloring Z of pilots.dims.
+    """Estimate E[log |det J(s, x_data)|^2] over standard Gaussian (s, x) at the coloring Z of the cell chain.dims.
 
     log |det J|^2 is twice the sum of the log singular values of the factors
     of the grouped elimination (JacobianLayout.eliminate), which factors a
@@ -86,13 +87,13 @@ def mc_logdet(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    require_coloring(Z, pilots.dims)
+    require_coloring(Z, chain.dims)
     n_batches = -(-samples // BATCH)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(n_batches)
-    layout = JacobianLayout(pilots)
-    dims = pilots.dims
+    layout = JacobianLayout(chain)
+    dims = chain.dims
     sizes = (dims.R * dims.T_eff * dims.Q, dims.T_eff * dims.N)
     values = np.empty(samples, dtype=float)
     clipped = 0

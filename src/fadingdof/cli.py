@@ -189,11 +189,11 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_pilots(args) -> int:
-    pa = pilots.build_pilot_sets(_parse_dims(args.dims, args.teff))
+    chain = pilots.pilot_chain(_parse_dims(args.dims, args.teff))
     if args.json:
-        _emit_json(pilots.assignment_to_dict(pa), args.out)
+        _emit_json(pilots.assignment_to_dict(chain), args.out)
     else:
-        _emit(pilots.assignment_table(pa), args.out)
+        _emit(pilots.assignment_table(chain), args.out)
     return EXIT_OK
 
 
@@ -217,7 +217,7 @@ def _cmd_genericity(args) -> int:
         cfg = SweepConfig.load(args.sweep)
 
         def probe(dims, seed, key):
-            stats = jacobian.genericity_probe(pilots.build_pilot_sets(dims), cfg.trials, seed)
+            stats = jacobian.genericity_probe(pilots.pilot_chain(dims), cfg.trials, seed)
             return {**key, **asdict(stats)}
 
         return _run_sweep(cfg, probe, cfg.seeds)
@@ -226,7 +226,7 @@ def _cmd_genericity(args) -> int:
     dims = _parse_dims(args.dims, args.teff)
     coloring = constant_model(dims) if args.constant_model else None
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    stats = jacobian.genericity_probe(pilots.build_pilot_sets(dims), trials, args.seed, coloring=coloring)
+    stats = jacobian.genericity_probe(pilots.pilot_chain(dims), trials, args.seed, coloring=coloring)
     _emit_json(asdict(stats), args.out)
     return EXIT_OK
 
@@ -234,17 +234,17 @@ def _cmd_genericity(args) -> int:
 def _cmd_identify(args) -> int:
     dims = _parse_dims(args.dims, args.teff)
     coloring = constant_model(dims) if args.constant_model else None
-    results = identify.run_recovery_trials(pilots.build_pilot_sets(dims), args.trials, args.seed, coloring=coloring)
+    results = identify.run_recovery_trials(pilots.pilot_chain(dims), args.trials, args.seed, coloring=coloring)
     _emit_json(identify.recovery_summary(results), args.out)
     return EXIT_OK
 
 
 def _cmd_mc_logdet(args) -> int:
     dims = _parse_dims(args.dims, args.teff)
-    pa = pilots.build_pilot_sets(dims)
+    chain = pilots.pilot_chain(dims)
     coloring_seed, batch_seed = np.random.SeedSequence(args.seed).spawn(2)
     Z = constant_model(dims) if args.constant_model else random_coloring(dims, coloring_seed)
-    est = analysis.mc_logdet(Z, pa, samples=args.samples, seed=batch_seed)
+    est = analysis.mc_logdet(Z, chain, samples=args.samples, seed=batch_seed)
     _emit_json(asdict(est), args.out)
     return EXIT_OK
 

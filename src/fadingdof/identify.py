@@ -5,8 +5,9 @@ given them, the useful outputs are a square polynomial system of degree 2 in
 the unknowns (s, x_data). The system is holomorphic in the unknowns
 (conjugates never appear), so a complex Gauss-Newton step is well defined
 and the linearization is exactly the recovery Jacobian. Functions here take
-the whole x, the cell's PilotAssignment and an (R, T_eff, N, Q) coloring
-array; recover and run_recovery_trials read its data_index once per call.
+the whole x, the cell as its PilotChain (chain.dims and the top row's
+masks) and an (R, T_eff, N, Q) coloring array; recover and
+run_recovery_trials read its data_index once per call.
 Recovery here is noiseless only: the identifiability argument lives at
 infinite SNR. Independent trials are deterministic under their seeds and
 may run in parallel.
@@ -28,7 +29,7 @@ from .model import (
     standard_complex_gaussian,
 )
 from .jacobian import JacobianLayout
-from .pilots import PilotAssignment
+from .pilots import PilotChain
 
 __all__ = [
     "RecoveryResult",
@@ -72,23 +73,23 @@ class RecoveryResult:
     halvings: int
 
 
-def forward_map(s: np.ndarray, x: np.ndarray, pilots: PilotAssignment, Z: np.ndarray) -> np.ndarray:
-    """Noiseless useful outputs at the fading vector s and the whole input x.
+def forward_map(s: np.ndarray, x: np.ndarray, chain: PilotChain, Z: np.ndarray) -> np.ndarray:
+    """Noiseless useful outputs of the cell chain.dims at the fading vector s and the whole input x.
 
     Each component is a degree-2 polynomial in the unknowns (s, x_data): output
     i of receive antenna r is sum_t x_t[i] h_{r,t}[i], the channel vectors h
     coming from one batched matmul, so the block-diagonal B is never formed.
     """
-    dims = pilots.dims
+    dims = chain.dims
     require_coloring(Z, dims)
     s = split_fading(np.asarray(s, dtype=complex), dims)
     x = split_tx(np.asarray(x, dtype=complex), dims)
     h = channel_vectors(Z, s.ravel())
-    return (x * h).sum(axis=1).ravel()[: pilots.n_useful]
+    return (x * h).sum(axis=1).ravel()[: chain.n_useful]
 
 
 def recover(
-    y_target: np.ndarray, pilots: PilotAssignment, Z: np.ndarray, init, truth=None
+    y_target: np.ndarray, chain: PilotChain, Z: np.ndarray, init, truth=None
 ) -> RecoveryResult:
     """Gauss-Newton iteration on the square system phi(s, x_data) = y_target.
 
@@ -103,13 +104,13 @@ def recover(
     the counts of fallbacks and halvings on the result. truth, when given as
     (s, x), is only used to report param_error over (s, x_data).
     """
-    dims = pilots.dims
+    dims = chain.dims
     n_s = dims.R * dims.T_eff * dims.Q
-    data0 = pilots.data_index
+    data0 = chain.data_index
     y_target = np.asarray(y_target, dtype=complex)
-    if y_target.shape != (pilots.n_useful,):
+    if y_target.shape != (chain.n_useful,):
         raise InvalidConfigurationError(
-            f"y_target must have shape ({pilots.n_useful},), the useful outputs, got {y_target.shape}"
+            f"y_target must have shape ({chain.n_useful},), the useful outputs, got {y_target.shape}"
         )
     s = np.asarray(init[0], dtype=complex).copy()
     x = np.asarray(init[1], dtype=complex).copy()
@@ -117,8 +118,8 @@ def recover(
     if scale == 0.0:
         scale = 1.0
 
-    layout = JacobianLayout(pilots)
-    res = forward_map(s, x, pilots, Z) - y_target
+    layout = JacobianLayout(chain)
+    res = forward_map(s, x, chain, Z) - y_target
     res_norm = np.linalg.norm(res)
     iterations = lstsq_fallbacks = halvings = 0
     stop_reason = "max_iterations"
@@ -134,7 +135,7 @@ def recover(
             s_new = s + factor * step[:n_s]
             x_new = x.copy()
             x_new[data0] += factor * step[n_s:]
-            res_new = forward_map(s_new, x_new, pilots, Z) - y_target
+            res_new = forward_map(s_new, x_new, chain, Z) - y_target
             new_norm = np.linalg.norm(res_new)
             if new_norm < res_norm:
                 break
@@ -170,22 +171,24 @@ def recover(
     )
 
 
-def run_recovery_trials(pilots: PilotAssignment, trials: int, seed: int, coloring: np.ndarray | None = None):
-    """Truth-perturbed recovery trials on one cell, as run by `fadingdof identify`.
+def run_recovery_trials(chain: PilotChain, trials: int, seed: int, coloring: np.ndarray | None = None):
+    """Truth-perturbed recovery trials on the cell chain.dims, as run by `fadingdof identify`.
 
-    Each trial draws a coloring unless one is fixed (e.g. the constant model;
-    it must conform to pilots.dims, even when trials = 0), as genericity_probe
-    does. It draws a ground truth (s, x), forms the noiseless useful outputs,
+    A negative trials count is refused. Each trial draws a coloring unless
+    one is fixed (e.g. the constant model; it must conform to chain.dims,
+    even when trials = 0), as genericity_probe does. It draws a ground truth (s, x), forms the noiseless useful outputs,
     perturbs (s, x_data) by PERTURBATION relative to its norm, keeping the
     pilot entries of x, and runs the recovery with the truth for error
     reporting. Each trial's child of SeedSequence(seed) spawns a coloring
     seed, unused for a fixed coloring, and a point seed, so no two (seed,
     trial) pairs share a drawn coloring and fixing one changes no point.
     """
-    dims = pilots.dims
+    dims = chain.dims
+    if trials < 0:
+        raise InvalidConfigurationError(f"trials must be non-negative, got {trials}")
     if coloring is not None:
         require_coloring(coloring, dims)
-    data0 = pilots.data_index
+    data0 = chain.data_index
     results = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         coloring_seed, point_seed = child.spawn(2)
@@ -193,13 +196,13 @@ def run_recovery_trials(pilots: PilotAssignment, trials: int, seed: int, colorin
         Z = random_coloring(dims, coloring_seed) if coloring is None else coloring
         s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
         x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-        y_target = forward_map(s, x, pilots, Z)
+        y_target = forward_map(s, x, chain, Z)
         truth = np.concatenate([s, x[data0]])
         noise = standard_complex_gaussian(rng, truth.size)
         start = truth + PERTURBATION * np.linalg.norm(truth) * noise / np.linalg.norm(noise)
         x0 = x.copy()
         x0[data0] = start[s.size :]
-        results.append(recover(y_target, pilots, Z, init=(start[: s.size], x0), truth=(s, x)))
+        results.append(recover(y_target, chain, Z, init=(start[: s.size], x0), truth=(s, x)))
     return results
 
 

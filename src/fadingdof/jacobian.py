@@ -16,9 +16,11 @@ nonzero value, or one that leaves a core with no singleton row or column, is
 refused rather than guessed at. The tests keep a fraction-free (Bareiss)
 elimination and a multi-modular (CRT) determinant as independent oracles.
 
-Pilot sets are read as masks: the data columns are the 0-based positions
-PilotAssignment.data_index, and the witness fills rows at the nonzero
-positions of its chain's stacked P, L and G masks and at its anchor faces.
+Every function takes its cell as the PilotChain whose top it is and reads
+the top row: the data columns are the 0-based positions
+PilotChain.data_index. The witness follows the induction over receive
+antennas, so it fills rows at the nonzero positions of every row of the
+chain's stacked P, L and G masks and at its anchor faces.
 
 Assembly builds only matrices. JacobianLayout assembles the Jacobians of many
 draws as one (k, n, n) stack, for recovery and the exact certificate. The
@@ -69,7 +71,7 @@ from .model import (
     split_tx,
     standard_complex_gaussian,
 )
-from .pilots import PilotAssignment, PilotChain, pilot_chain
+from .pilots import PilotChain, pilot_chain
 
 __all__ = [
     "NONSINGULAR_TOL",
@@ -88,20 +90,20 @@ NONSINGULAR_TOL = 1e-10
 STACK_BYTES = 4 * 2**20
 
 
-def bezout_bound(pilots: PilotAssignment) -> int:
-    """Cap on the number of isolated preimages: 2^(R T_eff Q + |data|).
+def bezout_bound(chain: PilotChain) -> int:
+    """Cap on the number of isolated preimages of the cell chain.dims: 2^(R T_eff Q + |data|).
 
     The recovery map has that many components, each a polynomial of degree 2;
     the exponent equals the size of the useful output set.
     """
-    d = pilots.dims
-    return 2 ** (d.R * d.T_eff * d.Q + pilots.data_index.size)
+    d = chain.dims
+    return 2 ** (d.R * d.T_eff * d.Q + chain.data_index.size)
 
 
 class JacobianLayout:
-    """Where the entries of B and of the diagonal grid land in the Jacobian of one pilot assignment.
+    """Where the entries of B and of the diagonal grid land in the Jacobian of one cell, chain.dims.
 
-    Built once per assignment, it assembles stacks of Jacobians of any depth:
+    Built once per cell, it assembles stacks of Jacobians of any depth:
     the B entries x_t[i] Z_{r,t}[i,q] come from one broadcast multiply, the
     diagonal entries h_{r,t} = Z_{r,t} s_{r,t} from one batched matmul, and
     index arrays computed here scatter both into their rows and the data
@@ -117,12 +119,12 @@ class JacobianLayout:
     STACK_BYTES in its Q factors and Schur blocks, and at least one.
     """
 
-    def __init__(self, pilots: PilotAssignment):
-        dims = pilots.dims
+    def __init__(self, chain: PilotChain):
+        dims = chain.dims
         R, Teff, N, Q = dims.R, dims.T_eff, dims.N, dims.Q
         n_b = R * Teff * Q
-        n = pilots.n_useful
-        self._data0 = pilots.data_index
+        n = chain.n_useful
+        self._data0 = chain.data_index
         m = len(self._data0)
         if n != n_b + m:
             raise InvalidConfigurationError(
@@ -274,17 +276,17 @@ class JacobianLayout:
         return logs.sum(axis=1), ratio.min(axis=1)
 
 
-def assemble_jacobian(Z: np.ndarray, s: np.ndarray, x: np.ndarray, pilots: PilotAssignment) -> np.ndarray:
-    """The square Jacobian [(B  [A]^D)]_I at the point (s, x), an (n, n) complex array: a stack of one.
+def assemble_jacobian(Z: np.ndarray, s: np.ndarray, x: np.ndarray, chain: PilotChain) -> np.ndarray:
+    """The square Jacobian [(B  [A]^D)]_I of the cell chain.dims at the point (s, x), an (n, n) complex array.
 
-    Column order is the fading vector first (R T_eff Q columns), then the data
-    entries of x in ascending flat index.
+    A stack of one. Column order is the fading vector first (R T_eff Q
+    columns), then the data entries of x in ascending flat index.
     """
-    dims = pilots.dims
+    dims = chain.dims
     require_coloring(Z, dims)
     x = split_tx(np.asarray(x, dtype=complex), dims)
     s = split_fading(np.asarray(s, dtype=complex), dims)
-    return JacobianLayout(pilots).assemble(Z, s.reshape(1, -1), x.reshape(1, -1))[0]
+    return JacobianLayout(chain).assemble(Z, s.reshape(1, -1), x.reshape(1, -1))[0]
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -302,7 +304,7 @@ def witness_construct(chain: PilotChain, seed: int = 0, exact: bool = False):
     r != t, the pilot rows of (Z_{r,1} ... Z_{r,T_eff}) are filled with a
     nonsingular square block, and the data rows of Z_{r,r} replicate
     s_{r,r}^H so every diagonal derivative entry is nonzero. Each further
-    receive row r uses the partition of its own pilot assignment: the anchor block rows of
+    receive row r uses the partition of its own cell, row r - T_eff of the chain: the anchor block rows of
     Z_{r,t} get a nonsingular Q x Q fill, s_{r,t} is chosen orthogonal to all
     anchor rows except the one at the pilot face g_t, the dropped-pilot rows
     replicate s_{r,t}^H, and everything else in the pool is zero. Each choice
@@ -312,7 +314,7 @@ def witness_construct(chain: PilotChain, seed: int = 0, exact: bool = False):
     With exact=True all fills are identity blocks and no random generator is
     made; every entry is then 0 or 1, exactly representable, and the
     determinant can be certified nonzero in exact integer arithmetic (see
-    certify_witness_exact). Row r depends only on the assignment with r
+    certify_witness_exact). Row r depends only on the cell with r
     receive antennas, so the exact witness of a cell is the prefix Z[:R],
     s[:R T_eff Q], x of the witness of any cell above it on its chain. The
     default draws seeded random unitary fills, row by row, which keeps the
@@ -445,13 +447,14 @@ def _witness_det(J: np.ndarray) -> int:
     return -1 if parity % 2 else 1
 
 
-def certify_witness_exact(pilots: PilotAssignment, witness) -> int:
-    """Exact-arithmetic certificate that the witness determinant is nonzero.
+def certify_witness_exact(chain: PilotChain, witness) -> int:
+    """Exact-arithmetic certificate that the witness determinant of the cell chain.dims is nonzero.
 
-    witness is the exact witness (Z, s, x) of the cell pilots.dims, or of a
-    cell above it on its chain (same T_eff, N and Q, R at least pilots.dims.R)
-    such as the chain's top; the cell is certified on the prefix, which is its
-    own witness, so one build serves every cell of a chain. The Jacobian has
+    witness is the exact witness (Z, s, x) of the cell, or of a cell above
+    it on its chain (same T_eff, N and Q, R at least chain.dims.R), such as
+    the top of the chain that chain is a cut of; the cell is certified on the
+    prefix, which is its own witness, so one build serves every cell of a
+    chain. The Jacobian has
     0/1 entries and is block triangular, one receive antenna per step, so it
     peels to nothing (see _witness_det). Returns the determinant as an exact
     int, 1, -1 or 0; nonzero certifies nonsingularity with no floating-point
@@ -459,8 +462,8 @@ def certify_witness_exact(pilots: PilotAssignment, witness) -> int:
     InvalidConfigurationError.
     """
     Z, s, x = witness
-    d = pilots.dims
-    J = assemble_jacobian(Z[: d.R], s[: d.R * d.T_eff * d.Q], x, pilots)
+    d = chain.dims
+    J = assemble_jacobian(Z[: d.R], s[: d.R * d.T_eff * d.Q], x, chain)
     return _witness_det(J)
 
 
@@ -478,9 +481,8 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
     mask.
     """
     chain = pilot_chain(dims)
-    pilots = chain[-1]
     Z, s, x = witness_construct(chain, seed=seed, exact=exact)
-    J = assemble_jacobian(Z, s, x, pilots)
+    J = assemble_jacobian(Z, s, x, chain)
     sv = np.linalg.svd(J, compute_uv=False)
     with np.errstate(divide="ignore", over="ignore"):
         abs_det = float(np.exp(np.log(sv).sum()))
@@ -490,7 +492,7 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
         "abs_det": abs_det,
         "spectral_norm": float(sv[0]),
         "nonsingular": bool(sv[-1] > NONSINGULAR_TOL * sv[0]),
-        "bezout_bound": str(bezout_bound(pilots)),
+        "bezout_bound": str(bezout_bound(chain)),
     }
     if exact:
         det = _witness_det(J)
@@ -525,7 +527,7 @@ class ProbeStats:
 
 
 def genericity_probe(
-    pilots: PilotAssignment,
+    chain: PilotChain,
     trials: int,
     seed: int,
     coloring: np.ndarray | None = None,
@@ -534,18 +536,21 @@ def genericity_probe(
 
     A fixed coloring (e.g. the constant model) can be supplied to probe a
     specific correlation structure with random (s, x) only; it must conform
-    to pilots.dims, even when trials = 0, which yields empty statistics. Each
+    to the cell chain.dims, even when trials = 0, which yields empty
+    statistics; a negative trials count is refused. Each
     trial draws Z (unless fixed), s and x, in that order, from its own child
     of SeedSequence(seed). The trials' Jacobians are eliminated in stacks of
     JacobianLayout.per_stack, one QR and one SVD call per shape class of
     groups and one SVD call for the Schur blocks per stack.
     """
-    dims = pilots.dims
+    dims = chain.dims
+    if trials < 0:
+        raise InvalidConfigurationError(f"trials must be non-negative, got {trials}")
     if coloring is not None:
         require_coloring(coloring, dims)
     if trials == 0:
         return ProbeStats(0, 0, None, None, None)
-    layout = JacobianLayout(pilots)
+    layout = JacobianLayout(chain)
     shape = (dims.R, dims.T_eff, dims.N, dims.Q)
     sizes = (dims.R * dims.T_eff * dims.Q, dims.T_eff * dims.N)
     if coloring is None:

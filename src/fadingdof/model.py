@@ -47,6 +47,13 @@ class InvalidConfigurationError(ValueError):
     """Raised when a problem-size tuple or input violates its preconditions."""
 
 
+def _require_positive(**sizes):
+    """Raise InvalidConfigurationError naming the first of sizes that is not a positive int (a bool is not)."""
+    for name, v in sizes.items():
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise InvalidConfigurationError(f"{name} must be a positive integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Dims:
     """Problem size: T transmit, R receive antennas, block length N, rank Q.
@@ -62,10 +69,7 @@ class Dims:
     T_eff: int
 
     def __post_init__(self):
-        for name in ("T", "R", "N", "Q", "T_eff"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise InvalidConfigurationError(f"{name} must be a positive integer, got {v!r}")
+        _require_positive(T=self.T, R=self.R, N=self.N, Q=self.Q, T_eff=self.T_eff)
         if self.Q > self.N:
             raise InvalidConfigurationError(f"Q={self.Q} must not exceed N={self.N}")
         if self.T_eff > min(self.T, self.R):
@@ -75,7 +79,8 @@ class Dims:
 
     @staticmethod
     def create(T, R, N, Q, T_eff=None):
-        """Build a Dims; T_eff defaults to min(T, R) capped so that T_eff*Q < N."""
+        """Build a Dims; T_eff defaults to min(T, R) capped so that T_eff*Q < N, once the four sizes are checked."""
+        _require_positive(T=T, R=R, N=N, Q=Q)
         if T_eff is None:
             T_eff = min(T, R, max(1, (N - 1) // Q))
         return Dims(T=T, R=R, N=N, Q=Q, T_eff=T_eff)

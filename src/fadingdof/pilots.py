@@ -14,9 +14,11 @@ same cards and is a set of boolean masks over the array: P (card <=
 theta_R'), L (theta_R' < card <= theta_{R'-1}) and G (the anchor plus Q - 1
 pool fillers). pilot_chains deals any list of chains in one pass over grids
 padded to their largest T_eff and N, and each chain is a set of read-only
-views into it; pilot_chain is the batch of one. Code that indexes arrays reads
-0-based positions off the masks; 1-based sets exist only in output: the
-pilots table, its JSON form and the checker's failure payloads.
+views into it; pilot_chain is the batch of one. A cell is the chain whose top
+it is: every caller takes a chain and reads its top row, and chain.cut(R) is
+the cell R' = R below the top, on views of the first rows. Code that indexes
+arrays reads 0-based positions off the masks; 1-based sets exist only in
+output: the pilots table, its JSON form and the checker's failure payloads.
 verify_pilot_properties checks every cell of any number of chains in one
 array pass over their masks, copied into one padded grid. Everything is pure.
 """
@@ -24,7 +26,6 @@ array pass over their masks, copied into one padded grid. Everything is pure.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -37,10 +38,8 @@ __all__ = [
     "mod_star",
     "card_deal",
     "pilot_count",
-    "PilotAssignment",
     "PilotChain",
     "PROPERTIES",
-    "build_pilot_sets",
     "pilot_chain",
     "pilot_chains",
     "verify_pilot_properties",
@@ -86,57 +85,22 @@ def pilot_count(T_eff: int, R: int, N: int, Q: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class PilotAssignment:
-    """One cell's pilot/data split of the input vector and its induction partition, as masks.
-
-    P[t, i] says whether face i of antenna t (0-based) is a pilot, in P_t;
-    pilot_index and data_index are the flat positions t N + i of the pilot
-    and data faces, ascending, and the useful outputs are the first n_useful
-    = RN - ell. Where R > T_eff, L marks the faces dropped from P_t going
-    from R - 1 to R receive antennas (L_t), G the disjoint Q-face anchor
-    blocks (G_t) and anchors[t] the face g_t of G_t in P_t; else the three
-    are None. The arrays are read-only rows of a PilotChain's. Assignments
-    with equal fields compare equal.
-    """
-
-    dims: Dims
-    theta_R: int
-    ell: int
-    P: np.ndarray
-    L: np.ndarray | None = None
-    G: np.ndarray | None = None
-    anchors: np.ndarray | None = None
-
-    @property
-    def pilot_index(self) -> np.ndarray:
-        return np.flatnonzero(self.P)
-
-    @property
-    def data_index(self) -> np.ndarray:
-        return np.flatnonzero(~self.P)
-
-    @property
-    def n_useful(self) -> int:
-        return self.dims.R * self.dims.N - self.ell
-
-    def __eq__(self, other):
-        if not isinstance(other, PilotAssignment):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
-@dataclass(frozen=True, eq=False)
-class PilotChain(Sequence):
+class PilotChain:
     """The cells R' = T_eff..R of one (N, Q, T_eff): one card-number array and the masks derived from it.
 
     dims is the top cell; cards[t, i] in [1 : T_eff N] deals face i to
     antenna t, and the cards past theta_{T_eff} = T_eff^2 Q are pilots of no
     cell. Row k of the stacked theta and ell (K,), masks P, L and G (K,
     T_eff, N) and anchors (K, T_eff) belongs to R' = T_eff + k; row 0 has no
-    partition (L and G empty, anchors -1). chain[k] is the PilotAssignment of
-    R' = T_eff + k, on views of row k; a slice is a list, and a chain equals
-    any sequence of equal assignments. All are read-only, and a dealt chain's
-    arrays are views into the padded grids of the pilot_chains call.
+    partition (L and G empty, anchors -1). A cell is the chain whose top it
+    is: the last row holds its pilot/data split, P[-1][t, i] saying whether
+    face i of antenna t (0-based) is a pilot, and where R > T_eff its
+    induction partition, L[-1] the faces dropped from P_t going from R - 1 to
+    R receive antennas (L_t), G[-1] the disjoint Q-face anchor blocks (G_t)
+    and anchors[-1][t] the face g_t of G_t in P_t. cut(R) is the cell R' = R
+    below the top. All arrays are read-only, a dealt chain's are views into
+    the padded grids of the pilot_chains call, and chains with equal fields
+    compare equal.
     """
 
     dims: Dims
@@ -151,16 +115,34 @@ class PilotChain(Sequence):
     def __len__(self) -> int:
         return len(self.theta)
 
-    def __eq__(self, other):  # as a sequence of assignments, equal to a list of the same
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+    def __eq__(self, other):
+        if not isinstance(other, PilotChain):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]  # negative and out-of-range indices as for a list
-        dims = self.dims if k == len(self) - 1 else self.dims.with_rx(self.dims.T_eff + k)
-        partition = (self.L[k], self.G[k], self.anchors[k]) if k else ()
-        return PilotAssignment(dims, int(self.theta[k]), int(self.ell[k]), self.P[k], *partition)
+    @property
+    def data_index(self) -> np.ndarray:
+        """The flat positions t N + i of the top cell's data faces, ascending."""
+        return np.flatnonzero(~self.P[-1])
+
+    @property
+    def n_useful(self) -> int:
+        """The top cell's useful outputs, the first R N - ell."""
+        return self.dims.R * self.dims.N - int(self.ell[-1])
+
+    def cut(self, R: int) -> "PilotChain":
+        """The chain of the cell R' = R, T_eff <= R <= dims.R: views of the first R - T_eff + 1 rows, no copy.
+
+        The cut equals pilot_chain(dims.with_rx(R)) field by field; at the top it is the chain itself.
+        """
+        T_eff = self.dims.T_eff
+        if not T_eff <= R <= self.dims.R:
+            raise InvalidConfigurationError(f"R={R} outside the chain R' = {T_eff}..{self.dims.R}")
+        if R == self.dims.R:
+            return self
+        k = R - T_eff + 1
+        rows = (self.theta, self.ell, self.P, self.L, self.G, self.anchors)
+        return PilotChain(self.dims.with_rx(R), self.cards, *(a[:k] for a in rows))
 
 
 def pilot_chains(tops) -> list[PilotChain]:
@@ -241,16 +223,8 @@ def pilot_chains(tops) -> list[PilotChain]:
 
 
 def pilot_chain(dims: Dims) -> PilotChain:
-    """The chain R' = T_eff..R of dims, pilot_chains([dims])[0].
-
-    Element k equals build_pilot_sets(dims.with_rx(T_eff + k)).
-    """
+    """The chain R' = T_eff..R of dims in the valid regime, pilot_chains([dims])[0]: the cell dims."""
     return pilot_chains([dims])[0]
-
-
-def build_pilot_sets(dims: Dims) -> PilotAssignment:
-    """The pilot assignment of dims in the valid regime: the top of its pilot_chain."""
-    return pilot_chain(dims)[-1]
 
 
 # the last six concern the induction partition, so they are checked only where R > T_eff
@@ -366,37 +340,39 @@ def _faces(masks) -> list:
     return [(np.flatnonzero(row) + 1).tolist() for row in masks]
 
 
-def assignment_to_dict(a: PilotAssignment) -> dict:
-    """JSON form with sorted index arrays (all 1-based)."""
+def assignment_to_dict(chain: PilotChain) -> dict:
+    """JSON form of the chain's top cell with sorted index arrays (all 1-based)."""
+    P, ell_R = chain.P[-1], int(chain.ell[-1])
     out = {
-        "dims": dims_to_dict(a.dims),
-        "theta_R": a.theta_R,
-        "pilot_sets": _faces(a.P),
-        "data_sets": _faces(~a.P),
-        "pilots": (a.pilot_index + 1).tolist(),
-        "data": (a.data_index + 1).tolist(),
-        "ell": a.ell,
-        "useful_outputs": [1, a.n_useful],
+        "dims": dims_to_dict(chain.dims),
+        "theta_R": int(chain.theta[-1]),
+        "pilot_sets": _faces(P),
+        "data_sets": _faces(~P),
+        "pilots": (np.flatnonzero(P) + 1).tolist(),
+        "data": (chain.data_index + 1).tolist(),
+        "ell": ell_R,
+        "useful_outputs": [1, chain.n_useful],
     }
-    if a.L is not None:
-        out["L_sets"] = _faces(a.L)
-        out["G_sets"] = _faces(a.G)
-        (out["G_pool"],) = _faces([~a.L.any(axis=0)[: a.dims.N - a.ell]])
-        out["anchors"] = (a.anchors + 1).tolist()
+    if len(chain) > 1:
+        L = chain.L[-1]
+        out["L_sets"] = _faces(L)
+        out["G_sets"] = _faces(chain.G[-1])
+        (out["G_pool"],) = _faces([~L.any(axis=0)[: chain.dims.N - ell_R]])
+        out["anchors"] = (chain.anchors[-1] + 1).tolist()
     return out
 
 
-def assignment_table(a: PilotAssignment) -> str:
-    """Text form: the card-dealing table, each P_t and the flat pilot set."""
-    dims = a.dims
+def assignment_table(chain: PilotChain) -> str:
+    """Text form of the chain's top cell, read off its JSON form: the dealing table, each P_t and the flat pilots."""
+    dims, a = chain.dims, assignment_to_dict(chain)
     lines = [
-        f"dealing {a.theta_R} pilot positions to {dims.T_eff} antennas "
+        f"dealing {a['theta_R']} pilot positions to {dims.T_eff} antennas "
         f"(block length {dims.N}):"
     ]
-    for j in range(1, a.theta_R + 1):
+    for j in range(1, a["theta_R"] + 1):
         t, i = card_deal(j, dims.T_eff, dims.N)
         lines.append(f"  card {j:>3}: face {i:>3} -> antenna {t}")
-    for t, p in enumerate(_faces(a.P), start=1):
+    for t, p in enumerate(a["pilot_sets"], start=1):
         lines.append(f"  P_{t} = {set(p)}")
-    lines.append(f"  flat pilot set = {set((a.pilot_index + 1).tolist())}  (ell = {a.ell})")
+    lines.append(f"  flat pilot set = {set(a['pilots'])}  (ell = {a['ell']})")
     return "\n".join(lines) + "\n"

@@ -191,18 +191,21 @@ def diagonal_grid_loop(Z, s, dims):
     return A
 
 
-def assemble_jacobian_loop(Z, s, x, pilots):
-    """Oracle: one Jacobian from the full B and diagonal grid, data columns picked, useful rows cut."""
-    dims = pilots.dims
+def assemble_jacobian_loop(Z, s, x, chain):
+    """Oracle: the Jacobian of chain.dims from the full B and diagonal grid, data columns picked, useful rows cut.
+
+    The useful rows are the first chain.n_useful; the matrix may be non-square.
+    """
+    dims = chain.dims
     B = build_B(Z, x, dims)
     A = diagonal_grid_loop(Z, s, dims)
-    return np.hstack([B, A[:, pilots.data_index]])[: pilots.n_useful, :]
+    return np.hstack([B, A[:, chain.data_index]])[: chain.n_useful, :]
 
 
 def probe_draws(dims, trials, seed, coloring=None):
-    """The (Z, s, x) of each trial of genericity_probe(pilots, trials, seed, coloring), one at a time.
+    """The (Z, s, x) of each trial of genericity_probe(chain, trials, seed, coloring), one at a time.
 
-    dims is pilots.dims; the draws depend on nothing else of the assignment.
+    dims is chain.dims; the draws depend on nothing else of the chain.
     """
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
@@ -396,6 +399,11 @@ def regime_cells(n_max: int):
             yield top.with_rx(R)
 
 
+def cuts(chain) -> list:
+    """The cells R' = T_eff..R of a PilotChain, each as its cut chain.cut(R'), in order."""
+    return [chain.cut(R) for R in range(chain.dims.T_eff, chain.dims.R + 1)]
+
+
 def tuple_chain(dims: Dims) -> list:
     """Oracle: the tuple assignments for R' = T_eff..R, from one deal of the T_eff^2 Q cards."""
     dims.require_regime()
@@ -457,10 +465,10 @@ def pilot_property_oracle(chains) -> list:
     for chain in chains:
         T_eff, N, Q = chain.dims.T_eff, chain.dims.N, chain.dims.Q
         cards, _ = deal(T_eff * N, T_eff, N)
-        for pa in chain:
-            a = assignment_to_dict(pa)
+        for cell in cuts(chain):
+            a = assignment_to_dict(cell)
             a["expected"] = sorted([i + (t - 1) * N for t, i in cards[: a["theta_R"]]])
-            a["expected_useful"] = pa.dims.R * T_eff * Q + len(a["data"])
+            a["expected_useful"] = cell.dims.R * T_eff * Q + len(a["data"])
             a["cap"], a["top"] = T_eff * Q, N - a["ell"]
             sizes = list(map(len, a["pilot_sets"]))
             verdicts = {
@@ -469,7 +477,7 @@ def pilot_property_oracle(chains) -> list:
                 "flat_embedding": a["pilots"] == a["expected"],
                 "useful_output_size": a["useful_outputs"][1] == a["expected_useful"],
             }
-            if pa.dims.R > T_eff:
+            if cell.dims.R > T_eff:
                 dropped, union = set().union(*a["L_sets"]), set().union(*a["G_sets"])
                 verdicts["L_disjoint"] = sum(map(len, a["L_sets"])) == len(dropped)
                 verdicts["L_in_range"] = not dropped or 1 <= min(dropped) and max(dropped) <= a["top"]
@@ -482,7 +490,7 @@ def pilot_property_oracle(chains) -> list:
                     name: {"ok": True, "detail": None} if ok else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
                     for name, ok in verdicts.items()
                 }
-                failures.append((pa.dims, report))
+                failures.append((cell.dims, report))
     return failures
 
 

@@ -39,7 +39,6 @@ from fadingdof.model import (
 )
 from fadingdof.pilots import (
     assignment_to_dict,
-    build_pilot_sets,
     card_deal,
     pilot_chain,
     verify_pilot_properties,
@@ -125,9 +124,9 @@ def test_criterion_4_pilot_combinatorics():
         failures = [(dims, {k for k, v in report.items() if not v["ok"]}) for dims, report in verify_pilot_properties(chains)]
         assert not failures, failures
 
-        pa = build_pilot_sets(Dims(T=4, R=5, N=6, Q=1, T_eff=4))
-        assert pa.theta_R == 14
-        assert [set(p) for p in assignment_to_dict(pa)["pilot_sets"]] == [
+        chain = pilot_chain(Dims(T=4, R=5, N=6, Q=1, T_eff=4))
+        assert chain.theta[-1] == 14
+        assert [set(p) for p in assignment_to_dict(chain)["pilot_sets"]] == [
             {1, 5, 3},
             {2, 6, 4, 1},
             {3, 1, 5, 2},
@@ -142,7 +141,7 @@ def test_criterion_5_witness_nonsingularity():
         for dims in cells:
             chain = pilot_chain(dims)
             Z, s, x = witness_construct(chain, seed=23)
-            assert full_svd_verdict(assemble_jacobian(Z, s, x, chain[-1])), dims
+            assert full_svd_verdict(assemble_jacobian(Z, s, x, chain)), dims
 
         Z, _, _ = witness_construct(pilot_chain(DIMS_2341), seed=23)
         assert Z[2, 1, 0, 0] == 0 and Z[2, 0, 1, 0] == 0
@@ -151,16 +150,16 @@ def test_criterion_5_witness_nonsingularity():
 
 def test_criterion_6_genericity_probe():
     with criterion(6, "100/100 generic draws nonsingular, 0/100 constant-model"):
-        pa = build_pilot_sets(DIMS_2341)
-        generic = genericity_probe(pa, trials=100, seed=606)
+        chain = pilot_chain(DIMS_2341)
+        generic = genericity_probe(chain, trials=100, seed=606)
         assert generic.fraction_nonsingular == 1.0
-        degenerate = genericity_probe(pa, trials=100, seed=606, coloring=constant_model(DIMS_2341))
+        degenerate = genericity_probe(chain, trials=100, seed=606, coloring=constant_model(DIMS_2341))
         assert degenerate.fraction_nonsingular == 0.0
 
 
 def test_criterion_7_identifiability():
     with criterion(7, "99/100 perturbed recoveries, rank gap (2, 3) in 100 seeds"):
-        results = run_recovery_trials(build_pilot_sets(DIMS_2341), trials=100, seed=707)
+        results = run_recovery_trials(pilot_chain(DIMS_2341), trials=100, seed=707)
         good = sum(1 for r in results if r.residual < 1e-9 and r.param_error < 1e-6)
         assert good >= 99
         for seed in range(100):
@@ -190,14 +189,14 @@ def finite_difference(Z, s, x, pilots, delta=1e-5):
 def test_criterion_8_jacobian_vs_finite_differences():
     with criterion(8, "central differences agree to 1e-6 on the small sweep"):
         for dims in (d for d in regime_cells(5) if d.Q <= 2):
-            pa = build_pilot_sets(dims)
+            chain = pilot_chain(dims)
             for k in range(20):
                 rng = np.random.default_rng(1000 * dims.N + 10 * dims.R + k)
                 Z = random_coloring(dims, seed=17 + k)
                 s = standard_complex_gaussian(rng, dims.R * dims.T_eff * dims.Q)
                 x = standard_complex_gaussian(rng, dims.T_eff * dims.N)
-                J = assemble_jacobian(Z, s, x, pa)
-                fd = finite_difference(Z, s, x, pa)
+                J = assemble_jacobian(Z, s, x, chain)
+                fd = finite_difference(Z, s, x, chain)
                 err = np.linalg.norm(J - fd) / np.linalg.norm(J)
                 assert err < 1e-6, (dims, k, err)
 
@@ -207,8 +206,8 @@ def test_criterion_9_logdet_integrability_evidence():
         est = mc_log_magnitude(samples=1_000_000, seed=909)
         assert abs(est - gaussian_log_magnitude_mean()) < 1e-2
         Z = random_coloring(DIMS_2341, seed=910)
-        pa = build_pilot_sets(DIMS_2341)
-        logdet = mc_logdet(Z, pa, samples=10_000, seed=911)
+        chain = pilot_chain(DIMS_2341)
+        logdet = mc_logdet(Z, chain, samples=10_000, seed=911)
         assert math.isfinite(logdet.mean)
         assert logdet.clipped_fraction == 0.0
 

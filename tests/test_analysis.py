@@ -11,10 +11,10 @@ from fadingdof.analysis import LOG_FLOOR, mc_logdet
 from fadingdof.dof import chi_low, ell
 from fadingdof.jacobian import certify_witness_exact, witness_construct
 from fadingdof.model import Dims, constant_model, random_coloring
-from fadingdof.pilots import build_pilot_sets, pilot_chain
+from fadingdof.pilots import pilot_chain
 
 DIMS = Dims.create(2, 3, 4, 1)
-PILOTS = build_pilot_sets(DIMS)
+PILOTS = pilot_chain(DIMS)
 
 
 def test_log_magnitude_closed_form_against_quadrature():
@@ -57,11 +57,11 @@ def test_mc_logdet_on_the_certified_witness_coloring_clips_nothing(dims):
     # so E log |det J|^2 is finite there (Carbery-Wright); no draw may clip
     chain = pilot_chain(dims)
     witness = witness_construct(chain, exact=True)
-    assert certify_witness_exact(chain[-1], witness) != 0
-    est = mc_logdet(witness[0], chain[-1], samples=256, seed=43)
+    assert certify_witness_exact(chain, witness) != 0
+    est = mc_logdet(witness[0], chain, samples=256, seed=43)
     assert est.clipped_fraction == 0.0
     assert math.isfinite(est.mean) and est.mean > LOG_FLOOR
-    assert mc_logdet(constant_model(dims), chain[-1], samples=256, seed=43).clipped_fraction == 1.0
+    assert mc_logdet(constant_model(dims), chain, samples=256, seed=43).clipped_fraction == 1.0
 
 
 def test_mc_logdet_half_sample_stability():
@@ -109,7 +109,7 @@ def test_entropy_bits_equal_useful_output_count():
     from fadingdof.jacobian import bezout_bound
 
     for dims in [DIMS, Dims.create(1, 1, 2, 1), Dims.create(2, 2, 5, 1, T_eff=2)]:
-        pa = build_pilot_sets(dims)
+        chain = pilot_chain(dims)
         bits = dims.R * dims.N - ell(dims.T_eff, dims.R, dims.N, dims.Q)
-        assert bits == pa.n_useful
-        assert 2**bits == bezout_bound(pa)
+        assert bits == chain.n_useful
+        assert 2**bits == bezout_bound(chain)

@@ -128,6 +128,17 @@ def test_exit_code_3_on_regime_violation(capsys):
     assert code == 3 and "--dims" in err
 
 
+def test_a_size_that_is_not_positive_exits_3_before_any_default_is_computed(capsys):
+    # the default T_eff divides by Q, so Q = 0 once ended in a ZeroDivisionError traceback and exit 1
+    for dims, message in [
+        ("2,3,4,0", "Q must be a positive integer, got 0"),
+        ("2,3,0,1", "N must be a positive integer, got 0"),
+        ("0,3,4,1", "T must be a positive integer, got 0"),
+        ("2,-1,4,1", "R must be a positive integer, got -1"),
+    ]:
+        assert run_cli(capsys, "dof", "--dims", dims) == (3, "", f"invalid configuration: {message}\n"), dims
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["identify", "--dims", "2,3,4,1"])  # missing required --trials/--seed
@@ -341,18 +352,18 @@ def test_jacobian_witness_deals_one_chain(monkeypatch, capsys):
     from fadingdof import jacobian, pilots
 
     calls = collections.Counter()
-    for name in ("pilot_chain", "build_pilot_sets"):
+    original = pilots.pilot_chain
 
-        def counted(*args, name=name, original=getattr(pilots, name)):
-            calls[name] += 1
-            return original(*args)
+    def counted(*args):
+        calls["pilot_chain"] += 1
+        return original(*args)
 
-        # jacobian need not import both builders; a call through either name is counted
-        monkeypatch.setattr(jacobian, name, counted, raising=False)
-    # R = 4 > T_eff = 2, so the witness needs the assignments for R' = 2, 3 and 4
+    for module in (jacobian, pilots):  # a deal through either name is counted
+        monkeypatch.setattr(module, "pilot_chain", counted)
+    # R = 4 > T_eff = 2, so the witness needs the cells R' = 2, 3 and 4, and the Jacobian the top: one chain
     code, out, _ = run_cli(capsys, "jacobian-witness", "--dims", "2,4,5,2", "--exact")
     assert code == 0 and '"certified_nonzero": true' in out
-    assert (calls["pilot_chain"], calls["build_pilot_sets"]) == (1, 0)
+    assert calls == {"pilot_chain": 1}
 
 
 def failed_lines(capsys, n_max):
@@ -721,6 +732,22 @@ def test_sweep_reports_bool_sizes_as_invalid_cells(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dof", "--sweep", str(path))
     assert code == 0
     assert "positive integer" in json.loads(out)["error"]
+
+
+def test_sweep_reports_a_zero_Q_or_a_non_integer_size_as_invalid_cells(tmp_path, capsys):
+    # both once became rows naming a ZeroDivisionError or a TypeError, with a traceback on stderr
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"T": [2, "a"], "R": [3], "N": [4], "Q": [0, 1], "output": None}))
+    code, out, err = run_cli(capsys, "dof", "--sweep", str(path))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row.get("error") for row in rows] == [
+        "Q must be a positive integer, got 0",
+        None,
+        "T must be a positive integer, got 'a'",
+        "T must be a positive integer, got 'a'",
+    ]
+    assert rows[1]["dims"] == {"T": 2, "R": 3, "N": 4, "Q": 1, "T_eff": 2}
 
 
 def test_entry_point_runs_in_subprocess():

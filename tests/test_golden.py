@@ -25,7 +25,7 @@ import pytest
 from fadingdof.analysis import mc_logdet
 from fadingdof.cli import main
 from fadingdof.model import Dims, random_coloring
-from fadingdof.pilots import build_pilot_sets
+from fadingdof.pilots import pilot_chain
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_CONFIG = {"T": [2], "R": [3], "N": [4], "Q": [1, 5], "output": None}
@@ -130,7 +130,7 @@ def test_experiment_matches_golden(name, capsys):
 
 def test_mc_logdet_matches_golden():
     dims = Dims.create(3, 4, 12, 1)
-    est = mc_logdet(random_coloring(dims, 7), build_pilot_sets(dims), 256, seed=3)
+    est = mc_logdet(random_coloring(dims, 7), pilot_chain(dims), 256, seed=3)
     want = json.loads((GOLDEN / "mc_logdet_34121.json").read_text())
     assert_matches_numeric_golden(asdict(est), want, floats={"mean", "stderr"})
 

@@ -23,12 +23,12 @@ from fadingdof.model import (
     random_coloring,
     standard_complex_gaussian,
 )
-from fadingdof.pilots import build_pilot_sets
+from fadingdof.pilots import pilot_chain
 
 DIMS = Dims.create(2, 3, 4, 1)
-PILOTS = build_pilot_sets(DIMS)
+PILOTS = pilot_chain(DIMS)
 DATA0 = PILOTS.data_index
-PILOT0 = PILOTS.pilot_index
+PILOT0 = np.flatnonzero(PILOTS.P[-1])
 
 
 def truth_instance(seed, dims=DIMS, constant=False):
@@ -65,11 +65,11 @@ def test_forward_map_matches_model_outputs():
     ids=str,
 )
 def test_forward_map_matches_the_dense_B_on_the_ladder(dims):
-    pilots = build_pilot_sets(dims)
+    chain = pilot_chain(dims)
     for seed in range(3):
         Z, s, x = truth_instance(seed, dims)
-        want = (build_B(Z, x, dims) @ s)[: pilots.n_useful]
-        got = forward_map(s, x, pilots, Z)
+        want = (build_B(Z, x, dims) @ s)[: chain.n_useful]
+        got = forward_map(s, x, chain, Z)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -137,6 +137,13 @@ def test_recover_from_perturbed_truth():
     assert all(r.param_error < 1e-6 for r in results)
 
 
+def test_recovery_trials_refuse_a_negative_trial_count():
+    # numpy's SeedSequence.spawn once refused it with an OverflowError
+    with pytest.raises(InvalidConfigurationError, match="trials must be non-negative, got -2"):
+        run_recovery_trials(PILOTS, -2, 0)
+    assert run_recovery_trials(PILOTS, 0, 0) == []
+
+
 def test_recover_says_why_it_stopped(monkeypatch):
     converged = run_recovery_trials(PILOTS, trials=3, seed=51)
     assert [(r.success, r.stop_reason, r.lstsq_fallbacks) for r in converged] == [(True, "converged", 0)] * 3
@@ -155,10 +162,10 @@ def test_recover_says_why_it_stopped(monkeypatch):
 
 
 def test_recovery_trials_take_the_cell_as_built(monkeypatch):
-    # the assignment carries dims and was built in the regime: nothing is re-dealt or re-checked
+    # the chain carries dims and was built in the regime: nothing is re-dealt or re-checked
     import fadingdof.pilots as pilots_module
 
-    calls = {"build_pilot_sets": 0, "require_regime": 0}
+    calls = {"pilot_chains": 0, "require_regime": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -167,15 +174,15 @@ def test_recovery_trials_take_the_cell_as_built(monkeypatch):
 
         return wrapper
 
-    deal = counted("build_pilot_sets", build_pilot_sets)
-    monkeypatch.setattr(pilots_module, "build_pilot_sets", deal)
-    monkeypatch.setattr(identify_module, "build_pilot_sets", deal, raising=False)
+    deal = counted("pilot_chains", pilots_module.pilot_chains)  # the one dealer, behind pilot_chain too
+    monkeypatch.setattr(pilots_module, "pilot_chains", deal)
+    monkeypatch.setattr(identify_module, "pilot_chains", deal, raising=False)
     monkeypatch.setattr(Dims, "require_regime", counted("require_regime", Dims.require_regime))
     results = run_recovery_trials(PILOTS, trials=3, seed=8)
-    assert calls == {"build_pilot_sets": 0, "require_regime": 0}
+    assert calls == {"pilot_chains": 0, "require_regime": 0}
     assert [r.success for r in results] == [True] * 3
-    pilots_module.build_pilot_sets(DIMS)  # the counters do count
-    assert calls == {"build_pilot_sets": 1, "require_regime": 1}
+    pilots_module.pilot_chain(DIMS)  # the counters do count
+    assert calls == {"pilot_chains": 1, "require_regime": 1}
 
 
 def test_recover_constant_model_leaves_parameter_error():
@@ -222,10 +229,9 @@ def test_solution_multiplicity_stays_below_bezout():
 
 def test_one_fewer_pilot_leaves_null_space():
     # moving a pilot to the data side makes the system underdetermined
-    pa = PILOTS
-    P = pa.P.copy()
-    P.flat[pa.pilot_index[-1]] = False  # antenna 2 keeps no pilot
-    hacked = dataclasses.replace(pa, P=P)
+    P = PILOTS.P.copy()
+    P[-1].flat[np.flatnonzero(P[-1])[-1]] = False  # antenna 2 keeps no pilot
+    hacked = dataclasses.replace(PILOTS, P=P)
     Z, s, x = truth_instance(11)
     M = assemble_jacobian_loop(Z, s, x, hacked)  # rectangular: the library refuses it
     assert M.shape == (12, 13)

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from paper_facts import (
     DET_PRIMES,
     assemble_jacobian_loop,
+    cuts,
     full_svd_verdict,
     multimodular_det,
     probe_draws,
@@ -47,10 +48,10 @@ from fadingdof.model import (
     standard_complex_gaussian,
 )
 from fadingdof.identify import forward_map, run_recovery_trials
-from fadingdof.pilots import build_pilot_sets, pilot_chain
+from fadingdof.pilots import pilot_chain
 
 DIMS = Dims.create(2, 3, 4, 1)
-PILOTS = build_pilot_sets(DIMS)
+PILOTS = pilot_chain(DIMS)
 
 # Nonzero pattern of the 12x12 Jacobian at these dims with all-one x and
 # pilots at flat positions {1, 6}, transcribed row by row: per receive block,
@@ -128,7 +129,7 @@ def test_jacobian_matches_finite_differences(seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from(list(regime_cells(6))), st.integers(0, 2**16))
 def test_jacobian_matches_finite_differences_on_regime_cells(dims, seed):
-    pilots = build_pilot_sets(dims)
+    pilots = pilot_chain(dims)
     Z, s, x = generic_point(seed, dims)
     J = assemble_jacobian(Z, s, x, pilots)
     fd = finite_difference_jacobian(Z, s, x, pilots)
@@ -164,7 +165,7 @@ def test_witness_square_case():
     dims = Dims.create(2, 2, 4, 1, T_eff=2)
     chain = pilot_chain(dims)  # R = T_eff: a chain of one cell
     Z, s, x = witness_construct(chain, seed=3)
-    J = assemble_jacobian(Z, s, x, chain[-1])
+    J = assemble_jacobian(Z, s, x, chain)
     assert np.array_equal(x, np.ones(8))
     assert abs(np.linalg.det(J)) > 1e-8
     assert full_svd_verdict(J)
@@ -184,19 +185,19 @@ def test_witness_small_sweep():
     for dims in (d for d in regime_cells(6) if d.Q <= 2):
         chain = pilot_chain(dims)
         Z, s, x = witness_construct(chain, seed=17)
-        assert full_svd_verdict(assemble_jacobian(Z, s, x, chain[-1])), dims
+        assert full_svd_verdict(assemble_jacobian(Z, s, x, chain)), dims
 
 
 def certified(dims) -> int:
     """certify_witness_exact on the cell's own exact witness."""
     chain = pilot_chain(dims)
-    return certify_witness_exact(chain[-1], witness_construct(chain, exact=True))
+    return certify_witness_exact(chain, witness_construct(chain, exact=True))
 
 
 def test_witness_construct_takes_only_a_cells_whole_chain():
     chain = pilot_chain(DIMS)  # R' = 2, 3
     other = pilot_chain(Dims.create(2, 3, 5, 1))
-    for bad in ([], [PILOTS], list(chain), chain[::-1], chain[:1] + other[1:], [chain[0], chain[1], chain[1]]):
+    for bad in ([], [PILOTS], [chain.cut(2), chain], (chain, other), DIMS, chain.P):
         with pytest.raises(InvalidConfigurationError, match="pilot chain"):
             witness_construct(bad, exact=True)
 
@@ -259,12 +260,12 @@ def test_a_cells_exact_witness_is_the_prefix_of_its_chain_tops():
         chain = pilot_chain(top)
         witness = witness_construct(chain, exact=True)
         Z, s, x = witness
-        for pa in chain:
-            R = pa.dims.R
-            own = witness_construct(pilot_chain(pa.dims), exact=True)
+        for cell in cuts(chain):
+            R = cell.dims.R
+            own = witness_construct(pilot_chain(cell.dims), exact=True)
             prefix = (Z[:R], s[: R * top.T_eff * top.Q], x)
-            assert witness_bytes(own) == witness_bytes(prefix), pa.dims
-            assert certify_witness_exact(pa, witness) == certify_witness_exact(pa, own) != 0
+            assert witness_bytes(own) == witness_bytes(prefix), cell.dims
+            assert certify_witness_exact(cell, witness) == certify_witness_exact(cell, own) != 0
     assert len(tops) == 35
 
 
@@ -288,6 +289,12 @@ def test_probe_zero_trials():
     assert stats.trials == 0 and stats.fraction_nonsingular is None
 
 
+def test_probe_refuses_a_negative_trial_count():
+    # numpy's SeedSequence.spawn once refused it with an OverflowError
+    with pytest.raises(InvalidConfigurationError, match="trials must be non-negative, got -1"):
+        genericity_probe(PILOTS, -1, 0)
+
+
 def test_probe_checks_a_fixed_coloring_even_without_trials():
     wrong = constant_model(Dims.create(2, 2, 4, 1))
     for trials in (0, 1):
@@ -304,12 +311,12 @@ def test_probe_reproducible():
 def test_bezout_bounds():
     assert bezout_bound(PILOTS) == 4096  # exponent 6 + 6
     small = Dims.create(1, 1, 2, 1)
-    assert bezout_bound(build_pilot_sets(small)) == 4  # exponent 1 + 1
+    assert bezout_bound(pilot_chain(small)) == 4  # exponent 1 + 1
     for dims in [DIMS, small, Dims.create(2, 2, 5, 1, T_eff=2)]:
-        pa = build_pilot_sets(dims)
-        exponent = dims.R * dims.T_eff * dims.Q + pa.data_index.size
-        assert exponent == pa.n_useful
-        assert bezout_bound(pa) == 2**exponent
+        chain = pilot_chain(dims)
+        exponent = dims.R * dims.T_eff * dims.Q + chain.data_index.size
+        assert exponent == chain.n_useful
+        assert bezout_bound(chain) == 2**exponent
 
 
 BITWISE_CELLS = [
@@ -323,11 +330,11 @@ def test_diagonal_grid_is_bitwise_the_loop(dims):
     # stacked assembly against the per-draw oracle: generic points, one
     # stack with per-point colorings and one with a shared coloring, the
     # constant model where it exists (Q = 1) and the exact witness
-    pa = build_pilot_sets(dims)
+    chain = pilot_chain(dims)
     points = [generic_point(seed, dims) for seed in range(10)]
     S = np.stack([s for _, s, _ in points])
     X = np.stack([x for _, _, x in points])
-    layout = JacobianLayout(pa)
+    layout = JacobianLayout(chain)
     colorings = [Z for Z, _, _ in points]
     per_point = layout.assemble(np.stack(colorings), S, X)
     if dims.Q == 1:
@@ -335,13 +342,13 @@ def test_diagonal_grid_is_bitwise_the_loop(dims):
     for Z in colorings:
         shared = layout.assemble(Z, S, X)
         for j, (_, s, x) in enumerate(points):
-            assert shared[j].tobytes() == assemble_jacobian_loop(Z, s, x, pa).tobytes()
+            assert shared[j].tobytes() == assemble_jacobian_loop(Z, s, x, chain).tobytes()
     for j, (Z, s, x) in enumerate(points):
-        oracle = assemble_jacobian_loop(Z, s, x, pa).tobytes()
+        oracle = assemble_jacobian_loop(Z, s, x, chain).tobytes()
         assert per_point[j].tobytes() == oracle
-        assert assemble_jacobian(Z, s, x, pa).tobytes() == oracle
+        assert assemble_jacobian(Z, s, x, chain).tobytes() == oracle
     witness = witness_construct(pilot_chain(dims), exact=True)
-    assert assemble_jacobian(*witness, pa).tobytes() == assemble_jacobian_loop(*witness, pa).tobytes()
+    assert assemble_jacobian(*witness, chain).tobytes() == assemble_jacobian_loop(*witness, chain).tobytes()
 
 
 def test_assembly_keeps_its_shape_errors():
@@ -418,31 +425,31 @@ def one_draw_per_stack(monkeypatch):
 
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
 def test_probe_stacks_are_bitwise_one_draw_at_a_time(dims, count, constant, one_draw_per_stack):
-    pa = build_pilot_sets(dims)
+    chain = pilot_chain(dims)
     coloring = constant_model(dims) if constant else None
-    stacked = genericity_probe(pa, trials=count, seed=count + 11, coloring=coloring)
-    by_draw = one_draw_per_stack(genericity_probe, pa, trials=count, seed=count + 11, coloring=coloring)
+    stacked = genericity_probe(chain, trials=count, seed=count + 11, coloring=coloring)
+    by_draw = one_draw_per_stack(genericity_probe, chain, trials=count, seed=count + 11, coloring=coloring)
     assert repr(stacked) == repr(by_draw)
 
 
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
 def test_mc_logdet_stacks_are_bitwise_one_draw_at_a_time(dims, count, constant, one_draw_per_stack):
-    pa = build_pilot_sets(dims)
+    chain = pilot_chain(dims)
     Z = constant_model(dims) if constant else random_coloring(dims, count)
     if count == 0:
         with pytest.raises(ValueError, match="samples must be positive"):
-            mc_logdet(Z, pa, samples=0, seed=12)
+            mc_logdet(Z, chain, samples=0, seed=12)
         return
-    stacked = mc_logdet(Z, pa, samples=count, seed=count + 12)
-    assert repr(stacked) == repr(one_draw_per_stack(mc_logdet, Z, pa, samples=count, seed=count + 12))
+    stacked = mc_logdet(Z, chain, samples=count, seed=count + 12)
+    assert repr(stacked) == repr(one_draw_per_stack(mc_logdet, Z, chain, samples=count, seed=count + 12))
 
 
 @pytest.mark.parametrize("dims, count, constant", REFERENCE_CASES, ids=str)
 def test_probe_agrees_with_the_full_svd_oracle(dims, count, constant):
-    pa = build_pilot_sets(dims)
+    chain = pilot_chain(dims)
     coloring = constant_model(dims) if constant else None
-    stats = genericity_probe(pa, trials=count, seed=count + 11, coloring=coloring)
-    verdicts, log_dets = probe_loop(dims, pa, count, count + 11, coloring)
+    stats = genericity_probe(chain, trials=count, seed=count + 11, coloring=coloring)
+    verdicts, log_dets = probe_loop(dims, chain, count, count + 11, coloring)
     assert stats.trials == count
     assert stats.n_nonsingular == sum(verdicts)
     if count == 0:
@@ -455,10 +462,10 @@ def test_probe_agrees_with_the_full_svd_oracle(dims, count, constant):
 
 @pytest.mark.parametrize("dims, count, constant", [case for case in REFERENCE_CASES if case[1]], ids=str)
 def test_mc_logdet_agrees_with_the_full_svd_oracle(dims, count, constant):
-    pa = build_pilot_sets(dims)
+    chain = pilot_chain(dims)
     Z = constant_model(dims) if constant else random_coloring(dims, count)
-    est = mc_logdet(Z, pa, samples=count, seed=count + 12)
-    oracle = mc_logdet_loop(Z, dims, pa, count, count + 12)
+    est = mc_logdet(Z, chain, samples=count, seed=count + 12)
+    oracle = mc_logdet_loop(Z, dims, chain, count, count + 12)
     assert (est.samples, est.clipped_fraction) == (oracle.samples, oracle.clipped_fraction)
     assert est.mean == pytest.approx(oracle.mean, rel=1e-10, abs=0)
     assert est.stderr == pytest.approx(oracle.stderr, rel=1e-10, abs=0)
@@ -466,7 +473,7 @@ def test_mc_logdet_agrees_with_the_full_svd_oracle(dims, count, constant):
 
 @functools.cache
 def cells_of_side(side, n_max):
-    return [dims for dims in regime_cells(n_max) if JacobianLayout(build_pilot_sets(dims)).side == side]
+    return [dims for dims in regime_cells(n_max) if JacobianLayout(pilot_chain(dims)).side == side]
 
 
 @pytest.mark.parametrize("side", ["antennas", "faces"])
@@ -474,8 +481,8 @@ def cells_of_side(side, n_max):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), constant=st.booleans())
 def test_elimination_matches_slogdet_and_the_full_svd_verdict(side, data, seed, constant):
     dims = data.draw(st.sampled_from(cells_of_side(side, 8)), label="dims")
-    pa = build_pilot_sets(dims)
-    layout = JacobianLayout(pa)
+    chain = pilot_chain(dims)
+    layout = JacobianLayout(chain)
     assert layout.side == side
     coloring = constant_model(dims) if constant and dims.Q == 1 else None
     draws = list(probe_draws(dims, 2, seed, coloring))
@@ -485,7 +492,7 @@ def test_elimination_matches_slogdet_and_the_full_svd_verdict(side, data, seed, 
         np.stack([x for _, _, x in draws]),
     )
     for j, (Z, s, x) in enumerate(draws):
-        M = assemble_jacobian_loop(Z, s, x, pa)
+        M = assemble_jacobian_loop(Z, s, x, chain)
         nonsingular = bool(ratio[j] > NONSINGULAR_TOL)
         assert nonsingular == full_svd_verdict(M), dims
         if nonsingular:
@@ -497,20 +504,20 @@ def test_the_smaller_schur_block_picks_the_side():
     # n_b < m, antennas otherwise, ties included
     counts = collections.Counter()
     for dims in regime_cells(6):
-        pa = build_pilot_sets(dims)
-        n_b, m = dims.R * dims.T_eff * dims.Q, pa.data_index.size
-        side = JacobianLayout(pa).side
+        chain = pilot_chain(dims)
+        n_b, m = dims.R * dims.T_eff * dims.Q, chain.data_index.size
+        side = JacobianLayout(chain).side
         assert side == ("faces" if n_b < m else "antennas"), dims
         if dims.Q == 1:
             counts["tie" if n_b == m else side] += 1
     assert counts == {"faces": 8, "tie": 6, "antennas": 55}
     ladder = [Dims.create(2, 3, 4, 1), FACE_CELL, Dims.create(4, 8, 16, 2), Dims.create(6, 11, 40, 3)]
-    assert [JacobianLayout(build_pilot_sets(d)).side for d in ladder] == ["antennas", "faces"] * 2
-    assert JacobianLayout(build_pilot_sets(Dims.create(8, 10, 60, 5))).side == "antennas"  # n_b 400, m 200
+    assert [JacobianLayout(pilot_chain(d)).side for d in ladder] == ["antennas", "faces"] * 2
+    assert JacobianLayout(pilot_chain(Dims.create(8, 10, 60, 5))).side == "antennas"  # n_b 400, m 200
 
 
 def test_a_layout_that_only_assembles_builds_no_elimination_indices():
-    layout = JacobianLayout(build_pilot_sets(FACE_CELL))
+    layout = JacobianLayout(pilot_chain(FACE_CELL))
     Z, s, x = generic_point(4, FACE_CELL)
     layout.assemble(Z, s[None], x[None])
     assert "_groups" not in vars(layout)
@@ -526,7 +533,7 @@ def test_elimination_of_an_exactly_singular_jacobian_is_quiet(dims):
     zero = np.zeros((1, dims.R * dims.T_eff * dims.Q), complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        log_abs_det, ratio = JacobianLayout(build_pilot_sets(dims)).eliminate(Z, zero, x[None])
+        log_abs_det, ratio = JacobianLayout(pilot_chain(dims)).eliminate(Z, zero, x[None])
     assert log_abs_det.tolist() == [-math.inf] and ratio.tolist() == [0.0]
 
 
@@ -558,7 +565,7 @@ def factorized(calls):
 
 
 def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
-    results = run_recovery_trials(build_pilot_sets(Dims.create(3, 4, 12, 1)), trials=3, seed=4)
+    results = run_recovery_trials(pilot_chain(Dims.create(3, 4, 12, 1)), trials=3, seed=4)
     assert all(r.success and r.iterations > 0 for r in results)
     assert certified(DIMS) != 0
     assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
@@ -572,14 +579,14 @@ PER_DRAW = [(DIMS, 3, 3 + 1), (FACE_CELL, 12, 12 + 1)]
 
 @pytest.mark.parametrize("dims, qr, svd", PER_DRAW, ids=["antennas", "faces"])
 def test_mc_logdet_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, svd):
-    est = mc_logdet(random_coloring(dims, 1), build_pilot_sets(dims), samples=7, seed=2)
+    est = mc_logdet(random_coloring(dims, 1), pilot_chain(dims), samples=7, seed=2)
     assert est.samples == 7
     assert factorized(linalg_calls) == {"svd": 7 * svd, "qr": 7 * qr, "slogdet": 0}
 
 
 @pytest.mark.parametrize("dims, qr, svd", PER_DRAW, ids=["antennas", "faces"])
 def test_probe_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, svd):
-    assert genericity_probe(build_pilot_sets(dims), trials=5, seed=3).trials == 5
+    assert genericity_probe(pilot_chain(dims), trials=5, seed=3).trials == 5
     assert factorized(linalg_calls) == {"svd": 5 * svd, "qr": 5 * qr, "slogdet": 0}
 
 
@@ -595,11 +602,11 @@ def test_probe_one_qr_per_group_and_an_svd_per_factor(linalg_calls, dims, qr, sv
     ids=["antennas", "faces"],
 )
 def test_stacks_stay_under_the_byte_cap(linalg_calls, dims, q_entries, schur, per_stack, groups):
-    pa = build_pilot_sets(dims)
-    assert JacobianLayout(pa).per_stack == STACK_BYTES // ((q_entries + schur * schur) * 16) == per_stack
+    chain = pilot_chain(dims)
+    assert JacobianLayout(chain).per_stack == STACK_BYTES // ((q_entries + schur * schur) * 16) == per_stack
     draws = per_stack + 4  # two stacks for each caller
-    genericity_probe(pa, trials=draws, seed=1)
-    mc_logdet(random_coloring(dims, 2), pa, samples=draws, seed=3)
+    genericity_probe(chain, trials=draws, seed=1)
+    mc_logdet(random_coloring(dims, 2), chain, samples=draws, seed=3)
     assert factorized(linalg_calls) == {"svd": 2 * draws * (groups + 1), "qr": 2 * draws * groups, "slogdet": 0}
     schur_stacks = [count for name, count, shape, _ in linalg_calls["stacks"] if shape == (schur, schur)]
     assert schur_stacks == [per_stack, 4] * 2
@@ -618,7 +625,7 @@ WITNESS_CELLS = list(regime_cells(6))
 def test_witness_abs_det_matches_slogdet(exact):
     for dims in WITNESS_CELLS:
         chain = pilot_chain(dims)
-        J = assemble_jacobian(*witness_construct(chain, seed=3, exact=exact), chain[-1])
+        J = assemble_jacobian(*witness_construct(chain, seed=3, exact=exact), chain)
         oracle = math.exp(np.linalg.slogdet(J)[1])
         report = witness_report(dims, seed=3, exact=exact)
         assert report["abs_det"] == pytest.approx(oracle, rel=1e-12, abs=0), dims
@@ -684,9 +691,9 @@ def test_reduce_reproduces_worked_reduction():
     reduced = reduce_by_block(J3, rows=[9, 10, 11, 12], cols=cols)
 
     dims2 = Dims.create(2, 2, 4, 1, T_eff=2)
-    pa2 = build_pilot_sets(dims2)
+    chain2 = pilot_chain(dims2)
     Z2 = Z[:2]
-    J2 = assemble_jacobian(Z2, s[:4], x, pa2)
+    J2 = assemble_jacobian(Z2, s[:4], x, chain2)
     assert np.allclose(reduced, J2, rtol=0, atol=1e-15)
     assert abs(np.linalg.det(J2)) > 0
 
@@ -771,7 +778,7 @@ def oracle_det(M) -> int:
 
 def exact_witness_matrix(dims):
     chain = pilot_chain(dims)
-    return assemble_jacobian(*witness_construct(chain, exact=True), chain[-1])
+    return assemble_jacobian(*witness_construct(chain, exact=True), chain)
 
 
 @pytest.mark.parametrize(
@@ -910,9 +917,9 @@ def test_float_witness_is_not_certified():
     # the seeded witness is nonsingular but its entries are not 0/1, so the exact certificate refuses it
     chain = pilot_chain(DIMS)
     witness = witness_construct(chain, seed=0)
-    assert full_svd_verdict(assemble_jacobian(*witness, chain[-1]))
+    assert full_svd_verdict(assemble_jacobian(*witness, chain))
     with pytest.raises(InvalidConfigurationError, match="other than 0 and 1"):
-        certify_witness_exact(chain[-1], witness)
+        certify_witness_exact(chain, witness)
 
 
 def permuted(M, seed):

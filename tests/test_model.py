@@ -22,7 +22,7 @@ from fadingdof.model import (
     split_tx,
     standard_complex_gaussian,
 )
-from fadingdof.pilots import build_pilot_sets, pilot_chain
+from fadingdof.pilots import pilot_chain
 
 DIMS_2341 = Dims.create(2, 3, 4, 1)
 
@@ -113,16 +113,16 @@ def test_build_B_shape_errors():
         build_B(other, np.ones(8), DIMS_2341)
 
 
-# every public function that takes a coloring, called at the point (s, x) of the cell pa
+# every public function that takes a coloring, called at the point (s, x) of the cell, taken as its chain
 COLORING_ENTRY_POINTS = {
-    "assemble_jacobian": lambda Z, pa, s, x: assemble_jacobian(Z, s, x, pa),
-    "forward_map": lambda Z, pa, s, x: forward_map(s, x, pa, Z),
-    "recover": lambda Z, pa, s, x: recover(np.ones(pa.n_useful), pa, Z, init=(s, x)),
-    "genericity_probe": lambda Z, pa, s, x: genericity_probe(pa, 1, 0, coloring=Z),
-    "genericity_probe without trials": lambda Z, pa, s, x: genericity_probe(pa, 0, 0, coloring=Z),
-    "run_recovery_trials": lambda Z, pa, s, x: run_recovery_trials(pa, 1, 0, coloring=Z),
-    "run_recovery_trials without trials": lambda Z, pa, s, x: run_recovery_trials(pa, 0, 0, coloring=Z),
-    "mc_logdet": lambda Z, pa, s, x: mc_logdet(Z, pa, 1, 0),
+    "assemble_jacobian": lambda Z, chain, s, x: assemble_jacobian(Z, s, x, chain),
+    "forward_map": lambda Z, chain, s, x: forward_map(s, x, chain, Z),
+    "recover": lambda Z, chain, s, x: recover(np.ones(chain.n_useful), chain, Z, init=(s, x)),
+    "genericity_probe": lambda Z, chain, s, x: genericity_probe(chain, 1, 0, coloring=Z),
+    "genericity_probe without trials": lambda Z, chain, s, x: genericity_probe(chain, 0, 0, coloring=Z),
+    "run_recovery_trials": lambda Z, chain, s, x: run_recovery_trials(chain, 1, 0, coloring=Z),
+    "run_recovery_trials without trials": lambda Z, chain, s, x: run_recovery_trials(chain, 0, 0, coloring=Z),
+    "mc_logdet": lambda Z, chain, s, x: mc_logdet(Z, chain, 1, 0),
 }
 
 
@@ -134,7 +134,7 @@ def test_every_coloring_entry_point_refuses_another_shape(entry, stack):
     wrong = Z[None] if stack else random_coloring(Dims.create(2, 2, 4, 1), seed=0)
     s, x = np.ones(DIMS_2341.R * DIMS_2341.T_eff), np.ones(DIMS_2341.T_eff * DIMS_2341.N)
     with pytest.raises(InvalidConfigurationError, match=r"coloring grid \(.*\) does not conform"):
-        COLORING_ENTRY_POINTS[entry](wrong, build_pilot_sets(DIMS_2341), s, x)
+        COLORING_ENTRY_POINTS[entry](wrong, pilot_chain(DIMS_2341), s, x)
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from paper_facts import pilot_property_oracle, regime_cells, tuple_chain
+from paper_facts import cuts, pilot_property_oracle, regime_cells, tuple_chain
 
 from fadingdof.model import Dims, InvalidConfigurationError, regime_chains
 from fadingdof.pilots import (
     PROPERTIES,
     assignment_to_dict,
-    build_pilot_sets,
     card_deal,
     mod_star,
     pilot_chain,
@@ -142,37 +141,38 @@ def test_worked_dealing_instance():
     # T_eff=4, N=6 with 14 pilots lands exactly on the worked table
     dims = Dims(T=4, R=5, N=6, Q=1, T_eff=4)
     assert pilot_count(4, 5, 6, 1) == 14
-    pa = build_pilot_sets(dims)
-    assert assignment_to_dict(pa)["pilot_sets"] == [[1, 3, 5], [1, 2, 4, 6], [1, 2, 3, 5], [2, 4, 6]]
+    chain = pilot_chain(dims)
+    assert assignment_to_dict(chain)["pilot_sets"] == [[1, 3, 5], [1, 2, 4, 6], [1, 2, 3, 5], [2, 4, 6]]
 
 
 def test_small_example_pilot_positions():
-    pa = build_pilot_sets(Dims.create(2, 3, 4, 1))
-    assert pa.theta_R == max(2, 6 - 4) == 2
-    assert pa.P.sum(axis=1).tolist() == [1, 1]
-    assert pa.pilot_index.tolist() == [0, 5]  # 0-based flat positions t N + i
-    assert pa.data_index.tolist() == [1, 2, 3, 4, 6, 7]
-    assert pa.ell == 0 and pa.n_useful == 12
+    chain = pilot_chain(Dims.create(2, 3, 4, 1))  # the top row is the cell's
+    assert chain.theta[-1] == max(2, 6 - 4) == 2
+    assert chain.P[-1].sum(axis=1).tolist() == [1, 1]
+    assert np.flatnonzero(chain.P[-1]).tolist() == [0, 5]  # 0-based flat positions t N + i
+    assert chain.data_index.tolist() == [1, 2, 3, 4, 6, 7]
+    assert chain.ell[-1] == 0 and chain.n_useful == 12
 
 
 def test_square_case_pilot_sets_are_maximal():
     # R = T_eff forces |P_t| = T_eff*Q for every antenna
     for dims in [Dims.create(2, 2, 5, 1, T_eff=2), Dims.create(3, 3, 7, 2, T_eff=3)]:
-        pa = build_pilot_sets(dims)
-        assert (pa.P.sum(axis=1) == dims.T_eff * dims.Q).all()
-        assert pa.L is None and pa.G is None and pa.anchors is None
+        chain = pilot_chain(dims)
+        assert (chain.P[-1].sum(axis=1) == dims.T_eff * dims.Q).all()
+        # a chain of one cell: no partition, L and G empty and the anchors -1
+        assert len(chain) == 1 and not chain.L.any() and not chain.G.any() and (chain.anchors == -1).all()
 
 
 def test_regime_violation_raises():
     with pytest.raises(InvalidConfigurationError):
-        build_pilot_sets(Dims(T=2, R=3, N=4, Q=2, T_eff=2))  # N = T_eff*Q
+        pilot_chain(Dims(T=2, R=3, N=4, Q=2, T_eff=2))  # N = T_eff*Q
     with pytest.raises(InvalidConfigurationError):
-        build_pilot_sets(Dims(T=2, R=12, N=4, Q=1, T_eff=2))  # R too large
+        pilot_chain(Dims(T=2, R=12, N=4, Q=1, T_eff=2))  # R too large
 
 
 def test_properties_hold_on_regime_grid():
     chains = [pilot_chain(top) for top in regime_chains(8)]
-    assert [pa.dims for chain in chains for pa in chain] == list(regime_cells(8))
+    assert [cell.dims for chain in chains for cell in cuts(chain)] == list(regime_cells(8))
     assert sum(map(len, chains)) == 320
     assert verify_pilot_properties(chains) == []
 
@@ -202,17 +202,22 @@ def test_one_deal_matches_two_deal_oracle():
     cells = [d for d in regime_cells(10) if d.R > d.T_eff]
     assert len(cells) == 632
     for d in cells:
-        pa = build_pilot_sets(d)
+        chain = pilot_chain(d)
         cur, prev = dealt(d, d.R), dealt(d, d.R - 1)
-        assert faces(pa.P) == cur, d
-        assert faces(pa.L) == [p - c for p, c in zip(prev, cur)], d
+        assert faces(chain.P[-1]) == cur, d
+        assert faces(chain.L[-1]) == [p - c for p, c in zip(prev, cur)], d
 
 
 def assert_chain_matches_per_R_builds(top):
+    # each cut equals the chain built for its own cell, field by field, on read-only views of the top's rows
     chain = pilot_chain(top)
-    assert [pa.dims.R for pa in chain] == list(range(top.T_eff, top.R + 1))
-    for pa in chain:
-        assert pa == build_pilot_sets(top.with_rx(pa.dims.R)), pa.dims
+    assert chain.cut(top.R) is chain
+    assert [cell.dims.R for cell in cuts(chain)] == list(range(top.T_eff, top.R + 1))
+    for cell in cuts(chain):
+        assert cell == pilot_chain(top.with_rx(cell.dims.R)), cell.dims
+        for name in CHAIN_FIELDS:
+            a = getattr(cell, name)
+            assert np.shares_memory(a, getattr(chain, name)) and not a.flags.writeable, (cell.dims, name)
 
 
 def test_one_deal_chain_equals_per_R_builds_on_every_cell_up_to_N_10():
@@ -247,8 +252,7 @@ def test_chain_properties_on_random_cells(dims):
     chain = pilot_chain(dims)
     assert verify_pilot_properties([chain]) == []
     # P_t(R'-1) is the disjoint union of P_t(R') and L_t(R')
-    for prev, pa in zip(chain, chain[1:]):
-        assert np.array_equal(prev.P, pa.P | pa.L) and not (pa.P & pa.L).any(), pa.dims
+    assert np.array_equal(chain.P[:-1], chain.P[1:] | chain.L[1:]) and not (chain.P[1:] & chain.L[1:]).any()
     T_eff, N = dims.T_eff, dims.N
     image = [card_deal(j, T_eff, N) for j in range(1, T_eff * N + 1)]
     assert sorted(image) == list(itertools.product(range(1, T_eff + 1), range(1, N + 1)))
@@ -262,7 +266,7 @@ def test_chain_rejects_cells_outside_the_regime():
 def test_corrupted_assignment_fails_checks():
     dims = Dims.create(2, 2, 5, 1, T_eff=2)
     chain = pilot_chain(dims)  # one cell, R = T_eff
-    P = assignment_to_dict(chain[0])["pilot_sets"]
+    P = assignment_to_dict(chain)["pilot_sets"]
     # drop one pilot face: the total-count property must fail
     [(failed, report)] = verify_pilot_properties([with_cell(chain, 0, P=[P[0][1:], P[1]])])
     assert failed == dims and list(report) == list(PROPERTIES[:4])  # R = T_eff: no partition to check
@@ -436,11 +440,11 @@ def assert_views_equal_the_tuple_construction(tops, chains):
     cells = 0
     for top, chain in zip(tops, chains, strict=True):
         assert chain.dims == top
-        for pa, oracle in zip(chain, tuple_chain(top), strict=True):
-            view = assignment_to_dict(pa)
+        for cell, oracle in zip(cuts(chain), tuple_chain(top), strict=True):
+            view = assignment_to_dict(cell)
             want = {k: v for k, v in dataclasses.asdict(oracle).items() if v is not None and k != "dims"}
-            assert set(view) - {"dims", "useful_outputs"} == set(want), pa.dims
-            assert json.dumps({k: view[k] for k in want}) == json.dumps(want), pa.dims
+            assert set(view) - {"dims", "useful_outputs"} == set(want), cell.dims
+            assert json.dumps({k: view[k] for k in want}) == json.dumps(want), cell.dims
             cells += 1
     return cells
 
@@ -498,22 +502,34 @@ def test_a_batch_deals_nothing_for_no_cells_and_refuses_any_cell_outside_the_reg
         pilot_chains(cells)
 
 
-def test_a_chain_is_read_only_and_indexes_as_a_list():
+def test_a_chain_is_read_only_and_cuts_to_each_cell():
     chain = pilot_chain(Dims(T=3, R=5, N=8, Q=2, T_eff=3))
-    assert len(chain) == 3 and chain[-1] == chain[2] == build_pilot_sets(chain.dims)
-    assert isinstance(chain[1:], list) and [pa.dims.R for pa in chain[::-1]] == [5, 4, 3]
-    with pytest.raises(IndexError):
-        chain[3]
-    for a in (chain.cards, chain.theta, chain.ell, chain.P, chain.L, chain.G, chain.anchors, chain[2].P):
+    assert len(chain) == 3 and chain.cut(5) is chain and chain == pilot_chain(chain.dims)
+    # a cut keeps T and the rows up to its own cell; it is no sequence of cells
+    below = chain.cut(4)
+    assert below.dims == Dims(T=3, R=4, N=8, Q=2, T_eff=3) and len(below) == 2 and below.cut(4) is below
+    assert below.cards is chain.cards and below != chain and below.theta.tolist() == [18, 16]
+    with pytest.raises(TypeError):
+        chain[0]
+    for a in (chain.cards, chain.theta, chain.ell, chain.P, chain.L, chain.G, chain.anchors, below.P):
         assert not a.flags.writeable
     # the full deal: each card number once, those past theta_{T_eff} = T_eff^2 Q pilots of no cell
     assert sorted(chain.cards.ravel().tolist()) == list(range(1, 25)) and chain.theta.tolist() == [18, 16, 14]
-    assert chain[0].L is None and not chain.L[0].any() and not chain.G[0].any() and (chain.anchors[0] == -1).all()
+    assert not chain.L[0].any() and not chain.G[0].any() and (chain.anchors[0] == -1).all()
+
+
+def test_a_cut_outside_the_chain_is_refused():
+    chain = pilot_chain(CELL)  # R' = 3, 4, 5
+    for R in (2, 6):  # T_eff - 1 and dims.R + 1
+        with pytest.raises(InvalidConfigurationError, match=f"R={R} outside the chain R' = 3..5"):
+            chain.cut(R)
+    with pytest.raises(InvalidConfigurationError, match="outside the chain R' = 3..4"):
+        chain.cut(4).cut(5)  # a cut ends at its own cell
 
 
 def test_assignment_json_dump_is_sorted():
-    pa = build_pilot_sets(Dims.create(2, 3, 4, 1))
-    d = assignment_to_dict(pa)
+    chain = pilot_chain(Dims.create(2, 3, 4, 1))
+    d = assignment_to_dict(chain)
     assert d["pilots"] == sorted(d["pilots"])
     assert d["pilot_sets"] == [sorted(p) for p in d["pilot_sets"]]
     assert d["useful_outputs"] == [1, 12]

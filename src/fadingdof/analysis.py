@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import complex_gaussian_draws, require_coloring
+from .model import InvalidConfigurationError, complex_gaussian_draws, require_coloring
 from .jacobian import NONSINGULAR_TOL, JacobianLayout
 from .pilots import PilotChain
 
@@ -86,7 +86,7 @@ def mc_logdet(
     child of a spawn tree that also seeds the coloring.
     """
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise InvalidConfigurationError("samples must be positive")
     require_coloring(Z, chain.dims)
     n_batches = -(-samples // BATCH)
     if not isinstance(seed, np.random.SeedSequence):

@@ -26,6 +26,7 @@ __all__ = [
     "rounded_lower",
     "chi_low_star",
     "ell",
+    "pilot_count",
     "figure1_curves",
     "write_figure1_csv",
     "dof_report",
@@ -138,15 +139,20 @@ def _chi_low_star_brute_grid(N, Q, T, R) -> np.ndarray:
     return best
 
 
-def ell(T_eff: int, R: int, N: int, Q: int) -> int:
-    """Number of redundant received equations, max{0, RN - (R T_eff Q + T_eff N - T_eff)}."""
-    return max(0, R * N - (R * T_eff * Q + T_eff * N - T_eff))
+def ell(T_eff, R, N, Q):
+    """Number of redundant received equations, max{0, RN - (R T_eff Q + T_eff N - T_eff)}, on ints or integer arrays."""
+    excess = R * N - (R * T_eff * Q + T_eff * N - T_eff)
+    return _pick(excess > 0, excess, 0)
+
+
+def pilot_count(T_eff, R, N, Q):
+    """Total number of pilot symbols theta_R, max{T_eff, R T_eff Q - (R - T_eff) N}, on ints or integer arrays."""
+    count = R * T_eff * Q - (R - T_eff) * N
+    return _pick(count > T_eff, count, T_eff)
 
 
 def dof_report(dims: Dims) -> DofReport:
     """Evaluate every bound for one configuration."""
-    from .pilots import pilot_count
-
     return DofReport(
         dims=dims,
         chi_const=chi_const(dims.T, dims.R, dims.N),

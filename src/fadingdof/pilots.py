@@ -7,24 +7,27 @@ bijection: card j (1-based) shows face j mod* N and goes to player
 [1:b]. The offset term skips one player each time a full deal cycle would
 repeat, which keeps the faces dealt to any one player distinct.
 
-A pilot chain, the cells R' = T_eff..R of one (N, Q, T_eff), is one
-card-number array: cards[t, i] is the number of the card that deals face i to
-antenna t. theta_R' falls as R' grows, so every cell deals a prefix of the
-same cards and is a set of boolean masks over the array: P (card <=
-theta_R'), L (theta_R' < card <= theta_{R'-1}) and G (the anchor plus Q - 1
-pool fillers). pilot_chains deals any list of chains in one pass over grids
-padded to their largest T_eff and N, and each chain is a set of read-only
-views into it; pilot_chain is the batch of one. A cell is the chain whose top
-it is: every caller takes a chain and reads its top row, and chain.cut(R) is
-the cell R' = R below the top, on views of the first rows. Code that indexes
-arrays reads 0-based positions off the masks; 1-based sets exist only in
-output: the pilots table, its JSON form and the checker's failure payloads.
-verify_pilot_properties checks every cell of any number of chains in one
-array pass over their masks, copied into one padded grid. Everything is pure.
+A pilot chain, the cells R' = T_eff..R of one (N, Q, T_eff), is one card-number
+array: cards[t, i] is the number of the card that deals face i to antenna t.
+The deal depends only on the shape (T_eff, N), and Q and R' set only the
+thresholds: theta_R' falls as R' grows, so every cell deals a prefix of the
+same cards and is a set of boolean masks over the array: P (card <= theta_R'),
+L (theta_R' < card <= theta_{R'-1}) and G (the anchor plus Q - 1 pool fillers).
+pilot_chains deals any list of chains, each shape once, with no padding: the
+chains of one shape share its card array, and each chain is a set of read-only
+views into its shape's masks; pilot_chain is the batch of one. A cell is the
+chain whose top it is: every caller takes a chain and reads its top row, and
+chain.cut(R) is the cell R' = R below the top, on views of the first rows. Code
+that indexes arrays reads 0-based positions off the masks; 1-based sets exist
+only in output: the pilots table, its JSON form and the checker's failure
+payloads. verify_pilot_properties checks every cell of any number of chains in
+one array pass over their masks, copied into one padded grid. Everything is
+pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -32,12 +35,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import Dims, InvalidConfigurationError, dims_to_dict
-from .dof import ell
+from .dof import ell, pilot_count
 
 __all__ = [
     "mod_star",
     "card_deal",
-    "pilot_count",
     "PilotChain",
     "PROPERTIES",
     "pilot_chain",
@@ -48,9 +50,12 @@ __all__ = [
 ]
 
 
-def mod_star(a: int, b: int) -> int:
-    """Residue of a modulo b in [1:b]: a - b*floor((a-1)/b). Multiples of b map to b."""
-    if a < 1 or b < 1:
+def mod_star(a, b):
+    """Residue of a modulo b in [1:b]: a - b*floor((a-1)/b). Multiples of b map to b.
+
+    a and b are positive ints or int arrays that broadcast together.
+    """
+    if np.any((a < 1) | (b < 1)):
         raise InvalidConfigurationError(f"mod_star needs positive arguments, got ({a}, {b})")
     return a - b * ((a - 1) // b)
 
@@ -58,30 +63,19 @@ def mod_star(a: int, b: int) -> int:
 def card_deal(j, T_eff, N):
     """Deal card j: returns (player t in [1:T_eff], face i in [1:N]).
 
-    Bijective from [1:T_eff*N] onto [1:T_eff] x [1:N]. j, T_eff and N may
-    also be int arrays that broadcast together: each card is dealt in the deal
-    of its own T_eff and N, into two arrays of the broadcast shape.
+    Bijective from [1:T_eff*N] onto [1:T_eff] x [1:N]. j, T_eff and N are
+    ints or int arrays that broadcast together: each card is dealt in the deal
+    of its own T_eff and N, into two results of the broadcast shape.
     """
-    if any(isinstance(a, np.ndarray) for a in (j, T_eff, N)):
-        if ((j < 1) | (j > T_eff * N)).any():
-            raise InvalidConfigurationError("card indices outside [1 : T_eff N] of their deal")
-        cycle = np.lcm(T_eff, N)
-    elif 1 <= j <= T_eff * N:
-        cycle = math.lcm(T_eff, N)
-    else:
-        raise InvalidConfigurationError(f"card index {j} outside [1:{T_eff * N}]")
-    player, face = _deal(j - 1, cycle, T_eff, N)
+    if np.any((j < 1) | (j > T_eff * N)):
+        raise InvalidConfigurationError("card indices outside [1 : T_eff N] of their deal")
+    player, face = _deal(j - 1, np.lcm(T_eff, N), T_eff, N)
     return player + 1, face + 1
 
 
 def _deal(c, cycle, T_eff, N):
     """The 0-based (player, face) of the 0-based card c, in a deal of cycle lcm(T_eff, N)."""
     return (c + c // cycle) % T_eff, c % N  # a mod* b = (a - 1) % b + 1 for a >= 1
-
-
-def pilot_count(T_eff: int, R: int, N: int, Q: int) -> int:
-    """Total number of pilot symbols: max{T_eff, R T_eff Q - (R - T_eff) N}."""
-    return max(T_eff, R * T_eff * Q - (R - T_eff) * N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +92,9 @@ class PilotChain:
     induction partition, L[-1] the faces dropped from P_t going from R - 1 to
     R receive antennas (L_t), G[-1] the disjoint Q-face anchor blocks (G_t)
     and anchors[-1][t] the face g_t of G_t in P_t. cut(R) is the cell R' = R
-    below the top. All arrays are read-only, a dealt chain's are views into
-    the padded grids of the pilot_chains call, and chains with equal fields
-    compare equal.
+    below the top. All arrays are read-only; a dealt chain's cards are the
+    one array of its shape (T_eff, N), its other fields views of its rows in
+    its pilot_chains call, and chains with equal fields compare equal.
     """
 
     dims: Dims
@@ -146,79 +140,67 @@ class PilotChain:
 
 
 def pilot_chains(tops) -> list[PilotChain]:
-    """The chains R' = T_eff..R of the cells tops, in their order, dealt together in one padded pass.
+    """The chains R' = T_eff..R of the cells tops, in their order, each shape (T_eff, N) dealt once.
 
-    The card numbers of each chain's deal of all its T_eff N cards fill its
-    rows of one (chains, max T_eff, max N) grid, padded with a number past
-    every threshold. Each mask is a comparison of the card numbers with the
-    cells' thresholds over one (cells, max T_eff, max N) grid: P (card <=
-    theta_R') and L (theta_R' < card <= theta_{R'-1}). The anchors are the last
-    T_eff cards up to theta_R', the part of that window past a multiple of the
-    deal cycle lcm(T_eff, N) taken one cycle earlier, one per antenna; G_t is
+    The thresholds of every cell come from one array call each of
+    pilot_count (theta_R' and theta_{R'-1}) and ell. The card numbers of a
+    shape are one (T_eff, N) array that all its chains share, and its cells'
+    masks are comparisons of that array with their thresholds: P (card <=
+    theta_R') and L (theta_R' < card <= theta_{R'-1}). Antenna t's anchor is
+    face (r + (t - r - q) mod T_eff) mod N, where theta_R' - T_eff = q
+    lcm(T_eff, N) + r: the last T_eff cards up to theta_R', the part of that
+    window past a multiple of the deal cycle taken one cycle earlier. G_t is
     g_t plus Q - 1 fillers taken in ascending order from the pool, the faces
     below N - ell less the dropped faces and the anchors. Each chain's fields
-    are read-only views of its rows, cut to its own T_eff and N.
+    are read-only views of its rows: of the batch's thresholds, and of its
+    shape's masks and anchors.
     """
     tops = list(tops)
     if not tops:
         return []
-    t_max, n_max = max(top.T_eff for top in tops), max(top.N for top in tops)
-    size = t_max * n_max
-    # per chain: T_eff, N, T_eff N, the cycle and its place in the flat card grid; per cell: theta_R',
-    # theta_{R'-1}, ell_R', the end of the filler pool and the fillers per antenna (no drop at R' = T_eff, no
-    # pool there or at Q = 1); per cell past its chain's first: its place in the flat anchors and its anchor
-    # window, the cards base + (r + u) % cycle for u < T_eff in the flat card grid
-    deals, cells, window, sizes, pooled = [], [[], [], [], [], []], [], [], False
-    theta, prev, ells, pool_end, fillers = cells
+    shapes: dict[tuple[int, int], list] = {}  # per (T_eff, N): each of its chains' place in tops and cells
     for c, top in enumerate(tops):
         top.require_regime()
-        T_eff, N, Q = top.T_eff, top.N, top.Q
-        R = range(T_eff, top.R + 1)
-        th, ls, cycle = [pilot_count(T_eff, r, N, Q) for r in R], [ell(T_eff, r, N, Q) for r in R], math.lcm(T_eff, N)
-        deals.append((T_eff, N, T_eff * N, cycle, c * size))
-        for k, t in enumerate(th[1:], len(theta) + 1):
-            window.append((k * t_max, c * size + (t - T_eff) // cycle * cycle, (t - T_eff) % cycle, cycle, T_eff - 1))
-        theta += th
-        prev += th[:1] + th[:-1]
-        ells += ls
-        pool_end += [0] + [(N - l) * (Q > 1) for l in ls[1:]]
-        fillers += [Q - 1 or 1] * len(R)
-        sizes.append(len(R))
-        pooled |= Q > 1 and len(R) > 1
-    # the deal's integers take the narrowest type with room for twice its places: every cell copies its cards
-    dtype = np.min_scalar_type(-2 * len(tops) * size)
-    T, N, deck, cycle, offset = np.array(deals, dtype=dtype).T[:, :, None]
-    card = np.arange(size, dtype=dtype) % deck  # chain c deals its cards, and those past its T_eff N once more
-    players, faces = _deal(card, cycle, T, N)
-    card += 1
-    cards = np.empty(len(tops) * size, dtype=dtype)
-    cards.fill(size + 1)
-    cards[players * n_max + faces + offset] = card
-    cards = cards.reshape(len(tops), t_max, n_max)
-    anchors = np.empty((len(theta), t_max), dtype=dtype)
-    anchors.fill(-1)
-    if window:  # the antennas past a cell's T_eff repeat its last card
-        at, base, r, cycle, last = np.array(window).T[:, :, None]
-        dealt = (r + np.minimum(np.arange(t_max), last)) % cycle + base
-        anchors.reshape(-1)[at + players.take(dealt)] = faces.take(dealt)
-    cells = np.array(cells)
-    masks = np.empty((3, *anchors.shape, n_max), dtype=bool)  # P, L and G
-    np.less_equal(cards.repeat(sizes, axis=0), cells[:2, :, None, None], out=masks[:2])
-    masks[1] ^= masks[0]
-    G, face = masks[2], np.arange(n_max)
-    np.equal(anchors[:, :, None], face, out=G)
-    if pooled:
-        pool = (face < cells[3, :, None]) > np.logical_or.reduce(masks[1] | G, axis=1)
-        owner = (np.add.accumulate(pool, axis=1, dtype=dtype) - 1) // cells[4, :, None]  # each filler's antenna by rank
-        G |= pool[:, None] & (owner[:, None] == np.arange(t_max)[:, None])
-    for a in (cards, anchors, cells, masks):
-        a.flags.writeable = False
-    chains, k = [], 0
-    for c, (top, K) in enumerate(zip(tops, sizes)):
-        t, n, cell = top.T_eff, top.N, slice(k, k + K)
-        chains.append(PilotChain(top, cards[c, :t, :n], cells[0, cell], cells[2, cell], masks[0, cell, :t, :n],
-                                 masks[1, cell, :t, :n], masks[2, cell, :t, :n], anchors[cell, :t]))
-        k += K
+        shapes.setdefault((top.T_eff, top.N), []).append((c, top.R - top.T_eff + 1))
+    # per cell, with the chains grouped by shape: T_eff, N, Q, the deal cycle lcm(T_eff, N) and the fillers per
+    # antenna of its chain, then R' and R' - 1, where R' = T_eff + k at the chain's k-th cell
+    ordered = [(tops[c], K) for members in shapes.values() for c, K in members]
+    firsts = itertools.accumulate((K for _, K in ordered), initial=0)
+    rows = [(top.T_eff, top.N, top.Q, math.lcm(top.T_eff, top.N), top.Q - 1 or 1, top.T_eff - k, top.T_eff - k - 1)
+            for (top, _), k in zip(ordered, firsts)]
+    T_eff, N, Q, cycle, fillers, *_ = columns = np.repeat(np.array(rows).T, [K for _, K in ordered], axis=1)
+    R = columns[5:] + np.arange(len(T_eff))
+    np.maximum(R[1], T_eff, out=R[1])  # theta_{R'-1} is theta_R' itself at a chain's first cell: no drop
+    first = R[0] == T_eff  # no drop, anchor or pool
+    theta = pilot_count(T_eff, R, N, Q)  # theta_R' and theta_{R'-1}
+    ells = ell(T_eff, R[0], N, Q)
+    q, r = np.divmod(theta[0] - T_eff, cycle)  # theta_R' - T_eff = q lcm(T_eff, N) + r
+    pool_end = (N - ells) * ((Q > 1) & ~first)
+    theta.flags.writeable = ells.flags.writeable = False
+    chains, lo = [None] * len(tops), 0
+    for (t, n), members in shapes.items():
+        cell = slice(lo, lo + sum(K for _, K in members))
+        card = np.arange(t * n)
+        cards = np.empty((t, n), dtype=int)
+        cards[_deal(card, math.lcm(t, n), t, n)] = card + 1
+        masks = np.empty((3, cell.stop - lo, t, n), dtype=bool)  # P, L and G
+        P, L, G = masks
+        np.less_equal(cards, theta[:, cell, None, None], out=masks[:2])
+        L ^= P
+        antenna, face = np.arange(t), np.arange(n)
+        anchors = (r[cell, None] + (antenna - r[cell, None] - q[cell, None]) % t) % n
+        anchors[first[cell]] = -1
+        np.equal(anchors[:, :, None], face, out=G)
+        if pool_end[cell].any():  # fillers only for Q > 1, past a chain's first cell
+            pool = (face < pool_end[cell, None]) > (L | G).any(axis=1)
+            owner = (pool.cumsum(axis=1) - 1) // fillers[cell, None]  # each filler's antenna by rank
+            G |= pool[:, None] & (owner[:, None] == antenna[:, None])
+        for a in (cards, masks, anchors):
+            a.flags.writeable = False
+        for c, K in members:  # chain c's cells: rows lo:lo + K of the batch, k of its shape
+            k = slice(lo - cell.start, lo - cell.start + K)
+            chains[c] = PilotChain(tops[c], cards, theta[0, lo : lo + K], ells[lo : lo + K], *masks[:, k], anchors[k])
+            lo += K
     return chains
 
 
@@ -274,11 +256,12 @@ def verify_pilot_properties(chains) -> list:
     The failures come in cell order, [] when all hold. report maps each
     property checked on the cell (the last six only where R > T_eff) to
     {"ok": bool, "detail": payload}, the detail a 1-based counterexample
-    built only on failure. Each cell's P, L and G, and the pilots its deal
-    gives (cards up to theta_R'), are copied into one boolean grid of shape
-    (cells, max T_eff, max N), padded with False, and each verdict is a
-    reduction over it: set sizes are sums over the face axis, and a family
-    of sets is disjoint when no column sum over the antenna axis exceeds 1.
+    built only on failure. Each cell's P, L and G, and the faces where P is
+    not the pilots its deal gives (cards up to theta_R'), are copied into one
+    boolean grid of shape (cells, max T_eff, max N), padded with False, and
+    each verdict is a reduction over it that makes no temporary of its size:
+    set sizes are sums over the face axis, and a family of sets is disjoint
+    when no column sum over the antenna axis exceeds 1.
     """
     chains = list(chains)
     sizes = [len(chain) for chain in chains]
@@ -286,13 +269,14 @@ def verify_pilot_properties(chains) -> list:
     T_eff, N, Q = np.repeat(tops, sizes, axis=0).T
     k, t_max, n_max = len(T_eff), tops[:, 0].max(initial=1), tops[:, 1].max(initial=1)
     grid = np.zeros((4, k, t_max, n_max), dtype=bool)
-    P, L, G, dealt = grid
+    P, L, G, misdealt = grid
     start = 0
     for chain, size in zip(chains, sizes):
         cells = np.s_[start : start + size, : chain.dims.T_eff, : chain.dims.N]
         P[cells], L[cells], G[cells] = chain.P, chain.L, chain.G
-        dealt[cells] = chain.cards <= chain.theta[:, None, None]
+        misdealt[cells] = chain.cards <= chain.theta[:, None, None]  # the deal's pilots, until P is taken off below
         start += size
+    misdealt ^= P
     R = T_eff + np.arange(k) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     theta, ells = (np.concatenate([np.zeros(0, int), *(getattr(c, f) for c in chains)]) for f in ("theta", "ell"))
 
@@ -306,13 +290,13 @@ def verify_pilot_properties(chains) -> list:
     verdicts = {
         "pilot_total": counts.sum(axis=1, dtype=int) == theta,
         "pilot_size_cap": counts.max(axis=1) <= T_eff * Q,
-        "flat_embedding": ~(P ^ dealt).any(axis=(1, 2)),
+        "flat_embedding": ~misdealt.any(axis=(1, 2)),
         "useful_output_size": R * N - ells == R * T_eff * Q + n_data,
         "L_disjoint": dropped.max(axis=1) <= 1,
         "L_in_range": ~((dropped > 0) & (face >= top)).any(axis=1),
         "G_size": ((G.sum(axis=2, dtype=small) == Q[:, None]) | absent).all(axis=1),
         "G_disjoint": union.max(axis=1) <= 1,
-        "G_meets_pilots": ((G & P).any(axis=2) | absent).all(axis=1),
+        "G_meets_pilots": (np.einsum("ktn,ktn->kt", G, P) | absent).all(axis=1),  # a boolean sum of products
         "G_covers": ((union > 0) == ((face < top) & (dropped == 0))).all(axis=1),
     }
     ok = np.logical_and.reduce([verdicts[name] for name in PROPERTIES[:4]])
@@ -321,11 +305,11 @@ def verify_pilot_properties(chains) -> list:
     failures = []
     for c in np.flatnonzero(~ok).tolist():
         r, n, t = R[c].item(), N[c].item(), T_eff[c].item()
-        P_c, L_c, G_c, dealt_c = grid[:, c, :t, :n]
+        P_c, L_c, G_c, misdealt_c = grid[:, c, :t, :n]
         a = SimpleNamespace(
             R=r, N=n, Q=Q[c].item(), T_eff=t, theta_R=theta[c].item(), ell=ells[c].item(), n_data=n_data[c].item(),
             P=_faces(P_c), L=_faces(L_c), G=_faces(G_c),
-            pilots=(np.flatnonzero(P_c) + 1).tolist(), expected=(np.flatnonzero(dealt_c) + 1).tolist(),
+            pilots=(np.flatnonzero(P_c) + 1).tolist(), expected=(np.flatnonzero(P_c ^ misdealt_c) + 1).tolist(),
         )
         report = {
             name: {"ok": True, "detail": None} if verdicts[name][c] else {"ok": False, "detail": _COUNTEREXAMPLES[name](a)}
@@ -369,8 +353,8 @@ def assignment_table(chain: PilotChain) -> str:
         f"dealing {a['theta_R']} pilot positions to {dims.T_eff} antennas "
         f"(block length {dims.N}):"
     ]
-    for j in range(1, a["theta_R"] + 1):
-        t, i = card_deal(j, dims.T_eff, dims.N)
+    players, faces = card_deal(np.arange(1, a["theta_R"] + 1), dims.T_eff, dims.N)
+    for j, (t, i) in enumerate(zip(players.tolist(), faces.tolist()), start=1):
         lines.append(f"  card {j:>3}: face {i:>3} -> antenna {t}")
     for t, p in enumerate(a["pilot_sets"], start=1):
         lines.append(f"  P_{t} = {set(p)}")

@@ -51,7 +51,7 @@ def run_verify_all(n_max: int = 10) -> bool:
     values = np.arange(7)[:, None] + np.arange(1, 19)
     ends = np.arange(19)
     for b in range(2, 7):
-        residues = np.array([mod_star(v, b) for v in range(1, 25)])[values - 1]
+        residues = mod_star(values, b)
         hits = (residues[:, None, :] == np.arange(1, b + 1)[:, None]).astype(np.int8)  # [a, c, q - 1]
         counts = np.zeros((7, b, 19), dtype=np.int8)  # of j in [1 : q] with mod_star(j + a, b) == c
         np.cumsum(hits, axis=-1, dtype=np.int8, out=counts[..., 1:])

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fadingdof.dof import _chi_low_scaled, chi_const, chi_low, ell
+from fadingdof.dof import _chi_low_scaled, chi_const, chi_low, ell, pilot_count
 from fadingdof.jacobian import NONSINGULAR_TOL
 from fadingdof.model import (
     Dims,
@@ -43,7 +43,7 @@ from fadingdof.model import (
     split_tx,
     standard_complex_gaussian,
 )
-from fadingdof.pilots import assignment_to_dict, card_deal, pilot_count
+from fadingdof.pilots import assignment_to_dict, card_deal
 
 
 def chi_low_star_brute(T: int, R: int, N: int, Q: int) -> Fraction:
@@ -318,7 +318,8 @@ def deal(n_cards: int, T_eff: int, N: int):
     embedding and the number j of the card that dealt it, or n_cards + 1 if no
     card did, which is above every theta the deal serves.
     """
-    cards = [card_deal(j, T_eff, N) for j in range(1, n_cards + 1)]
+    players, faces = card_deal(np.arange(1, n_cards + 1), T_eff, N)
+    cards = list(zip(players.tolist(), faces.tolist()))
     numbers = [[n_cards + 1] * N for _ in range(T_eff)]
     for j, (t, i) in enumerate(cards, start=1):
         numbers[t - 1][i - 1] = j

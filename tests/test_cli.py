@@ -275,6 +275,7 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     checked = []  # the cells of the chains each pilot-property check saw
     dealt = []  # the chains each deal call dealt
     deals = []  # the broadcast shape of each card_deal call
+    residues = []  # the shape of the values of each mod_star call
 
     def count(module, name):
         original = getattr(module, name)
@@ -288,6 +289,8 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
                 dealt.append(len(args[0]))
             elif name == "card_deal":
                 deals.append(np.broadcast_shapes(*map(np.shape, args)))
+            elif name == "mod_star":
+                residues.append(np.shape(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -310,8 +313,8 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert calls == {
         "card_deal": 1,  # one broadcast call: a row of cards for each T_eff, N <= n_max
         "verify_pilot_properties": 1,  # one batch: every cell of the grid
-        # window check: the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
-        "mod_star": 24 * 5,
+        # window check: one call on the values q + a in [1 : 24] (q <= 18, a < 7) for each modulus 2 <= b <= 6
+        "mod_star": 5,
         "_chi_low_star_scaled": 1,  # one call on the grid N <= n_max, Q <= 3, T, R <= 12
         # one deal of every (N, Q, T_eff) chain of the pilot grid, and one of the witness chains past it (none)
         "pilot_chains": 2,
@@ -322,7 +325,8 @@ def test_verify_all_covers_its_grids(monkeypatch, capsys):
     assert deals == [(n_max**2, n_max**2)]  # T_eff N <= n_max^2 cards in each row
     assert dealt == [len(list(regime_chains(n_max))), 0]
     assert [grid.shape for grid in grids] == [(n_max, 3, 12, 12)]  # the brute-force oracle's grid
-    assert (calls["mod_star"], calls["witness_construct"], calls["_witness_det"]) == (120, 9, 22)
+    assert residues == [(7, 18)] * 5  # q + a for a in [0:6] and q in [1:18]
+    assert (calls["mod_star"], calls["witness_construct"], calls["_witness_det"]) == (5, 9, 22)
     assert (len(cells), dealt[0]) == (732, 100)
     assert checked == [len(cells)]
     assert "[FAIL]" not in capsys.readouterr().out
@@ -382,7 +386,7 @@ def test_verify_all_fails_on_a_wrong_residue_table(monkeypatch, capsys):
     from fadingdof import verify
 
     original = verify.mod_star
-    monkeypatch.setattr(verify, "mod_star", lambda a, b: 1 if b == 3 and a % 3 == 0 else original(a, b))
+    monkeypatch.setattr(verify, "mod_star", lambda a, b: np.where((b == 3) & (a % 3 == 0), 1, original(a, b)))
     failed = failed_lines(capsys, 5)
     assert failed == ["[FAIL] window counting bound (exhaustive small grid)"]
 
@@ -410,7 +414,10 @@ def test_verify_all_fails_on_a_redundancy_count_off_by_one(monkeypatch, capsys):
     from fadingdof import pilots
 
     original = pilots.ell
-    off_by_one = lambda T_eff, R, N, Q: original(T_eff, R, N, Q) + ((T_eff, R, N, Q) == (3, 5, 8, 2))
+
+    def off_by_one(T_eff, R, N, Q):  # the deal calls ell once on every cell of its batch
+        return original(T_eff, R, N, Q) + ((T_eff == 3) & (R == 5) & (N == 8) & (Q == 2))
+
     monkeypatch.setattr(pilots, "ell", off_by_one)
     properties, drop = failed_lines(capsys, 8)
     assert properties.startswith("[FAIL] pilot-set properties on every regime cell with N <= 8 (Dims(T=3, R=5, N=8,")
@@ -469,9 +476,9 @@ def test_exact_calls_load_no_random_generator(argv):
 
 
 def test_verify_all_allocates_at_most_one_mib_at_its_peak(capsys):
-    # the peak is the pilot grid: the padded deal the chains' views hold (three boolean masks over
-    # (cells, max T_eff, max N), about 0.2 MB at N <= 10), plus the checker's (4, cells, max T_eff, max N)
-    # boolean grid and its sums; the card numbers copied to every cell take the narrowest integer type
+    # the peak is the pilot grid: the chains' masks, three booleans per face of each cell in one array per
+    # shape (T_eff, N), about 0.2 MB at N <= 10, with one card-number array per shape and no padding, plus
+    # the checker's (4, cells, max T_eff, max N) boolean grid and its sums
     import tracemalloc
 
     from fadingdof import verify
@@ -484,6 +491,25 @@ def test_verify_all_allocates_at_most_one_mib_at_its_peak(capsys):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20, peak
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_verify_all_allocates_at_most_22_mib_at_its_peak_on_the_grid_to_N_20(capsys):
+    # 8362 cells: about 4 MB of unpadded chain masks, held beside the checker's 12.7 MB padded grid, which it
+    # reduces with no temporary of its size (19.5 MiB in all); a deal padded to the largest chain's 19 antennas
+    # and 20 faces, with a checker that made such temporaries, peaked at 28.3 MiB
+    import tracemalloc
+
+    from fadingdof import verify
+
+    verify.run_verify_all(20)  # first-call costs, as above
+    tracemalloc.start()
+    try:
+        assert verify.run_verify_all(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 2**20, peak
     assert "[FAIL]" not in capsys.readouterr().out
 
 

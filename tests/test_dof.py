@@ -20,6 +20,7 @@ from fadingdof.dof import (
     ell,
     figure1_curves,
     optimal_active_tx,
+    pilot_count,
     rounded_lower,
 )
 from fadingdof.model import Dims, constant_model, standard_complex_gaussian
@@ -207,6 +208,21 @@ def test_ell_values_and_regime_bound():
                 r_max = -(-T_eff * (N - 1) // (N - T_eff * Q))
                 for R in range(T_eff, r_max + 1):
                     assert ell(T_eff, R, N, Q) < N - T_eff * Q
+
+
+def test_thresholds_on_a_grid_are_the_scalar_calls_and_stay_exact_on_ints():
+    # the pilot deal evaluates theta_R and ell on every cell of its batch in one call each
+    T_eff, R, N, Q = np.ogrid[1:7, 1:13, 1:11, 1:4]
+    for f in (pilot_count, ell):
+        grid = f(T_eff, R, N, Q)
+        assert grid.shape == (6, 12, 10, 3) and grid.dtype == np.int64
+        for (t, r, n, q), value in np.ndenumerate(grid):
+            assert value == f(t + 1, r + 1, n + 1, q + 1), (f.__name__, t + 1, r + 1, n + 1, q + 1)
+    # ints stay Python ints, so dof_report is exact past the int64 range
+    big = 10**12
+    assert pilot_count(big, 2 * big, big, 1) == big**2 and type(pilot_count(big, 2 * big, big, 1)) is int
+    assert ell(1, big, big, 1) == big * big - 2 * big + 1 and type(ell(1, big, big, 1)) is int
+    assert type(pilot_count(2, 3, 4, 1)) is int and pilot_count(2, 3, 4, 1) == 2
 
 
 def test_figure1_unconstrained_values():

@@ -295,6 +295,13 @@ def test_probe_refuses_a_negative_trial_count():
         genericity_probe(PILOTS, -1, 0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_mc_logdet_refuses_a_sample_count_below_one_as_a_configuration_error(samples):
+    # the same class as the probe's and the recovery trials' refusals
+    with pytest.raises(InvalidConfigurationError, match="samples must be positive"):
+        mc_logdet(random_coloring(PILOTS.dims, 3), PILOTS, samples=samples, seed=12)
+
+
 def test_probe_checks_a_fixed_coloring_even_without_trials():
     wrong = constant_model(Dims.create(2, 2, 4, 1))
     for trials in (0, 1):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from paper_facts import cuts, pilot_property_oracle, regime_cells, tuple_chain
 
+from fadingdof.dof import pilot_count
 from fadingdof.model import Dims, InvalidConfigurationError, regime_chains
 from fadingdof.pilots import (
     PROPERTIES,
@@ -18,7 +19,6 @@ from fadingdof.pilots import (
     mod_star,
     pilot_chain,
     pilot_chains,
-    pilot_count,
     verify_pilot_properties,
 )
 
@@ -49,6 +49,11 @@ def test_mod_star_values():
     assert mod_star(14, 4) == 2
     with pytest.raises(InvalidConfigurationError):
         mod_star(0, 3)
+    # int arrays broadcast, each value taken as the scalar call takes it, and any value below 1 is refused
+    table = [[mod_star(a, b) for b in (3, 4)] for a in range(1, 8)]
+    assert mod_star(np.arange(1, 8)[:, None], np.array([3, 4])).tolist() == table
+    with pytest.raises(InvalidConfigurationError):
+        mod_star(np.array([3, 0]), 2)
 
 
 def test_card_deal_values():
@@ -76,9 +81,9 @@ def test_card_deal_broadcast_over_deals_equals_the_scalar_calls():
     for row, (t, n) in enumerate(zip(T_eff.ravel().tolist(), N.ravel().tolist())):
         scalar = [card_deal(j, t, n) for j in range(1, t * n + 1)]
         assert list(zip(players[row, : t * n].tolist(), faces[row, : t * n].tolist())) == scalar, (t, n)
-    # T_eff and N alone may be arrays too, and a scalar deal still gives Python ints
+    # T_eff and N alone may be arrays too, and a scalar deal is the 0-d case of the same arithmetic
     assert card_deal(13, np.array([4, 5]), 6)[0].tolist() == [2, 3]
-    assert all(type(a) is int for a in card_deal(13, 4, 6))
+    assert [np.ndim(a) for a in card_deal(13, 4, 6)] == [0, 0] and card_deal(13, 4, 6) == (2, 1)
 
 
 @pytest.mark.parametrize("row, card", [(0, 7), (0, 0), (1, 10), (1, -1)])
@@ -378,8 +383,8 @@ def test_a_failing_cell_keeps_the_transmit_antennas_of_its_chain():
     assert [dims for dims, _ in verify_pilot_properties([corrupted])] == [top.with_rx(3), top]
 
 
-def test_each_chain_reads_alike_alone_and_in_a_padded_batch():
-    # the small chain's cells sit in a grid padded to the large one's 9 antennas and 10 faces
+def test_the_checker_reads_each_chain_alike_alone_and_beside_a_larger_one():
+    # the checker pads the small chain's cells to the large one's 9 antennas and 10 faces
     small = with_cell(pilot_chain(CELL_WITH_ELL), -1, L=[[3], [4, 6]])
     large = with_cell(pilot_chain(Dims(T=9, R=12, N=10, Q=1, T_eff=9)), 3, G=[[1]] * 9)
     alone = [verify_pilot_properties([chain]) for chain in (large, small, large)]
@@ -457,7 +462,7 @@ def test_every_view_equals_the_tuple_construction_up_to_N_16():
 
 
 def test_one_deal_of_every_chain_up_to_N_16_equals_the_tuple_construction():
-    # the 314 chains in one padded pass, to 15 antennas and 16 faces
+    # the 314 chains in one call, each of their 120 shapes (T_eff, N) dealt once
     tops = list(regime_chains(16))
     assert assert_views_equal_the_tuple_construction(tops, pilot_chains(tops)) == 3870
 
@@ -493,6 +498,28 @@ def test_chains_dealt_together_equal_each_chain_dealt_alone(tops):
             assert np.array_equal(getattr(chain, name), getattr(alone, name)), (top, name)
             assert not getattr(chain, name).flags.writeable, (top, name)
         assert chain == alone, top
+
+
+def test_chains_of_one_shape_share_one_card_array_and_no_mask_is_padded():
+    # the 27 chains with N <= 6 come in 15 shapes (T_eff, N), several with Q = 1, 2 and 3; one top repeats
+    tops = list(regime_chains(6))
+    tops.append(tops[7])
+    chains = pilot_chains(tops)
+    shapes = {(top.T_eff, top.N) for top in tops}
+    assert (len(tops), len(shapes)) == (28, 15)
+    for shape in shapes:
+        cards = [chain.cards for chain in chains if (chain.dims.T_eff, chain.dims.N) == shape]
+        assert all(a is cards[0] for a in cards), shape
+        assert cards[0].shape == shape and not cards[0].flags.writeable
+    for a, b in itertools.combinations(chains, 2):
+        if (a.dims.T_eff, a.dims.N) != (b.dims.T_eff, b.dims.N):
+            fields = itertools.product(CHAIN_FIELDS, repeat=2)
+            assert not any(np.shares_memory(getattr(a, f), getattr(b, g)) for f, g in fields), (a.dims, b.dims)
+    for chain in chains:
+        for name in ("P", "L", "G"):
+            base = getattr(chain, name).base
+            assert base.shape[-2:] == (chain.dims.T_eff, chain.dims.N), (chain.dims, name)
+            assert not base.flags.writeable
 
 
 def test_a_batch_deals_nothing_for_no_cells_and_refuses_any_cell_outside_the_regime():

@@ -6,13 +6,13 @@ coloring Z, |det J(Z; s, x)|^2 is a real polynomial of degree at most 2n in
 the real and imaginary parts of (s, x), and the Gaussian is log-concave, so
 the Carbery-Wright inequality (A. Carbery and J. Wright, Math. Res. Lett. 8,
 2001) gives P(|p| <= eps ||p||_2) <= C deg eps^(1/deg), and E log |det J|^2 >
--inf whenever det J(Z; .) is not identically zero. The exact witness
-(jacobian.certify_witness_exact) certifies that for the witness coloring, and
-so for almost every coloring. What has no closed form is the value of the
-expectation: mc_logdet estimates only that, by Monte Carlo, with its standard
-error and the fraction of clipped draws. A shrinking standard error is no
-evidence of integrability on its own; it can shrink on a heavy-tailed
-integrand.
+-inf whenever det J(Z; .) is not identically zero.
+jacobian.certify_witness_exact(chain) certifies that for the exact witness
+coloring of every cell of the chain, and so for almost every coloring. What
+has no closed form is the value of the expectation: mc_logdet estimates only
+that, by Monte Carlo, with its standard error and the fraction of clipped
+draws. A shrinking standard error is no evidence of integrability on its own;
+it can shrink on a heavy-tailed integrand.
 
 The expectation is taken over the Gaussian density rather than as the raw
 Lebesgue integral against exp(-||.||^2); the two differ by the density

@@ -200,8 +200,8 @@ def _cmd_pilots(args) -> int:
 def _cmd_witness(args) -> int:
     if not args.exact and args.seed is None:
         raise UsageError("--seed is required unless --exact is given")
-    dims = _parse_dims(args.dims, args.teff)
-    report = jacobian.witness_report(dims, seed=args.seed or 0, exact=args.exact, export=args.json)
+    chain = pilots.pilot_chain(_parse_dims(args.dims, args.teff))
+    report = jacobian.witness_report(chain, seed=args.seed or 0, exact=args.exact, export=args.json)
     if args.json:
         _emit_json(report, args.out)
         return EXIT_OK

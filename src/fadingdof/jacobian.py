@@ -22,8 +22,8 @@ PilotChain.data_index. The witness follows the induction over receive
 antennas, so it fills rows at the nonzero positions of every row of the
 chain's stacked P, L and G masks and at its anchor faces.
 
-Assembly builds only matrices. JacobianLayout assembles the Jacobians of many
-draws as one (k, n, n) stack, for recovery and the exact certificate. The
+Assembly builds only matrices: JacobianLayout a (k, n, n) stack of draws, and
+recovery and the exact certificate one matrix per call, a stack of one. The
 Monte-Carlo callers (the probe here, analysis.mc_logdet) never assemble.
 J = [B | [A]^D] has two column families, each confined to a row group: the
 fading columns of antenna r touch only its own rows (the paper's induction
@@ -59,7 +59,6 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
-    Dims,
     InvalidConfigurationError,
     channel_vectors,
     coloring_to_dict,
@@ -71,7 +70,7 @@ from .model import (
     split_tx,
     standard_complex_gaussian,
 )
-from .pilots import PilotChain, pilot_chain
+from .pilots import PilotChain
 
 __all__ = [
     "NONSINGULAR_TOL",
@@ -313,14 +312,14 @@ def witness_construct(chain: PilotChain, seed: int = 0, exact: bool = False):
 
     With exact=True all fills are identity blocks and no random generator is
     made; every entry is then 0 or 1, exactly representable, and the
-    determinant can be certified nonzero in exact integer arithmetic (see
-    certify_witness_exact). Row r depends only on the cell with r
-    receive antennas, so the exact witness of a cell is the prefix Z[:R],
-    s[:R T_eff Q], x of the witness of any cell above it on its chain. The
-    default draws seeded random unitary fills, row by row, which keeps the
-    matrix well conditioned. The fills of all rows are then written at once
-    from the 0-based positions of the pilot, data, anchor and dropped faces
-    in the chain's masks.
+    determinant can be certified nonzero in exact integer arithmetic
+    (certify_witness_exact certifies every cell of the chain on one build).
+    Row r depends only on the cell with r receive antennas, so the exact
+    witness of a cell is the prefix Z[:R], s[:R T_eff Q], x of the witness of
+    any cell above it on its chain. The default draws seeded random unitary
+    fills, row by row, which keeps the matrix well conditioned. The fills of
+    all rows are then written at once from the 0-based positions of the
+    pilot, data, anchor and dropped faces in the chain's masks.
     """
     if not isinstance(chain, PilotChain):
         raise InvalidConfigurationError("witness_construct needs the pilot chain R' = T_eff..R of one cell")
@@ -447,28 +446,29 @@ def _witness_det(J: np.ndarray) -> int:
     return -1 if parity % 2 else 1
 
 
-def certify_witness_exact(chain: PilotChain, witness) -> int:
-    """Exact-arithmetic certificate that the witness determinant of the cell chain.dims is nonzero.
+def certify_witness_exact(chain: PilotChain) -> np.ndarray:
+    """Exact-arithmetic certificates that the witness determinant of every cell of chain is nonzero.
 
-    witness is the exact witness (Z, s, x) of the cell, or of a cell above
-    it on its chain (same T_eff, N and Q, R at least chain.dims.R), such as
-    the top of the chain that chain is a cut of; the cell is certified on the
-    prefix, which is its own witness, so one build serves every cell of a
-    chain. The Jacobian has
-    0/1 entries and is block triangular, one receive antenna per step, so it
-    peels to nothing (see _witness_det). Returns the determinant as an exact
-    int, 1, -1 or 0; nonzero certifies nonsingularity with no floating-point
-    error. Any other matrix, a seeded float witness among them, raises
+    One read-only bool per cell R' = T_eff..R, in that order. The exact
+    witness is built once, at the top; the cell R' is certified on its
+    prefix Z[:R'], s[:R' T_eff Q], x, which is its own witness, with the
+    Jacobian of chain.cut(R'). That Jacobian has 0/1 entries and is block
+    triangular, one receive antenna per step, so it peels to nothing (see
+    _witness_det), and a True verdict is a nonzero determinant with no
+    floating-point error. A chain whose masks do not make a cell's Jacobian
+    square, or whose Jacobian is refused by _witness_det, raises
     InvalidConfigurationError.
     """
-    Z, s, x = witness
+    Z, s, x = witness_construct(chain, exact=True)
     d = chain.dims
-    J = assemble_jacobian(Z[: d.R], s[: d.R * d.T_eff * d.Q], x, chain)
-    return _witness_det(J)
+    cells = (assemble_jacobian(Z[:R], s[: R * d.T_eff * d.Q], x, chain.cut(R)) for R in range(d.T_eff, d.R + 1))
+    verdicts = np.array([_witness_det(J) != 0 for J in cells])
+    verdicts.setflags(write=False)
+    return verdicts
 
 
-def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool = False) -> dict:
-    """What `fadingdof jacobian-witness` prints: the witness Jacobian's dims and spectral statistics.
+def witness_report(chain: PilotChain, seed: int = 0, exact: bool = False, export: bool = False) -> dict:
+    """What `fadingdof jacobian-witness` prints: the witness Jacobian of the cell chain.dims, its dims and statistics.
 
     The keys are dims, sigma_min, abs_det, spectral_norm, nonsingular and
     bezout_bound (a decimal string); the three floats and the verdict come
@@ -480,14 +480,13 @@ def witness_report(dims: Dims, seed: int = 0, exact: bool = False, export: bool 
     for a nonzero entry and "." for a zero, from one pass over its nonzero
     mask.
     """
-    chain = pilot_chain(dims)
     Z, s, x = witness_construct(chain, seed=seed, exact=exact)
     J = assemble_jacobian(Z, s, x, chain)
     sv = np.linalg.svd(J, compute_uv=False)
     with np.errstate(divide="ignore", over="ignore"):
         abs_det = float(np.exp(np.log(sv).sum()))
     report = {
-        "dims": dims_to_dict(dims),
+        "dims": dims_to_dict(chain.dims),
         "sigma_min": float(sv[-1]),
         "abs_det": abs_det,
         "spectral_norm": float(sv[0]),

@@ -362,8 +362,8 @@ def test_jacobian_witness_deals_one_chain(monkeypatch, capsys):
         calls["pilot_chain"] += 1
         return original(*args)
 
-    for module in (jacobian, pilots):  # a deal through either name is counted
-        monkeypatch.setattr(module, "pilot_chain", counted)
+    assert not hasattr(jacobian, "pilot_chain")  # witness_report takes the chain the CLI deals
+    monkeypatch.setattr(pilots, "pilot_chain", counted)
     # R = 4 > T_eff = 2, so the witness needs the cells R' = 2, 3 and 4, and the Jacobian the top: one chain
     code, out, _ = run_cli(capsys, "jacobian-witness", "--dims", "2,4,5,2", "--exact")
     assert code == 0 and '"certified_nonzero": true' in out

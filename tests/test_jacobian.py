@@ -188,10 +188,9 @@ def test_witness_small_sweep():
         assert full_svd_verdict(assemble_jacobian(Z, s, x, chain)), dims
 
 
-def certified(dims) -> int:
-    """certify_witness_exact on the cell's own exact witness."""
-    chain = pilot_chain(dims)
-    return certify_witness_exact(chain, witness_construct(chain, exact=True))
+def certified(dims) -> bool:
+    """Whether certify_witness_exact certifies every cell of the chain of dims."""
+    return bool(certify_witness_exact(pilot_chain(dims)).all())
 
 
 def test_witness_construct_takes_only_a_cells_whole_chain():
@@ -204,8 +203,62 @@ def test_witness_construct_takes_only_a_cells_whole_chain():
 
 def test_witness_exact_certificates():
     for dims in [DIMS, Dims.create(2, 3, 5, 1), Dims.create(1, 2, 3, 2, T_eff=1)]:
-        det = certified(dims)
-        assert isinstance(det, int) and det != 0
+        assert certified(dims)
+
+
+CERTIFIED_CHAINS = [pilot_chain(top) for top in regime_chains(8)]  # the 320 regime cells with N <= 8
+
+
+def test_certify_witness_exact_decides_each_cell_on_its_own_witness():
+    # verdict k is the peel of the cell R' = T_eff + k, built from its own deal and its own exact witness
+    cells = 0
+    for chain in CERTIFIED_CHAINS:
+        verdicts = certify_witness_exact(chain)
+        assert verdicts.dtype == bool and verdicts.shape == (len(chain),) and not verdicts.flags.writeable
+        for k, R in enumerate(range(chain.dims.T_eff, chain.dims.R + 1)):
+            own = pilot_chain(chain.dims.with_rx(R))
+            J = assemble_jacobian(*witness_construct(own, exact=True), own)
+            assert verdicts[k] == (_witness_det(J) != 0), own.dims
+            cells += 1
+        assert verdicts.all(), chain.dims
+    assert cells == 320
+
+
+def test_certify_witness_exact_puts_each_verdict_at_its_cell(monkeypatch):
+    # a zero determinant at one size of Jacobian, each cell's own, is a False at that cell alone
+    chain = pilot_chain(Dims.create(2, 4, 5, 2))  # R' = 2, 3, 4 at n = 10, 15, 20
+    sizes = [cell.n_useful for cell in cuts(chain)]
+    assert sizes == [10, 15, 20]
+    for k, n in enumerate(sizes):
+        monkeypatch.setattr(jacobian_module, "_witness_det", lambda M, n=n: 0 if len(M) == n else _witness_det(M))
+        assert certify_witness_exact(chain).tolist() == [j != k for j in range(len(chain))]
+
+
+def test_a_cells_exact_witness_jacobian_is_its_chain_tops_restricted():
+    # the first n_useful(R') rows of the top's Jacobian, its first R' T_eff Q fading columns and the data
+    # columns of the top that stay data at R'
+    for chain in CERTIFIED_CHAINS:
+        d = chain.dims
+        top = assemble_jacobian(*witness_construct(chain, exact=True), chain)
+        for k, cell in enumerate(cuts(chain)):
+            R = cell.dims.R
+            J = assemble_jacobian(*witness_construct(cell, exact=True), cell)
+            data = d.R * d.T_eff * d.Q + np.flatnonzero(~chain.P[k].ravel()[chain.data_index])
+            columns = np.concatenate([np.arange(R * d.T_eff * d.Q), data])
+            assert np.array_equal(J, top[: cell.n_useful, columns]), cell.dims
+
+
+def test_certify_witness_exact_refuses_a_chain_with_one_flipped_pilot_bit():
+    # past row 0 a flipped P bit leaves the witness build as it is but moves one face between pilot and
+    # data at its cell, whose Jacobian is then not square: the call raises and returns no verdict
+    rng = np.random.default_rng(29)
+    chains = [chain for chain in CERTIFIED_CHAINS if len(chain) > 1]
+    for chain in chains:
+        P = chain.P.copy()
+        P[rng.integers(1, len(chain)), rng.integers(chain.dims.T_eff), rng.integers(chain.dims.N)] ^= True
+        with pytest.raises(InvalidConfigurationError, match="not square"):
+            certify_witness_exact(dataclasses.replace(chain, P=P))
+    assert len(chains) == 50
 
 
 # sha256 prefixes of the exact witness (Z, s, x), all entries 0 or 1, recorded
@@ -254,18 +307,19 @@ def test_witness_fills_are_bitwise_the_block_by_block_loop(dims):
 
 
 def test_a_cells_exact_witness_is_the_prefix_of_its_chain_tops():
-    # one build per chain serves every cell of it, as verify-all certifies them
+    # one build per chain serves every cell of it, as certify_witness_exact(chain) certifies them
     tops = [top for top in regime_chains(7) if top.R > top.T_eff]
     for top in tops:
         chain = pilot_chain(top)
-        witness = witness_construct(chain, exact=True)
-        Z, s, x = witness
+        Z, s, x = witness_construct(chain, exact=True)
+        verdicts = certify_witness_exact(chain)
         for cell in cuts(chain):
             R = cell.dims.R
             own = witness_construct(pilot_chain(cell.dims), exact=True)
             prefix = (Z[:R], s[: R * top.T_eff * top.Q], x)
             assert witness_bytes(own) == witness_bytes(prefix), cell.dims
-            assert certify_witness_exact(cell, witness) == certify_witness_exact(cell, own) != 0
+            assert np.array_equal(certify_witness_exact(cell), verdicts[: len(cell)])
+        assert verdicts.all(), top
     assert len(tops) == 35
 
 
@@ -274,7 +328,7 @@ def test_the_exact_witness_makes_no_random_generator(monkeypatch):
         raise AssertionError("a random generator on the exact path")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    assert certified(DIMS) != 0
+    assert certified(DIMS)
 
 
 def test_probe_generic_and_constant():
@@ -574,7 +628,7 @@ def factorized(calls):
 def test_recovery_and_exact_certificate_factorize_nothing(linalg_calls):
     results = run_recovery_trials(pilot_chain(Dims.create(3, 4, 12, 1)), trials=3, seed=4)
     assert all(r.success and r.iterations > 0 for r in results)
-    assert certified(DIMS) != 0
+    assert certified(DIMS)
     assert factorized(linalg_calls) == {"svd": 0, "qr": 0, "slogdet": 0}
 
 
@@ -621,7 +675,7 @@ def test_stacks_stay_under_the_byte_cap(linalg_calls, dims, q_entries, schur, pe
 
 @pytest.mark.parametrize("exact", [False, True], ids=["seeded", "exact"])
 def test_witness_report_takes_one_svd(linalg_calls, exact):
-    witness_report(DIMS, seed=8, exact=exact)
+    witness_report(PILOTS, seed=8, exact=exact)
     assert (linalg_calls["svd"], linalg_calls["slogdet"]) == (1, 0)
 
 
@@ -634,13 +688,13 @@ def test_witness_abs_det_matches_slogdet(exact):
         chain = pilot_chain(dims)
         J = assemble_jacobian(*witness_construct(chain, seed=3, exact=exact), chain)
         oracle = math.exp(np.linalg.slogdet(J)[1])
-        report = witness_report(dims, seed=3, exact=exact)
+        report = witness_report(chain, seed=3, exact=exact)
         assert report["abs_det"] == pytest.approx(oracle, rel=1e-12, abs=0), dims
 
 
 def test_exact_witness_abs_det_is_its_exact_det():
     for dims in WITNESS_CELLS:
-        report = witness_report(dims, exact=True)
+        report = witness_report(pilot_chain(dims), exact=True)
         exact_det = abs(int(report["exact_det"]["re"]))
         assert report["abs_det"] == pytest.approx(exact_det, rel=1e-12, abs=0), dims
 
@@ -649,7 +703,7 @@ def test_witness_report_edge_values_without_warnings(monkeypatch):
     # J scaled to zero, to |det| 1e480 past float range, and with one column
     # scaled below the verdict's tolerance (sigma_min / sigma_max < 1e-10);
     # the SVD resolves sigma_min ~ 1e-12 only to about eps sigma_max, hence rel=1e-3
-    base = witness_report(DIMS, seed=9)
+    base = witness_report(PILOTS, seed=9)
     tiny = np.ones(PILOTS.n_useful)
     tiny[-1] = 1e-12
     cases = [(0.0, 0.0, False), (1e40, math.inf, True), (tiny, 1e-12 * base["abs_det"], False)]
@@ -658,7 +712,7 @@ def test_witness_report_edge_values_without_warnings(monkeypatch):
         monkeypatch.setattr(jacobian_module, "assemble_jacobian", lambda *a, c=scale: c * assemble(*a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = witness_report(DIMS, seed=9)
+            report = witness_report(PILOTS, seed=9)
         assert report["abs_det"] == pytest.approx(abs_det, rel=1e-3, abs=0)
         assert report["nonsingular"] is nonsingular
         assert math.isfinite(report["sigma_min"]) and math.isfinite(report["spectral_norm"])
@@ -797,7 +851,7 @@ def test_witness_det_matches_oracle_on_witnesses(dims):
     J = exact_witness_matrix(dims)
     det = _witness_det(J)
     assert det == oracle_det(J) != 0
-    assert certified(dims) == det
+    assert certified(dims)
 
 
 def random_integer_matrix(seed, n=12, bound=1000):
@@ -921,12 +975,11 @@ def test_witness_det_rejects_a_witness_with_one_entry_of_2():
 
 
 def test_float_witness_is_not_certified():
-    # the seeded witness is nonsingular but its entries are not 0/1, so the exact certificate refuses it
-    chain = pilot_chain(DIMS)
-    witness = witness_construct(chain, seed=0)
-    assert full_svd_verdict(assemble_jacobian(*witness, chain))
+    # the seeded witness is nonsingular but its entries are not 0/1, so the exact determinant refuses it
+    J = assemble_jacobian(*witness_construct(PILOTS, seed=0), PILOTS)
+    assert full_svd_verdict(J)
     with pytest.raises(InvalidConfigurationError, match="other than 0 and 1"):
-        certify_witness_exact(chain, witness)
+        _witness_det(J)
 
 
 def permuted(M, seed):
@@ -1026,7 +1079,8 @@ def test_exact_certificate_at_n432_matches_slogdet_sign():
     dims = Dims.create(6, 11, 40, 3)
     J = exact_witness_matrix(dims)
     assert J.shape == (432, 432)
-    det = certified(dims)
+    det = _witness_det(J)
+    assert certified(dims)
     sign, _ = np.linalg.slogdet(J)
     assert det in (1, -1)
     assert det == sign.real
